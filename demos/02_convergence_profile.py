@@ -3,7 +3,7 @@
 Sped up by n, the density follows a Wright-Fisher diffusion; its distance to
 the stationary law therefore decays along a continuous profile rather than
 dropping abruptly; the chain has no cut-off on this time scale.  This script
-computes the exact distance-to-stationarity curve by uniformization for a
+computes the exact distance-to-stationarity curve from exact transient laws for a
 dyadic n-sweep, shows the curves collapsing onto one profile, and extracts
 the scaled mixing times at several thresholds.
 """

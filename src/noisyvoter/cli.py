@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import CapacityError, ConfigError, DiagnosticError
 from .experiments import SCENARIOS, ExperimentConfig, config_from_json, run
@@ -40,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--repetitions", type=int, help="independent repetitions to average")
     parser.add_argument("--seed", type=int, help="master seed (64-bit)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, help="concurrent workers")
     parser.add_argument("--eps", type=_float_list, help="mixing thresholds, comma separated")
     parser.add_argument("--wf-dt", type=float, dest="wf_dt", help="Euler step for the diffusion")
     parser.add_argument("--dense-cap", type=int, dest="dense_cap",
@@ -51,11 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     kwargs = config_from_json(args.config) if args.config else {}
     kwargs["scenario"] = args.scenario
-    for key in ("n", "a", "b", "m0", "ell", "grid", "samples", "repetitions",
-                "seed", "out", "workers", "eps", "wf_dt", "dense_cap"):
-        value = getattr(args, key, None)
+    for field in fields(ExperimentConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            kwargs[key] = value
+            kwargs[field.name] = value
     return ExperimentConfig(**kwargs)
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -66,7 +65,6 @@ class ExperimentConfig:
     repetitions: int = 10
     seed: int = 0
     out: str = "results"
-    workers: int = 1
     tol: float = 1e-9
     eps: tuple[float, ...] = (0.01, 0.05, 0.1)
     wf_dt: float = 1e-3
@@ -89,23 +87,34 @@ class ExperimentConfig:
                 raise ConfigError("grid must be nonempty")
             if any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):
                 raise ConfigError("grid must be strictly increasing")
+            if self.scenario != "thermalize" and grid[0] < 0:
+                raise ConfigError("time grid must be nonnegative")
         object.__setattr__(self, "grid", grid)
         if self.samples < 1 or (self.scenario in _MC_SCENARIOS and self.samples < 100):
             raise ConfigError("distance-estimation scenarios need samples >= 100")
         if self.repetitions < 2:
             raise ConfigError("repetitions must be at least 2")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         if not 0 < self.tol <= 1e-6:
             raise ConfigError("tol must lie in (0, 1e-6]")
+        if not (self.wf_dt > 0 and np.isfinite(self.wf_dt)):
+            raise ConfigError("wf_dt must be positive and finite")
+        if self.dense_cap < 0:
+            raise ConfigError("dense_cap must be nonnegative")
+        eps = tuple(float(e) for e in self.eps)
+        if not eps or not all(0 < e < np.inf for e in eps) or len(set(eps)) != len(eps):
+            raise ConfigError("eps must be distinct positive thresholds")
+        object.__setattr__(self, "eps", eps)
+        if self.scenario in ("stein-rate", "thermalize"):
+            for n in ns:
+                if not 1 <= self.particle_count(n) <= n - 1:
+                    raise ConfigError(f"particle count at n={n} must lie in [1, n-1]")
         if self.scenario == "thermalize":
             if len(ns) != 1:
                 raise ConfigError("thermalize runs at a single n")
             n = ns[0]
-            ell = self.ell if self.ell is not None else int(np.floor(self.m0 * n + 0.5))
-            if not 1 <= ell <= n - 1:
-                raise ConfigError("particle count must be nontrivial")
-            m0e = ell / n
+            m0e = self.particle_count(n) / n
             if m0e * (1 - m0e) < n ** (-1.0 / 3.0):
                 raise ConfigError("m0(1-m0) must be at least n^(-1/3) for thermalization")
             t_min = 0.5 * np.log(n) + np.log(m0e * (1 - m0e)) + grid[0]
@@ -121,22 +130,27 @@ class ExperimentConfig:
         if self.scenario == "mixing-curve" and len(ns) < 2:
             raise ConfigError("mixing-curve needs at least two sizes to measure drift")
 
+    def particle_count(self, n: int) -> int:
+        """Initial particle count at size ``n``: ``ell`` when given for a
+        single-size run, else m0*n rounded."""
+        if self.ell is not None and len(self.n) == 1:
+            return int(self.ell)
+        return int(np.floor(self.m0 * n + 0.5))
+
+
+# model parameters, nested under "params" in the JSON schema
+_PARAM_KEYS = ("n", "a", "b", "m0", "ell")
+
 
 def config_from_json(path) -> dict:
     """Flatten the on-disk schema {scenario, params{...}, grid, ...} to kwargs."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    kwargs: dict = {}
     params = raw.pop("params", {})
-    for key in ("n", "a", "b", "m0", "ell"):
-        if key in params:
-            kwargs[key] = params[key]
-    for key in ("scenario", "grid", "samples", "repetitions", "seed", "out",
-                "workers", "tol", "eps", "wf_dt", "dense_cap"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    unknown = set(raw) - {"scenario", "grid", "samples", "repetitions", "seed", "out",
-                          "workers", "tol", "eps", "wf_dt", "dense_cap"}
+    kwargs = {key: params[key] for key in _PARAM_KEYS if key in params}
+    top_keys = {f.name for f in fields(ExperimentConfig)} - set(_PARAM_KEYS)
+    kwargs.update((key, raw[key]) for key in top_keys if key in raw)
+    unknown = set(raw) - top_keys
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if isinstance(kwargs.get("n"), (int, float)):
@@ -222,14 +236,6 @@ def _declared_tolerance(r: ResultRecord) -> float:
     if r.scenario == "qclt-rate:slope":
         return 0.30
     return np.inf
-
-
-def _parallel_map(fn, items, workers: int):
-    """Apply fn preserving item order; threads only when workers > 1."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _batched_w1_stderr(law_scaled: Pmf, samples: np.ndarray, batches: int = 10) -> float:
@@ -326,7 +332,7 @@ def run_qclt_rate(cfg: ExperimentConfig):
         d = transport.w1_discrete(law_scaled, ref_pmf)
         return d, _batched_w1_stderr(law_scaled, ref)
 
-    results = _parallel_map(one, list(cfg.n), cfg.workers)
+    results = [one(n) for n in cfg.n]
     records = []
     for n, (d, err) in zip(cfg.n, results):
         records.append(ResultRecord("qclt-rate", n, cfg.a, cfg.b, cfg.m0, t,
@@ -358,7 +364,7 @@ def run_thermalize(cfg: ExperimentConfig):
     """
     n = cfg.n[0]
     params = model.ModelParams(n, cfg.a, cfg.b)
-    ell = cfg.ell if cfg.ell is not None else int(np.floor(cfg.m0 * n + 0.5))
+    ell = cfg.particle_count(n)
     part = model.BlockPartition(n - ell, ell)
     m0e = ell / n
     taus = np.asarray(cfg.grid)
@@ -380,7 +386,7 @@ def run_thermalize(cfg: ExperimentConfig):
                                              metric="cityblock") / sqrt_n)
         return out
 
-    per_rep = _parallel_map(one_rep, list(range(cfg.repetitions)), cfg.workers)
+    per_rep = [one_rep(rep) for rep in range(cfg.repetitions)]
     values = np.asarray(per_rep)  # (reps, taus)
     records = []
     rate = 1.0 + (cfg.a + cfg.b) / n
@@ -436,7 +442,7 @@ def run_mixing_curve(cfg: ExperimentConfig):
             raise DiagnosticError(f"distance curve non-monotone beyond noise at n={n}")
         return ds
 
-    curves = _parallel_map(curve, list(cfg.n), cfg.workers)
+    curves = [curve(n) for n in cfg.n]
     tmix = {n: [_invert_curve(np.asarray(cfg.grid), ds, e) for e in eps_grid]
             for n, ds in zip(cfg.n, curves)}
     records = []
@@ -473,8 +479,7 @@ def run_stein_rate(cfg: ExperimentConfig):
     rows = []
     records = []
     for n in cfg.n:
-        ell = cfg.ell if (cfg.ell is not None and len(cfg.n) == 1) \
-            else int(np.floor(cfg.m0 * n + 0.5))
+        ell = cfg.particle_count(n)
         distance, normalized = stein.hypergeom_gaussian_w1(n, ell)
         m0e = ell / n
         nu = m0e * (1 - m0e)

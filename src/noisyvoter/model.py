@@ -5,22 +5,35 @@ top of that, re-randomizes spontaneously: at rate ``a`` a uniformly chosen
 site is set to 1, at rate ``b`` to 0.  By exchangeability, one-time laws from
 permutation-invariant starts are determined by the particle count (or by
 per-block counts for a two-block split), so simulation happens on lumped
-birth-death chains at O(1) cost per event.  Exact transient laws come from
-uniformization and the stationary count is Beta-Binomial(n, a, b).
+birth-death chains at O(1) cost per event.  The stationary count is
+Beta-Binomial(n, a, b).
+
+Exact transient laws come from the spectral decomposition of the count
+chain: reversibility makes its generator, symmetrized by sqrt(pi), a
+symmetric tridiagonal matrix with the Hahn spectrum -j(j-1+a+b)/n, so one
+cached eigendecomposition per (n, a, b) turns every later time into two
+O(n^2) products.  An accuracy guard (an a-priori rounding bound, then
+nonnegativity, unit mass and the closed-form mean) sends the starts it
+cannot trust, deep in the stationary tails, to uniformization instead.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln, gammaln
 from scipy.stats import poisson
 
 from .errors import CapacityError
 from .pmf import Pmf
 
-# Largest n for which dense exact laws (uniformization, stationary pmf checks)
+logger = logging.getLogger(__name__)
+
+# Largest n for which dense exact laws (transient laws, stationary pmf checks)
 # are computed by default.
 DENSE_LAW_CAP = 4096
 
@@ -262,15 +275,108 @@ def simulate_blocks_batch(
     return out
 
 
+def _rate_arrays(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """``count_rates`` at every count k = 0..n, as two arrays."""
+    n = params.n
+    ks = np.arange(n + 1, dtype=float)
+    return (n - ks) * (params.a + ks) / n, ks * (params.b + n - ks) / n
+
+
+@lru_cache(maxsize=1)
+def _spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of the count generator symmetrized by sqrt(pi).
+
+    Detailed balance makes diag(s) Q diag(1/s), s = sqrt(pi), the symmetric
+    tridiagonal matrix with diagonal -(up+down) and off-diagonal
+    sqrt(up[k] down[k+1]).  Returns ascending eigenvalues, orthonormal
+    eigenvectors (columns) and s, all read-only.  The spectrum is
+    -j(j-1+a+b)/n, j = 0..n.  Only the latest (n, a, b) is kept, so the cache
+    holds at most one (n+1)^2 matrix of doubles (128 MB at n = 4096).
+    """
+    up, down = _rate_arrays(params)
+    lam, vecs = eigh_tridiagonal(-(up + down), np.sqrt(up[:-1] * down[1:]))
+    # The stationary eigenvalue is exactly 0; left at its rounded value
+    # (about 1e-14) the mass would drift like exp(lam t) over long times.
+    lam[-1] = 0.0
+    s = np.exp(0.5 * stationary_log_pmf(params))
+    for arr in (lam, vecs, s):
+        arr.setflags(write=False)
+    return lam, vecs, s
+
+
+def _spectral_law(params: ModelParams, p0: np.ndarray, t: float, tol: float):
+    """Law at time ``t`` from the cached eigendecomposition, or None (with
+    the reason logged) when the accuracy guard rejects it."""
+    n, a, b = params.n, params.a, params.b
+    lam, vecs, s = _spectrum(params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q0 = np.where(p0 > 0, p0 / s, 0.0)
+    # rounding in the eigenvectors is amplified by the conditioning of the
+    # similarity transform on this start
+    bound = (n + 1) * np.finfo(float).eps * s.sum() * q0.sum()
+    if not bound <= tol:
+        reason = f"a-priori error bound {bound:.3g} exceeds tol"
+    else:
+        p = s * (vecs @ (np.exp(lam * t) * (vecs.T @ q0)))
+        ks = np.arange(n + 1, dtype=float)
+        fix = n * a / (a + b)
+        # the closed-form mean path of diffusion.mean_ode (which imports this module)
+        mean = fix + (p0 @ ks - fix) * np.exp(-(a + b) * t / n)
+        if not p.min() >= -tol:
+            reason = f"min probability {p.min():.3g} below -tol"
+        elif not abs(p.sum() - 1.0) <= tol:
+            reason = f"mass {p.sum()!r} deviates from 1 by more than tol"
+        elif not abs(p @ ks - mean) <= n * tol:
+            reason = f"mean {p @ ks!r} misses the closed form {mean!r} by more than n*tol"
+        else:
+            p = np.clip(p, 0.0, None)
+            return p / p.sum()
+    logger.info("spectral law rejected for n=%d a=%g b=%g (%s, tol=%g); "
+                "falling back to uniformization", n, a, b, reason, tol)
+    return None
+
+
+def _uniformized_law(params: ModelParams, p0: np.ndarray, t: float, tol: float) -> np.ndarray:
+    """Law at time ``t > 0`` by uniformization, total-variation accurate to ``tol``.
+
+    The chain is subordinated to a Poisson clock of rate 1.05 * max total
+    jump rate; the Poisson series is truncated once its tail is below
+    ``tol/4`` and renormalized.
+    """
+    up, down = _rate_arrays(params)
+    lam = 1.05 * float((up + down).max())
+    mu = lam * t
+    nsteps = int(poisson.isf(tol / 4, mu)) + 2
+    weights = poisson.pmf(np.arange(nsteps + 1), mu)
+    pu = up / lam
+    pd = down / lam
+    stay = 1.0 - pu - pd
+    acc = weights[0] * p0
+    v = p0
+    for j in range(1, nsteps + 1):
+        w = v * stay
+        w[1:] += v[:-1] * pu[:-1]
+        w[:-1] += v[1:] * pd[1:]
+        v = w
+        acc += weights[j] * v
+    return acc / acc.sum()
+
+
 def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9,
                   cap: int = DENSE_LAW_CAP) -> Pmf:
-    """Exact marginal law of the count at time ``t`` by uniformization.
+    """Exact marginal law of the count at time ``t``, total-variation
+    accurate to ``tol``.
 
     ``start`` is either an integer count or a Pmf on {0,...,n} (so curves can
-    be evolved incrementally).  The continuous-time chain is subordinated to
-    a Poisson clock of rate 1.05 * max total jump rate; the Poisson series is
-    truncated once its tail is below ``tol/4`` and renormalized, which keeps
-    the result total-variation accurate to ``tol``.
+    be evolved incrementally).  The law is p(t) = s * V exp(lam t) V^T (p0/s)
+    from one eigendecomposition of the generator symmetrized by s = sqrt(pi),
+    cached for the latest (n, a, b): (n+1)^2 doubles, 128 MB at n = 4096.
+    That product is trusted only when an a-priori bound on its rounding
+    error, (n+1) eps sum(s) sum(p0/s), is at most ``tol`` and the result
+    passes a-posteriori checks: no probability below -tol, mass within tol of
+    1, and mean within n*tol of the closed-form mean path.  Otherwise (starts
+    deep in the stationary tails) the law comes from uniformization, and
+    the fallback is logged at INFO on ``noisyvoter.model``.
     """
     n = params.n
     if n > cap:
@@ -283,30 +389,16 @@ def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9,
     if isinstance(start, Pmf):
         if start.support.size != n + 1 or not np.allclose(start.support, ks):
             raise ValueError("start pmf must live on the full count grid {0,...,n}")
-        p = start.probs.copy()
+        p0 = start.probs
     else:
-        p = np.zeros(n + 1)
-        p[_check_count(params, start)] = 1.0
-    up = (n - ks) * (params.a + ks) / n
-    down = ks * (params.b + n - ks) / n
-    lam = 1.05 * float((up + down).max())
-    mu = lam * t
-    if mu == 0:
-        return Pmf(ks, p)
-    nsteps = int(poisson.isf(tol / 4, mu)) + 2
-    weights = poisson.pmf(np.arange(nsteps + 1), mu)
-    pu = up / lam
-    pd = down / lam
-    stay = 1.0 - pu - pd
-    acc = weights[0] * p
-    v = p
-    for j in range(1, nsteps + 1):
-        w = v * stay
-        w[1:] += v[:-1] * pu[:-1]
-        w[:-1] += v[1:] * pd[1:]
-        v = w
-        acc += weights[j] * v
-    return Pmf(ks, acc / acc.sum())
+        p0 = np.zeros(n + 1)
+        p0[_check_count(params, start)] = 1.0
+    if t == 0:
+        return Pmf(ks, p0)
+    law = _spectral_law(params, p0, t, tol)
+    if law is None:
+        law = _uniformized_law(params, p0, t, tol)
+    return Pmf(ks, law)
 
 
 def stationary_log_pmf(params: ModelParams) -> np.ndarray:

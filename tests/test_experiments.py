@@ -61,6 +61,15 @@ class TestConfig:
         dict(scenario="qclt-rate", n=(128, 256)),
         dict(scenario="qclt-rate", n=(128, 200, 400), grid=(1.0,)),
         dict(scenario="mixing-curve", n=(64,)),
+        dict(scenario="profile", seed=-1),
+        dict(scenario="qclt-rate", n=(32, 64, 128), wf_dt=-1.0),
+        dict(scenario="qclt-rate", n=(32, 64, 128), wf_dt=0.0),
+        dict(scenario="stein-rate", n=(16,), ell=40),
+        dict(scenario="stein-rate", n=(1,)),
+        dict(scenario="mixing-curve", n=(32, 64), dense_cap=-5),
+        dict(scenario="mixing-curve", n=(32, 64), eps=(0.0, 0.1)),
+        dict(scenario="mixing-curve", n=(32, 64), eps=(0.05, 0.05)),
+        dict(scenario="mixing-curve", n=(32, 64), grid=(-0.5, 1.0)),
     ])
     def test_invalid_configs(self, kwargs):
         kwargs.setdefault("samples", 200)
@@ -83,6 +92,17 @@ class TestConfig:
 class TestExitCodes:
     def test_config_error_is_2(self, capsys):
         assert cli.main(["profile", "--samples", "10"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["profile", "--seed", "-1"],
+        ["qclt-rate", "--n", "32,64,128", "--wf-dt", "-1"],
+        ["stein-rate", "--n", "16", "--ell", "40"],
+        ["mixing-curve", "--n", "32,64", "--dense-cap", "-5"],
+    ])
+    def test_bad_field_values_exit_2(self, args, tmp_path, capsys):
+        # rejected by the config, not by a traceback from the run
+        assert cli.main(args + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_capacity_error_is_3(self, tmp_path, capsys):

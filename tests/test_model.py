@@ -1,9 +1,13 @@
 """Model-core tests: rates, exact laws, simulation, coupling."""
 
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import binom
 
+from noisyvoter import model
 from noisyvoter.errors import CapacityError
 from noisyvoter.model import (
     BlockPartition,
@@ -23,6 +27,8 @@ from noisyvoter.model import (
     stationary_log_pmf_betaln,
     stationary_pmf,
     transient_law,
+    _spectrum,
+    _uniformized_law,
 )
 from noisyvoter.diffusion import density_noise, mean_ode
 from noisyvoter.pmf import Pmf, empirical_pmf
@@ -179,6 +185,79 @@ class TestTransientLaw:
             transient_law(params, 2, 1.0, tol=1e-3)
         with pytest.raises(CapacityError):
             transient_law(ModelParams(5000, 1, 1), 2, 1.0)
+
+
+def uniformization_oracle(params: ModelParams, p0: np.ndarray, t: float) -> np.ndarray:
+    """Uniformization at a tolerance well below the default 1e-9."""
+    return _uniformized_law(params, p0, t, 1e-12)
+
+
+def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+class TestSpectralLaw:
+    @given(st.sampled_from([1, 2, 7, 64, 300]),
+           st.sampled_from([0.01, 1.0, 20.0, 50.0]), st.sampled_from([0.01, 1.0, 20.0, 50.0]),
+           st.sampled_from(["zero", "half", "full", "binomial"]), st.floats(0.0, 1.0))
+    @example(300, 1.0, 1.0, "half", 1.0)
+    @example(300, 1.0, 1.0, "binomial", 1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_uniformization(self, n, a, b, start, u):
+        # t log-uniform on [1e-3, 5n]; int starts 0, n//2, n and a Pmf start
+        params = ModelParams(n, a, b)
+        t = 1e-3 * (5000.0 * n) ** u
+        ks = np.arange(n + 1)
+        if start == "binomial":
+            p0 = binom.pmf(ks, n, 0.3)
+            law = transient_law(params, Pmf(ks, p0), t)
+        else:
+            k0 = {"zero": 0, "half": n // 2, "full": n}[start]
+            p0 = (ks == k0).astype(float)
+            law = transient_law(params, k0, t)
+        assert total_variation(law.probs, uniformization_oracle(params, p0, t)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300, 1024])
+    @pytest.mark.parametrize("a,b", [(0.01, 0.01), (1.0, 1.0), (20.0, 50.0), (50.0, 1.0)])
+    def test_hahn_spectrum(self, n, a, b):
+        lam, vecs, s = _spectrum(ModelParams(n, a, b))
+        j = np.arange(n + 1, dtype=float)
+        assert np.max(np.abs(lam - np.sort(-j * (j - 1 + a + b) / n))) <= 1e-10 * n
+        np.testing.assert_allclose(s ** 2, stationary_pmf(ModelParams(n, a, b)).probs,
+                                   rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("n,a,b", [(512, 20.0, 20.0), (128, 50.0, 1.0)])
+    def test_guard_falls_back_on_tail_starts(self, n, a, b, caplog):
+        # starts deep in the stationary tail amplify rounding past tol
+        params = ModelParams(n, a, b)
+        t = 0.2 * n
+        with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
+            law = transient_law(params, 0, t)
+        messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
+        assert len(messages) == 1
+        assert f"n={n} a={a:g} b={b:g}" in messages[0] and "a-priori" in messages[0]
+        p0 = np.zeros(n + 1)
+        p0[0] = 1.0
+        assert total_variation(law.probs, uniformization_oracle(params, p0, t)) <= 1e-9
+
+    def test_guard_checks_the_result(self, monkeypatch, caplog):
+        # a decomposition that passes the a-priori bound but is wrong must be
+        # caught by the a-posteriori checks
+        params = ModelParams(64, 1.0, 1.0)
+        lam, vecs, s = _spectrum(params)
+        monkeypatch.setattr(model, "_spectrum", lambda p: (0.5 * lam, vecs, s))
+        with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
+            law = transient_law(params, 10, 20.0)
+        messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
+        assert len(messages) == 1 and "a-priori" not in messages[0]
+        p0 = np.zeros(65)
+        p0[10] = 1.0
+        assert total_variation(law.probs, uniformization_oracle(params, p0, 20.0)) <= 1e-9
+
+    def test_spectral_path_logs_nothing(self, caplog):
+        with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
+            transient_law(ModelParams(128, 1.0, 1.0), 64, 50.0)
+        assert not [r for r in caplog.records if r.name == "noisyvoter.model"]
 
 
 class TestSimulation:
