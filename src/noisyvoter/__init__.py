@@ -31,6 +31,7 @@ from .diffusion import (
     block_mean_ode,
     density_drift,
     density_noise,
+    density_variance,
     derivative_decay_probe,
     fluctuation_cross_covariance,
     gaussian_coupling,

@@ -23,6 +23,24 @@ def _float_list(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
+def _attach_negative_values(argv):
+    """Rewrite ``--tau -1,0,1`` as ``--tau=-1,0,1``.
+
+    A value such as "-1,0,1" is not a plain negative number, so argparse
+    would read it as an unknown flag; every option takes a value, so a token
+    starting with "-" and a digit or "." is glued onto the option before it.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        negative = len(token) > 1 and token[0] == "-" and token[1] in "0123456789."
+        if prev.startswith("--") and "=" not in prev and negative:
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voter-profile",
@@ -59,7 +77,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         cfg = load_config(args)
     except (ConfigError, OSError, ValueError) as exc:

@@ -6,7 +6,9 @@ stationary law Beta(a, b).  At shorter times the per-block fluctuations
 around the deterministic mean paths follow a time-inhomogeneous
 Ornstein-Uhlenbeck system whose variances and covariances are computed here
 by quadrature, together with the closed-form Gaussian surrogate that both
-fluctuation processes approach for large times.
+fluctuation processes approach for large times.  The density's own mean and
+variance from a point start are closed forms: the count chain's first two
+moments solve a linear ODE with the Hahn rates (a+b)/n and 2(a+b+1)/n.
 """
 
 from __future__ import annotations
@@ -96,6 +98,37 @@ def mean_ode(params: ModelParams, m0: float, t: float) -> float:
         raise ValueError("t must be nonnegative")
     fix = params.a / (params.a + params.b)
     return fix + (m0 - fix) * np.exp(-(params.a + params.b) * t / params.n)
+
+
+def density_variance(params: ModelParams, m0: float, t: float) -> float:
+    """Exact variance of the density at time t from the point start m0.
+
+    The count chain has linear drift and quadratic variance production, so
+    in counts dVar/dt = -r2 Var + (a n + (b - a + 2n) m - 2 m^2)/n along the
+    mean path m = F + D e^{-r1 t}, F = n a/(a+b), D = n m0 - F, with the
+    j = 1, 2 Hahn rates r1 = (a+b)/n and r2 = 2(a+b+1)/n.  Expanding the
+    production around F gives c0 + c1 e^{-r1 t} + c2 e^{-2 r1 t} with
+    c0 = 2ab(a+b+n)/(a+b)^2, c1 = D (b-a)(a+b+2n)/(n(a+b)), c2 = -2 D^2/n,
+    and Var(0) = 0 integrates each term separately; the rates never
+    coincide because r2 - 2 r1 = 2/n.  At large t this is the
+    Beta-Binomial variance n a b (a+b+n)/((a+b)^2 (a+b+1)), over n^2.
+    """
+    if not 0.0 <= m0 <= 1.0:
+        raise ValueError("m0 must lie in [0, 1]")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    n, a, b = params.n, params.a, params.b
+    s = a + b
+    r1 = s / n
+    d = n * m0 - n * a / s
+    coef = (2.0 * a * b * (s + n) / s ** 2,
+            d * (b - a) * (s + 2 * n) / (n * s),
+            -2.0 * d * d / n)
+    var = 0.0
+    for j, c in enumerate(coef):
+        gap = 2.0 * (s + 1) / n - j * r1
+        var += c / gap * np.exp(-j * r1 * t) * -np.expm1(-gap * t)
+    return float(max(var, 0.0) / n ** 2)
 
 
 def block_mean_ode(params: ModelParams, part: BlockPartition, t: float) -> tuple[float, float]:

@@ -57,12 +57,16 @@ def _refined_edges(grid: np.ndarray, nu: float) -> np.ndarray:
     lo = min(grid[0], -8.0 * nu) - 6.0 * nu
     hi = max(grid[-1], 8.0 * nu) + 6.0 * nu
     anchors = np.unique(np.concatenate([[lo], grid, [hi]]))
-    maxw = nu / 16.0
-    pieces = [np.array([anchors[0]])]
-    for left, right in zip(anchors[:-1], anchors[1:]):
-        k = max(1, int(np.ceil((right - left) / maxw)))
-        pieces.append(np.linspace(left, right, k + 1)[1:])
-    return np.concatenate(pieces)
+    left, right = anchors[:-1], anchors[1:]
+    k = np.maximum(1, np.ceil((right - left) / (nu / 16.0))).astype(np.int64)
+    # Cell i contributes left + j * ((right - left) / k), j = 1..k, with its
+    # last point set to right exactly: the points np.linspace would give.
+    ends = np.cumsum(k)
+    cell = np.repeat(np.arange(k.size), k)
+    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - k, k)
+    inner = j * ((right - left) / k)[cell] + left[cell]
+    inner[ends - 1] = right
+    return np.concatenate([anchors[:1], inner])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

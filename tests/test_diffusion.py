@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from noisyvoter.diffusion import (
@@ -14,6 +14,7 @@ from noisyvoter.diffusion import (
     block_mean_ode,
     density_drift,
     density_noise,
+    density_variance,
     derivative_decay_probe,
     fluctuation_cross_covariance,
     gaussian_coupling,
@@ -24,7 +25,7 @@ from noisyvoter.diffusion import (
     sum_fluctuation_variance,
 )
 from noisyvoter.errors import DiagnosticError
-from noisyvoter.model import BlockPartition, ModelParams
+from noisyvoter.model import BlockPartition, ModelParams, stationary_pmf, transient_law
 from noisyvoter.transport import w1_sorted
 
 
@@ -52,6 +53,57 @@ class TestMeanOde:
             for t in (1.0, 50.0, 1e4):
                 gap = abs(mean_ode(params, m0, t) - m0)
                 assert gap <= abs(params.a / (params.a + params.b) - m0) + 1e-15
+
+
+class TestDensityVariance:
+    @given(st.sampled_from([1, 2, 7, 64, 300]), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+           st.sampled_from(["zero", "half", "full"]), st.floats(0.0, 1.0))
+    @example(300, 3.0, -3.0, "zero", 1.0)
+    @example(300, -3.0, -3.0, "half", 1.0)
+    @example(64, 0.0, 0.0, "full", 0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_transient_law(self, n, log_a, log_b, start, u):
+        # a, b log-uniform on [1e-3, 1e3]; t log-uniform on [1e-3, 10] in
+        # units of n/(a+b+1), which keeps the uniformization fallback that
+        # tail starts take affordable
+        a, b = 10.0 ** log_a, 10.0 ** log_b
+        params = ModelParams(n, a, b)
+        k0 = {"zero": 0, "half": n // 2, "full": n}[start]
+        t = 1e-3 * n / (a + b + 1) * 1e4 ** u
+        exact = transient_law(params, k0, t).var() / n ** 2
+        got = density_variance(params, k0 / n, t)
+        assert abs(got - exact) <= 1e-8 * max(1.0, exact)
+
+    @pytest.mark.parametrize("m0", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("a,b", [(1.3, 0.6), (0.01, 5.0), (40.0, 40.0)])
+    def test_against_integrator(self, m0, a, b):
+        # dVar/dt = (E G(M) - 2(a+b) Var)/n and E G(M) = G(m) - 2 Var
+        params = ModelParams(50, a, b)
+
+        def rhs(_, y):
+            m, var = y
+            return [density_drift(params, m) / params.n,
+                    (density_noise(params, m) - 2.0 * (a + b + 1.0) * var) / params.n]
+
+        sol = solve_ivp(rhs, (0.0, 60.0), [m0, 0.0], rtol=1e-12, atol=1e-15,
+                        t_eval=[0.5, 7.0, 60.0])
+        for t, var in zip(sol.t, sol.y[1]):
+            assert density_variance(params, m0, t) == pytest.approx(var, rel=1e-8, abs=1e-13)
+
+    @pytest.mark.parametrize("n,a,b", [(1, 0.5, 2.0), (100, 1.0, 1.0), (1000, 0.01, 30.0)])
+    def test_zero_time_and_stationary_limit(self, n, a, b):
+        params = ModelParams(n, a, b)
+        assert density_variance(params, 0.25, 0.0) == 0.0
+        stationary = stationary_pmf(params).var() / n ** 2
+        late = density_variance(params, 1.0, 1e4 * n / (a + b))
+        assert late == pytest.approx(stationary, rel=1e-10)
+
+    def test_domain(self):
+        params = ModelParams(10, 1, 1)
+        with pytest.raises(ValueError):
+            density_variance(params, 1.2, 1.0)
+        with pytest.raises(ValueError):
+            density_variance(params, 0.5, -1.0)
 
 
 class TestBlockMeanOde:

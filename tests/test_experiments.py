@@ -105,6 +105,23 @@ class TestExitCodes:
         assert cli.main(args + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_negative_list_values_parse(self, tmp_path):
+        # the README synopsis: a list starting with a negative value
+        args = ["thermalize", "--n", "400", "--tau", "-1,0,1", "--samples", "100",
+                "--repetitions", "2", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        assert sorted({float(r.split(",")[5]) for r in rows}) == [-1.0, 0.0, 1.0]
+
+    def test_bad_negative_values_exit_2(self, tmp_path, capsys):
+        assert cli.main(["mixing-curve", "--n", "32,64", "--eps", "-0.1,0.1",
+                         "--out", str(tmp_path)]) == 2
+        assert "eps" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["thermalize", "--tau", "-1,x"])
+        assert exc.value.code == 2
+        assert "argument --tau" in capsys.readouterr().err
+
     def test_capacity_error_is_3(self, tmp_path, capsys):
         code = cli.main(["mixing-curve", "--n", "8192,16384",
                          "--out", str(tmp_path)])
@@ -151,7 +168,8 @@ class TestDeterminism:
         exact = ("rates-boundary", "detailed-balance", "uniform-start-variance",
                  "translation-exact", "pushforward-contraction", "stein-bounds",
                  "stein-identity", "exclusion-stationarity", "exclusion-residual-bounds",
-                 "coupling-disagreements", "gaussian-coupling-bound", "block-mean-identity")
+                 "coupling-disagreements", "gaussian-coupling-bound", "block-mean-identity",
+                 "density-apriori")
         reports = []
         for seed in (1, 2):
             cfg = ExperimentConfig(scenario="validate", samples=100, seed=seed,
@@ -160,6 +178,8 @@ class TestDeterminism:
             reports.append(extra["validate"]["checks"])
         for name in exact:
             assert reports[0][name]["measured"] == reports[1][name]["measured"]
+        assert reports[0]["density-apriori"]["passed"]
+        assert reports[0]["density-apriori"]["tolerance"] == 0.0
 
 
 class TestScenarioOutputs:
@@ -243,6 +263,20 @@ class TestScenarioOutputs:
         sweep = (tmp_path / "stein_sweep.csv").read_text().splitlines()
         assert sweep[0] == "n,ell,m0,nu,distance,normalized"
         assert len(sweep) == 3
+
+    def test_validate_check_runtimes(self, tmp_path):
+        # per-check wall seconds in the manifest and the report, not in results.csv
+        cfg = ExperimentConfig(scenario="validate", samples=100, out=str(tmp_path))
+        assert run(cfg) == 0
+        report = json.loads((tmp_path / "validate_report.json").read_text())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["validate"] == report
+        assert len(report["checks"]) == len(experiments._VALIDATE_CHECKS)
+        assert all(info["runtime_s"] >= 0.0 for info in report["checks"].values())
+        assert sum(info["runtime_s"] for info in report["checks"].values()) <= manifest["wall_time_s"]
+        rows = (tmp_path / "results.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(experiments._VALIDATE_CHECKS)
+        assert all(r.split(",")[9] == "" for r in rows[1:])
 
     def test_samples_csv_contract(self, tmp_path):
         from noisyvoter.transport import samples_to_csv

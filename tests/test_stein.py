@@ -7,6 +7,7 @@ import pytest
 
 from noisyvoter.stein import (
     SteinProblem,
+    _refined_edges,
     exclusion_apply,
     exclusion_stein_residual,
     hypergeom_gaussian_w1,
@@ -21,6 +22,36 @@ from noisyvoter.transport import w1_sorted
 
 def default_grid(nu, points=2001):
     return np.linspace(-8 * nu, 8 * nu, points)
+
+
+def refined_edges_oracle(grid, nu):
+    """Cell-by-cell np.linspace construction of the integration lattice."""
+    lo = min(grid[0], -8.0 * nu) - 6.0 * nu
+    hi = max(grid[-1], 8.0 * nu) + 6.0 * nu
+    anchors = np.unique(np.concatenate([[lo], grid, [hi]]))
+    maxw = nu / 16.0
+    pieces = [np.array([anchors[0]])]
+    for left, right in zip(anchors[:-1], anchors[1:]):
+        k = max(1, int(np.ceil((right - left) / maxw)))
+        pieces.append(np.linspace(left, right, k + 1)[1:])
+    return np.concatenate(pieces)
+
+
+class TestRefinedEdges:
+    @pytest.mark.parametrize("nu", [1e-3, 0.1, 0.25, 0.37, 1.0, 3.3])
+    def test_matches_linspace_loop(self, nu):
+        rng = np.random.default_rng(41)
+        grids = [
+            np.linspace(-8 * nu, 8 * nu, 4001),
+            np.linspace(-9 * nu, 9 * nu, 3001),
+            np.array([-8 * nu, 8 * nu]),
+            np.unique(np.concatenate([[-8 * nu, 8 * nu], rng.uniform(-20 * nu, 20 * nu, 50)])),
+            np.concatenate([[-8 * nu], np.geomspace(1e-3, 10.0, 7) * nu]),
+        ]
+        for grid in grids:
+            got = _refined_edges(grid, nu)
+            assert np.array_equal(got, refined_edges_oracle(grid, nu))
+            assert np.all(np.diff(got) > 0) and np.max(np.diff(got)) <= nu / 16.0 * (1 + 1e-12)
 
 
 class TestSteinSolve:
