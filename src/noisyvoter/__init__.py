@@ -14,9 +14,7 @@ from .model import (
     generator_residual,
     sample_stationary,
     sample_uniform_given_count,
-    simulate_blocks,
     simulate_blocks_batch,
-    simulate_count,
     simulate_count_batch,
     stationary_log_pmf,
     stationary_pmf,

@@ -85,6 +85,8 @@ class ExperimentConfig:
         if self.scenario not in ("stein-rate", "validate"):
             if not grid:
                 raise ConfigError("grid must be nonempty")
+            if not np.isfinite(grid).all():
+                raise ConfigError("grid values must be finite")
             if any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):
                 raise ConfigError("grid must be strictly increasing")
             if self.scenario != "thermalize" and grid[0] < 0:

@@ -5,8 +5,9 @@ top of that, re-randomizes spontaneously: at rate ``a`` a uniformly chosen
 site is set to 1, at rate ``b`` to 0.  By exchangeability, one-time laws from
 permutation-invariant starts are determined by the particle count (or by
 per-block counts for a two-block split), so simulation happens on lumped
-birth-death chains at O(1) cost per event.  The stationary count is
-Beta-Binomial(n, a, b).
+birth-death chains at O(1) cost per event: one event loop advances many
+replicas in lockstep, with the count chain as its one-block case.  The
+stationary count is Beta-Binomial(n, a, b).
 
 Exact transient laws come from the spectral decomposition of the count
 chain: reversibility makes its generator, symmetrized by sqrt(pi), a
@@ -22,6 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -133,146 +135,83 @@ def block_rates(params: ModelParams, part: BlockPartition, x) -> tuple[float, fl
     return up0, up1, down0, down1
 
 
-def simulate_count(params: ModelParams, k0: int, horizon: float, rng: np.random.Generator) -> int:
-    """Exact event-driven simulation of the count chain up to ``horizon``.
+def _lockstep(params: ModelParams, sizes: tuple[int, ...], x0, horizons,
+              rng: np.random.Generator) -> np.ndarray:
+    """Event loop shared by R independent replicas of the B-block chain.
 
-    The expected number of events is O(n * horizon * (1 + (a+b)/n)).
+    Block i of ``sizes`` (which must sum to n) gains a particle at rate
+    (sizes[i] - x_i)(a + X)/n and loses one at rate x_i (b + n - X)/n, with X
+    the total count; B = 1 is the count chain.  ``x0`` holds the (R, B)
+    starting counts.  Returns the int counts at each horizon, shape (H, R, B).
+    Every iteration draws ``exponential(size=R)`` for the waiting times, then
+    ``random(R)`` scaled by the total rate, and takes the first event of
+    up_0..up_{B-1}, down_0..down_{B-1} whose running rate sum exceeds it.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    k = _check_count(params, k0)
-    t = 0.0
-    while True:
-        up, down = count_rates(params, k)
-        total = up + down
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            return k
-        k += 1 if rng.random() * total < up else -1
-
-
-def simulate_blocks(
-    params: ModelParams, part: BlockPartition, x0, horizon: float, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Event-driven simulation of the two-block count chain up to ``horizon``."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    x0_, x1_ = _check_block_counts(params, part, x0)
-    t = 0.0
-    while True:
-        u0, u1, d0, d1 = block_rates(params, part, (x0_, x1_))
-        total = u0 + u1 + d0 + d1
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            return x0_, x1_
-        u = rng.random() * total
-        if u < u0:
-            x0_ += 1
-        elif u < u0 + u1:
-            x1_ += 1
-        elif u < u0 + u1 + d0:
-            x0_ -= 1
-        else:
-            x1_ -= 1
-
-
-def simulate_count_batch(
-    params: ModelParams, k0, horizons, rng: np.random.Generator
-) -> np.ndarray:
-    """Run many independent count chains, recording each at every horizon.
-
-    ``k0`` is an int array of shape (R,); ``horizons`` an increasing array of
-    shape (H,).  Returns an int array of shape (H, R).  Statistically
-    identical to R calls of ``simulate_count`` per horizon, at vectorized
-    cost; replicas evolve in lockstep over a shared event loop.
-    """
-    hs = np.atleast_1d(np.asarray(horizons, dtype=float))
-    if hs.size == 0 or np.any(hs < 0) or np.any(np.diff(hs) < 0):
-        raise ValueError("horizons must be nonnegative and ascending")
-    k = np.array([_check_count(params, v) for v in np.atleast_1d(k0)], dtype=np.int64)
     n, a, b = params.n, params.a, params.b
-    R, H = k.size, hs.size
+    hs = np.atleast_1d(np.asarray(horizons, dtype=float))
+    if (hs.ndim != 1 or hs.size == 0 or not np.isfinite(hs).all()
+            or np.any(hs < 0) or np.any(np.diff(hs) < 0)):
+        raise ValueError("horizons must be finite, nonnegative and ascending")
+    if sum(sizes) != n:
+        raise ValueError(f"partition covers {sum(sizes)} sites, params have n={n}")
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 2 or x.shape[1] != len(sizes):
+        raise ValueError(f"starts must have shape (R, {len(sizes)}), got {x.shape}")
+    if not (np.all(x == np.round(x)) and np.all(x >= 0) and np.all(x <= sizes)):
+        raise ValueError(f"start counts must be integers in [0, size] for block sizes {sizes}")
+    counts = list(x.T.copy())
+    R, H = x.shape[0], hs.size
+    # a replica past its last horizon keeps moving, but is never recorded again
+    stops = np.append(hs, np.inf)
     t = np.zeros(R)
     hidx = np.zeros(R, dtype=np.int64)
-    out = np.empty((H, R), dtype=np.int64)
-    alive = np.ones(R, dtype=bool)
-    while alive.any():
-        up = (n - k) * (a + k) / n
-        down = k * (b + n - k) / n
-        total = up + down
-        tnew = t + rng.exponential(size=R) / total
+    out = np.empty((H, R, len(sizes)), dtype=np.int64)
+    while True:
+        X = sum(counts)
+        grow, shrink = (a + X) / n, (b + n - X) / n
+        cum = list(accumulate([(s - c) * grow for s, c in zip(sizes, counts)]
+                              + [c * shrink for c in counts]))
+        tnew = t + rng.exponential(size=R) / cum[-1]
         # record the pre-event state at every horizon the waiting time jumps over
-        crossed = alive & (hs[np.minimum(hidx, H - 1)] < tnew) & (hidx < H)
-        while crossed.any():
-            out[hidx[crossed], np.nonzero(crossed)[0]] = k[crossed]
+        crossed = np.nonzero(stops[hidx] < tnew)[0]
+        while crossed.size:
+            for i, c in enumerate(counts):
+                out[hidx[crossed], crossed, i] = c[crossed]
             hidx[crossed] += 1
-            alive &= hidx < H
-            crossed = alive & (hs[np.minimum(hidx, H - 1)] < tnew) & (hidx < H)
-        move = alive
-        if move.any():
-            u = rng.random(R) * total
-            k = np.where(move & (u < up), k + 1, np.where(move, k - 1, k))
-            t = np.where(move, tnew, t)
-    return out
+            crossed = crossed[stops[hidx[crossed]] < tnew[crossed]]
+        if (hidx == H).all():
+            return out
+        u = rng.random(R) * cum[-1]
+        below = [u < c for c in cum[:-1]]
+        # below is nested, so event i is where u passed threshold i-1 but not i
+        events = [below[0], *(hi ^ lo for lo, hi in zip(below, below[1:])), ~below[-1]]
+        for c, up, down in zip(counts, events, events[len(sizes):]):
+            c += up
+            c -= down
+        t = tnew
+
+
+def simulate_count_batch(params: ModelParams, k0, horizons, rng: np.random.Generator) -> np.ndarray:
+    """Run many independent count chains, recording each at every horizon.
+
+    ``k0`` is an integer array of shape (R,); ``horizons`` a finite,
+    nonnegative, ascending array of shape (H,).  Returns an int array of
+    shape (H, R).  The replicas evolve in lockstep over one shared event loop,
+    the one-block case of ``simulate_blocks_batch``.
+    """
+    k0 = np.asarray(k0)
+    if k0.ndim != 1:
+        raise ValueError(f"k0 must have shape (R,), got {k0.shape}")
+    return _lockstep(params, (params.n,), k0[:, None], horizons, rng)[:, :, 0]
 
 
 def simulate_blocks_batch(
     params: ModelParams, part: BlockPartition, x0, horizons, rng: np.random.Generator
 ) -> np.ndarray:
-    """Batched two-block analogue of ``simulate_count_batch``.
-
-    ``x0`` has shape (R, 2); returns int array (H, R, 2).
+    """Two-block analogue of ``simulate_count_batch``: ``x0`` holds (R, 2)
+    integer (block-0, block-1) counts; returns an int array of shape (H, R, 2).
     """
-    hs = np.atleast_1d(np.asarray(horizons, dtype=float))
-    if hs.size == 0 or np.any(hs < 0) or np.any(np.diff(hs) < 0):
-        raise ValueError("horizons must be nonnegative and ascending")
-    x0a = np.asarray(x0, dtype=np.int64)
-    if x0a.ndim != 2 or x0a.shape[1] != 2:
-        raise ValueError("x0 must have shape (R, 2)")
-    for row in x0a[: min(len(x0a), 4)]:
-        _check_block_counts(params, part, row)
-    if np.any(x0a[:, 0] < 0) or np.any(x0a[:, 0] > part.n0):
-        raise ValueError("block-0 counts out of range")
-    if np.any(x0a[:, 1] < 0) or np.any(x0a[:, 1] > part.n1):
-        raise ValueError("block-1 counts out of range")
-    n, a, b = params.n, params.a, params.b
-    n0, n1 = part.n0, part.n1
-    xc0 = x0a[:, 0].copy()
-    xc1 = x0a[:, 1].copy()
-    R, H = xc0.size, hs.size
-    t = np.zeros(R)
-    hidx = np.zeros(R, dtype=np.int64)
-    out = np.empty((H, R, 2), dtype=np.int64)
-    alive = np.ones(R, dtype=bool)
-    while alive.any():
-        X = xc0 + xc1
-        grow = (a + X) / n
-        shrink = (b + n - X) / n
-        u0 = (n0 - xc0) * grow
-        u1 = (n1 - xc1) * grow
-        d0 = xc0 * shrink
-        d1 = xc1 * shrink
-        total = u0 + u1 + d0 + d1
-        tnew = t + rng.exponential(size=R) / total
-        crossed = alive & (hs[np.minimum(hidx, H - 1)] < tnew) & (hidx < H)
-        while crossed.any():
-            rows = np.nonzero(crossed)[0]
-            out[hidx[crossed], rows, 0] = xc0[crossed]
-            out[hidx[crossed], rows, 1] = xc1[crossed]
-            hidx[crossed] += 1
-            alive &= hidx < H
-            crossed = alive & (hs[np.minimum(hidx, H - 1)] < tnew) & (hidx < H)
-        move = alive
-        if move.any():
-            u = rng.random(R) * total
-            e0 = move & (u < u0)
-            e1 = move & ~e0 & (u < u0 + u1)
-            e2 = move & ~e0 & ~e1 & (u < u0 + u1 + d0)
-            e3 = move & ~e0 & ~e1 & ~e2
-            xc0 = xc0 + e0 - e2
-            xc1 = xc1 + e1 - e3
-            t = np.where(move, tnew, t)
-    return out
+    return _lockstep(params, (part.n0, part.n1), x0, horizons, rng)
 
 
 def _rate_arrays(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -381,8 +320,8 @@ def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9,
     n = params.n
     if n > cap:
         raise CapacityError(f"n={n} exceeds the dense-law cap {cap}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     if not 0 < tol <= 1e-6:
         raise ValueError("tol must lie in (0, 1e-6]")
     ks = np.arange(n + 1, dtype=float)

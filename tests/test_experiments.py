@@ -1,6 +1,8 @@
 """Runner tests: config handling, determinism, exit codes, mutation."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +72,9 @@ class TestConfig:
         dict(scenario="mixing-curve", n=(32, 64), eps=(0.0, 0.1)),
         dict(scenario="mixing-curve", n=(32, 64), eps=(0.05, 0.05)),
         dict(scenario="mixing-curve", n=(32, 64), grid=(-0.5, 1.0)),
+        dict(scenario="profile", n=(48,), grid=(0.2, float("nan"))),
+        dict(scenario="thermalize", n=(400,), grid=(float("nan"),)),
+        dict(scenario="thermalize", n=(400,), grid=(0.0, float("inf"))),
     ])
     def test_invalid_configs(self, kwargs):
         kwargs.setdefault("samples", 200)
@@ -99,6 +104,9 @@ class TestExitCodes:
         ["qclt-rate", "--n", "32,64,128", "--wf-dt", "-1"],
         ["stein-rate", "--n", "16", "--ell", "40"],
         ["mixing-curve", "--n", "32,64", "--dense-cap", "-5"],
+        ["thermalize", "--n", "400", "--tau", "nan"],
+        ["thermalize", "--n", "400", "--tau", "inf"],
+        ["profile", "--n", "48", "--grid", "0.2,nan"],
     ])
     def test_bad_field_values_exit_2(self, args, tmp_path, capsys):
         # rejected by the config, not by a traceback from the run
@@ -299,3 +307,17 @@ class TestScenarioOutputs:
         probs = [float(line.split(",")[1]) for line in lines[1:]]
         np.testing.assert_allclose(support, pmf.support)
         np.testing.assert_allclose(probs, pmf.probs, rtol=0, atol=0)  # full precision
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps package functions by attribute name, so a renamed
+    # or deleted target fails here rather than under `perfbench/run.py --trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    unresolved = [f"{module.__name__}.{attr}" for module, attr, *_ in spans.TARGETS
+                  if not (module.__name__.startswith("noisyvoter.")
+                          and callable(getattr(module, attr, None)))]
+    assert unresolved == []

@@ -1,6 +1,7 @@
 """Model-core tests: rates, exact laws, simulation, coupling."""
 
 import logging
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ from noisyvoter.model import (
     generator_residual,
     sample_stationary,
     sample_uniform_given_count,
-    simulate_blocks,
     simulate_blocks_batch,
-    simulate_count,
     simulate_count_batch,
     stationary_log_pmf,
     stationary_log_pmf_betaln,
@@ -179,8 +178,9 @@ class TestTransientLaw:
 
     def test_validation(self):
         params = ModelParams(6, 1, 1)
-        with pytest.raises(ValueError):
-            transient_law(params, 2, -1.0)
+        for t in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                transient_law(params, 2, t)
         with pytest.raises(ValueError):
             transient_law(params, 2, 1.0, tol=1e-3)
         with pytest.raises(CapacityError):
@@ -260,11 +260,59 @@ class TestSpectralLaw:
         assert not [r for r in caplog.records if r.name == "noisyvoter.model"]
 
 
+def scalar_chain(params: ModelParams, sizes, x0, horizons, rng) -> list:
+    """One replica of the lockstep engine, event by event in Python floats.
+
+    Same rates, running sums and draw calls as ``model._lockstep`` at R = 1:
+    per event one exponential, then (unless every horizon is recorded) one
+    uniform scaled by the total rate; events ordered up_0.., down_0...
+    """
+    n, a, b = params.n, params.a, params.b
+    x = [float(v) for v in x0]
+    t, out = 0.0, []
+    while True:
+        X = sum(x)
+        grow, shrink = (a + X) / n, (b + n - X) / n
+        rates = [(s - c) * grow for s, c in zip(sizes, x)] + [c * shrink for c in x]
+        thresholds = list(accumulate(rates))
+        t_next = t + rng.exponential() / thresholds[-1]
+        while len(out) < len(horizons) and horizons[len(out)] < t_next:
+            out.append(list(x))
+        if len(out) == len(horizons):
+            return out
+        u = rng.random() * thresholds[-1]
+        event = next((i for i, c in enumerate(thresholds[:-1]) if u < c), len(rates) - 1)
+        x[event % len(sizes)] += 1 if event < len(sizes) else -1
+        t = t_next
+
+
 class TestSimulation:
     def test_zero_horizon(self):
         rng = np.random.default_rng(0)
-        assert simulate_count(ModelParams(10, 1, 1), 7, 0.0, rng) == 7
-        assert simulate_blocks(ModelParams(10, 1, 1), BlockPartition(4, 6), (2, 3), 0.0, rng) == (2, 3)
+        assert simulate_count_batch(ModelParams(10, 1, 1), [7], [0.0], rng).tolist() == [[7]]
+        blocks = simulate_blocks_batch(ModelParams(10, 1, 1), BlockPartition(4, 6), [(2, 3)],
+                                       [0.0], rng)
+        assert blocks.tolist() == [[[2, 3]]]
+
+    def test_engine_matches_scalar_oracle(self):
+        # draw for draw: same states at every horizon, same stream position after
+        for seed in range(30):
+            setup = np.random.default_rng(seed)
+            n = int(setup.integers(2, 60))
+            params = ModelParams(n, *setup.uniform(0.05, 5.0, size=2))
+            n0 = int(setup.integers(1, n))
+            h = np.sort(setup.uniform(0.0, 3.0, size=2))
+            horizons = [0.0, h[0], h[0], h[1]]
+            x = [int(setup.integers(0, n0 + 1)), int(setup.integers(0, n - n0 + 1))]
+            for sizes, start in (((n,), [sum(x)]), ((n0, n - n0), x)):
+                r1, r2 = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+                if len(sizes) == 1:
+                    got = simulate_count_batch(params, start, horizons, r1)[:, :, None]
+                else:
+                    part = BlockPartition(*sizes)
+                    got = simulate_blocks_batch(params, part, [start], horizons, r1)
+                assert got[:, 0].tolist() == scalar_chain(params, sizes, start, horizons, r2)
+                assert r1.random() == r2.random()
 
     def test_two_state_law(self):
         params = ModelParams(1, 1, 1)
@@ -321,8 +369,46 @@ class TestSimulation:
         assert gap <= 3 * floor + 1.0
 
     def test_negative_horizon(self):
-        with pytest.raises(ValueError):
-            simulate_count(ModelParams(5, 1, 1), 2, -0.5, np.random.default_rng(0))
+        self.check_horizons_rejected([-0.5])
+
+    @pytest.mark.parametrize("horizons", [[np.nan], [np.inf], [1.0, np.inf], [2.0, 1.0], []])
+    def test_bad_horizons(self, horizons):
+        # a NaN or inf horizon would never be crossed, so the loop would not end
+        self.check_horizons_rejected(horizons)
+
+    @staticmethod
+    def check_horizons_rejected(horizons):
+        params, rng = ModelParams(5, 1, 1), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="horizons"):
+            simulate_count_batch(params, [2], horizons, rng)
+        with pytest.raises(ValueError, match="horizons"):
+            simulate_blocks_batch(params, BlockPartition(2, 3), [(1, 1)], horizons, rng)
+
+    @pytest.mark.parametrize("reps", [0, 5])
+    def test_partition_must_cover_n(self, reps):
+        with pytest.raises(ValueError, match="partition covers 9 sites"):
+            simulate_blocks_batch(ModelParams(10, 1, 1), BlockPartition(4, 5),
+                                  np.zeros((reps, 2), dtype=int), [1.0], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k0", [[2.7], [3, 11], [-1], [np.nan]])
+    def test_bad_count_start(self, k0):
+        with pytest.raises(ValueError, match="start counts"):
+            simulate_count_batch(ModelParams(10, 1, 1), k0, [1.0], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("x0", [[(1, 1)] * 5 + [(5, 0)], [(1, 1.5)], [(0, -1)]])
+    def test_bad_block_start(self, x0):
+        with pytest.raises(ValueError, match="start counts"):
+            simulate_blocks_batch(ModelParams(10, 1, 1), BlockPartition(4, 6), x0, [1.0],
+                                  np.random.default_rng(0))
+
+    def test_start_shape(self):
+        params, rng = ModelParams(10, 1, 1), np.random.default_rng(0)
+        for k0 in (3, [[1, 2]]):
+            with pytest.raises(ValueError, match="shape"):
+                simulate_count_batch(params, k0, [1.0], rng)
+        for x0 in ((2, 3), [(1, 2, 3)]):
+            with pytest.raises(ValueError, match="shape"):
+                simulate_blocks_batch(params, BlockPartition(4, 6), x0, [1.0], rng)
 
     def test_density_apriori_bound(self):
         # mean-square deviation of the density from its mean path obeys the
