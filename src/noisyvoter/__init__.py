@@ -38,6 +38,7 @@ from .diffusion import (
     simulate_fluctuation,
     simulate_wf,
     sum_fluctuation_variance,
+    wf_semigroup,
 )
 from .transport import (
     pushforward_check,

@@ -9,6 +9,14 @@ by quadrature, together with the closed-form Gaussian surrogate that both
 fluctuation processes approach for large times.  The density's own mean and
 variance from a point start are closed forms: the count chain's first two
 moments solve a linear ODE with the Hahn rates (a+b)/n and 2(a+b+1)/n.
+
+The Wright-Fisher semigroup P_t maps polynomials of each degree to
+themselves, so ``wf_semigroup`` applies it (and its scaled derivatives
+e^{lambda_k t} d^k P_t) exactly through the Jacobi eigenvectors of the
+generator, found by back-substitution in the monomial basis.  That makes the
+derivative-decay estimate |d^k P_t f| <= e^{-k(a+b+k-1)t} sup |f^(k)| of the
+paper's PDE bounds checkable without Monte Carlo; the Euler-Maruyama
+``derivative_decay_probe`` remains as the independent simulation check.
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 
 from .errors import DiagnosticError
 from .model import BlockPartition, ModelParams
@@ -321,30 +331,76 @@ def asymptotic_fluctuation_sample(m0: float, g0: float, t: float,
     return out[0] if size is None else out
 
 
-def gaussian_coupling(var_x: float, var_y: float, cov_yz: float, var_z: float):
+def gaussian_coupling(var_x, var_y, cov_yz, var_z):
     """Best coupling of Y to X of the form Y~ = alpha X + beta Z.
 
     X and Z are independent centered Gaussians; the coefficients match the
     law of (Y, Z) exactly and the mean-square gap to X satisfies
     mse <= 2 (var_x - var_y)^2 / var_x + 3 cov_yz^2 / var_z.
-    Returns (alpha, beta, mse).
+    Returns (alpha, beta, mse), elementwise over broadcast arrays; floats
+    for scalar inputs.
     """
-    if not (var_x > 0 and var_z > 0):
+    var_x, var_y, cov_yz, var_z = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (var_x, var_y, cov_yz, var_z)))
+    if not np.all((var_x > 0) & (var_z > 0)):
         raise ValueError("var_x and var_z must be positive")
-    if var_y < 0:
+    if np.any(var_y < 0):
         raise ValueError("var_y must be nonnegative")
-    if cov_yz ** 2 > var_y * var_z * (1.0 + 1e-12):
+    if np.any(cov_yz ** 2 > var_y * var_z * (1.0 + 1e-12)):
         raise ValueError("cov_yz violates Cauchy-Schwarz")
     beta = cov_yz / var_z
     alpha_sq = var_y / var_x - cov_yz ** 2 / (var_x * var_z)
-    alpha = np.sqrt(max(alpha_sq, 0.0))
+    alpha = np.sqrt(np.maximum(alpha_sq, 0.0))
     mse = (alpha - 1.0) ** 2 * var_x + beta ** 2 * var_z
-    return float(alpha), float(beta), float(mse)
+    if alpha.ndim == 0:
+        return float(alpha), float(beta), float(mse)
+    return alpha, beta, mse
 
 
-def gaussian_coupling_bound(var_x: float, var_y: float, cov_yz: float, var_z: float) -> float:
-    """Upper bound 2 (var_x - var_y)^2 / var_x + 3 cov_yz^2 / var_z."""
+def gaussian_coupling_bound(var_x, var_y, cov_yz, var_z):
+    """Upper bound 2 (var_x - var_y)^2 / var_x + 3 cov_yz^2 / var_z
+    (elementwise over arrays)."""
     return 2.0 * (var_x - var_y) ** 2 / var_x + 3.0 * cov_yz ** 2 / var_z
+
+
+# ---------------------------------------------------------------------------
+# exact Wright-Fisher semigroup on polynomials
+# ---------------------------------------------------------------------------
+
+def wf_semigroup(params: WFParams, coef, t: float, order: int = 0) -> np.ndarray:
+    """Exact e^{lambda_k t} d^k/dm^k (P_t f)(m) for a polynomial f, k = ``order``.
+
+    ``coef`` holds the coefficients of f in the monomial basis, lowest degree
+    first (as in ``numpy.polynomial.polynomial``); so does the result.  P_t is
+    the Wright-Fisher semigroup with generator
+    L = m(1-m) d^2 + (a - (a+b) m) d and lambda_k = k (k-1+a+b).  L keeps the
+    polynomials of each degree closed: in the monomial basis
+    L m^d = -lambda_d m^d + d (d-1+a) m^(d-1) is upper bidiagonal, so its
+    eigenvectors v_j (the shifted Jacobi polynomials) follow by
+    back-substitution and P_t f = sum_j e^{-lambda_j t} c_j v_j with no
+    quadrature, truncation or random numbers.  Only the modes j >= k survive
+    the k-th derivative and each keeps the factor e^{-(lambda_j - lambda_k) t}
+    <= 1, so nothing underflows at large a+b.  Since
+    d^k P_t^{(a,b)} f = e^{-lambda_k t} P_t^{(a+k,b+k)} f^(k), the result is
+    an average of f^(k) and never exceeds sup |f^(k)| on [0, 1].
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if not t >= 0:
+        raise ValueError("t must be nonnegative")
+    coef = np.atleast_1d(np.asarray(coef, dtype=float))
+    if coef.ndim != 1:
+        raise ValueError("coef must be a 1-D coefficient sequence")
+    coef = np.pad(coef, (0, max(0, order + 1 - coef.size)))
+    d = np.arange(coef.size, dtype=float)
+    lam = d * (d - 1.0 + params.a + params.b)
+    vecs = np.eye(coef.size)
+    for i in range(coef.size - 2, -1, -1):
+        vecs[i, i + 1:] = ((i + 1) * (i + params.a) * vecs[i + 1, i + 1:]
+                           / (lam[i] - lam[i + 1:]))
+    modes = solve_triangular(vecs, coef, unit_diagonal=True)
+    weights = np.exp(-(lam[order:] - lam[order]) * t) * modes[order:]
+    return npoly.polyder(vecs[:, order:] @ weights, order)
 
 
 # ---------------------------------------------------------------------------

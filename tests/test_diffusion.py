@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
@@ -23,6 +24,7 @@ from noisyvoter.diffusion import (
     simulate_fluctuation,
     simulate_wf,
     sum_fluctuation_variance,
+    wf_semigroup,
 )
 from noisyvoter.errors import DiagnosticError
 from noisyvoter.model import BlockPartition, ModelParams, stationary_pmf, transient_law
@@ -335,6 +337,19 @@ class TestGaussianCoupling:
         se = np.sqrt(var_y * var_z / size) * 2
         assert abs(cov_hat - cov_yz) <= 4 * se
 
+    def test_arrays_match_scalar_loop(self):
+        rng = np.random.default_rng(7)
+        var_x, var_y, var_z = rng.uniform(0.05, 5.0, size=(3, 200))
+        cov_yz = rng.uniform(-1.0, 1.0, size=200) * np.sqrt(var_y * var_z)
+        alpha, beta, mse = gaussian_coupling(var_x, var_y, cov_yz, var_z)
+        bound = gaussian_coupling_bound(var_x, var_y, cov_yz, var_z)
+        for i in range(200):
+            args = (float(var_x[i]), float(var_y[i]), float(cov_yz[i]), float(var_z[i]))
+            assert (alpha[i], beta[i], mse[i]) == gaussian_coupling(*args)
+            assert bound[i] == gaussian_coupling_bound(*args)
+        with pytest.raises(ValueError):
+            gaussian_coupling(var_x, var_y, np.where(np.arange(200) == 7, 10.0, cov_yz), var_z)
+
     @given(st.floats(0.05, 5.0), st.floats(0.05, 5.0), st.floats(0.05, 5.0),
            st.floats(-0.999, 0.999))
     @settings(max_examples=300, deadline=None)
@@ -379,3 +394,92 @@ class TestDerivativeDecayProbe:
         with pytest.raises(ValueError):
             derivative_decay_probe(WFParams(1, 1), lambda x: x, 1, 0.0, 1.0,
                                    [0.01], 100, np.random.default_rng(0), step=0.05)
+
+
+# a and b log-uniform on [1e-3, 1e3], times log-uniform on [1e-3, 10]
+_LOG_AB = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+_LOG_T = st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e)
+_QUINTIC = (0.3, -1.2, 0.5, 2.0, -1.5, 0.7)
+_XS = np.linspace(0.0, 1.0, 11)
+
+
+def _wf_values(params, coef, t, order=0):
+    return npoly.polyval(_XS, wf_semigroup(params, coef, t, order))
+
+
+class TestWFSemigroup:
+    @given(_LOG_AB, _LOG_AB, _LOG_T)
+    @example(1.0, 1.0, 0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_constants_and_zero_time(self, a, b, t):
+        wf = WFParams(a, b)
+        np.testing.assert_allclose(_wf_values(wf, [1.0], t), 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_wf_values(wf, _QUINTIC, 0.0), npoly.polyval(_XS, _QUINTIC),
+                                   rtol=0, atol=1e-12)
+
+    @given(_LOG_AB, _LOG_AB, _LOG_T)
+    @example(1.0, 1.0, 0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_mean_path(self, a, b, t):
+        fix = a / (a + b)
+        want = fix + (_XS - fix) * np.exp(-(a + b) * t)
+        np.testing.assert_allclose(_wf_values(WFParams(a, b), [0.0, 1.0], t), want,
+                                   rtol=0, atol=1e-14)
+
+    @given(_LOG_AB, _LOG_AB, _LOG_T)
+    @example(1.0, 1.0, 0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_beta_stationarity(self, a, b, t):
+        # E[x^d] = prod_{i<d} (a+i)/(a+b+i) under Beta(a, b)
+        moments = np.cumprod(np.r_[1.0, (a + np.arange(5)) / (a + b + np.arange(5))])
+        evolved = wf_semigroup(WFParams(a, b), _QUINTIC, t)
+        assert moments @ evolved == pytest.approx(moments @ np.asarray(_QUINTIC),
+                                                  rel=0, abs=1e-12)
+
+    @given(_LOG_AB, _LOG_AB, _LOG_T, _LOG_T)
+    @example(1.0, 1.0, 0.5, 0.25)
+    @settings(max_examples=60, deadline=None)
+    def test_semigroup_property(self, a, b, s, t):
+        wf = WFParams(a, b)
+        np.testing.assert_allclose(_wf_values(wf, wf_semigroup(wf, _QUINTIC, t), s),
+                                   _wf_values(wf, _QUINTIC, s + t), rtol=0, atol=1e-12)
+
+    @given(_LOG_AB, _LOG_AB, _LOG_T, st.integers(1, 3))
+    @example(1.0, 1.0, 0.5, 2)
+    @settings(max_examples=80, deadline=None)
+    def test_intertwining(self, a, b, t, k):
+        # d^k P_t^{(a,b)} f = e^{-lambda_k t} P_t^{(a+k,b+k)} f^(k)
+        got = _wf_values(WFParams(a, b), _QUINTIC, t, k)
+        want = _wf_values(WFParams(a + k, b + k), npoly.polyder(_QUINTIC, k), t)
+        scale = np.max(np.abs(npoly.polyval(_XS, npoly.polyder(_QUINTIC, k))))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_equality_cases(self):
+        # the derivative-decay bound is attained by x (k = 1) and x^2 (k = 2)
+        for a, b in ((1e3, 1e-3), (1e-3, 1e3), (1e3, 1e3)):
+            wf = WFParams(a, b)
+            np.testing.assert_allclose(_wf_values(wf, [0.0, 1.0], 0.5, 1), 1.0, rtol=1e-15)
+            np.testing.assert_allclose(_wf_values(wf, [0.0, 0.0, 1.0], 0.5, 2), 2.0, rtol=1e-15)
+            assert np.all(_wf_values(wf, [0.0, 1.0], 0.5, 2) == 0.0)
+
+    def test_against_monte_carlo_probe(self):
+        # the probe's central differences of E f(x_t(m)), against the same
+        # differences of the exact P_t f, on a cubic at a = b = 1; Euler's
+        # O(dt) bias takes up about 2 of the 4 standard errors
+        wf, t, step = WFParams(1.0, 1.0), 0.5, 0.05
+        cubic = (0.1, -0.4, 0.9, 0.6)
+        grid = np.linspace(0.2, 0.8, 3)
+        res = derivative_decay_probe(wf, lambda x: npoly.polyval(x, cubic), 1, 0.0, t,
+                                     grid, 20_000, np.random.default_rng(11))
+        evolved = wf_semigroup(wf, cubic, t)
+        g = res.grid_point
+        exact = (npoly.polyval(g + step, evolved) - npoly.polyval(g - step, evolved)) / (2 * step)
+        assert abs(res.ratio - abs(exact)) <= 4 * res.stderr
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            wf_semigroup(WFParams(1, 1), [0.0, 1.0], -0.1)
+        with pytest.raises(ValueError):
+            wf_semigroup(WFParams(1, 1), [0.0, 1.0], 0.5, order=-1)
+        with pytest.raises(ValueError):
+            wf_semigroup(WFParams(1, 1), [[0.0, 1.0]], 0.5)

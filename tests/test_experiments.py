@@ -6,6 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import expm
+from scipy.optimize import linprog
+from scipy.stats import hypergeom
 
 from noisyvoter import cli, experiments, model
 from noisyvoter.errors import ConfigError
@@ -17,6 +21,7 @@ from noisyvoter.experiments import (
     run_profile,
     run_thermalize,
     run_validate,
+    thermalize_distance,
 )
 from noisyvoter.pmf import point_mass
 from noisyvoter.transport import w1_discrete, w1_matching
@@ -177,7 +182,7 @@ class TestDeterminism:
                  "translation-exact", "pushforward-contraction", "stein-bounds",
                  "stein-identity", "exclusion-stationarity", "exclusion-residual-bounds",
                  "coupling-disagreements", "gaussian-coupling-bound", "block-mean-identity",
-                 "density-apriori")
+                 "derivative-decay", "density-apriori")
         reports = []
         for seed in (1, 2):
             cfg = ExperimentConfig(scenario="validate", samples=100, seed=seed,
@@ -188,6 +193,14 @@ class TestDeterminism:
             assert reports[0][name]["measured"] == reports[1][name]["measured"]
         assert reports[0]["density-apriori"]["passed"]
         assert reports[0]["density-apriori"]["tolerance"] == 0.0
+        assert reports[0]["derivative-decay"]["passed"]
+        assert reports[0]["derivative-decay"]["tolerance"] <= 1e-10
+
+    @pytest.mark.parametrize("a,b", [(20, 20), (200, 1), (1e3, 1e-3), (1e3, 1e3)])
+    def test_validate_passes_at_large_drift(self, tmp_path, a, b):
+        # the Euler probe the derivative-decay check once used failed at these
+        assert cli.main(["validate", "--samples", "100", "--a", str(a), "--b", str(b),
+                         "--out", str(tmp_path)]) == 0
 
 
 class TestScenarioOutputs:
@@ -258,6 +271,46 @@ class TestScenarioOutputs:
         assert sur[0].estimate == pytest.approx(
             2 * np.sqrt(400) * 0.25 * np.exp(-(1 + 2 / 400) * est[0].t_or_tau
                                              - (1 + 2 / 400) * (0.5 * np.log(400) + np.log(0.25))))
+
+    @pytest.mark.parametrize("n,ell,a,b", [(20, 8, 1.0, 1.0), (24, 12, 0.3, 4.0),
+                                           (30, 10, 20.0, 20.0)])
+    def test_thermalize_distance_is_exact(self, n, ell, a, b):
+        # exact two-block laws from the fixed start (0, ell) and the uniform
+        # start, by expm of the dense generator; their l1 Kantorovich distance
+        # as a min-cost flow on the grid graph
+        params, part = model.ModelParams(n, a, b), model.BlockPartition(n - ell, ell)
+        shape = (part.n0 + 1, part.n1 + 1)
+        states = list(np.ndindex(shape))
+        gen = np.zeros((len(states), len(states)))
+        moves = ((1, 0), (0, 1), (-1, 0), (0, -1))  # the order of block_rates
+        for i, x in enumerate(states):
+            for rate, (d0, d1) in zip(model.block_rates(params, part, x), moves):
+                if rate > 0:
+                    gen[i, np.ravel_multi_index((x[0] + d0, x[1] + d1), shape)] = rate
+        gen -= np.diag(gen.sum(axis=1))
+        fixed = np.zeros(len(states))
+        fixed[np.ravel_multi_index((0, ell), shape)] = 1.0
+        uniform = np.zeros(len(states))
+        for x1 in range(ell + 1):
+            if ell - x1 <= part.n0:
+                uniform[np.ravel_multi_index((ell - x1, x1), shape)] = hypergeom(n, ell, ell).pmf(x1)
+        edges = [(np.ravel_multi_index(x, shape), np.ravel_multi_index((x[0] + d0, x[1] + d1), shape))
+                 for x in states for d0, d1 in moves
+                 if 0 <= x[0] + d0 < shape[0] and 0 <= x[1] + d1 < shape[1]]
+        src, dst = np.array(edges).T
+        cols = np.arange(len(edges))
+        flow = sparse.csr_matrix((np.r_[np.ones(len(edges)), -np.ones(len(edges))],
+                                  (np.r_[src, dst], np.r_[cols, cols])),
+                                 shape=(len(states), len(edges)))
+        for t in (0.0, 0.4, 1.5, 3.0):
+            step = expm(gen * t)
+            lp = linprog(np.ones(len(edges)), A_eq=flow, b_eq=fixed @ step - uniform @ step,
+                         bounds=(0, None), method="highs",
+                         options={"primal_feasibility_tolerance": 1e-10,
+                                  "dual_feasibility_tolerance": 1e-10})
+            assert lp.status == 0
+            assert thermalize_distance(params, ell, t) == pytest.approx(lp.fun / np.sqrt(n),
+                                                                        rel=1e-7)
 
     def test_manifest_and_csv_schema(self, tmp_path):
         cfg = ExperimentConfig(scenario="stein-rate", n=(64, 128), seed=2,

@@ -499,6 +499,27 @@ class TestCoupling:
         assert np.max(np.abs(freq - target) / se) <= 4.5
 
 
+    def test_batched_disagreements_exact(self):
+        part = BlockPartition(7, 4)
+        x, y = (5, 1), (2, 4)
+        eta, etap = couple_by_block_counts(part, x, y, np.random.default_rng(44), size=300)
+        assert eta.shape == etap.shape == (300, 11) and eta.dtype == etap.dtype == np.int8
+        assert np.all(np.sum(eta != etap, axis=1) == 3 + 3)
+        assert np.all(eta[:, :7].sum(axis=1) == 5) and np.all(eta[:, 7:].sum(axis=1) == 1)
+        assert np.all(etap[:, :7].sum(axis=1) == 2) and np.all(etap[:, 7:].sum(axis=1) == 4)
+        assert couple_by_block_counts(part, x, y, np.random.default_rng(44), size=0)[0].shape == (0, 11)
+
+    def test_batched_marginal_uniformity(self):
+        part = BlockPartition(6, 5)
+        x, y = (2, 3), (4, 1)
+        draws = 60_000
+        eta, etap = couple_by_block_counts(part, x, y, np.random.default_rng(45), size=draws)
+        for config, counts in ((eta, x), (etap, y)):
+            target = np.concatenate([np.full(6, counts[0] / 6), np.full(5, counts[1] / 5)])
+            se = np.sqrt(target * (1 - target) / draws)
+            assert np.max(np.abs(config.mean(axis=0) - target) / se) <= 4.5
+
+
 class TestGeneratorResidual:
     def test_linear_zero(self):
         params = ModelParams(37, 1.1, 2.3)
