@@ -414,9 +414,10 @@ def couple_by_block_counts(part: BlockPartition, x, y, rng: np.random.Generator,
     Within each block one uniform permutation places both particle sets, so
     the smaller set is a uniform subset of the larger; marginally each output
     is uniform on its block-count fiber and the configurations disagree on
-    exactly |x0-y0| + |x1-y1| sites.  Returns two 0/1 arrays of length n, or
-    two (size, n) arrays of independent couplings when ``size`` is given
-    (one batched permutation per block, read as each site's rank).
+    exactly |x0-y0| + |x1-y1| sites.  Each site's rank in its block's
+    permutation decides it: a site is occupied when its rank is below the
+    block count.  Returns two 0/1 int8 arrays of length n, or two (size, n)
+    arrays of independent couplings when ``size`` is given.
     """
     x0, x1 = int(x[0]), int(x[1])
     y0, y1 = int(y[0]), int(y[1])
@@ -425,19 +426,12 @@ def couple_by_block_counts(part: BlockPartition, x, y, rng: np.random.Generator,
         for c, ni in zip(counts, sizes):
             if not 0 <= c <= ni:
                 raise ValueError(f"block count {c} outside [0, {ni}]")
-    if size is not None:
-        ranks = np.concatenate([rng.permuted(np.broadcast_to(np.arange(ni), (size, ni)), axis=1)
-                                for ni in sizes], axis=1)
-        return ((ranks < np.repeat((x0, x1), sizes)).astype(np.int8),
-                (ranks < np.repeat((y0, y1), sizes)).astype(np.int8))
-    eta = np.zeros(part.n, dtype=np.int8)
-    etap = np.zeros(part.n, dtype=np.int8)
-    offsets = (0, part.n0)
-    for xi, yi, off, ni in zip((x0, x1), (y0, y1), offsets, sizes):
-        perm = off + rng.permutation(ni)
-        eta[perm[:xi]] = 1
-        etap[perm[:yi]] = 1
-    return eta, etap
+    rows = 1 if size is None else size
+    ranks = np.concatenate([rng.permuted(np.broadcast_to(np.arange(ni), (rows, ni)), axis=1)
+                            for ni in sizes], axis=1)
+    eta = (ranks < np.repeat((x0, x1), sizes)).astype(np.int8)
+    etap = (ranks < np.repeat((y0, y1), sizes)).astype(np.int8)
+    return (eta[0], etap[0]) if size is None else (eta, etap)
 
 
 def generator_residual(params: ModelParams, k: int, f, df, d2f) -> float:

@@ -466,54 +466,39 @@ class TestCoupling:
         part = BlockPartition(5, 7)
         eta, etap = couple_by_block_counts(part, (2, 4), (2, 4), np.random.default_rng(41))
         assert np.array_equal(eta, etap)
+        eta, etap = couple_by_block_counts(part, (2, 4), (2, 4), np.random.default_rng(41), size=50)
+        assert np.array_equal(eta, etap)
 
     def test_full_flip(self):
         part = BlockPartition(3, 4)
         eta, etap = couple_by_block_counts(part, (0, 0), (3, 4), np.random.default_rng(42))
         assert int(np.sum(eta != etap)) == 7
+        eta, etap = couple_by_block_counts(part, (0, 0), (3, 4), np.random.default_rng(42), size=0)
+        assert eta.shape == etap.shape == (0, 7)
 
-    @given(st.integers(1, 25), st.integers(1, 25), st.data())
+    @given(st.integers(1, 25), st.integers(1, 25), st.one_of(st.none(), st.integers(1, 20)),
+           st.data())
     @settings(max_examples=80, deadline=None)
-    def test_disagreements_exact(self, n0, n1, data):
+    def test_disagreements_exact(self, n0, n1, size, data):
         part = BlockPartition(n0, n1)
         x = (data.draw(st.integers(0, n0)), data.draw(st.integers(0, n1)))
         y = (data.draw(st.integers(0, n0)), data.draw(st.integers(0, n1)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        eta, etap = couple_by_block_counts(part, x, y, rng)
-        assert int(np.sum(eta != etap)) == abs(x[0] - y[0]) + abs(x[1] - y[1])
-        assert (int(eta[:n0].sum()), int(eta[n0:].sum())) == x
-        assert (int(etap[:n0].sum()), int(etap[n0:].sum())) == y
+        eta, etap = couple_by_block_counts(part, x, y, rng, size=size)
+        shape = (n0 + n1,) if size is None else (size, n0 + n1)
+        assert eta.shape == etap.shape == shape
+        assert eta.dtype == etap.dtype == np.int8
+        eta, etap = np.atleast_2d(eta), np.atleast_2d(etap)
+        assert np.all(np.sum(eta != etap, axis=1) == abs(x[0] - y[0]) + abs(x[1] - y[1]))
+        for config, counts in ((eta, x), (etap, y)):
+            assert np.all(config[:, :n0].sum(axis=1) == counts[0])
+            assert np.all(config[:, n0:].sum(axis=1) == counts[1])
 
     def test_marginal_uniformity(self):
         part = BlockPartition(6, 5)
         x, y = (2, 3), (4, 1)
-        rng = np.random.default_rng(43)
         draws = 60_000
-        hits = np.zeros(part.n)
-        for _ in range(draws):
-            eta, _ = couple_by_block_counts(part, x, y, rng)
-            hits += eta
-        freq = hits / draws
-        target = np.concatenate([np.full(6, 2 / 6), np.full(5, 3 / 5)])
-        se = np.sqrt(target * (1 - target) / draws)
-        assert np.max(np.abs(freq - target) / se) <= 4.5
-
-
-    def test_batched_disagreements_exact(self):
-        part = BlockPartition(7, 4)
-        x, y = (5, 1), (2, 4)
-        eta, etap = couple_by_block_counts(part, x, y, np.random.default_rng(44), size=300)
-        assert eta.shape == etap.shape == (300, 11) and eta.dtype == etap.dtype == np.int8
-        assert np.all(np.sum(eta != etap, axis=1) == 3 + 3)
-        assert np.all(eta[:, :7].sum(axis=1) == 5) and np.all(eta[:, 7:].sum(axis=1) == 1)
-        assert np.all(etap[:, :7].sum(axis=1) == 2) and np.all(etap[:, 7:].sum(axis=1) == 4)
-        assert couple_by_block_counts(part, x, y, np.random.default_rng(44), size=0)[0].shape == (0, 11)
-
-    def test_batched_marginal_uniformity(self):
-        part = BlockPartition(6, 5)
-        x, y = (2, 3), (4, 1)
-        draws = 60_000
-        eta, etap = couple_by_block_counts(part, x, y, np.random.default_rng(45), size=draws)
+        eta, etap = couple_by_block_counts(part, x, y, np.random.default_rng(43), size=draws)
         for config, counts in ((eta, x), (etap, y)):
             target = np.concatenate([np.full(6, counts[0] / 6), np.full(5, counts[1] / 5)])
             se = np.sqrt(target * (1 - target) / draws)
