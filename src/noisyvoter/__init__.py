@@ -22,6 +22,7 @@ from .model import (
 )
 from .diffusion import (
     GaussianSpec,
+    WFMarginal,
     WFParams,
     asymptotic_fluctuation_sample,
     asymptotic_fluctuation_spec,
@@ -38,6 +39,7 @@ from .diffusion import (
     simulate_fluctuation,
     simulate_wf,
     sum_fluctuation_variance,
+    wf_marginal,
     wf_semigroup,
 )
 from .transport import (
@@ -45,6 +47,7 @@ from .transport import (
     samples_to_csv,
     w1_discrete,
     w1_discrete_vs_gaussian,
+    w1_discrete_vs_wf,
     w1_matching,
     w1_sorted,
 )

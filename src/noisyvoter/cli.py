@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed (64-bit)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--eps", type=_float_list, help="mixing thresholds, comma separated")
-    parser.add_argument("--wf-dt", type=float, dest="wf_dt", help="Euler step for the diffusion")
     parser.add_argument("--dense-cap", type=int, dest="dense_cap",
                         help="largest n for exact dense laws")
     return parser

@@ -2,13 +2,22 @@
 
 The particle density converges (in time units sped up by n) to the
 Wright-Fisher diffusion dx = (a(1-x) - b x) dt + sqrt(2 x (1-x)) dB with
-stationary law Beta(a, b).  At shorter times the per-block fluctuations
-around the deterministic mean paths follow a time-inhomogeneous
-Ornstein-Uhlenbeck system whose variances and covariances are computed here
-by quadrature, together with the closed-form Gaussian surrogate that both
-fluctuation processes approach for large times.  The density's own mean and
-variance from a point start are closed forms: the count chain's first two
-moments solve a linear ODE with the Hahn rates (a+b)/n and 2(a+b+1)/n.
+stationary law Beta(a, b).  Its law at time t from a point start is exact
+here: ``wf_marginal`` sums the Jacobi expansion of the transition density,
+integrated in closed form once for the CDF and once more for the CDF's
+antiderivative (no quadrature), under an a-priori rounding bound and
+a-posteriori checks.  ``transport.w1_discrete_vs_wf`` measures W1 against
+it, and ``WFMarginal.stationary_distance`` gives the paper's limit profile
+W1(marginal at t, Beta(a, b)).  The Euler-Maruyama ``simulate_wf`` remains
+as the independent simulation cross-check.
+
+At shorter times the per-block fluctuations around the deterministic mean
+paths follow a time-inhomogeneous Ornstein-Uhlenbeck system whose variances
+and covariances are computed here by quadrature, together with the
+closed-form Gaussian surrogate that both fluctuation processes approach for
+large times.  The density's own mean and variance from a point start are
+closed forms: the count chain's first two moments solve a linear ODE with
+the Hahn rates (a+b)/n and 2(a+b+1)/n.
 
 The Wright-Fisher semigroup P_t maps polynomials of each degree to
 themselves, so ``wf_semigroup`` applies it (and its scaled derivatives
@@ -24,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import Chebyshev, polynomial as npoly
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
+from scipy.special import betainc, betaln
 
 from .errors import DiagnosticError
 from .model import BlockPartition, ModelParams
@@ -401,6 +411,203 @@ def wf_semigroup(params: WFParams, coef, t: float, order: int = 0) -> np.ndarray
     modes = solve_triangular(vecs, coef, unit_diagonal=True)
     weights = np.exp(-(lam[order:] - lam[order]) * t) * modes[order:]
     return npoly.polyder(vecs[:, order:] @ weights, order)
+
+
+# ---------------------------------------------------------------------------
+# exact Wright-Fisher marginal from a point start
+# ---------------------------------------------------------------------------
+
+# Terms whose Cauchy-Schwarz magnitude e^{-lambda_j t} |P_j(m0)| / sqrt(h_j)
+# falls below this are dropped; the series ends after _SERIES_RUN such terms
+# in a row.
+_SERIES_CUTOFF = 1e-18
+_SERIES_RUN = 16
+_MAX_SERIES_TERMS = 4096
+# the a-posteriori checks and the rounding bound evaluate the series here
+_CHECK_GRID = np.linspace(0.0, 1.0, 1025)
+
+
+def _jacobi_values(alpha: float, beta: float, x):
+    """P_0(x), P_1(x), ... for the Jacobi polynomials P_k^{(alpha, beta)} on
+    [-1, 1], alpha, beta > -1, by the forward three-term recurrence (stable
+    inside the interval); ``x`` is a float or an array."""
+    prev, cur = 0.0 * x, 1.0 + 0.0 * x
+    yield cur
+    prev, cur = cur, ((alpha + beta + 2) * x + alpha - beta) / 2
+    k = 1
+    while True:
+        yield cur
+        s = 2 * k + alpha + beta
+        prev, cur = cur, (((s + 1) * ((s + 2) * s * x + alpha ** 2 - beta ** 2) * cur
+                           - 2 * (k + alpha) * (k + beta) * (s + 2) * prev)
+                          / (2 * (k + 1) * (k + alpha + beta + 1) * s))
+        k += 1
+
+
+def _jacobi_series(coef, alpha: float, beta: float, x, absolute: bool = False):
+    """sum_k coef[k] P_k^{(alpha, beta)}(x), or sum_k coef[k] |P_k(x)|."""
+    values = _jacobi_values(alpha, beta, np.asarray(x, dtype=float))
+    if absolute:
+        return sum(c * np.abs(v) for c, v in zip(coef, values))
+    return sum(c * v for c, v in zip(coef, values))
+
+
+def _beta_weight(a: float, b: float, y):
+    """y (1-y) pi(y) = y^a (1-y)^b / B(a, b), exactly 0 at both ends."""
+    with np.errstate(divide="ignore"):
+        return np.exp(a * np.log(y) + b * np.log1p(-y) - betaln(a, b))
+
+
+@dataclass(frozen=True)
+class WFMarginal:
+    """Law of the Wright-Fisher diffusion at time t > 0 from the point m0.
+
+    Built by ``wf_marginal``; ``f_coef`` and ``g_coef`` are the Jacobi
+    coefficients of the CDF and of its antiderivative (see there), defined
+    on [0, 1].  At t = inf every coefficient vanishes and the law is
+    Beta(a, b).
+    """
+
+    params: WFParams
+    m0: float
+    t: float
+    f_coef: np.ndarray
+    g_coef: np.ndarray
+    g_linear: float
+    rounding_bound: float
+
+    @property
+    def series_terms(self) -> int:
+        return int(self.f_coef.size)
+
+    def cdf(self, y):
+        """F_t(y) = P(x_t <= y), elementwise on [0, 1]."""
+        a, b = self.params.a, self.params.b
+        y = np.asarray(y, dtype=float)
+        series = _jacobi_series(self.f_coef, b, a, 2.0 * y - 1.0)
+        return betainc(a, b, y) - _beta_weight(a, b, y) * series
+
+    def cdf_integral(self, y):
+        """G_t(y) = int_0^y F_t, elementwise on [0, 1]; the mean is 1 - G_t(1)."""
+        a, b = self.params.a, self.params.b
+        y = np.asarray(y, dtype=float)
+        series = _jacobi_series(self.g_coef, b + 1.0, a + 1.0, 2.0 * y - 1.0)
+        return (y * betainc(a, b, y) - a / (a + b) * betainc(a + 1.0, b, y)
+                - self.g_linear * betainc(a + 1.0, b + 1.0, y)
+                + y * (1.0 - y) * _beta_weight(a, b, y) * series)
+
+    def stationary_distance(self) -> float:
+        """D(t) = W1(law at t, Beta(a, b)) = int_0^1 |F_t - I_y(a, b)| dy.
+
+        F_t - I_y(a, b) = -y(1-y)pi(y) S(y) with S the CDF series, a
+        polynomial of degree ``series_terms`` - 1, so the gap changes sign
+        only at real roots of S in (0, 1).  Those come from the Chebyshev
+        interpolant of S (exact for a polynomial of that degree); between
+        consecutive ones the gap integrates to the change of
+        G_t - G_inf, G_inf(y) = y I_y(a, b) - a/(a+b) I_y(a+1, b).
+        """
+        if self.series_terms == 0:
+            return 0.0
+        a, b = self.params.a, self.params.b
+        s = Chebyshev.interpolate(lambda y: _jacobi_series(self.f_coef, b, a, 2.0 * y - 1.0),
+                                  self.series_terms - 1, domain=[0.0, 1.0])
+        roots = s.roots()
+        roots = np.real(roots[(np.abs(np.imag(roots)) < 1e-9)
+                              & (np.real(roots) > 0) & (np.real(roots) < 1)])
+        edges = np.concatenate(([0.0], np.sort(roots), [1.0]))
+        gap = self.cdf_integral(edges) - (edges * betainc(a, b, edges)
+                                          - a / (a + b) * betainc(a + 1.0, b, edges))
+        return float(np.sum(np.abs(np.diff(gap))))
+
+
+def wf_marginal(params: WFParams, m0: float, t: float, tol: float = 1e-9) -> WFMarginal:
+    """Exact law of the Wright-Fisher diffusion at time t > 0 from m0 in [0, 1].
+
+    The transition density is pi(y) sum_j e^{-lambda_j t} P_j(m0) P_j(y) / h_j
+    with pi the Beta(a, b) density, P_j(y) = P_j^{(b-1, a-1)}(2y - 1) its
+    Jacobi polynomials, h_j their squared norms and lambda_j = j(j-1+a+b)
+    (Griffiths 1979; Karlin & McGregor 1962).  In Sturm-Liouville form
+    pi L P = (y(1-y) pi P')', so int_0^y pi P_j = -y(1-y) pi(y) P_j'(y) / lambda_j
+    and, with c_j = e^{-lambda_j t} P_j(m0) / (h_j lambda_j),
+
+        F_t(y) = I_y(a, b) - y(1-y) pi(y) sum_{j>=1} c_j P_j'(y).
+
+    P_j' = (j+a+b-1) P_{j-1}^{(b, a)} is an eigenfunction of the generator
+    with parameters (a+1, b+1) and eigenvalue (j-1)(j+a+b), whose weight is
+    proportional to y(1-y) pi(y), so the same identity integrates once more:
+
+        G_t(y) = int_0^y F_t = y I_y(a, b) - a/(a+b) I_y(a+1, b)
+                 - c_1 (a+b) K I_y(a+1, b+1)
+                 + y^2 (1-y)^2 pi(y) sum_{j>=2} c_j (j+a+b-1) P_{j-2}^{(b+1, a+1)} / (j-1)
+
+    with K = ab / ((a+b)(a+b+1)).  No quadrature; ``t = inf`` gives Beta(a, b).
+    P_j(m0), h_j (from h_1 = ab/(a+b+1) and the rational ratio h_j / h_{j-1})
+    and the polynomial in y all come from recurrences of about j steps, so
+    term j carries a relative rounding error of order (1 + 3j + lambda_j t) eps.
+
+    Guard, as for ``model.transient_law``: the a-priori rounding bound
+    eps * max_y sum_j (1 + 3j + lambda_j t) |term_j(y)| over the CDF and
+    antiderivative series on a 1025-point grid must be at most ``tol``; then
+    F(0) = 0, F(1) = 1, F nondecreasing on that grid and the mean 1 - G_t(1)
+    equal to ``wf_semigroup``'s exact mean, each within ``tol``.  A failure
+    raises ``DiagnosticError``: it happens for large asymmetric a/b at small
+    t with m0 deep in the tail of pi, where the terms cancel
+    catastrophically.
+    """
+    if not 0.0 <= m0 <= 1.0:
+        raise ValueError("m0 must lie in [0, 1]")
+    if not t > 0:
+        raise ValueError("t must be positive")
+    if t == np.inf:
+        return WFMarginal(params, float(m0), t, np.empty(0), np.empty(0), 0.0, 0.0)
+    a, b = params.a, params.b
+    where = f"(a, b, m0, t) = ({a:g}, {b:g}, {m0:g}, {t:g})"
+    values = _jacobi_values(b - 1.0, a - 1.0, 2.0 * float(m0) - 1.0)
+    next(values)  # P_0 = 1
+    coef, conditioning, run, h = [], [], 0, 1.0
+    for j in range(1, _MAX_SERIES_TERMS + 1):
+        h *= (a * b / (a + b + 1) if j == 1 else (j - 1 + a) * (j - 1 + b) * (2 * j + a + b - 3)
+              / ((2 * j + a + b - 1) * (j + a + b - 2) * j))
+        p, lam = next(values), j * (j - 1 + a + b)
+        if not (0.0 < h < np.inf and np.isfinite(p)):
+            raise DiagnosticError(f"Wright-Fisher series term {j} overflows at {where}")
+        decay = np.exp(-lam * t)
+        coef.append(p * decay / (h * lam))
+        conditioning.append(1.0 + 3 * j + lam * t)
+        run = run + 1 if abs(p) * decay / np.sqrt(h) < _SERIES_CUTOFF else 0
+        if run == _SERIES_RUN:
+            break
+    else:
+        raise DiagnosticError(f"Wright-Fisher series needs more than {_MAX_SERIES_TERMS} "
+                              f"terms at {where}")
+    coef = np.array(coef[:len(coef) - run])
+    conditioning = np.array(conditioning[:coef.size])
+    j = np.arange(1, coef.size + 1, dtype=float)
+    f_coef = coef * (j + a + b - 1)
+    g_coef = coef[1:] * (j[1:] + a + b - 1) / (j[1:] - 1)
+    y, x = _CHECK_GRID, 2.0 * _CHECK_GRID - 1.0
+    w = _beta_weight(a, b, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the bound
+        magnitude = np.maximum(
+            w * _jacobi_series(np.abs(f_coef) * conditioning, b, a, x, absolute=True),
+            y * (1.0 - y) * w * _jacobi_series(np.abs(g_coef) * conditioning[1:],
+                                               b + 1.0, a + 1.0, x, absolute=True))
+    bound = float(np.finfo(float).eps * np.max(magnitude))
+    if not bound <= tol:
+        raise DiagnosticError(f"Wright-Fisher series rounding bound {bound:.3g} exceeds "
+                              f"tol {tol:g} at {where}")
+    law = WFMarginal(params, float(m0), float(t), f_coef, g_coef,
+                     g_linear=float(coef[0] * a * b / (a + b + 1)) if coef.size else 0.0,
+                     rounding_bound=bound)
+    f = law.cdf(y)
+    mean = 1.0 - float(law.cdf_integral(1.0))
+    exact_mean = float(npoly.polyval(m0, wf_semigroup(params, (0.0, 1.0), t)))
+    if not (abs(f[0]) <= tol and abs(f[-1] - 1.0) <= tol and np.all(np.diff(f) >= -tol)
+            and abs(mean - exact_mean) <= tol):
+        raise DiagnosticError(f"Wright-Fisher series failed its checks at {where}: "
+                              f"F(0) = {f[0]:.3g}, F(1) = {f[-1]:.3g}, min step "
+                              f"{np.min(np.diff(f)):.3g}, mean {mean!r} vs {exact_mean!r}")
+    return law
 
 
 # ---------------------------------------------------------------------------

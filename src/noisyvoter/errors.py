@@ -10,4 +10,5 @@ class CapacityError(RuntimeError):
 
 
 class DiagnosticError(RuntimeError):
-    """A Monte Carlo diagnostic failed (insufficient budget, nonconvergence)."""
+    """A numerical diagnostic failed (insufficient Monte Carlo budget,
+    nonconvergence, or an exact series that fails its accuracy guard)."""

@@ -22,12 +22,12 @@ from numpy.polynomial import polynomial as npoly
 
 from . import diffusion, model, stein, transport
 from .errors import CapacityError, ConfigError, DiagnosticError
-from .pmf import Pmf, empirical_pmf
+from .pmf import Pmf, empirical_pmf, point_mass
 
 SCENARIOS = ("profile", "thermalize", "qclt-rate", "stein-rate", "validate", "mixing-curve")
 
 # scenarios whose estimates are Monte Carlo distances
-_MC_SCENARIOS = ("profile", "thermalize", "qclt-rate")
+_MC_SCENARIOS = ("profile", "thermalize")
 
 DEFAULT_GRIDS = {
     "profile": tuple(np.geomspace(0.05, 3.0, 24)),
@@ -38,11 +38,9 @@ DEFAULT_GRIDS = {
     "validate": (),
 }
 
-# fixed stream ids so every random draw hangs off (seed, purpose, index...)
-_STREAM = {
-    "profile-wf": 1, "profile-mc": 2, "qclt-ref": 3, "qclt-half": 4,
-    "thermalize": 5, "validate-mc": 6, "profile-wf-mc": 7,
-}
+# fixed stream ids so every random draw hangs off (seed, purpose, index...);
+# retired ids are not reused, so the remaining streams keep their draws
+_STREAM = {"profile-mc": 2, "thermalize": 5, "validate-mc": 6}
 
 
 def replica_stream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
@@ -68,7 +66,6 @@ class ExperimentConfig:
     out: str = "results"
     tol: float = 1e-9
     eps: tuple[float, ...] = (0.01, 0.05, 0.1)
-    wf_dt: float = 1e-3
     dense_cap: int = model.DENSE_LAW_CAP
 
     def __post_init__(self):
@@ -101,8 +98,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if not 0 < self.tol <= 1e-6:
             raise ConfigError("tol must lie in (0, 1e-6]")
-        if not (self.wf_dt > 0 and np.isfinite(self.wf_dt)):
-            raise ConfigError("wf_dt must be positive and finite")
         if self.dense_cap < 0:
             raise ConfigError("dense_cap must be nonnegative")
         eps = tuple(float(e) for e in self.eps)
@@ -241,11 +236,34 @@ def _declared_tolerance(r: ResultRecord) -> float:
     return np.inf
 
 
-def _batched_w1_stderr(law_scaled: Pmf, samples: np.ndarray, batches: int = 10) -> float:
-    """Spread-based error bar: std of per-batch distances over sqrt(batches)."""
+def _batched_w1_stderr(distance, samples: np.ndarray, batches: int = 10) -> float:
+    """Spread-based error bar: std of per-batch distances over sqrt(batches);
+    ``distance`` maps a batch's empirical pmf to its W1 distance."""
     parts = np.array_split(samples, batches)
-    vals = [transport.w1_discrete(law_scaled, empirical_pmf(p)) for p in parts]
+    vals = [distance(empirical_pmf(p)) for p in parts]
     return float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
+
+
+def _wf_reference(wf: diffusion.WFParams, m0: float, t: float, tol: float):
+    """Exact Wright-Fisher marginal at time t from m0: the point mass at m0
+    when t = 0, else the guarded Jacobi series of ``diffusion.wf_marginal``."""
+    return point_mass(m0) if t == 0 else diffusion.wf_marginal(wf, m0, t, tol)
+
+
+def _w1_to_reference(law: Pmf, ref) -> float:
+    """Exact W1 from a pmf on [0, 1] to a ``_wf_reference``."""
+    if isinstance(ref, Pmf):
+        return transport.w1_discrete(law, ref)
+    return transport.w1_discrete_vs_wf(law, ref)
+
+
+def _reference_info(ref) -> dict:
+    """Manifest entry for a ``_wf_reference``: exact, so no time step and no
+    sampling noise, only the series length and its rounding bound."""
+    if isinstance(ref, Pmf):
+        return {"reference": "point-mass", "series_terms": 0, "rounding_bound": 0.0}
+    return {"reference": "jacobi-series", "series_terms": ref.series_terms,
+            "rounding_bound": ref.rounding_bound}
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +274,17 @@ def run_profile(cfg: ExperimentConfig):
     """Distance of the density law at time n*t to (i) the Wright-Fisher
     marginal and (ii) the rescaled stationary law, per grid time.
 
-    One diffusion reference ensemble, evolved once along the grid, is shared
-    by the whole n-sweep so cross-n curve differences carry no independent
-    reference noise.
+    The diffusion marginal is exact (``diffusion.wf_marginal``, the point mass
+    at m0 at t = 0), built once per grid time for the whole n-sweep.  The
+    density law is exact up to ``dense_cap`` (stderr 0) and sampled beyond
+    it, with error bars from 10 batches of the samples.  The
+    ``profile:stationary`` theory is the paper's limit profile
+    D(t) = W1(Wright-Fisher marginal at t, Beta(a, b)).
     """
     wf = diffusion.WFParams(cfg.a, cfg.b)
-    rng = replica_stream(cfg.seed, "profile-wf", 0)
-    paths = np.full(cfg.samples, cfg.m0)
-    wf_samples = []
-    t_prev = 0.0
-    for t in cfg.grid:
-        paths = diffusion.simulate_wf(wf, paths, t - t_prev, cfg.wf_dt, rng)
-        wf_samples.append(paths.copy())
-        t_prev = t
+    refs = [_wf_reference(wf, cfg.m0, t, cfg.tol) for t in cfg.grid]
+    limits = [transport.w1_discrete_vs_wf(ref, diffusion.wf_marginal(wf, cfg.m0, np.inf))
+              if isinstance(ref, Pmf) else ref.stationary_distance() for ref in refs]
     records = []
     for n in cfg.n:
         params = model.ModelParams(n, cfg.a, cfg.b)
@@ -280,26 +296,29 @@ def run_profile(cfg: ExperimentConfig):
         mc_rng = None if exact else replica_stream(cfg.seed, "profile-mc", n)
         counts = None if exact else np.full(cfg.samples, k0, dtype=np.int64)
         t_prev = 0.0
-        for t, ref in zip(cfg.grid, wf_samples):
+        for t, ref, limit in zip(cfg.grid, refs, limits):
             if exact:
                 law = model.transient_law(params, k0 if law is None else law,
                                           n * (t - t_prev), cfg.tol, cap=cfg.dense_cap)
                 law_scaled = law.scaled(1.0 / n)
-                stat_err = 0.0
+                stat_err = wf_err = 0.0
             else:
                 counts = model.simulate_count_batch(params, counts,
                                                     np.array([n * (t - t_prev)]), mc_rng)[0]
                 law_scaled = empirical_pmf(counts / n)
-                stat_err = _batched_w1_stderr(stat_scaled, counts / n)
+                stat_err = _batched_w1_stderr(
+                    lambda pmf: transport.w1_discrete(stat_scaled, pmf), counts / n)
+                wf_err = _batched_w1_stderr(lambda pmf: _w1_to_reference(pmf, ref), counts / n)
             t_prev = t
-            d_wf = transport.w1_discrete(law_scaled, empirical_pmf(ref))
-            wf_err = _batched_w1_stderr(law_scaled, ref)
+            d_wf = _w1_to_reference(law_scaled, ref)
             d_stat = transport.w1_discrete(law_scaled, stat_scaled)
             records.append(ResultRecord("profile:wf", n, cfg.a, cfg.b, m0e, t,
                                         d_wf, wf_err, None, None, cfg.seed))
             records.append(ResultRecord("profile:stationary", n, cfg.a, cfg.b, m0e, t,
-                                        d_stat, stat_err, None, None, cfg.seed))
-    return records, {}
+                                        d_stat, stat_err, limit, None, cfg.seed))
+    infos = [_reference_info(ref) for ref in refs]
+    return records, {"profile": {"series_terms": [i["series_terms"] for i in infos],
+                                 "rounding_bound": max(i["rounding_bound"] for i in infos)}}
 
 
 # ---------------------------------------------------------------------------
@@ -308,47 +327,31 @@ def run_profile(cfg: ExperimentConfig):
 
 def run_qclt_rate(cfg: ExperimentConfig):
     """Log-log rate of the density-vs-Wright-Fisher distance over a dyadic
-    n-sweep at a fixed observation time."""
-    t = cfg.grid[0]
-    wf = diffusion.WFParams(cfg.a, cfg.b)
-    rng = replica_stream(cfg.seed, "qclt-ref", 0)
-    ref = diffusion.simulate_wf(wf, cfg.m0, t, cfg.wf_dt, rng, n_paths=cfg.samples)
-    ref_pmf = empirical_pmf(ref)
-    # step-halving convergence control for the reference
-    rng_half = replica_stream(cfg.seed, "qclt-half", 0)
-    ref_half = diffusion.simulate_wf(wf, cfg.m0, t, cfg.wf_dt / 2, rng_half,
-                                     n_paths=cfg.samples)
-    gap = transport.w1_discrete(ref_pmf, empirical_pmf(ref_half))
-    sigma = float(np.std(ref))
-    noise_floor = 1.7 * sigma * np.sqrt(2.0 / cfg.samples)
-    if gap > max(3.0 * noise_floor, 2e-3):
-        raise DiagnosticError(
-            f"Wright-Fisher reference not converged under step halving "
-            f"(gap {gap:.3g}, noise floor {noise_floor:.3g}); reduce wf_dt"
-        )
+    n-sweep at a fixed observation time.
 
-    def one(n):
+    Both laws are exact: the count law from ``model.transient_law`` and the
+    diffusion marginal from ``diffusion.wf_marginal`` (the point mass at m0
+    at t = 0), so the distances carry no Monte Carlo or time-step error and
+    their stderr is 0.  ``halving_gap`` and ``reference_noise_floor`` stay in
+    the manifest at their exact value 0.
+    """
+    t = cfg.grid[0]
+    ref = _wf_reference(diffusion.WFParams(cfg.a, cfg.b), cfg.m0, t, cfg.tol)
+    dists = []
+    for n in cfg.n:
         params = model.ModelParams(n, cfg.a, cfg.b)
         k0 = int(np.floor(cfg.m0 * n + 0.5))
         law = model.transient_law(params, k0, n * t, cfg.tol, cap=cfg.dense_cap)
-        law_scaled = law.scaled(1.0 / n)
-        d = transport.w1_discrete(law_scaled, ref_pmf)
-        return d, _batched_w1_stderr(law_scaled, ref)
-
-    results = [one(n) for n in cfg.n]
-    records = []
-    for n, (d, err) in zip(cfg.n, results):
-        records.append(ResultRecord("qclt-rate", n, cfg.a, cfg.b, cfg.m0, t,
-                                    d, err, None, None, cfg.seed))
-    logn = np.log(np.asarray(cfg.n, dtype=float))
-    logd = np.log([d for d, _ in results])
-    coeffs, cov = np.polyfit(logn, logd, 1, cov=True)
+        dists.append(_w1_to_reference(law.scaled(1.0 / n), ref))
+    records = [ResultRecord("qclt-rate", n, cfg.a, cfg.b, cfg.m0, t, d, 0.0, None, None, cfg.seed)
+               for n, d in zip(cfg.n, dists)]
+    coeffs, cov = np.polyfit(np.log(np.asarray(cfg.n, dtype=float)), np.log(dists), 1, cov=True)
     slope = float(coeffs[0])
     slope_err = float(np.sqrt(cov[0, 0]))
     records.append(ResultRecord("qclt-rate:slope", cfg.n[-1], cfg.a, cfg.b, cfg.m0, t,
                                 slope, slope_err, -0.5, None, cfg.seed))
-    extra = {"qclt": {"slope": slope, "slope_stderr": slope_err,
-                      "halving_gap": gap, "reference_noise_floor": noise_floor}}
+    extra = {"qclt": {"slope": slope, "slope_stderr": slope_err, **_reference_info(ref),
+                      "halving_gap": 0.0, "reference_noise_floor": 0.0}}
     return records, extra
 
 

@@ -16,6 +16,9 @@ from .errors import CapacityError
 from .pmf import Pmf
 
 MATCHING_CAP = 5000
+# w1_discrete_vs_wf brackets each CDF crossing to this width before
+# interpolating inside the bracket
+_CROSSING_BRACKET = 1e-6
 
 
 def _as_samples(xs) -> np.ndarray:
@@ -93,14 +96,61 @@ def w1_discrete_vs_gaussian(p: Pmf, mean: float, sd: float, tail_tol: float = 1e
     with np.errstate(divide="ignore"):
         cross = mean + sd * ndtri(c)
     cross = np.clip(np.nan_to_num(cross, nan=0.0, posinf=np.inf, neginf=-np.inf), left, right)
-    gl = _gauss_partial_moment(left, mean, sd)
-    gc = _gauss_partial_moment(cross, mean, sd)
-    gr = _gauss_partial_moment(right, mean, sd)
-    # On [left, cross] the pmf CDF is >= Phi or <= Phi throughout; same on
-    # [cross, right] with the opposite sign, so both pieces are |c*len - int Phi|.
-    total += np.sum(np.abs(c * (cross - left) - (gc - gl)))
-    total += np.sum(np.abs(c * (right - cross) - (gr - gc)))
+    return _add_cell_gaps(total, c, left, cross, right, _gauss_partial_moment(left, mean, sd),
+                          _gauss_partial_moment(cross, mean, sd),
+                          _gauss_partial_moment(right, mean, sd))
+
+
+def _add_cell_gaps(total, level, left, cross, right, g_left, g_cross, g_right) -> float:
+    """``total`` plus int |level - F| over the cells [left, right].
+
+    The pmf CDF is flat at ``level`` on each cell and the continuous CDF F
+    crosses it once, at ``cross``; ``g_*`` are values of F's antiderivative.
+    On [left, cross] the gap has one sign and on [cross, right] the other, so
+    each piece is |level * length - change of the antiderivative|.
+    """
+    total += np.sum(np.abs(level * (cross - left) - (g_cross - g_left)))
+    total += np.sum(np.abs(level * (right - cross) - (g_right - g_cross)))
     return float(total)
+
+
+def w1_discrete_vs_wf(p: Pmf, law) -> float:
+    """Exact W1 between a finite pmf on [0, 1] and a continuous law on [0, 1].
+
+    ``law`` gives its CDF F through ``law.cdf`` and the antiderivative of F
+    through ``law.cdf_integral`` (``diffusion.WFMarginal``).  The pmf CDF is
+    flat on each cell between consecutive support points (and on [0, first]
+    and [last, 1]); the nondecreasing F crosses that level at most once per
+    cell.  Vectorized bisection brackets each crossing to a width h = 1e-6
+    and linear interpolation of F inside the bracket places it, off by about
+    h^2 F''/F'; a crossing off by d changes the result only by about
+    F'(cross) d^2.
+    """
+    xs = p.support
+    if xs[0] < 0.0 or xs[-1] > 1.0:
+        raise ValueError("pmf support must lie in [0, 1]")
+    edges = np.concatenate(([0.0], xs, [1.0]))
+    level = np.concatenate(([0.0], np.cumsum(p.probs)))
+    f_edges = law.cdf(edges)
+    lo, hi = edges[:-1].copy(), edges[1:].copy()
+    f_lo, f_hi = f_edges[:-1].copy(), f_edges[1:].copy()
+    hi = np.where(f_lo >= level, lo, hi)  # F already above the level: cross at left
+    lo = np.where(f_hi <= level, hi, lo)  # F still below it: cross at right
+    open_cells = np.nonzero(hi - lo > _CROSSING_BRACKET)[0]
+    while open_cells.size:
+        mid = 0.5 * (lo[open_cells] + hi[open_cells])
+        f_mid = law.cdf(mid)
+        below = f_mid < level[open_cells]
+        lo[open_cells[below]], f_lo[open_cells[below]] = mid[below], f_mid[below]
+        hi[open_cells[~below]], f_hi[open_cells[~below]] = mid[~below], f_mid[~below]
+        open_cells = open_cells[hi[open_cells] - lo[open_cells] > _CROSSING_BRACKET]
+    rise = f_hi - f_lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(rise > 0, np.clip((level - f_lo) / rise, 0.0, 1.0), 0.5)
+    cross = lo + frac * (hi - lo)
+    g_edges = law.cdf_integral(edges)
+    return _add_cell_gaps(0.0, level, edges[:-1], cross, edges[1:], g_edges[:-1],
+                          law.cdf_integral(cross), g_edges[1:])
 
 
 def _as_cloud(xs) -> np.ndarray:

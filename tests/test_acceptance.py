@@ -4,8 +4,8 @@ Runs every acceptance criterion at its stated tolerance and prints one
 PASS/FAIL line per criterion (use ``pytest tests/test_acceptance.py -v -s``).
 
 Criterion 4b (log-log rate band for the density QCLT) is implemented exactly
-as stated and is expected to FAIL: the measured Kantorovich distance between
-the exact count law and the diffusion marginal decays like 1/n at this
+as stated and is expected to FAIL: the Kantorovich distance between the
+exact count law and the exact diffusion marginal decays like 1/n at this
 model's scale, faster than the asserted 1/sqrt(n) band, which is an upper
 bound and not tight here.  See README "Known limitations".
 """
@@ -199,13 +199,15 @@ def test_criterion_4a_normalized_clt_constant():
 
 
 def test_criterion_4b_density_rate_band():
-    # Known-red criterion, implemented faithfully and left to fail: the
-    # measured W1 distance to the diffusion marginal decays like 1/n at
-    # a=b=1, t=1 (the count chain's moment recursions match the diffusion to
-    # O(1/n) and lattice quantization adds ~1/(4n)), so the asserted
-    # [-0.65, -0.35] band, which presumes the 1/sqrt(n) upper-bound rate is
-    # sharp, cannot be met by an unbiased measurement.  See README,
-    # "Known limitations".
+    # Known-red criterion, implemented faithfully and left to fail.  Both
+    # laws are exact: the count law from the spectral transient law and the
+    # Wright-Fisher marginal from its Jacobi series, so the distances carry
+    # no Monte Carlo or time-step error (``samples`` is unused).  They are
+    # 0.0025925, 0.0012987 and 0.0006500 at n = 128, 256, 512 (a=b=1, t=1),
+    # a slope of about -0.998: the count chain's moment recursions match the
+    # diffusion to O(1/n) and lattice quantization adds ~1/(4n), so the
+    # asserted [-0.65, -0.35] band, which presumes the 1/sqrt(n) upper-bound
+    # rate is sharp, cannot be met.  See README, "Known limitations".
     cfg = ExperimentConfig(scenario="qclt-rate", n=(128, 256, 512), a=1.0, b=1.0,
                            m0=0.5, grid=(1.0,), samples=1_000_000, seed=SEED,
                            out="/tmp/noisyvoter-acceptance-qclt")
@@ -216,8 +218,8 @@ def test_criterion_4b_density_rate_band():
     ok = -0.65 <= slope <= -0.35
     report("4b (density QCLT rate band)", ok,
            f"log-log slope {slope:.3f} +- {err:.3f} vs band [-0.65, -0.35]; "
-           f"distances {dists}; the distance decays ~1/n (upper-bound rate "
-           f"1/sqrt(n) is not tight), so the band cannot be met honestly")
+           f"exact distances {dists}; the exact distance decays ~1/n (the "
+           f"upper-bound rate 1/sqrt(n) is not tight), so the band cannot be met")
     assert ok
 
 

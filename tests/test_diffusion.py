@@ -1,10 +1,14 @@
 """Diffusion-limit tests: mean paths, fluctuations, couplings, probes."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
+from scipy.special import betainc, eval_jacobi
 
 from noisyvoter.diffusion import (
     GaussianSpec,
@@ -24,11 +28,15 @@ from noisyvoter.diffusion import (
     simulate_fluctuation,
     simulate_wf,
     sum_fluctuation_variance,
+    wf_marginal,
     wf_semigroup,
 )
+from noisyvoter import diffusion
+from noisyvoter.diffusion import _jacobi_values
 from noisyvoter.errors import DiagnosticError
 from noisyvoter.model import BlockPartition, ModelParams, stationary_pmf, transient_law
-from noisyvoter.transport import w1_sorted
+from noisyvoter.pmf import empirical_pmf
+from noisyvoter.transport import w1_discrete_vs_wf, w1_sorted
 
 
 class TestMeanOde:
@@ -483,3 +491,119 @@ class TestWFSemigroup:
             wf_semigroup(WFParams(1, 1), [0.0, 1.0], 0.5, order=-1)
         with pytest.raises(ValueError):
             wf_semigroup(WFParams(1, 1), [[0.0, 1.0]], 0.5)
+
+
+class TestWFMarginal:
+    @given(_LOG_AB, _LOG_AB, st.floats(0.0, 1.0), st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e))
+    @example(1.0, 1.0, 0.5, 1.0)
+    @example(1e-3, 1e-3, 0.5, 1e-3)
+    @example(97.1961, 0.00237852, 0.825488, 0.00213312)
+    @settings(max_examples=60, deadline=None)
+    def test_law_and_moments(self, a, b, m0, t):
+        # a proper CDF whose first two moments are P_t x and P_t x^2, or a
+        # DiagnosticError from the guard
+        wf = WFParams(a, b)
+        try:
+            law = wf_marginal(wf, m0, t, tol=1e-12)
+        except DiagnosticError:
+            return
+        f = law.cdf(np.linspace(0.0, 1.0, 4097))
+        assert f[0] == 0.0 and abs(f[-1] - 1.0) <= 1e-12
+        assert np.all(np.diff(f) >= -1e-12)
+        g1 = float(law.cdf_integral(1.0))
+        # E x^2 = 1 - 2 int_0^1 y F = 1 - 2 G(1) + 2 int_0^1 G
+        int_g = quad(lambda y: float(law.cdf_integral(y)), 0.0, 1.0,
+                     epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        for moment, coef in ((1.0 - g1, (0.0, 1.0)),
+                             (1.0 - 2.0 * g1 + 2.0 * int_g, (0.0, 0.0, 1.0))):
+            assert moment == pytest.approx(npoly.polyval(m0, wf_semigroup(wf, coef, t)),
+                                           rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, 2.0), (-0.999, -0.999),
+                                            (3.0, 0.25), (1e3, 1.0)])
+    def test_jacobi_recurrence(self, alpha, beta):
+        # scipy's own values carry relative errors up to ~1e-12 at these
+        # parameters (checked against the explicit binomial sum in 50 digits)
+        xs = np.linspace(-1.0, 1.0, 9)
+        values = itertools.islice(_jacobi_values(alpha, beta, xs), 31)
+        for k, got in enumerate(values):
+            want = eval_jacobi(k, alpha, beta, xs)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("a,b,m0,t", [(1.0, 1.0, 0.5, 0.05), (0.3, 4.0, 0.8, 0.05),
+                                          (2.0, 0.5, 0.1, 0.02)])
+    def test_polynomial_moments(self, a, b, m0, t):
+        # E x^k = 1 - k int_0^1 y^(k-1) F(y) dy = (P_t x^k)(m0): modes j <= k
+        wf = WFParams(a, b)
+        law = wf_marginal(wf, m0, t)
+        for k in range(1, 9):
+            got = 1.0 - k * quad(lambda y: y ** (k - 1) * float(law.cdf(y)), 0.0, 1.0,
+                                 epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            want = npoly.polyval(m0, wf_semigroup(wf, np.eye(k + 1)[k], t))
+            assert got == pytest.approx(want, rel=0, abs=1e-10)
+
+    def test_antiderivative_against_quadrature(self):
+        for a, b, m0, t in ((1.0, 1.0, 0.5, 1.0), (0.3, 4.0, 0.8, 0.05), (2.0, 0.5, 0.1, 0.01)):
+            law = wf_marginal(WFParams(a, b), m0, t)
+            for y in (0.05, 0.3, 0.77, 1.0):
+                want = quad(lambda z: float(law.cdf(z)), 0.0, y, epsabs=1e-14, epsrel=1e-12,
+                            limit=200)[0]
+                assert float(law.cdf_integral(y)) == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_infinite_time_is_beta(self):
+        law = wf_marginal(WFParams(0.7, 2.5), 0.9, np.inf)
+        ys = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(law.cdf(ys), betainc(0.7, 2.5, ys))
+        assert law.series_terms == 0 and law.stationary_distance() == 0.0
+
+    def test_against_euler(self):
+        # the Euler-Maruyama ensemble sits within its sampling noise floor
+        # E W1(empirical, law) ~ sqrt(2 / (pi N)) int sqrt(F(1-F)), plus an
+        # O(dt) allowance for the clamped Euler bias
+        wf, m0, t, paths = WFParams(1.0, 2.0), 0.3, 0.5, 100_000
+        law = wf_marginal(wf, m0, t)
+        samples = simulate_wf(wf, m0, t, 2e-3, np.random.default_rng(8), n_paths=paths)
+        f = law.cdf((np.arange(10_000) + 0.5) / 10_000)
+        floor = np.sqrt(2.0 / (np.pi * paths)) * np.mean(np.sqrt(f * (1.0 - f)))
+        assert w1_discrete_vs_wf(empirical_pmf(samples), law) <= 3 * floor + 1e-3
+
+    def test_guard_trips_in_the_tail(self):
+        # m0 = 0.2 is deep in the tail of Beta(200, 1): the terms cancel
+        with pytest.raises(DiagnosticError, match=r"rounding bound .* \(200, 1, 0.2, 0.005\)"):
+            wf_marginal(WFParams(200.0, 1.0), 0.2, 0.005)
+
+    def test_checks_catch_a_truncated_series(self, monkeypatch):
+        # cutting the series far too early passes the rounding bound but
+        # leaves an oscillating, non-monotone CDF
+        monkeypatch.setattr(diffusion, "_SERIES_CUTOFF", 1e-2)
+        with pytest.raises(DiagnosticError, match="failed its checks"):
+            wf_marginal(WFParams(1.0, 1.0), 0.5, 0.01)
+
+    def test_limit_profile_mixing_times(self):
+        # D(t) = W1(WF_t(1/2), Beta(1, 1)) crosses eps at the limit t_mix/n
+        wf = WFParams(1.0, 1.0)
+        for eps, want in ((0.01, 0.45821), (0.05, 0.19246), (0.1, 0.08603)):
+            got = brentq(lambda t: wf_marginal(wf, 0.5, t).stationary_distance() - eps,
+                         0.01, 3.0, xtol=1e-10)
+            assert got == pytest.approx(want, abs=1e-4)
+
+    @pytest.mark.parametrize("a,b,m0", [(0.5, 2.0, 0.75), (3.0, 1.5, 0.2), (1.0, 1.0, 0.3)])
+    def test_limit_profile_late_time(self, a, b, m0):
+        # the CDF gap has one sign late on, so W1 is the gap of the means
+        fix = a / (a + b)
+        for t in (1.0, 2.0):
+            got = wf_marginal(WFParams(a, b), m0, t).stationary_distance()
+            assert got == pytest.approx(abs(m0 - fix) * np.exp(-(a + b) * t), rel=1e-10)
+
+    def test_limit_profile_against_dense_grid(self):
+        ys = (np.arange(400_000) + 0.5) / 400_000
+        for a, b, m0, t in ((1.0, 1.0, 0.5, 0.02), (3.0, 1.5, 0.9, 0.03)):
+            law = wf_marginal(WFParams(a, b), m0, t)
+            brute = np.mean(np.abs(law.cdf(ys) - betainc(a, b, ys)))
+            assert law.stationary_distance() == pytest.approx(brute, rel=0, abs=1e-9)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            wf_marginal(WFParams(1, 1), 0.5, 0.0)
+        with pytest.raises(ValueError):
+            wf_marginal(WFParams(1, 1), 1.5, 1.0)

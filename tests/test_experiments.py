@@ -13,18 +13,21 @@ from scipy.stats import hypergeom
 
 from noisyvoter import cli, experiments, model
 from noisyvoter.errors import ConfigError
+from noisyvoter.diffusion import WFParams, wf_marginal
 from noisyvoter.experiments import (
     ExperimentConfig,
     config_from_json,
     replica_stream,
     run,
+    run_mixing_curve,
     run_profile,
+    run_qclt_rate,
     run_thermalize,
     run_validate,
     thermalize_distance,
 )
 from noisyvoter.pmf import point_mass
-from noisyvoter.transport import w1_discrete, w1_matching
+from noisyvoter.transport import w1_discrete, w1_discrete_vs_wf, w1_matching
 
 
 def read_bytes(path):
@@ -69,8 +72,8 @@ class TestConfig:
         dict(scenario="qclt-rate", n=(128, 200, 400), grid=(1.0,)),
         dict(scenario="mixing-curve", n=(64,)),
         dict(scenario="profile", seed=-1),
-        dict(scenario="qclt-rate", n=(32, 64, 128), wf_dt=-1.0),
-        dict(scenario="qclt-rate", n=(32, 64, 128), wf_dt=0.0),
+        dict(scenario="qclt-rate", n=(32, 64, 128), tol=0.0),
+        dict(scenario="qclt-rate", n=(32, 64, 128), tol=1e-3),
         dict(scenario="stein-rate", n=(16,), ell=40),
         dict(scenario="stein-rate", n=(1,)),
         dict(scenario="mixing-curve", n=(32, 64), dense_cap=-5),
@@ -106,7 +109,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [
         ["profile", "--seed", "-1"],
-        ["qclt-rate", "--n", "32,64,128", "--wf-dt", "-1"],
+        ["qclt-rate", "--n", "32,64,100"],
         ["stein-rate", "--n", "16", "--ell", "40"],
         ["mixing-curve", "--n", "32,64", "--dense-cap", "-5"],
         ["thermalize", "--n", "400", "--tau", "nan"],
@@ -117,6 +120,14 @@ class TestExitCodes:
         # rejected by the config, not by a traceback from the run
         assert cli.main(args + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_retired_wf_dt_key_exits_2(self, tmp_path, capsys):
+        # the Euler step of the old diffusion reference is no longer a config key
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "qclt-rate", "params": {"n": [32, 64, 128]},
+                                        "wf_dt": 1e-3}))
+        assert cli.main(["qclt-rate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "unknown config keys: ['wf_dt']" in capsys.readouterr().err
 
     def test_negative_list_values_parse(self, tmp_path):
         # the README synopsis: a list starting with a negative value
@@ -217,6 +228,66 @@ class TestScenarioOutputs:
         params = model.ModelParams(n, 1.0, 1.0)
         expect = w1_discrete(point_mass(0.5), model.stationary_pmf(params).scaled(1 / n))
         assert st0.estimate == pytest.approx(expect, abs=1e-6)
+
+    def test_profile_exact_reference_rows(self, tmp_path):
+        # profile:wf against the exact marginal (stderr 0 for exact laws, batch
+        # spread for sampled ones); profile:stationary carries the limit profile
+        cfg = ExperimentConfig(scenario="profile", n=(32, 64), grid=(0.0, 0.3, 1.0),
+                               dense_cap=40, samples=500, seed=3, out=str(tmp_path))
+        records, extra = run_profile(cfg)
+        wf = WFParams(1.0, 1.0)
+        beta = wf_marginal(wf, 0.5, np.inf)
+        for r in records:
+            if r.scenario == "profile:stationary":
+                want = (w1_discrete_vs_wf(point_mass(0.5), beta) if r.t_or_tau == 0
+                        else wf_marginal(wf, 0.5, r.t_or_tau).stationary_distance())
+                assert r.theory == want
+            elif r.n == 32:
+                law = model.transient_law(model.ModelParams(32, 1.0, 1.0), 16, 32 * r.t_or_tau)
+                ref = (point_mass(0.5) if r.t_or_tau == 0
+                       else wf_marginal(wf, 0.5, r.t_or_tau))
+                got = (w1_discrete(law.scaled(1 / 32), ref) if r.t_or_tau == 0
+                       else w1_discrete_vs_wf(law.scaled(1 / 32), ref))
+                assert r.estimate == pytest.approx(got, abs=1e-12) and r.stderr == 0.0
+            elif r.t_or_tau > 0:
+                assert r.stderr > 0.0
+        assert extra["profile"]["series_terms"][0] == 0
+        assert all(k > 0 for k in extra["profile"]["series_terms"][1:])
+        assert 0.0 < extra["profile"]["rounding_bound"] <= cfg.tol
+
+    def test_qclt_rate_exact_reference(self, tmp_path):
+        cfg = ExperimentConfig(scenario="qclt-rate", n=(32, 64, 128), grid=(1.0,),
+                               out=str(tmp_path))
+        records, extra = run_qclt_rate(cfg)
+        rows = {r.n: r for r in records if r.scenario == "qclt-rate"}
+        for n, want in ((32, 0.0102526), (64, 0.0051651), (128, 0.0025925)):
+            assert rows[n].estimate == pytest.approx(want, abs=1e-7)
+            assert rows[n].stderr == 0.0
+        qclt = extra["qclt"]
+        assert qclt["reference"] == "jacobi-series" and qclt["series_terms"] > 0
+        assert 0.0 < qclt["rounding_bound"] <= cfg.tol
+        assert qclt["halving_gap"] == 0.0 and qclt["reference_noise_floor"] == 0.0
+        # at t = 0 the reference is the point mass at m0
+        cfg0 = ExperimentConfig(scenario="qclt-rate", n=(30, 60, 120), m0=0.31, grid=(0.0,),
+                                out=str(tmp_path))
+        records0, extra0 = run_qclt_rate(cfg0)
+        for r in records0[:3]:
+            assert r.estimate == pytest.approx(abs(np.floor(0.31 * r.n + 0.5) / r.n - 0.31),
+                                               abs=1e-15)
+        assert extra0["qclt"]["reference"] == "point-mass"
+
+    @pytest.mark.parametrize("a,b,m0", [(0.5, 2.0, 0.75), (3.0, 1.5, 0.25)])
+    def test_mixing_curve_closed_form(self, tmp_path, a, b, m0):
+        # for m0 != a/(a+b) the CDF gap to stationarity has one sign late on,
+        # so the distance is |m0 - fix| e^{-(a+b)t} exactly and log-linear
+        # interpolation inverts it exactly, at every n
+        eps = (0.001, 0.003, 0.01)
+        cfg = ExperimentConfig(scenario="mixing-curve", n=(32, 64, 128), a=a, b=b, m0=m0,
+                               eps=eps, out=str(tmp_path))
+        _, extra = run_mixing_curve(cfg)
+        want = [np.log(abs(m0 - a / (a + b)) / e) / (a + b) for e in eps]
+        for tmix in extra["mixing"]["tmix_over_n"].values():
+            np.testing.assert_allclose(tmix, want, rtol=0, atol=1e-8)
 
     def test_profile_stationary_curve_decreases(self, tmp_path):
         cfg = ExperimentConfig(scenario="profile", n=(64,),

@@ -5,7 +5,11 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 from scipy.stats import wasserstein_distance
+
+from noisyvoter.diffusion import WFParams, wf_marginal
+from noisyvoter.model import ModelParams, transient_law
 
 from noisyvoter.errors import CapacityError
 from noisyvoter.pmf import Pmf, empirical_pmf, point_mass
@@ -14,6 +18,7 @@ from noisyvoter.transport import (
     pushforward_check,
     w1_discrete,
     w1_discrete_vs_gaussian,
+    w1_discrete_vs_wf,
     w1_matching,
     w1_sorted,
 )
@@ -159,6 +164,81 @@ class TestW1DiscreteVsGaussian:
         # the empirical estimate carries a positive noise floor of its own
         floor = 1.7 * nu * np.sqrt(2.0 / (draws / batches))
         assert abs(exact - mc) <= 3 * se + floor
+
+
+def dense_grid_w1(p, law, points=400_000):
+    """int_0^1 |F_p - F| by the midpoint rule on cells aligned with the pmf
+    support, where F_p is flat."""
+    edges = np.concatenate(([0.0], p.support, [1.0]))
+    levels = np.concatenate(([0.0], np.cumsum(p.probs)))
+    total = 0.0
+    for left, right, level in zip(edges[:-1], edges[1:], levels):
+        k = max(1, int(points * (right - left)))
+        mids = left + (right - left) * (np.arange(k) + 0.5) / k
+        total += np.sum(np.abs(level - law.cdf(mids))) * (right - left) / k
+    return total
+
+
+def scalar_w1_oracle(p, law):
+    """The same cell decomposition as w1_discrete_vs_wf, one cell at a time,
+    with each crossing solved by brentq to full precision."""
+    edges = np.concatenate(([0.0], p.support, [1.0]))
+    levels = np.concatenate(([0.0], np.cumsum(p.probs)))
+    total = 0.0
+    for left, right, level in zip(edges[:-1], edges[1:], levels):
+        if law.cdf(left) >= level:
+            cross = left
+        elif law.cdf(right) <= level:
+            cross = right
+        else:
+            cross = brentq(lambda y: float(law.cdf(y)) - level, left, right,
+                           xtol=1e-16, rtol=1e-15)
+        g_left, g_cross, g_right = law.cdf_integral(np.array([left, cross, right]))
+        total += (abs(level * (cross - left) - (g_cross - g_left))
+                  + abs(level * (right - cross) - (g_right - g_cross)))
+    return total
+
+
+class TestW1DiscreteVsWF:
+    @pytest.mark.parametrize("a,b,m0,t", [(1.0, 1.0, 0.5, 1.0), (0.3, 4.0, 0.8, 0.05),
+                                          (2.0, 0.5, 0.1, 0.3)])
+    def test_against_dense_grid(self, a, b, m0, t):
+        law = wf_marginal(WFParams(a, b), m0, t)
+        n = 32
+        lattice = transient_law(ModelParams(n, a, b), int(m0 * n + 0.5), n * t).scaled(1 / n)
+        rng = np.random.default_rng(3)
+        for p in (lattice, point_mass(m0), point_mass(0.0),
+                  Pmf(np.sort(rng.uniform(size=5)), np.full(5, 0.2))):
+            assert w1_discrete_vs_wf(p, law) == pytest.approx(dense_grid_w1(p, law),
+                                                               rel=0, abs=1e-8)
+
+    @pytest.mark.parametrize("a,b,m0,t", [(1.0, 1.0, 0.5, 1.0), (0.3, 4.0, 0.8, 0.05)])
+    def test_against_scalar_oracle(self, a, b, m0, t):
+        # the bracketed-and-interpolated crossings match full-precision roots
+        law = wf_marginal(WFParams(a, b), m0, t)
+        n = 32
+        lattice = transient_law(ModelParams(n, a, b), int(m0 * n + 0.5), n * t).scaled(1 / n)
+        assert w1_discrete_vs_wf(lattice, law) == pytest.approx(
+            scalar_w1_oracle(lattice, law), rel=0, abs=2e-15)
+
+    def test_qclt_reference_values(self):
+        # exact count law at n t = n against the exact marginal, a = b = 1, t = 1
+        law = wf_marginal(WFParams(1.0, 1.0), 0.5, 1.0)
+        for n, want in ((32, 0.0102526), (64, 0.0051651), (128, 0.0025925)):
+            p = transient_law(ModelParams(n, 1.0, 1.0), n // 2, float(n)).scaled(1 / n)
+            assert w1_discrete_vs_wf(p, law) == pytest.approx(want, abs=1e-7)
+
+    def test_point_mass_against_beta(self):
+        # W1(delta_m, Beta(1, 1)) = m^2/2 + (1-m)^2/2
+        beta = wf_marginal(WFParams(1.0, 1.0), 0.5, np.inf)
+        for m in (0.0, 0.3, 1.0):
+            got = w1_discrete_vs_wf(point_mass(m), beta)
+            assert got == pytest.approx(0.5 * m ** 2 + 0.5 * (1 - m) ** 2, abs=1e-15)
+
+    def test_support_outside_unit_interval(self):
+        law = wf_marginal(WFParams(1.0, 1.0), 0.5, 1.0)
+        with pytest.raises(ValueError):
+            w1_discrete_vs_wf(Pmf([-0.1, 0.5], [0.5, 0.5]), law)
 
 
 class TestW1Matching:
