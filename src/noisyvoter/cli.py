@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ell", type=int, help="initial particle count (overrides m0*n)")
     parser.add_argument("--grid", type=_float_list, help="t-grid or tau-grid, comma separated")
     parser.add_argument("--tau", type=_float_list, dest="grid", help="alias for --grid")
-    parser.add_argument("--samples", type=int, help="replicas / paths / matched pairs")
+    parser.add_argument("--samples", type=int, help="Monte Carlo replicas / matched pairs")
     parser.add_argument("--repetitions", type=int, help="independent repetitions to average")
     parser.add_argument("--seed", type=int, help="master seed (64-bit)")
     parser.add_argument("--out", help="output directory")
