@@ -21,24 +21,17 @@ from .model import (
     transient_law,
 )
 from .diffusion import (
-    GaussianSpec,
     WFMarginal,
     WFParams,
-    asymptotic_fluctuation_sample,
-    asymptotic_fluctuation_spec,
-    block_density_noise,
     block_mean_ode,
     density_drift,
     density_noise,
     density_variance,
     derivative_decay_probe,
-    fluctuation_cross_covariance,
     gaussian_coupling,
     gaussian_coupling_bound,
     mean_ode,
-    simulate_fluctuation,
     simulate_wf,
-    sum_fluctuation_variance,
     wf_marginal,
     wf_semigroup,
 )

@@ -11,13 +11,9 @@ it, and ``WFMarginal.stationary_distance`` gives the paper's limit profile
 W1(marginal at t, Beta(a, b)).  The Euler-Maruyama ``simulate_wf`` remains
 as the independent simulation cross-check.
 
-At shorter times the per-block fluctuations around the deterministic mean
-paths follow a time-inhomogeneous Ornstein-Uhlenbeck system whose variances
-and covariances are computed here by quadrature, together with the
-closed-form Gaussian surrogate that both fluctuation processes approach for
-large times.  The density's own mean and variance from a point start are
-closed forms: the count chain's first two moments solve a linear ODE with
-the Hahn rates (a+b)/n and 2(a+b+1)/n.
+The density's mean and variance from a point start are closed forms: the
+count chain's first two moments solve a linear ODE with the Hahn rates
+(a+b)/n and 2(a+b+1)/n.
 
 The Wright-Fisher semigroup P_t maps polynomials of each degree to
 themselves, so ``wf_semigroup`` applies it (and its scaled derivatives
@@ -34,14 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Chebyshev, polynomial as npoly
-from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 from scipy.special import betainc, betaln
 
 from .errors import DiagnosticError
 from .model import BlockPartition, ModelParams
-
-QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,26 +52,6 @@ class WFParams:
             object.__setattr__(self, name, v)
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Mean vector and covariance matrix of a Gaussian law."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError("cov shape must match mean dimension")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("cov must be symmetric within 1e-12")
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
-            raise ValueError("cov must be positive semidefinite (eigenvalues >= -1e-10)")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-
 # ---------------------------------------------------------------------------
 # drift / noise coefficients of the lumped density
 # ---------------------------------------------------------------------------
@@ -92,18 +65,6 @@ def density_noise(params: ModelParams, m) -> np.ndarray | float:
     """Instantaneous variance production 2m(1-m) + (a(1-m) + b m)/n."""
     m = np.asarray(m, dtype=float)
     return 2.0 * m * (1.0 - m) + (params.a * (1.0 - m) + params.b * m) / params.n
-
-
-def block_density_noise(params: ModelParams, part: BlockPartition, mvec):
-    """Per-block variance production (G0, G1) at local densities (m0, m1)."""
-    a0, a1 = part.weights
-    m0, m1 = float(mvec[0]), float(mvec[1])
-    mbar = a0 * m0 + a1 * m1
-    g = []
-    for mi in (m0, m1):
-        g.append(mbar + mi - 2.0 * mbar * mi
-                 + (params.a * (1.0 - mi) + params.b * mi) / params.n)
-    return g[0], g[1]
 
 
 # ---------------------------------------------------------------------------
@@ -206,140 +167,8 @@ def simulate_wf(params: WFParams, m0, t: float, dt: float | None,
 
 
 # ---------------------------------------------------------------------------
-# fluctuation processes
+# Gaussian coupling
 # ---------------------------------------------------------------------------
-
-def simulate_fluctuation(params: ModelParams, part: BlockPartition, mode: str,
-                         t: float, dt: float, rng: np.random.Generator,
-                         n_paths: int | None = None):
-    """Euler-Maruyama sample of the per-block fluctuation pair at time t.
-
-    mode "reference-start": zero initial condition, noise coefficients follow
-    the block mean path from (0, 1).  mode "uniform-start": diagonal noise at
-    the global mean path and Gaussian initial condition (Z, -Z) with
-    Z ~ N(0, nu^2), nu = m0 (1 - m0), m0 = n1/n.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if mode not in ("reference-start", "uniform-start"):
-        raise ValueError(f"unknown mode {mode!r}")
-    a0, a1 = part.weights
-    weights = np.array([a0, a1])
-    rate = 1.0 + (params.a + params.b) / params.n
-    R = 1 if n_paths is None else int(n_paths)
-    y = np.zeros((R, 2))
-    if mode == "uniform-start":
-        m0 = a1
-        nu = m0 * (1.0 - m0)
-        z = rng.normal(0.0, nu, size=R)
-        y[:, 0] = z
-        y[:, 1] = -z
-    s = 0.0
-    while s < t:
-        h = min(dt, t - s)
-        if mode == "reference-start":
-            mvec = block_mean_ode(params, part, s)
-            g = block_density_noise(params, part, mvec)
-        else:
-            m = mean_ode(params, a1, s)
-            gm = density_noise(params, m)
-            g = (gm, gm)
-        drift = weights[None, :] * y.sum(axis=1, keepdims=True) - rate * y
-        noise = rng.standard_normal((R, 2))
-        y += drift * h + np.sqrt(weights[None, :] * np.asarray(g)[None, :] * h) * noise
-        s += h
-    return y[0] if n_paths is None else y
-
-
-def sum_fluctuation_variance(params: ModelParams, part: BlockPartition, t: float) -> float:
-    """Variance of the aggregate fluctuation at time t, by quadrature.
-
-    Var = int_0^t exp(-2 (a+b)(t-s)/n) G(m_s) ds with m_s the mean path from
-    m0 = n1/n; within C(a,b) t^2 / n of G(m0) t.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
-    _, a1 = part.weights
-    r = 2.0 * (params.a + params.b) / params.n
-
-    def integrand(s):
-        return np.exp(-r * (t - s)) * density_noise(params, mean_ode(params, a1, s))
-
-    val, _ = quad(integrand, 0.0, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
-    return float(val)
-
-
-def fluctuation_cross_covariance(params: ModelParams, part: BlockPartition, t: float) -> float:
-    """Covariance between the aggregate fluctuation and the stationary
-    imbalance mode, by quadrature of the exact integrand.
-
-    Decays like t * exp(-t); vanishes identically when the two blocks have
-    equal noise coefficients along the mean path.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
-    _, a1 = part.weights
-    m0 = a1
-    g0 = density_noise(params, m0)
-    rate = 1.0 + (params.a + params.b) / params.n
-    pref = m0 * (1.0 - m0) * np.sqrt(g0)
-
-    def integrand(s):
-        gi = block_density_noise(params, part, block_mean_ode(params, part, s))
-        return np.exp(-rate * (t - s)) * pref * (np.sqrt(gi[1]) - np.sqrt(gi[0]))
-
-    val, _ = quad(integrand, 0.0, t, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
-    return float(val)
-
-
-# ---------------------------------------------------------------------------
-# large-time Gaussian surrogate
-# ---------------------------------------------------------------------------
-
-def asymptotic_fluctuation_spec(m0: float, g0: float, t: float) -> GaussianSpec:
-    """Exact mean/covariance of the large-time fluctuation surrogate.
-
-    Component i equals (2i-1) s W + a_i q W' with independent standard
-    normals, s^2 = m0(1-m0) g0 / 2, q^2 = g0 t and block weights
-    (a_0, a_1) = (1-m0, m0).  The aggregate has variance g0 t and the
-    imbalance coordinate z1 - a1 (z0 + z1) has variance s^2, uncorrelated
-    with the aggregate.
-    """
-    if not 0.0 < m0 < 1.0:
-        raise ValueError("m0 must lie strictly inside (0, 1)")
-    if not g0 > 0:
-        raise ValueError("g0 must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    s2 = 0.5 * m0 * (1.0 - m0) * g0
-    q2 = g0 * t
-    w = np.array([1.0 - m0, m0])
-    sign = np.array([-1.0, 1.0])
-    cov = np.outer(sign, sign) * s2 + np.outer(w, w) * q2
-    return GaussianSpec(np.zeros(2), cov)
-
-
-def asymptotic_fluctuation_sample(m0: float, g0: float, t: float,
-                                  rng: np.random.Generator, size: int | None = None):
-    """Draw from the large-time Gaussian surrogate law built by
-    ``asymptotic_fluctuation_spec``."""
-    asymptotic_fluctuation_spec(m0, g0, t)  # validates inputs
-    R = 1 if size is None else int(size)
-    s = np.sqrt(0.5 * m0 * (1.0 - m0) * g0)
-    q = np.sqrt(g0 * t)
-    w = rng.standard_normal(R)
-    wp = rng.standard_normal(R)
-    out = np.empty((R, 2))
-    out[:, 0] = -s * w + (1.0 - m0) * q * wp
-    out[:, 1] = s * w + m0 * q * wp
-    return out[0] if size is None else out
-
 
 def gaussian_coupling(var_x, var_y, cov_yz, var_z):
     """Best coupling of Y to X of the form Y~ = alpha X + beta Z.

@@ -343,6 +343,10 @@ def run_qclt_rate(cfg: ExperimentConfig):
         k0 = int(np.floor(cfg.m0 * n + 0.5))
         law = model.transient_law(params, k0, n * t, cfg.tol, cap=cfg.dense_cap)
         dists.append(_w1_to_reference(law.scaled(1.0 / n), ref))
+    zero = [n for n, d in zip(cfg.n, dists) if d == 0]
+    if zero:
+        raise DiagnosticError(f"qclt-rate distance is 0 at n = {', '.join(map(str, zero))} "
+                              f"(t = {t:g}); the log-log slope is undefined")
     records = [ResultRecord("qclt-rate", n, cfg.a, cfg.b, cfg.m0, t, d, 0.0, None, None, cfg.seed)
                for n, d in zip(cfg.n, dists)]
     coeffs, cov = np.polyfit(np.log(np.asarray(cfg.n, dtype=float)), np.log(dists), 1, cov=True)

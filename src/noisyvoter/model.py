@@ -377,13 +377,10 @@ def stationary_pmf(params: ModelParams) -> Pmf:
 
 def detailed_balance_gap(params: ModelParams) -> float:
     """Max log-scale violation of rate_up(k) pi(k) = rate_down(k+1) pi(k+1)."""
-    n = params.n
     logp = stationary_log_pmf(params)
-    rates = [count_rates(params, k) for k in range(n + 1)]
+    up, down = _rate_arrays(params)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_up = np.log([r[0] for r in rates[:-1]])
-        log_down = np.log([r[1] for r in rates[1:]])
-        gap = np.abs(log_up + logp[:-1] - log_down - logp[1:])
+        gap = np.abs(np.log(up[:-1]) + logp[:-1] - np.log(down[1:]) - logp[1:])
     return float(np.max(gap)) if np.all(np.isfinite(gap)) else np.inf
 
 

@@ -1,4 +1,5 @@
-"""Diffusion-limit tests: mean paths, fluctuations, couplings, probes."""
+"""Diffusion-limit tests: mean paths, density variance, Gaussian couplings,
+the Wright-Fisher semigroup and marginal, and the derivative-decay probe."""
 
 import itertools
 
@@ -11,23 +12,16 @@ from scipy.optimize import brentq
 from scipy.special import betainc, eval_jacobi
 
 from noisyvoter.diffusion import (
-    GaussianSpec,
     WFParams,
-    asymptotic_fluctuation_sample,
-    asymptotic_fluctuation_spec,
-    block_density_noise,
     block_mean_ode,
     density_drift,
     density_noise,
     density_variance,
     derivative_decay_probe,
-    fluctuation_cross_covariance,
     gaussian_coupling,
     gaussian_coupling_bound,
     mean_ode,
-    simulate_fluctuation,
     simulate_wf,
-    sum_fluctuation_variance,
     wf_marginal,
     wf_semigroup,
 )
@@ -196,124 +190,6 @@ class TestSimulateWF:
         rng = np.random.default_rng(5)
         out = simulate_wf(WFParams(1, 1), 0.5, 0.01, 0.5, rng)
         assert 0.0 <= out <= 1.0
-
-
-class TestFluctuationMoments:
-    def test_quadrature_zero_time(self):
-        params = ModelParams(500, 1, 1)
-        part = BlockPartition(250, 250)
-        assert sum_fluctuation_variance(params, part, 0.0) == 0.0
-
-    def test_quadrature_closed_form_at_fixed_point(self):
-        a, b = 2.0, 3.0
-        n = 1000
-        params = ModelParams(n, a, b)
-        n1 = int(n * a / (a + b))
-        part = BlockPartition(n - n1, n1)  # m0 = a/(a+b): mean path constant
-        g0 = density_noise(params, a / (a + b))
-        for t in (0.5, 5.0, 40.0):
-            expect = n / (2 * (a + b)) * (1 - np.exp(-2 * (a + b) * t / n)) * g0
-            assert sum_fluctuation_variance(params, part, t) == pytest.approx(expect, abs=1e-10)
-
-    def test_linear_growth_bound(self):
-        # |Var(y_t) - G(m0) t| <= 5 t^2 / n for n = 1000, a = b = 1
-        n = 1000
-        params = ModelParams(n, 1.0, 1.0)
-        part = BlockPartition(700, 300)
-        g0 = density_noise(params, 0.3)
-        for t in (1.0, 5.0, 15.0, 30.0):
-            var = sum_fluctuation_variance(params, part, t)
-            assert abs(var - g0 * t) <= 5.0 * t * t / n
-
-    def test_cross_covariance_zero_cases(self):
-        params = ModelParams(400, 1.0, 1.0)
-        part = BlockPartition(200, 200)
-        assert fluctuation_cross_covariance(params, part, 0.0) == 0.0
-        # equal blocks with a = b keep both block noise coefficients equal
-        assert abs(fluctuation_cross_covariance(params, part, 3.0)) <= 1e-12
-
-    def test_cross_covariance_decay(self):
-        params = ModelParams(600, 1.5, 0.5)
-        part = BlockPartition(400, 200)
-        v4 = abs(fluctuation_cross_covariance(params, part, 4.0))
-        v8 = abs(fluctuation_cross_covariance(params, part, 8.0))
-        assert v8 <= v4 * 10 * np.exp(-4.0)
-
-
-class TestSimulateFluctuation:
-    def test_reference_start_zero_time(self):
-        params = ModelParams(300, 1, 1)
-        part = BlockPartition(100, 200)
-        out = simulate_fluctuation(params, part, "reference-start", 0.0, 1e-3,
-                                   np.random.default_rng(0))
-        assert out == pytest.approx((0.0, 0.0), abs=1e-15)
-
-    def test_uniform_start_initial_variance(self):
-        params = ModelParams(300, 1, 1)
-        part = BlockPartition(120, 180)
-        m0 = 0.6
-        rng = np.random.default_rng(1)
-        out = simulate_fluctuation(params, part, "uniform-start", 0.0, 1e-3, rng,
-                                   n_paths=120_000)
-        nu_sq = (m0 * (1 - m0)) ** 2
-        var = out[:, 0].var(ddof=1)
-        assert abs(var - nu_sq) <= 4 * nu_sq * np.sqrt(2.0 / out.shape[0])
-        assert np.max(np.abs(out[:, 0] + out[:, 1])) <= 1e-12
-
-    def test_sum_variance_matches_quadrature(self):
-        params = ModelParams(800, 1.0, 1.0)
-        part = BlockPartition(560, 240)
-        t = 2.5
-        rng = np.random.default_rng(2)
-        out = simulate_fluctuation(params, part, "reference-start", t, 1e-3, rng,
-                                   n_paths=60_000)
-        total = out.sum(axis=1)
-        var = total.var(ddof=1)
-        target = sum_fluctuation_variance(params, part, t)
-        assert abs(var - target) <= 4 * target * np.sqrt(2.0 / total.size) + 5e-3
-
-    def test_mode_validation(self):
-        params = ModelParams(10, 1, 1)
-        part = BlockPartition(5, 5)
-        with pytest.raises(ValueError):
-            simulate_fluctuation(params, part, "bogus", 1.0, 1e-3, np.random.default_rng(0))
-
-
-class TestAsymptoticFluctuation:
-    def test_spec_construction_audit(self):
-        m0, g0, t = 0.3, 0.55, 4.0
-        spec = asymptotic_fluctuation_spec(m0, g0, t)
-        ones = np.ones(2)
-        # aggregate variance g0 t, imbalance variance m0(1-m0)g0/2, uncorrelated
-        assert ones @ spec.cov @ ones == pytest.approx(g0 * t, abs=1e-12)
-        star = np.array([-m0, 1 - m0])  # z1 - a1 (z0 + z1) with a1 = m0
-        assert star @ spec.cov @ star == pytest.approx(0.5 * m0 * (1 - m0) * g0, abs=1e-12)
-        assert star @ spec.cov @ ones == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_time_sum_degenerate(self):
-        rng = np.random.default_rng(3)
-        out = asymptotic_fluctuation_sample(0.4, 0.5, 0.0, rng, size=20_000)
-        assert np.max(np.abs(out.sum(axis=1))) <= 1e-12
-
-    def test_sample_moments(self):
-        m0, g0, t = 0.5, 0.5, 3.0
-        rng = np.random.default_rng(4)
-        out = asymptotic_fluctuation_sample(m0, g0, t, rng, size=1_000_000)
-        total = out.sum(axis=1)
-        star = out[:, 1] - m0 * total
-        var_total = total.var(ddof=1)
-        var_star = star.var(ddof=1)
-        cov = np.mean(star * total)
-        assert abs(var_total - g0 * t) <= 4 * g0 * t * np.sqrt(2.0 / out.shape[0])
-        s2 = 0.5 * m0 * (1 - m0) * g0
-        assert abs(var_star - s2) <= 4 * s2 * np.sqrt(2.0 / out.shape[0])
-        assert abs(cov) <= 4 * np.sqrt(g0 * t * s2 / out.shape[0])
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            asymptotic_fluctuation_spec(0.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            GaussianSpec(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
 
 
 class TestGaussianCoupling:

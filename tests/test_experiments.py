@@ -1,11 +1,13 @@
 """Runner tests: config handling, determinism, exit codes, mutation."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 from scipy.optimize import linprog
@@ -28,6 +30,51 @@ from noisyvoter.experiments import (
 )
 from noisyvoter.pmf import point_mass
 from noisyvoter.transport import w1_discrete, w1_discrete_vs_wf, w1_matching
+
+
+# a and b log-uniform on [1e-3, 1e3]
+_LOG_AB = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+def _thermalize_lp_distances(n, ell, a, b, times):
+    """l1 Kantorovich distances, over sqrt(n), between the exact two-block
+    laws at each time from the fixed start (0, ell) and the uniform start:
+    the laws by expm of the dense generator, the distance as a min-cost flow
+    on the grid graph (HiGHS)."""
+    params, part = model.ModelParams(n, a, b), model.BlockPartition(n - ell, ell)
+    shape = (part.n0 + 1, part.n1 + 1)
+    states = list(np.ndindex(shape))
+    gen = np.zeros((len(states), len(states)))
+    moves = ((1, 0), (0, 1), (-1, 0), (0, -1))  # the order of block_rates
+    for i, x in enumerate(states):
+        for rate, (d0, d1) in zip(model.block_rates(params, part, x), moves):
+            if rate > 0:
+                gen[i, np.ravel_multi_index((x[0] + d0, x[1] + d1), shape)] = rate
+    gen -= np.diag(gen.sum(axis=1))
+    fixed = np.zeros(len(states))
+    fixed[np.ravel_multi_index((0, ell), shape)] = 1.0
+    uniform = np.zeros(len(states))
+    for x1 in range(ell + 1):
+        if ell - x1 <= part.n0:
+            uniform[np.ravel_multi_index((ell - x1, x1), shape)] = hypergeom(n, ell, ell).pmf(x1)
+    edges = [(np.ravel_multi_index(x, shape), np.ravel_multi_index((x[0] + d0, x[1] + d1), shape))
+             for x in states for d0, d1 in moves
+             if 0 <= x[0] + d0 < shape[0] and 0 <= x[1] + d1 < shape[1]]
+    src, dst = np.array(edges).T
+    cols = np.arange(len(edges))
+    flow = sparse.csr_matrix((np.r_[np.ones(len(edges)), -np.ones(len(edges))],
+                              (np.r_[src, dst], np.r_[cols, cols])),
+                             shape=(len(states), len(edges)))
+    out = []
+    for t in times:
+        step = expm(gen * t)
+        lp = linprog(np.ones(len(edges)), A_eq=flow, b_eq=fixed @ step - uniform @ step,
+                     bounds=(0, None), method="highs",
+                     options={"primal_feasibility_tolerance": 1e-10,
+                              "dual_feasibility_tolerance": 1e-10})
+        assert lp.status == 0
+        out.append(lp.fun / np.sqrt(n))
+    return out
 
 
 def read_bytes(path):
@@ -157,6 +204,15 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == 1
 
+    def test_qclt_zero_distance_is_1(self, tmp_path, capsys):
+        # at t = 0 every m0 n is an integer, so each count law equals the
+        # diffusion's point mass: log 0 would make the fitted slope NaN
+        code = cli.main(["qclt-rate", "--n", "32,64,128", "--grid", "0", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "distance is 0 at n = 32, 64, 128" in err
+        assert "log-log slope is undefined" in err
+
     def test_validate_failure_is_4(self, tmp_path, monkeypatch):
         def corrupted(params, k):
             # flipped sign on a: breaks reversibility against the exact pmf
@@ -164,6 +220,8 @@ class TestExitCodes:
                     k * (params.b + params.n - k) / params.n)
 
         monkeypatch.setattr(model, "count_rates", corrupted)
+        monkeypatch.setattr(model, "_rate_arrays",
+                            lambda params: corrupted(params, np.arange(params.n + 1.0)))
         cfg = ExperimentConfig(scenario="validate", samples=100, out=str(tmp_path))
         code = run(cfg)
         assert code == 4
@@ -346,42 +404,21 @@ class TestScenarioOutputs:
     @pytest.mark.parametrize("n,ell,a,b", [(20, 8, 1.0, 1.0), (24, 12, 0.3, 4.0),
                                            (30, 10, 20.0, 20.0)])
     def test_thermalize_distance_is_exact(self, n, ell, a, b):
-        # exact two-block laws from the fixed start (0, ell) and the uniform
-        # start, by expm of the dense generator; their l1 Kantorovich distance
-        # as a min-cost flow on the grid graph
-        params, part = model.ModelParams(n, a, b), model.BlockPartition(n - ell, ell)
-        shape = (part.n0 + 1, part.n1 + 1)
-        states = list(np.ndindex(shape))
-        gen = np.zeros((len(states), len(states)))
-        moves = ((1, 0), (0, 1), (-1, 0), (0, -1))  # the order of block_rates
-        for i, x in enumerate(states):
-            for rate, (d0, d1) in zip(model.block_rates(params, part, x), moves):
-                if rate > 0:
-                    gen[i, np.ravel_multi_index((x[0] + d0, x[1] + d1), shape)] = rate
-        gen -= np.diag(gen.sum(axis=1))
-        fixed = np.zeros(len(states))
-        fixed[np.ravel_multi_index((0, ell), shape)] = 1.0
-        uniform = np.zeros(len(states))
-        for x1 in range(ell + 1):
-            if ell - x1 <= part.n0:
-                uniform[np.ravel_multi_index((ell - x1, x1), shape)] = hypergeom(n, ell, ell).pmf(x1)
-        edges = [(np.ravel_multi_index(x, shape), np.ravel_multi_index((x[0] + d0, x[1] + d1), shape))
-                 for x in states for d0, d1 in moves
-                 if 0 <= x[0] + d0 < shape[0] and 0 <= x[1] + d1 < shape[1]]
-        src, dst = np.array(edges).T
-        cols = np.arange(len(edges))
-        flow = sparse.csr_matrix((np.r_[np.ones(len(edges)), -np.ones(len(edges))],
-                                  (np.r_[src, dst], np.r_[cols, cols])),
-                                 shape=(len(states), len(edges)))
-        for t in (0.0, 0.4, 1.5, 3.0):
-            step = expm(gen * t)
-            lp = linprog(np.ones(len(edges)), A_eq=flow, b_eq=fixed @ step - uniform @ step,
-                         bounds=(0, None), method="highs",
-                         options={"primal_feasibility_tolerance": 1e-10,
-                                  "dual_feasibility_tolerance": 1e-10})
-            assert lp.status == 0
-            assert thermalize_distance(params, ell, t) == pytest.approx(lp.fun / np.sqrt(n),
-                                                                        rel=1e-7)
+        times = (0.0, 0.4, 1.5, 3.0)
+        for t, lp in zip(times, _thermalize_lp_distances(n, ell, a, b, times)):
+            assert thermalize_distance(model.ModelParams(n, a, b), ell, t) == pytest.approx(
+                lp, rel=1e-7)
+
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           _LOG_AB, _LOG_AB, st.floats(0.0, 3.0))
+    @settings(max_examples=25, deadline=None)
+    def test_thermalize_distance_is_exact_property(self, n_ell, a, b, t):
+        # once the distance falls to the LP's own tolerance a relative
+        # error alone cannot hold, hence the absolute term
+        n, ell = n_ell
+        (lp,) = _thermalize_lp_distances(n, ell, a, b, (t,))
+        assert thermalize_distance(model.ModelParams(n, a, b), ell, t) == pytest.approx(
+            lp, rel=1e-7, abs=2e-9)
 
     def test_manifest_and_csv_schema(self, tmp_path):
         cfg = ExperimentConfig(scenario="stein-rate", n=(64, 128), seed=2,
@@ -445,3 +482,21 @@ def test_benchmark_span_targets_resolve():
                   if not (module.__name__.startswith("noisyvoter.")
                           and callable(getattr(module, attr, None)))]
     assert unresolved == []
+
+
+def test_demo_imports_resolve():
+    # the demos run only by hand, so a removed or renamed public name would
+    # otherwise surface as an ImportError on their next run
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert demos
+    imported, unresolved = 0, []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "noisyvoter"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported += 1
+                    if not hasattr(module, alias.name):
+                        unresolved.append(f"{path.name}: {node.module}.{alias.name}")
+    assert imported and unresolved == []

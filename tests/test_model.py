@@ -26,6 +26,7 @@ from noisyvoter.model import (
     stationary_log_pmf_betaln,
     stationary_pmf,
     transient_law,
+    _rate_arrays,
     _spectrum,
     _uniformized_law,
 )
@@ -56,6 +57,14 @@ class TestRates:
         for k in range(32):
             up, down = count_rates(params, k)
             assert up >= 0 and down >= 0
+
+    @pytest.mark.parametrize("n,a,b", [(1, 2.0, 3.0), (31, 0.7, 1.9), (3000, 1e-3, 1e3)])
+    def test_rate_arrays_match_count_rates(self, n, a, b):
+        # the spectral engine and detailed_balance_gap read the vectorized
+        # rates; they must be the scalar rates bit for bit
+        params = ModelParams(n, a, b)
+        up, down = _rate_arrays(params)
+        assert list(zip(up, down)) == [count_rates(params, k) for k in range(n + 1)]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
