@@ -1,6 +1,9 @@
 """Noisy voter model on the complete graph: exact laws, diffusion limits,
 Kantorovich distances, Stein machinery, and reproducible experiments."""
 
+# set before the submodule imports: experiments records it in every manifest
+__version__ = "0.1.0"
+
 from .errors import CapacityError, ConfigError, DiagnosticError
 from .pmf import Pmf, empirical_pmf, point_mass
 from .model import (
@@ -58,7 +61,5 @@ from .stein import (
     zeta_support,
 )
 from .experiments import ExperimentConfig, ResultRecord, replica_stream, run
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

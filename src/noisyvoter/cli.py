@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--a", type=float, help="rate of spontaneous flips to 1")
     parser.add_argument("--b", type=float, help="rate of spontaneous flips to 0")
     parser.add_argument("--m0", type=float, help="initial particle density")
-    parser.add_argument("--ell", type=int, help="initial particle count (overrides m0*n)")
+    parser.add_argument("--ell", type=int, help="initial particle count, instead of m0*n "
+                        "(thermalize and single-size stein-rate only)")
     parser.add_argument("--grid", type=_float_list, help="t-grid or tau-grid, comma separated")
     parser.add_argument("--tau", type=_float_list, dest="grid", help="alias for --grid")
     parser.add_argument("--samples", type=int, help="Monte Carlo replicas / matched pairs")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import dataclass, asdict, fields
 from datetime import datetime, timezone
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import diffusion, model, stein, transport
+from . import __version__, diffusion, model, stein, transport
 from .errors import CapacityError, ConfigError, DiagnosticError
 from .pmf import Pmf, empirical_pmf, point_mass
 
@@ -49,6 +50,15 @@ def replica_stream(seed: int, purpose: str, *indices: int) -> np.random.Generato
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
 
+def _number(name: str, value, integral: bool):
+    """``value`` as an int when ``integral``, else as a float; ConfigError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or integral and not float(value).is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one scenario run."""
@@ -71,15 +81,32 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        ns = tuple(int(v) for v in (self.n if isinstance(self.n, (tuple, list)) else (self.n,)))
+        if not isinstance(self.n, (tuple, list)):
+            object.__setattr__(self, "n", (self.n,))
+        for field in fields(self)[1:]:
+            name, value = field.name, getattr(self, field.name)
+            integral = name in ("n", "ell", "samples", "repetitions", "seed", "dense_cap")
+            if name == "out":
+                if not isinstance(value, str):
+                    raise ConfigError(f"out must be a directory name, got {value!r}")
+            elif name in ("n", "grid", "eps"):
+                if not isinstance(value, (tuple, list)):
+                    raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+                value = tuple(_number(name, v, integral) for v in value)
+            elif name != "ell" or value is not None:
+                value = _number(name, value, integral)
+            object.__setattr__(self, name, value)
+        ns = self.n
         if not ns or any(v < 1 for v in ns):
             raise ConfigError("n must be one or more positive integers")
-        object.__setattr__(self, "n", ns)
+        if self.ell is not None and not (
+                self.scenario == "thermalize" or self.scenario == "stein-rate" and len(ns) == 1):
+            raise ConfigError("ell applies only to thermalize and single-size stein-rate")
         if not (self.a > 0 and self.b > 0 and np.isfinite(self.a) and np.isfinite(self.b)):
             raise ConfigError("a and b must be positive and finite")
         if not 0.0 < self.m0 < 1.0:
             raise ConfigError("m0 must lie strictly inside (0, 1)")
-        grid = tuple(float(g) for g in self.grid) or DEFAULT_GRIDS[self.scenario]
+        grid = self.grid or DEFAULT_GRIDS[self.scenario]
         if self.scenario not in ("stein-rate", "validate"):
             if not grid:
                 raise ConfigError("grid must be nonempty")
@@ -100,10 +127,9 @@ class ExperimentConfig:
             raise ConfigError("tol must lie in (0, 1e-6]")
         if self.dense_cap < 0:
             raise ConfigError("dense_cap must be nonnegative")
-        eps = tuple(float(e) for e in self.eps)
+        eps = self.eps
         if not eps or not all(0 < e < np.inf for e in eps) or len(set(eps)) != len(eps):
             raise ConfigError("eps must be distinct positive thresholds")
-        object.__setattr__(self, "eps", eps)
         if self.scenario in ("stein-rate", "thermalize"):
             for n in ns:
                 if not 1 <= self.particle_count(n) <= n - 1:
@@ -129,11 +155,9 @@ class ExperimentConfig:
             raise ConfigError("mixing-curve needs at least two sizes to measure drift")
 
     def particle_count(self, n: int) -> int:
-        """Initial particle count at size ``n``: ``ell`` when given for a
-        single-size run, else m0*n rounded."""
-        if self.ell is not None and len(self.n) == 1:
-            return int(self.ell)
-        return int(np.floor(self.m0 * n + 0.5))
+        """Initial particle count at size ``n``: ``ell`` when given, else m0*n
+        rounded.  The one start-count rule of every scenario."""
+        return int(np.floor(self.m0 * n + 0.5)) if self.ell is None else self.ell
 
 
 # model parameters, nested under "params" in the JSON schema
@@ -144,16 +168,14 @@ def config_from_json(path) -> dict:
     """Flatten the on-disk schema {scenario, params{...}, grid, ...} to kwargs."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    params = raw.pop("params", {})
-    kwargs = {key: params[key] for key in _PARAM_KEYS if key in params}
+    params = raw.pop("params", {}) if isinstance(raw, dict) else None
+    if not isinstance(params, dict):
+        raise ConfigError('a config file is a JSON object with the model parameters under "params"')
     top_keys = {f.name for f in fields(ExperimentConfig)} - set(_PARAM_KEYS)
-    kwargs.update((key, raw[key]) for key in top_keys if key in raw)
-    unknown = set(raw) - top_keys
+    unknown = set(raw) - top_keys | set(params) - set(_PARAM_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if isinstance(kwargs.get("n"), (int, float)):
-        kwargs["n"] = (int(kwargs["n"]),)
-    return kwargs
+    return {**params, **raw}
 
 
 @dataclass(frozen=True)
@@ -200,11 +222,6 @@ def write_results(records, outdir) -> Path:
 def write_manifest(cfg: ExperimentConfig, outdir, records, extra=None) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        from importlib.metadata import version
-        ver = version("noisyvoter")
-    except Exception:
-        ver = "unknown"
     theory_check = []
     for r in records:
         if r.theory is not None and r.theory != 0:
@@ -215,7 +232,7 @@ def write_manifest(cfg: ExperimentConfig, outdir, records, extra=None) -> Path:
             })
     payload = {
         "config": asdict(cfg),
-        "artifact_version": ver,
+        "artifact_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "theory_check": theory_check,
     }
@@ -257,6 +274,32 @@ def _w1_to_reference(law: Pmf, ref) -> float:
     return transport.w1_discrete_vs_wf(law, ref)
 
 
+def _exact_laws(cfg: ExperimentConfig, n: int):
+    """Exact density laws at the times n*t, t in ``cfg.grid``, from the start
+    count ``cfg.particle_count(n)``: each count law is stepped from the last
+    by ``model.transient_law`` and yielded scaled by 1/n."""
+    params = model.ModelParams(n, cfg.a, cfg.b)
+    law, t_prev = cfg.particle_count(n), 0.0
+    for t in cfg.grid:
+        law = model.transient_law(params, law, n * (t - t_prev), cfg.tol, cap=cfg.dense_cap)
+        t_prev = t
+        yield law.scaled(1.0 / n)
+
+
+def _sampled_laws(cfg: ExperimentConfig, n: int, stat_scaled: Pmf, refs):
+    """Monte Carlo counterpart of ``_exact_laws`` from ``cfg.samples`` count
+    chains, with batch error bars on the distances to ``stat_scaled`` and ``refs``."""
+    params = model.ModelParams(n, cfg.a, cfg.b)
+    rng = replica_stream(cfg.seed, "profile-mc", n)
+    counts, t_prev = np.full(cfg.samples, cfg.particle_count(n), dtype=np.int64), 0.0
+    for t, ref in zip(cfg.grid, refs):
+        counts = model.simulate_count_batch(params, counts, np.array([n * (t - t_prev)]), rng)[0]
+        t_prev, dens = t, counts / n
+        yield (empirical_pmf(dens),
+               _batched_w1_stderr(lambda p: transport.w1_discrete(stat_scaled, p), dens),
+               _batched_w1_stderr(lambda p: _w1_to_reference(p, ref), dens))
+
+
 def _reference_info(ref) -> dict:
     """Manifest entry for a ``_wf_reference``: exact, so no time step and no
     sampling noise, only the series length and its rounding bound."""
@@ -287,29 +330,13 @@ def run_profile(cfg: ExperimentConfig):
               if isinstance(ref, Pmf) else ref.stationary_distance() for ref in refs]
     records = []
     for n in cfg.n:
-        params = model.ModelParams(n, cfg.a, cfg.b)
-        k0 = int(np.floor(cfg.m0 * n + 0.5))
-        m0e = k0 / n
-        stat_scaled = model.stationary_pmf(params).scaled(1.0 / n)
-        exact = n <= cfg.dense_cap
-        law = None
-        mc_rng = None if exact else replica_stream(cfg.seed, "profile-mc", n)
-        counts = None if exact else np.full(cfg.samples, k0, dtype=np.int64)
-        t_prev = 0.0
-        for t, ref, limit in zip(cfg.grid, refs, limits):
-            if exact:
-                law = model.transient_law(params, k0 if law is None else law,
-                                          n * (t - t_prev), cfg.tol, cap=cfg.dense_cap)
-                law_scaled = law.scaled(1.0 / n)
-                stat_err = wf_err = 0.0
-            else:
-                counts = model.simulate_count_batch(params, counts,
-                                                    np.array([n * (t - t_prev)]), mc_rng)[0]
-                law_scaled = empirical_pmf(counts / n)
-                stat_err = _batched_w1_stderr(
-                    lambda pmf: transport.w1_discrete(stat_scaled, pmf), counts / n)
-                wf_err = _batched_w1_stderr(lambda pmf: _w1_to_reference(pmf, ref), counts / n)
-            t_prev = t
+        m0e = cfg.particle_count(n) / n
+        stat_scaled = model.stationary_pmf(model.ModelParams(n, cfg.a, cfg.b)).scaled(1.0 / n)
+        if n <= cfg.dense_cap:
+            laws = ((law, 0.0, 0.0) for law in _exact_laws(cfg, n))
+        else:
+            laws = _sampled_laws(cfg, n, stat_scaled, refs)
+        for t, ref, limit, (law_scaled, stat_err, wf_err) in zip(cfg.grid, refs, limits, laws):
             d_wf = _w1_to_reference(law_scaled, ref)
             d_stat = transport.w1_discrete(law_scaled, stat_scaled)
             records.append(ResultRecord("profile:wf", n, cfg.a, cfg.b, m0e, t,
@@ -329,7 +356,7 @@ def run_qclt_rate(cfg: ExperimentConfig):
     """Log-log rate of the density-vs-Wright-Fisher distance over a dyadic
     n-sweep at a fixed observation time.
 
-    Both laws are exact: the count law from ``model.transient_law`` and the
+    Both laws are exact: the count law from ``_exact_laws`` and the
     diffusion marginal from ``diffusion.wf_marginal`` (the point mass at m0
     at t = 0), so the distances carry no Monte Carlo or time-step error and
     their stderr is 0.  ``halving_gap`` and ``reference_noise_floor`` stay in
@@ -339,10 +366,8 @@ def run_qclt_rate(cfg: ExperimentConfig):
     ref = _wf_reference(diffusion.WFParams(cfg.a, cfg.b), cfg.m0, t, cfg.tol)
     dists = []
     for n in cfg.n:
-        params = model.ModelParams(n, cfg.a, cfg.b)
-        k0 = int(np.floor(cfg.m0 * n + 0.5))
-        law = model.transient_law(params, k0, n * t, cfg.tol, cap=cfg.dense_cap)
-        dists.append(_w1_to_reference(law.scaled(1.0 / n), ref))
+        (law,) = _exact_laws(cfg, n)
+        dists.append(_w1_to_reference(law, ref))
     zero = [n for n, d in zip(cfg.n, dists) if d == 0]
     if zero:
         raise DiagnosticError(f"qclt-rate distance is 0 at n = {', '.join(map(str, zero))} "
@@ -458,18 +483,8 @@ def run_mixing_curve(cfg: ExperimentConfig):
     eps_grid = tuple(sorted(cfg.eps))
 
     def curve(n):
-        params = model.ModelParams(n, cfg.a, cfg.b)
-        k0 = int(np.floor(cfg.m0 * n + 0.5))
-        stat_scaled = model.stationary_pmf(params).scaled(1.0 / n)
-        law = None
-        t_prev = 0.0
-        ds = []
-        for t in cfg.grid:
-            law = model.transient_law(params, k0 if law is None else law,
-                                      n * (t - t_prev), cfg.tol, cap=cfg.dense_cap)
-            t_prev = t
-            ds.append(transport.w1_discrete(law.scaled(1.0 / n), stat_scaled))
-        ds = np.asarray(ds)
+        stat_scaled = model.stationary_pmf(model.ModelParams(n, cfg.a, cfg.b)).scaled(1.0 / n)
+        ds = np.asarray([transport.w1_discrete(law, stat_scaled) for law in _exact_laws(cfg, n)])
         peak = int(np.argmax(ds))
         if np.any(np.diff(ds[peak:]) > 5e-9):
             raise DiagnosticError(f"distance curve non-monotone beyond noise at n={n}")
@@ -480,17 +495,15 @@ def run_mixing_curve(cfg: ExperimentConfig):
             for n, ds in zip(cfg.n, curves)}
     records = []
     for n in cfg.n:
+        if not all(v1 > v2 for v1, v2 in zip(tmix[n], tmix[n][1:])):
+            raise DiagnosticError("mixing times must decrease strictly in eps")
         for e, tm in zip(eps_grid, tmix[n]):
             records.append(ResultRecord("mixing-curve", n, cfg.a, cfg.b, cfg.m0,
                                         float(e), tm, 0.0, None, None, cfg.seed))
-    for n in cfg.n:
-        vals = tmix[n]
-        if not all(v1 > v2 for v1, v2 in zip(vals, vals[1:])):
-            raise DiagnosticError("mixing times must decrease strictly in eps")
     n_prev, n_last = cfg.n[-2], cfg.n[-1]
-    drift_abs = float(np.max(np.abs(np.asarray(tmix[n_last]) - np.asarray(tmix[n_prev]))))
-    drift_rel = float(np.max(np.abs(np.asarray(tmix[n_last]) - np.asarray(tmix[n_prev]))
-                             / np.asarray(tmix[n_last])))
+    gap = np.abs(np.asarray(tmix[n_last]) - np.asarray(tmix[n_prev]))
+    drift_abs = float(np.max(gap))
+    drift_rel = float(np.max(gap / np.asarray(tmix[n_last])))
     spread = float(tmix[n_last][0] - tmix[n_last][-1])
     records.append(ResultRecord("mixing-curve:drift", n_last, cfg.a, cfg.b, cfg.m0,
                                 0.0, drift_abs, 0.0, None, None, cfg.seed))
@@ -548,9 +561,8 @@ class CheckResult:
 def _check_rates(cfg, _rng):
     worst = 0.0
     for n in (7, 100, 1024):
-        params = model.ModelParams(n, cfg.a, cfg.b)
-        ups, downs = zip(*(model.count_rates(params, k) for k in range(n + 1)))
-        worst = max(worst, -min(ups), -min(downs), abs(ups[-1]), abs(downs[0]))
+        ups, downs = model.count_rates(model.ModelParams(n, cfg.a, cfg.b), np.arange(n + 1))
+        worst = max(worst, -ups.min(), -downs.min(), abs(ups[-1]), abs(downs[0]))
     return CheckResult("rates-boundary", worst <= 0.0, worst, 0.0,
                        "nonnegative rates, absorbing ends closed")
 
@@ -753,7 +765,7 @@ def _check_density_apriori(cfg, _rng):
     worst = -np.inf
     for n in (100, 1000):
         params = model.ModelParams(n, cfg.a, cfg.b)
-        m0 = np.floor(cfg.m0 * n + 0.5) / n
+        m0 = cfg.particle_count(n) / n
         gsup = float(np.max(diffusion.density_noise(params, np.linspace(0, 1, 201))))
         for t in (1.0, 10.0, float(n) / 10.0, float(n)):
             msd = diffusion.density_variance(params, m0, t)

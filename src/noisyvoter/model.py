@@ -27,7 +27,6 @@ from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln, gammaln
 from scipy.stats import poisson
 
 from .errors import CapacityError
@@ -91,11 +90,12 @@ class BlockPartition:
         return (self.n0 / n, self.n1 / n)
 
 
-def _check_count(params: ModelParams, k: int) -> int:
-    k = int(k)
-    if not 0 <= k <= params.n:
-        raise ValueError(f"count {k} outside [0, {params.n}]")
-    return k
+def _check_count(params: ModelParams, k):
+    """A count, or an array of counts, checked to be integers in [0, n]."""
+    ks = np.asarray(k)
+    if not (np.all(ks == np.round(ks)) and np.all((ks >= 0) & (ks <= params.n))):
+        raise ValueError(f"counts must be integers in [0, {params.n}], got {k!r}")
+    return int(ks) if ks.ndim == 0 else ks.astype(np.int64)
 
 
 def _check_block_counts(params: ModelParams, part: BlockPartition, x) -> tuple[int, int]:
@@ -107,8 +107,9 @@ def _check_block_counts(params: ModelParams, part: BlockPartition, x) -> tuple[i
     return x0, x1
 
 
-def count_rates(params: ModelParams, k: int) -> tuple[float, float]:
-    """Birth and death rates of the lumped particle-count chain at count k.
+def count_rates(params: ModelParams, k):
+    """Birth and death rates of the lumped particle-count chain at count k,
+    or elementwise at an integer array of counts.
 
     rate_up = (n-k)(a+k)/n, rate_down = k(b+n-k)/n.
     """
@@ -214,13 +215,6 @@ def simulate_blocks_batch(
     return _lockstep(params, (part.n0, part.n1), x0, horizons, rng)
 
 
-def _rate_arrays(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """``count_rates`` at every count k = 0..n, as two arrays."""
-    n = params.n
-    ks = np.arange(n + 1, dtype=float)
-    return (n - ks) * (params.a + ks) / n, ks * (params.b + n - ks) / n
-
-
 @lru_cache(maxsize=1)
 def _spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of the count generator symmetrized by sqrt(pi).
@@ -232,7 +226,7 @@ def _spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     -j(j-1+a+b)/n, j = 0..n.  Only the latest (n, a, b) is kept, so the cache
     holds at most one (n+1)^2 matrix of doubles (128 MB at n = 4096).
     """
-    up, down = _rate_arrays(params)
+    up, down = count_rates(params, np.arange(params.n + 1))
     lam, vecs = eigh_tridiagonal(-(up + down), np.sqrt(up[:-1] * down[1:]))
     # The stationary eigenvalue is exactly 0; left at its rounded value
     # (about 1e-14) the mass would drift like exp(lam t) over long times.
@@ -282,7 +276,7 @@ def _uniformized_law(params: ModelParams, p0: np.ndarray, t: float, tol: float) 
     jump rate; the Poisson series is truncated once its tail is below
     ``tol/4`` and renormalized.
     """
-    up, down = _rate_arrays(params)
+    up, down = count_rates(params, np.arange(params.n + 1))
     lam = 1.05 * float((up + down).max())
     mu = lam * t
     nsteps = int(poisson.isf(tol / 4, mu)) + 2
@@ -329,6 +323,8 @@ def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9,
         if start.support.size != n + 1 or not np.allclose(start.support, ks):
             raise ValueError("start pmf must live on the full count grid {0,...,n}")
         p0 = start.probs
+    elif np.ndim(start):
+        raise ValueError("start must be one count or a Pmf")
     else:
         p0 = np.zeros(n + 1)
         p0[_check_count(params, start)] = 1.0
@@ -346,9 +342,9 @@ def stationary_log_pmf(params: ModelParams) -> np.ndarray:
     Computed in log space from the cumulative consecutive-odds
     log[(n-k)(a+k)] - log[(k+1)(b+n-k-1)] and normalized by log-sum-exp.
     This is the same Beta function algebra as the direct log-Gamma formula
-    (``stationary_log_pmf_betaln``) but keeps the consecutive ratios accurate
-    to a few ulps, which the reversibility identity needs; it stays finite
-    for n up to 1e6.
+    (the test suite's cross-check oracle) but keeps the consecutive ratios
+    accurate to a few ulps, which the reversibility identity needs; it stays
+    finite for n up to 1e6.
     """
     n, a, b = params.n, params.a, params.b
     ks = np.arange(n, dtype=float)
@@ -356,16 +352,6 @@ def stationary_log_pmf(params: ModelParams) -> np.ndarray:
     logp = np.concatenate([[0.0], np.cumsum(steps)])
     peak = logp.max()
     return logp - (peak + np.log(np.exp(logp - peak).sum()))
-
-
-def stationary_log_pmf_betaln(params: ModelParams) -> np.ndarray:
-    """Direct log-Gamma evaluation of the same pmf (cross-check oracle)."""
-    n, a, b = params.n, params.a, params.b
-    ks = np.arange(n + 1, dtype=float)
-    return (
-        gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-        + betaln(a + ks, b + n - ks) - betaln(a, b)
-    )
 
 
 def stationary_pmf(params: ModelParams) -> Pmf:
@@ -378,7 +364,7 @@ def stationary_pmf(params: ModelParams) -> Pmf:
 def detailed_balance_gap(params: ModelParams) -> float:
     """Max log-scale violation of rate_up(k) pi(k) = rate_down(k+1) pi(k+1)."""
     logp = stationary_log_pmf(params)
-    up, down = _rate_arrays(params)
+    up, down = count_rates(params, np.arange(params.n + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.abs(np.log(up[:-1]) + logp[:-1] - np.log(down[1:]) - logp[1:])
     return float(np.max(gap)) if np.all(np.isfinite(gap)) else np.inf

@@ -72,13 +72,12 @@ def _gauss_partial_moment(x, mean, sd):
     return (x - mean) * ndtr(z) + sd * pdf
 
 
-def w1_discrete_vs_gaussian(p: Pmf, mean: float, sd: float, tail_tol: float = 1e-10) -> float:
+def w1_discrete_vs_gaussian(p: Pmf, mean: float, sd: float) -> float:
     """Exact W1 between a finite pmf and a Gaussian.
 
     The CDF gap is integrated analytically on each support interval (the pmf
     CDF is constant there, and the crossing point with the Gaussian CDF is
-    known in closed form) plus the two Gaussian tails, so the absolute error
-    is far below ``tail_tol``.
+    known in closed form) plus the two Gaussian tails; no series is truncated.
     """
     if not sd > 0:
         raise ValueError("sd must be positive")

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import json
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.linalg import expm
 from scipy.optimize import linprog
 from scipy.stats import hypergeom
 
+import noisyvoter
 from noisyvoter import cli, experiments, model
 from noisyvoter.errors import ConfigError
 from noisyvoter.diffusion import WFParams, wf_marginal
@@ -105,6 +107,14 @@ class TestConfig:
         p.write_text(json.dumps({"scenario": "profile", "bogus": 1}))
         with pytest.raises(ConfigError):
             config_from_json(p)
+        # a misspelt model parameter is not silently left at its default
+        p.write_text(json.dumps({"scenario": "profile", "params": {"n": 48, "m_0": 0.2}}))
+        with pytest.raises(ConfigError, match="m_0"):
+            config_from_json(p)
+        for bad in ([1, 2], {"scenario": "profile", "params": 5}):
+            p.write_text(json.dumps(bad))
+            with pytest.raises(ConfigError, match="JSON object"):
+                config_from_json(p)
 
     @pytest.mark.parametrize("kwargs", [
         dict(scenario="nope"),
@@ -130,11 +140,49 @@ class TestConfig:
         dict(scenario="profile", n=(48,), grid=(0.2, float("nan"))),
         dict(scenario="thermalize", n=(400,), grid=(float("nan"),)),
         dict(scenario="thermalize", n=(400,), grid=(0.0, float("inf"))),
+        # whole-number fields reject fractions instead of truncating them
+        dict(scenario="thermalize", n=(400,), samples=150.5),
+        dict(scenario="thermalize", n=(400,), repetitions=2.5),
+        dict(scenario="profile", n=100.7),
+        dict(scenario="stein-rate", n=(64,), ell=10.6),
+        dict(scenario="profile", seed=1.5),
+        dict(scenario="profile", dense_cap=10.5),
+        # numbers must be numbers, and list fields lists
+        dict(scenario="profile", a="1"),
+        dict(scenario="profile", m0=True),
+        dict(scenario="profile", grid=0.1),
+        dict(scenario="profile", grid=("0.1",)),
+        dict(scenario="profile", samples=None),
+        dict(scenario="profile", out=5),
+        # ell only where it sets the start: thermalize and single-size stein-rate
+        dict(scenario="profile", n=(100,), ell=10),
+        dict(scenario="mixing-curve", n=(32, 64), ell=3),
+        dict(scenario="qclt-rate", n=(32, 64, 128), ell=3),
+        dict(scenario="stein-rate", n=(64, 128), ell=3),
+        dict(scenario="validate", ell=3),
     ])
     def test_invalid_configs(self, kwargs):
         kwargs.setdefault("samples", 200)
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    def test_whole_numbers_and_ell(self):
+        cfg = ExperimentConfig(scenario="thermalize", n=400.0, ell=100, samples=150.0,
+                               repetitions=2, seed=np.int64(3))
+        assert cfg.n == (400,) and cfg.samples == 150 and isinstance(cfg.samples, int)
+        assert cfg.particle_count(400) == 100
+        cfg = ExperimentConfig(scenario="stein-rate", n=(64,), ell=10)
+        assert cfg.particle_count(64) == 10
+        cfg = ExperimentConfig(scenario="stein-rate", n=(64, 128), m0=0.3)
+        assert [cfg.particle_count(n) for n in cfg.n] == [19, 38]
+
+    def test_version_matches_pyproject(self, tmp_path):
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            assert noisyvoter.__version__ == tomllib.load(fh)["project"]["version"]
+        cfg = ExperimentConfig(scenario="stein-rate", n=(16,), out=str(tmp_path))
+        assert run(cfg) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["artifact_version"] == noisyvoter.__version__
 
     def test_thermalize_density_floor(self):
         # m0(1-m0) >= n^(-1/3) must hold for the thermalization scenario
@@ -162,11 +210,32 @@ class TestExitCodes:
         ["thermalize", "--n", "400", "--tau", "nan"],
         ["thermalize", "--n", "400", "--tau", "inf"],
         ["profile", "--n", "48", "--grid", "0.2,nan"],
+        # ell where no start count would read it
+        ["profile", "--n", "100", "--ell", "10"],
+        ["mixing-curve", "--n", "32,64", "--ell", "3"],
+        ["qclt-rate", "--n", "32,64,128", "--ell", "3"],
+        ["stein-rate", "--n", "64,128,256", "--ell", "3"],
+        ["validate", "--ell", "3"],
     ])
     def test_bad_field_values_exit_2(self, args, tmp_path, capsys):
         # rejected by the config, not by a traceback from the run
         assert cli.main(args + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario,params,top", [
+        ("thermalize", {"n": 400}, {"samples": 150.5}),
+        ("thermalize", {"n": 400}, {"repetitions": 2.5}),
+        ("profile", {"n": 48, "a": "1"}, {}),
+        ("profile", {"n": 48}, {"grid": 0.1}),
+        ("profile", {"n": 100.7}, {}),
+        ("stein-rate", {"n": 64, "ell": 10.6}, {}),
+        ("profile", {"n": 48}, {"seed": 1.5}),
+    ])
+    def test_bad_json_values_exit_2(self, scenario, params, top, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": scenario, "params": params, **top}))
+        assert cli.main([scenario, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_retired_wf_dt_key_exits_2(self, tmp_path, capsys):
         # the Euler step of the old diffusion reference is no longer a config key
@@ -220,8 +289,6 @@ class TestExitCodes:
                     k * (params.b + params.n - k) / params.n)
 
         monkeypatch.setattr(model, "count_rates", corrupted)
-        monkeypatch.setattr(model, "_rate_arrays",
-                            lambda params: corrupted(params, np.arange(params.n + 1.0)))
         cfg = ExperimentConfig(scenario="validate", samples=100, out=str(tmp_path))
         code = run(cfg)
         assert code == 4

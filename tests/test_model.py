@@ -6,6 +6,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import betaln, gammaln
 from scipy.stats import binom
 
 from noisyvoter import model
@@ -23,16 +24,28 @@ from noisyvoter.model import (
     simulate_blocks_batch,
     simulate_count_batch,
     stationary_log_pmf,
-    stationary_log_pmf_betaln,
     stationary_pmf,
     transient_law,
-    _rate_arrays,
     _spectrum,
     _uniformized_law,
 )
 from noisyvoter.diffusion import density_noise, mean_ode
 from noisyvoter.pmf import Pmf, empirical_pmf
 from noisyvoter.transport import w1_discrete
+
+
+# a and b log-uniform on [1e-3, 1e3]
+_LOG_AB = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+def stationary_log_pmf_betaln(params: ModelParams) -> np.ndarray:
+    """Direct log-Gamma evaluation of the stationary log pmf (cross-check oracle)."""
+    n, a, b = params.n, params.a, params.b
+    ks = np.arange(n + 1, dtype=float)
+    return (
+        gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+        + betaln(a + ks, b + n - ks) - betaln(a, b)
+    )
 
 
 def empirical_w1_floor(pmf: Pmf, n_samples: int) -> float:
@@ -58,19 +71,24 @@ class TestRates:
             up, down = count_rates(params, k)
             assert up >= 0 and down >= 0
 
-    @pytest.mark.parametrize("n,a,b", [(1, 2.0, 3.0), (31, 0.7, 1.9), (3000, 1e-3, 1e3)])
+    @given(st.integers(1, 3000), _LOG_AB, _LOG_AB)
+    @example(1, 2.0, 3.0)
+    @example(31, 0.7, 1.9)
+    @example(3000, 1e-3, 1e3)
+    @settings(max_examples=60, deadline=None)
     def test_rate_arrays_match_count_rates(self, n, a, b):
-        # the spectral engine and detailed_balance_gap read the vectorized
-        # rates; they must be the scalar rates bit for bit
+        # the spectral engine, uniformization and detailed_balance_gap call
+        # count_rates on the whole count grid; the array call must give the
+        # scalar rates bit for bit
         params = ModelParams(n, a, b)
-        up, down = _rate_arrays(params)
+        up, down = count_rates(params, np.arange(n + 1))
         assert list(zip(up, down)) == [count_rates(params, k) for k in range(n + 1)]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            count_rates(ModelParams(5, 1, 1), 6)
-        with pytest.raises(ValueError):
-            count_rates(ModelParams(5, 1, 1), -1)
+        params = ModelParams(5, 1, 1)
+        for bad in (6, -1, 2.5, [0, 3, 6], np.array([1.0, 2.5])):
+            with pytest.raises(ValueError):
+                count_rates(params, bad)
 
     def test_block_example(self):
         params = ModelParams(2, 1, 1)
@@ -192,6 +210,10 @@ class TestTransientLaw:
                 transient_law(params, 2, t)
         with pytest.raises(ValueError):
             transient_law(params, 2, 1.0, tol=1e-3)
+        # count_rates takes count arrays; a start is one count or a Pmf
+        for start in ([1, 2], 2.5, 7):
+            with pytest.raises(ValueError):
+                transient_law(params, start, 1.0)
         with pytest.raises(CapacityError):
             transient_law(ModelParams(5000, 1, 1), 2, 1.0)
 
