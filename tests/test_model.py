@@ -71,18 +71,23 @@ class TestRates:
             up, down = count_rates(params, k)
             assert up >= 0 and down >= 0
 
-    @given(st.integers(1, 3000), _LOG_AB, _LOG_AB)
-    @example(1, 2.0, 3.0)
-    @example(31, 0.7, 1.9)
-    @example(3000, 1e-3, 1e3)
-    @settings(max_examples=60, deadline=None)
-    def test_rate_arrays_match_count_rates(self, n, a, b):
+    @staticmethod
+    def _check_array_rates(n, a, b):
         # the spectral engine, uniformization and detailed_balance_gap call
         # count_rates on the whole count grid; the array call must give the
         # scalar rates bit for bit
         params = ModelParams(n, a, b)
         up, down = count_rates(params, np.arange(n + 1))
         assert list(zip(up, down)) == [count_rates(params, k) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("n,a,b", [(1, 2.0, 3.0), (31, 0.7, 1.9), (3000, 1e-3, 1e3)])
+    def test_rate_arrays_match_count_rates(self, n, a, b):
+        self._check_array_rates(n, a, b)
+
+    @given(st.integers(1, 3000), _LOG_AB, _LOG_AB)
+    @settings(max_examples=60, deadline=None)
+    def test_rate_arrays_match_count_rates_property(self, n, a, b):
+        self._check_array_rates(n, a, b)
 
     def test_out_of_range(self):
         params = ModelParams(5, 1, 1)
