@@ -10,11 +10,9 @@ from .model import (
     DENSE_LAW_CAP,
     BlockPartition,
     ModelParams,
-    block_rates,
     count_rates,
     couple_by_block_counts,
     detailed_balance_gap,
-    generator_residual,
     sample_stationary,
     sample_uniform_given_count,
     simulate_blocks_batch,

@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tau", type=_float_list, dest="grid", help="alias for --grid")
     parser.add_argument("--samples", type=int, help="Monte Carlo replicas / matched pairs")
     parser.add_argument("--repetitions", type=int, help="independent repetitions to average")
-    parser.add_argument("--seed", type=int, help="master seed (64-bit)")
+    parser.add_argument("--seed", type=int, help="master seed, any nonnegative integer")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--eps", type=_float_list, help="mixing thresholds, comma separated")
     parser.add_argument("--dense-cap", type=int, dest="dense_cap",

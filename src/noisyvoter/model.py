@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import CapacityError
 from .pmf import Pmf
@@ -98,15 +98,6 @@ def _check_count(params: ModelParams, k):
     return int(ks) if ks.ndim == 0 else ks.astype(np.int64)
 
 
-def _check_block_counts(params: ModelParams, part: BlockPartition, x) -> tuple[int, int]:
-    if part.n != params.n:
-        raise ValueError(f"partition covers {part.n} sites, params have n={params.n}")
-    x0, x1 = int(x[0]), int(x[1])
-    if not (0 <= x0 <= part.n0 and 0 <= x1 <= part.n1):
-        raise ValueError(f"block counts {(x0, x1)} outside [0,{part.n0}]x[0,{part.n1}]")
-    return x0, x1
-
-
 def count_rates(params: ModelParams, k):
     """Birth and death rates of the lumped particle-count chain at count k,
     or elementwise at an integer array of counts.
@@ -118,22 +109,6 @@ def count_rates(params: ModelParams, k):
     up = (n - k) * (a + k) / n
     down = k * (b + n - k) / n
     return up, down
-
-
-def block_rates(params: ModelParams, part: BlockPartition, x) -> tuple[float, float, float, float]:
-    """Per-block birth/death rates (up0, up1, down0, down1) at counts x=(x0,x1).
-
-    The total count X = x0+x1 enters every rate; the per-block rates sum to
-    the lumped ``count_rates``.
-    """
-    x0, x1 = _check_block_counts(params, part, x)
-    n, a, b = params.n, params.a, params.b
-    X = x0 + x1
-    up0 = (part.n0 - x0) * (a + X) / n
-    up1 = (part.n1 - x1) * (a + X) / n
-    down0 = x0 * (b + n - X) / n
-    down1 = x1 * (b + n - X) / n
-    return up0, up1, down0, down1
 
 
 def _lockstep(params: ModelParams, sizes: tuple[int, ...], x0, horizons,
@@ -269,6 +244,22 @@ def _spectral_law(params: ModelParams, p0: np.ndarray, t: float, tol: float):
     return None
 
 
+def _poisson_isf(q: float, mu: float) -> int:
+    """Smallest k with P(Poisson(mu) > k) <= q, for 0 < q < 1 and mu > 0:
+    the formula of ``scipy.stats.poisson.isf`` (``ceil(pdtrik(1 - q, mu))``,
+    stepped down by one where ``pdtr`` allows), so it agrees bit for bit."""
+    p = 1.0 - q
+    k = np.ceil(pdtrik(p, mu))
+    below = max(k - 1.0, 0.0)
+    return int(below if pdtr(below, mu) >= p else k)
+
+
+def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
+    """Poisson(mu) pmf at the counts ``k``, by the formula of
+    ``scipy.stats.poisson.pmf``, so it agrees bit for bit."""
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+
 def _uniformized_law(params: ModelParams, p0: np.ndarray, t: float, tol: float) -> np.ndarray:
     """Law at time ``t > 0`` by uniformization, total-variation accurate to ``tol``.
 
@@ -279,8 +270,8 @@ def _uniformized_law(params: ModelParams, p0: np.ndarray, t: float, tol: float) 
     up, down = count_rates(params, np.arange(params.n + 1))
     lam = 1.05 * float((up + down).max())
     mu = lam * t
-    nsteps = int(poisson.isf(tol / 4, mu)) + 2
-    weights = poisson.pmf(np.arange(nsteps + 1), mu)
+    nsteps = _poisson_isf(tol / 4, mu) + 2
+    weights = _poisson_pmf(np.arange(nsteps + 1), mu)
     pu = up / lam
     pd = down / lam
     stay = 1.0 - pu - pd
@@ -415,21 +406,3 @@ def couple_by_block_counts(part: BlockPartition, x, y, rng: np.random.Generator,
     eta = (ranks < np.repeat((x0, x1), sizes)).astype(np.int8)
     etap = (ranks < np.repeat((y0, y1), sizes)).astype(np.int8)
     return (eta[0], etap[0]) if size is None else (eta, etap)
-
-
-def generator_residual(params: ModelParams, k: int, f, df, d2f) -> float:
-    """Gap between the rescaled discrete generator and its diffusion limit.
-
-    Applies the count generator (sped up by n) to f as a function of the
-    density M = k/n, exactly via the jump rates, and subtracts the
-    Wright-Fisher generator (a(1-x) - b x) f'(x) + x(1-x) f''(x).  The gap is
-    O(||f''||/n + ||f'''||/n^2 + ||f''''||/n^2) and vanishes identically for
-    linear f.
-    """
-    k = _check_count(params, k)
-    n, a, b = params.n, params.a, params.b
-    up, down = count_rates(params, k)
-    m = k / n
-    discrete = n * (up * (f(m + 1.0 / n) - f(m)) + down * (f(m - 1.0 / n) - f(m)))
-    limit = (a * (1 - m) - b * m) * df(m) + m * (1 - m) * d2f(m)
-    return float(discrete - limit)

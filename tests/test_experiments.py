@@ -1,8 +1,11 @@
 """Runner tests: config handling, determinism, exit codes, mutation."""
 
 import ast
+import csv
 import importlib.util
 import json
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from noisyvoter.experiments import (
 )
 from noisyvoter.pmf import point_mass
 from noisyvoter.transport import w1_discrete, w1_discrete_vs_wf, w1_matching
+from oracles import block_rates
 
 
 # a and b log-uniform on [1e-3, 1e3]
@@ -49,7 +53,7 @@ def _thermalize_lp_distances(n, ell, a, b, times):
     gen = np.zeros((len(states), len(states)))
     moves = ((1, 0), (0, 1), (-1, 0), (0, -1))  # the order of block_rates
     for i, x in enumerate(states):
-        for rate, (d0, d1) in zip(model.block_rates(params, part, x), moves):
+        for rate, (d0, d1) in zip(block_rates(params, part, x), moves):
             if rate > 0:
                 gen[i, np.ravel_multi_index((x[0] + d0, x[1] + d1), shape)] = rate
     gen -= np.diag(gen.sum(axis=1))
@@ -468,6 +472,21 @@ class TestScenarioOutputs:
             2 * np.sqrt(400) * 0.25 * np.exp(-(1 + 2 / 400) * est[0].t_or_tau
                                              - (1 + 2 / 400) * (0.5 * np.log(400) + np.log(0.25))))
 
+    def test_thermalize_manifest_block(self, tmp_path):
+        cfg = ExperimentConfig(scenario="thermalize", n=(400,), grid=(-1.0, 0.0, 1.0),
+                               samples=120, repetitions=3, seed=4, out=str(tmp_path))
+        assert run(cfg) == 0
+        block = json.loads((tmp_path / "manifest.json").read_text())["thermalize"]
+        with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+            rows = {(r["scenario"], float(r["t_or_tau"])): (float(r["estimate"]), float(r["stderr"]))
+                    for r in csv.DictReader(fh)}
+        assert [entry["tau"] for entry in block] == [-1.0, 0.0, 1.0]
+        for entry in block:
+            est, err = rows["thermalize", entry["tau"]]
+            assert entry["exact"] == rows["thermalize:surrogate", entry["tau"]][0]
+            assert entry["mc_bias"] == est - entry["exact"]
+            assert entry["mc_stderr"] == err > 0
+
     @pytest.mark.parametrize("n,ell,a,b", [(20, 8, 1.0, 1.0), (24, 12, 0.3, 4.0),
                                            (30, 10, 20.0, 20.0)])
     def test_thermalize_distance_is_exact(self, n, ell, a, b):
@@ -567,3 +586,13 @@ def test_demo_imports_resolve():
                     if not hasattr(module, alias.name):
                         unresolved.append(f"{path.name}: {node.module}.{alias.name}")
     assert imported and unresolved == []
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 0.7 s to import and serves only as a test oracle
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import noisyvoter, noisyvoter.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"

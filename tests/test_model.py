@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import betaln, gammaln
-from scipy.stats import binom
+from scipy.stats import binom, poisson
 
 from noisyvoter import model
 from noisyvoter.errors import CapacityError
 from noisyvoter.model import (
     BlockPartition,
     ModelParams,
-    block_rates,
     count_rates,
     couple_by_block_counts,
     detailed_balance_gap,
-    generator_residual,
     sample_stationary,
     sample_uniform_given_count,
     simulate_blocks_batch,
@@ -26,12 +24,15 @@ from noisyvoter.model import (
     stationary_log_pmf,
     stationary_pmf,
     transient_law,
+    _poisson_isf,
+    _poisson_pmf,
     _spectrum,
     _uniformized_law,
 )
 from noisyvoter.diffusion import density_noise, mean_ode
 from noisyvoter.pmf import Pmf, empirical_pmf
 from noisyvoter.transport import w1_discrete
+from oracles import block_rates, generator_residual
 
 
 # a and b log-uniform on [1e-3, 1e3]
@@ -294,6 +295,22 @@ class TestSpectralLaw:
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
             transient_law(ModelParams(128, 1.0, 1.0), 64, 50.0)
         assert not [r for r in caplog.records if r.name == "noisyvoter.model"]
+
+
+class TestPoissonTruncation:
+    @given(st.floats(-3.0, 6.0), st.sampled_from([1e-6, 1e-9, 1e-12]))
+    @example(-3.0, 1e-12)
+    @example(6.0, 1e-6)
+    @example(5.0343, 1e-12)  # pdtr steps the pdtrik estimate down by one
+    @example(4.7455, 1e-12)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scipy_stats(self, e, tol):
+        # uniformization's truncation and weights, mu log-uniform on [1e-3, 1e6]
+        mu = 10.0 ** e
+        nsteps = _poisson_isf(tol / 4, mu)
+        assert nsteps == int(poisson.isf(tol / 4, mu))
+        ks = np.arange(nsteps + 3)
+        assert np.array_equal(_poisson_pmf(ks, mu), poisson.pmf(ks, mu))
 
 
 def scalar_chain(params: ModelParams, sizes, x0, horizons, rng) -> list:

@@ -1,11 +1,18 @@
 """Stein machinery tests: ODE solution bounds, exclusion generator, QCLT."""
 
 import itertools
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import hypergeom
 
+from noisyvoter import stein
 from noisyvoter.stein import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     SteinProblem,
     _refined_edges,
     exclusion_apply,
@@ -35,6 +42,29 @@ def refined_edges_oracle(grid, nu):
         k = max(1, int(np.ceil((right - left) / maxw)))
         pieces.append(np.linspace(left, right, k + 1)[1:])
     return np.concatenate(pieces)
+
+
+def three_pass_stein_cells(prob, edges):
+    """The Stein cell integrals with the node array, the kernel and h rebuilt
+    for each of the three integrals (K, K h, K (h - E h)): the reference for
+    the single-pass ``stein._stein_cells``."""
+    nu = prob.nu
+
+    def cell_integrals(func):
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * np.diff(edges)
+        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+        vals = func(nodes)
+        return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+
+    def kernel(x):
+        return np.exp(-0.5 * (x / nu) ** 2)
+
+    kern_cells = cell_integrals(kernel)
+    h_kern_cells = cell_integrals(lambda x: kernel(x) * np.asarray(prob.h(x), float))
+    e_h = float(h_kern_cells.sum() / kern_cells.sum())
+    cells = cell_integrals(lambda x: kernel(x) * (np.asarray(prob.h(x), float) - e_h))
+    return cells, e_h
 
 
 class TestRefinedEdges:
@@ -113,6 +143,21 @@ class TestSteinSolve:
             val = np.trapezoid((nu ** 2 * sol.df - grid * sol.f) * w, grid)
             assert abs(val) <= 1e-8
 
+    # the grids of validate's stein-bounds and stein-identity checks
+    @pytest.mark.parametrize("nu,half_width,points",
+                             [(0.1, 8, 4001), (0.25, 8, 4001), (1.0, 8, 4001),
+                              (0.25, 9, 3001), (1.0, 9, 3001)])
+    def test_single_pass_matches_three_pass(self, nu, half_width, points, monkeypatch):
+        grid = np.linspace(-half_width * nu, half_width * nu, points)
+        probs = [SteinProblem(h, dh, nu) for h, dh in stein_test_family()]
+        got = [stein_solve(prob, grid) for prob in probs]
+        monkeypatch.setattr(stein, "_stein_cells", three_pass_stein_cells)
+        for prob, sol in zip(probs, got):
+            ref = stein_solve(prob, grid)
+            assert sol.e_h == ref.e_h and sol.h_deriv_sup == ref.h_deriv_sup
+            for field in ("f", "df", "d2f"):
+                assert np.array_equal(getattr(sol, field), getattr(ref, field))
+
     def test_grid_span_validation(self):
         prob = SteinProblem(lambda x: x, lambda x: np.ones_like(x), 1.0)
         with pytest.raises(ValueError):
@@ -169,6 +214,33 @@ class TestZetaPmf:
         pmf = hypergeom_zeta_pmf(n, ell)
         for y, z, p in zip(ys, zs, pmf.probs):
             assert counts.get(int(y), 0) / total == pytest.approx(p, abs=1e-13)
+
+    def test_exact_fractions(self):
+        # every (n, ell) with n <= 60 against C(ell, y) C(n - ell, ell - y) / C(n, ell)
+        worst = 0.0
+        for n in range(2, 61):
+            for ell in range(1, n):
+                ys, _ = zeta_support(n, ell)
+                got = hypergeom_zeta_pmf(n, ell).probs
+                exact = [Fraction(comb(ell, int(y)) * comb(n - ell, ell - int(y)), comb(n, ell))
+                         for y in ys]
+                worst = max(worst, max(abs(Fraction(p) - q) / q for p, q in zip(got, exact)))
+        assert worst <= 1e-14
+
+    @given(st.integers(2, 20000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
+    @example((20000, 10000))  # the widest law
+    @example((3214, 1855))  # subnormal tails: products seeded at 1, not 2^900, lose these zeros
+    @example((6238, 2079))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_scipy_hypergeom(self, n_ell):
+        n, ell = n_ell
+        ys, _ = zeta_support(n, ell)
+        got = hypergeom_zeta_pmf(n, ell).probs
+        ref = hypergeom.pmf(ys, n, ell, ell)
+        above = ref > 1e-200
+        assert np.all(np.abs(got[above] - ref[above]) <= 1e-13 * ref[above])
+        assert np.array_equal(got == 0, ref == 0)
+        assert got.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
