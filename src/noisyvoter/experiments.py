@@ -274,16 +274,30 @@ def _w1_to_reference(law: Pmf, ref) -> float:
     return transport.w1_discrete_vs_wf(law, ref)
 
 
-def _exact_laws(cfg: ExperimentConfig, n: int):
-    """Exact density laws at the times n*t, t in ``cfg.grid``, from the start
-    count ``cfg.particle_count(n)``: each count law is stepped from the last
-    by ``model.transient_law`` and yielded scaled by 1/n."""
+def _exact_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> model.LawGrid:
+    """Exact count laws at the times n*t, t in ``cfg.grid``, all computed
+    from the start count ``cfg.particle_count(n)`` by one
+    ``model.transient_laws`` call: column j is the law at n * cfg.grid[j].
+
+    Records under ``law_info[str(n)]`` the manifest's account of the grid:
+    how many columns are the start law (t = 0), came from the spectral
+    product or were refilled by uniformization, and the eigenmodes used.
+    """
     params = model.ModelParams(n, cfg.a, cfg.b)
-    law, t_prev = cfg.particle_count(n), 0.0
-    for t in cfg.grid:
-        law = model.transient_law(params, law, n * (t - t_prev), cfg.tol, cap=cfg.dense_cap)
-        t_prev = t
-        yield law.scaled(1.0 / n)
+    ts = n * np.asarray(cfg.grid)
+    laws = model.transient_laws(params, cfg.particle_count(n), ts, cfg.tol, cap=cfg.dense_cap)
+    start = int(np.count_nonzero(ts == 0))
+    uniformized = int(laws.refilled.sum())
+    spectral = ts.size - start - uniformized
+    law_info[str(n)] = {"columns": ts.size, "start": start, "spectral": spectral,
+                        "uniformized": uniformized, "modes": n + 1 if spectral else 0}
+    return laws
+
+
+def _density_pmfs(laws: model.LawGrid, n: int):
+    """The columns of an ``_exact_laws`` grid as density pmfs on {0, 1/n, ..., 1}."""
+    support = np.arange(n + 1) * (1.0 / n)
+    return [Pmf(support, col) for col in laws.probs.T]
 
 
 def _sampled_laws(cfg: ExperimentConfig, n: int, stat_scaled: Pmf, refs):
@@ -318,34 +332,47 @@ def run_profile(cfg: ExperimentConfig):
     marginal and (ii) the rescaled stationary law, per grid time.
 
     The diffusion marginal is exact (``diffusion.wf_marginal``, the point mass
-    at m0 at t = 0), built once per grid time for the whole n-sweep.  The
-    density law is exact up to ``dense_cap`` (stderr 0) and sampled beyond
-    it, with error bars from 10 batches of the samples.  The
-    ``profile:stationary`` theory is the paper's limit profile
-    D(t) = W1(Wright-Fisher marginal at t, Beta(a, b)).
+    at the start at t = 0) and starts where the chain does, at
+    ``particle_count(n)/n``; it is built once per grid time and distinct
+    start.  The density law is exact up to ``dense_cap`` (stderr 0), the
+    whole grid from one ``_exact_laws`` call, and sampled beyond it, with
+    error bars from 10 batches of the samples.  The ``profile:stationary``
+    theory is the paper's limit profile D(t) = W1(Wright-Fisher marginal at
+    t, Beta(a, b)) from the same start.
     """
     wf = diffusion.WFParams(cfg.a, cfg.b)
-    refs = [_wf_reference(wf, cfg.m0, t, cfg.tol) for t in cfg.grid]
-    limits = [transport.w1_discrete_vs_wf(ref, diffusion.wf_marginal(wf, cfg.m0, np.inf))
-              if isinstance(ref, Pmf) else ref.stationary_distance() for ref in refs]
-    records = []
-    for n in cfg.n:
-        m0e = cfg.particle_count(n) / n
+    starts = {n: cfg.particle_count(n) / n for n in cfg.n}
+    refs, limits = {}, {}
+    for m0e in dict.fromkeys(starts.values()):
+        refs[m0e] = [_wf_reference(wf, m0e, t, cfg.tol) for t in cfg.grid]
+        beta = diffusion.wf_marginal(wf, m0e, np.inf)
+        limits[m0e] = [transport.w1_discrete_vs_wf(ref, beta) if isinstance(ref, Pmf)
+                       else ref.stationary_distance() for ref in refs[m0e]]
+    records, law_info = [], {}
+    for n, m0e in starts.items():
         stat_scaled = model.stationary_pmf(model.ModelParams(n, cfg.a, cfg.b)).scaled(1.0 / n)
         if n <= cfg.dense_cap:
-            laws = ((law, 0.0, 0.0) for law in _exact_laws(cfg, n))
+            grid = _exact_laws(cfg, n, law_info)
+            d_stats = transport.w1_lattice(grid.probs, stat_scaled)
+            laws = ((law, d, 0.0, 0.0) for law, d in zip(_density_pmfs(grid, n), d_stats))
         else:
-            laws = _sampled_laws(cfg, n, stat_scaled, refs)
-        for t, ref, limit, (law_scaled, stat_err, wf_err) in zip(cfg.grid, refs, limits, laws):
+            laws = ((law, transport.w1_discrete(law, stat_scaled), stat_err, wf_err)
+                    for law, stat_err, wf_err in _sampled_laws(cfg, n, stat_scaled, refs[m0e]))
+        for t, ref, limit, (law_scaled, d_stat, stat_err, wf_err) in zip(
+                cfg.grid, refs[m0e], limits[m0e], laws):
             d_wf = _w1_to_reference(law_scaled, ref)
-            d_stat = transport.w1_discrete(law_scaled, stat_scaled)
             records.append(ResultRecord("profile:wf", n, cfg.a, cfg.b, m0e, t,
                                         d_wf, wf_err, None, None, cfg.seed))
             records.append(ResultRecord("profile:stationary", n, cfg.a, cfg.b, m0e, t,
-                                        d_stat, stat_err, limit, None, cfg.seed))
-    infos = [_reference_info(ref) for ref in refs]
-    return records, {"profile": {"series_terms": [i["series_terms"] for i in infos],
-                                 "rounding_bound": max(i["rounding_bound"] for i in infos)}}
+                                        float(d_stat), stat_err, limit, None, cfg.seed))
+    infos = [[_reference_info(ref) for ref in per_start] for per_start in refs.values()]
+    extra = {"profile": {
+        "starts": list(refs),
+        "series_terms": [max(i["series_terms"] for i in per_time) for per_time in zip(*infos)],
+        "rounding_bound": max(i["rounding_bound"] for per_start in infos for i in per_start)}}
+    if law_info:
+        extra["exact_laws"] = law_info
+    return records, extra
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +384,21 @@ def run_qclt_rate(cfg: ExperimentConfig):
     n-sweep at a fixed observation time.
 
     Both laws are exact: the count law from ``_exact_laws`` and the
-    diffusion marginal from ``diffusion.wf_marginal`` (the point mass at m0
-    at t = 0), so the distances carry no Monte Carlo or time-step error and
-    their stderr is 0.  ``halving_gap`` and ``reference_noise_floor`` stay in
-    the manifest at their exact value 0.
+    diffusion marginal from ``diffusion.wf_marginal`` (the point mass at the
+    start at t = 0), started where the chain starts, at
+    ``particle_count(n)/n``, and built once per distinct start.  So the
+    distances carry no Monte Carlo or time-step error and their stderr is 0.
+    ``halving_gap`` and ``reference_noise_floor`` stay in the manifest at
+    their exact value 0.
     """
     t = cfg.grid[0]
-    ref = _wf_reference(diffusion.WFParams(cfg.a, cfg.b), cfg.m0, t, cfg.tol)
-    dists = []
-    for n in cfg.n:
-        (law,) = _exact_laws(cfg, n)
-        dists.append(_w1_to_reference(law, ref))
+    wf = diffusion.WFParams(cfg.a, cfg.b)
+    starts = {n: cfg.particle_count(n) / n for n in cfg.n}
+    refs = {m0e: _wf_reference(wf, m0e, t, cfg.tol) for m0e in dict.fromkeys(starts.values())}
+    dists, law_info = [], {}
+    for n, m0e in starts.items():
+        (law,) = _density_pmfs(_exact_laws(cfg, n, law_info), n)
+        dists.append(_w1_to_reference(law, refs[m0e]))
     zero = [n for n, d in zip(cfg.n, dists) if d == 0]
     if zero:
         raise DiagnosticError(f"qclt-rate distance is 0 at n = {', '.join(map(str, zero))} "
@@ -379,8 +410,13 @@ def run_qclt_rate(cfg: ExperimentConfig):
     slope_err = float(np.sqrt(cov[0, 0]))
     records.append(ResultRecord("qclt-rate:slope", cfg.n[-1], cfg.a, cfg.b, cfg.m0, t,
                                 slope, slope_err, -0.5, None, cfg.seed))
-    extra = {"qclt": {"slope": slope, "slope_stderr": slope_err, **_reference_info(ref),
-                      "halving_gap": 0.0, "reference_noise_floor": 0.0}}
+    infos = [_reference_info(ref) for ref in refs.values()]
+    extra = {"qclt": {"slope": slope, "slope_stderr": slope_err,
+                      "reference": infos[0]["reference"],
+                      "series_terms": max(i["series_terms"] for i in infos),
+                      "rounding_bound": max(i["rounding_bound"] for i in infos),
+                      "starts": list(refs), "halving_gap": 0.0, "reference_noise_floor": 0.0},
+             "exact_laws": law_info}
     return records, extra
 
 
@@ -486,10 +522,11 @@ def run_mixing_curve(cfg: ExperimentConfig):
     """Scaled mixing times t_mix/n at the eps grid, from exact distance
     curves, with the cross-n drift and the eps spread as summary rows."""
     eps_grid = tuple(sorted(cfg.eps))
+    law_info = {}
 
     def curve(n):
         stat_scaled = model.stationary_pmf(model.ModelParams(n, cfg.a, cfg.b)).scaled(1.0 / n)
-        ds = np.asarray([transport.w1_discrete(law, stat_scaled) for law in _exact_laws(cfg, n)])
+        ds = transport.w1_lattice(_exact_laws(cfg, n, law_info).probs, stat_scaled)
         peak = int(np.argmax(ds))
         if np.any(np.diff(ds[peak:]) > 5e-9):
             raise DiagnosticError(f"distance curve non-monotone beyond noise at n={n}")
@@ -517,7 +554,8 @@ def run_mixing_curve(cfg: ExperimentConfig):
     extra = {"mixing": {"tmix_over_n": {str(n): tmix[n] for n in cfg.n},
                         "eps": eps_grid, "drift_abs": drift_abs,
                         "drift_rel": drift_rel, "spread": spread,
-                        "no_cutoff": bool(spread > 5.0 * drift_abs)}}
+                        "no_cutoff": bool(spread > 5.0 * drift_abs)},
+             "exact_laws": law_info}
     return records, extra
 
 

@@ -11,11 +11,13 @@ stationary count is Beta-Binomial(n, a, b).
 
 Exact transient laws come from the spectral decomposition of the count
 chain: reversibility makes its generator, symmetrized by sqrt(pi), a
-symmetric tridiagonal matrix with the Hahn spectrum -j(j-1+a+b)/n, so one
-cached eigendecomposition per (n, a, b) turns every later time into two
-O(n^2) products.  An accuracy guard (an a-priori rounding bound, then
-nonnegativity, unit mass and the closed-form mean) sends the starts it
-cannot trust, deep in the stationary tails, to uniformization instead.
+symmetric tridiagonal matrix with the Hahn spectrum -j(j-1+a+b)/n.  Every
+time shares the start's coefficients in that eigenbasis, so one cached
+eigendecomposition per (n, a, b) turns a whole grid of times, each computed
+from the start count, into one matrix product.  An accuracy guard (an
+a-priori rounding bound, then per time nonnegativity, unit mass and the
+closed-form mean) sends the laws it cannot trust, from starts deep in the
+stationary tails, to uniformization instead.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -212,36 +215,50 @@ def _spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lam, vecs, s
 
 
-def _spectral_law(params: ModelParams, p0: np.ndarray, t: float, tol: float):
-    """Law at time ``t`` from the cached eigendecomposition, or None (with
-    the reason logged) when the accuracy guard rejects it."""
+def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: float):
+    """Laws at ``times`` (ascending, >= 0) from the law ``p0`` at time 0, all
+    from one product with the cached eigendecomposition.
+
+    Returns the (n+1, T) laws, the mask of columns that pass the accuracy
+    guard and the reason the first failing column fails.  Columns at time 0
+    are ``p0`` itself and always pass; when the a-priori bound fails, no
+    other column does.
+    """
     n, a, b = params.n, params.a, params.b
     lam, vecs, s = _spectrum(params)
+    zero = times == 0
+    laws = np.empty((n + 1, times.size))
+    laws[:, zero] = p0[:, None]
+    ok = zero.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         q0 = np.where(p0 > 0, p0 / s, 0.0)
     # rounding in the eigenvectors is amplified by the conditioning of the
     # similarity transform on this start
     bound = (n + 1) * np.finfo(float).eps * s.sum() * q0.sum()
     if not bound <= tol:
-        reason = f"a-priori error bound {bound:.3g} exceeds tol"
+        return laws, ok, f"a-priori error bound {bound:.3g} exceeds tol"
+    live = ~zero
+    ts = times[live]
+    p = s[:, None] * (vecs @ (np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]))
+    ks = np.arange(n + 1, dtype=float)
+    fix = n * a / (a + b)
+    # the closed-form mean path of diffusion.mean_ode (which imports this module)
+    mean = fix + (p0 @ ks - fix) * np.exp(-(a + b) * ts / n)
+    low, mass, got = p.min(axis=0), p.sum(axis=0), ks @ p
+    passed = (low >= -tol) & (np.abs(mass - 1.0) <= tol) & (np.abs(got - mean) <= n * tol)
+    p = np.clip(p, 0.0, None)
+    laws[:, live] = p / p.sum(axis=0)
+    ok[live] = passed
+    if passed.all():
+        return laws, ok, ""
+    i = int(np.argmin(passed))
+    if not low[i] >= -tol:
+        reason = f"min probability {low[i]:.3g} below -tol"
+    elif not abs(mass[i] - 1.0) <= tol:
+        reason = f"mass {mass[i]!r} deviates from 1 by more than tol"
     else:
-        p = s * (vecs @ (np.exp(lam * t) * (vecs.T @ q0)))
-        ks = np.arange(n + 1, dtype=float)
-        fix = n * a / (a + b)
-        # the closed-form mean path of diffusion.mean_ode (which imports this module)
-        mean = fix + (p0 @ ks - fix) * np.exp(-(a + b) * t / n)
-        if not p.min() >= -tol:
-            reason = f"min probability {p.min():.3g} below -tol"
-        elif not abs(p.sum() - 1.0) <= tol:
-            reason = f"mass {p.sum()!r} deviates from 1 by more than tol"
-        elif not abs(p @ ks - mean) <= n * tol:
-            reason = f"mean {p @ ks!r} misses the closed form {mean!r} by more than n*tol"
-        else:
-            p = np.clip(p, 0.0, None)
-            return p / p.sum()
-    logger.info("spectral law rejected for n=%d a=%g b=%g (%s, tol=%g); "
-                "falling back to uniformization", n, a, b, reason, tol)
-    return None
+        reason = f"mean {got[i]!r} misses the closed form {mean[i]!r} by more than n*tol"
+    return laws, ok, reason
 
 
 def _poisson_isf(q: float, mu: float) -> int:
@@ -286,45 +303,91 @@ def _uniformized_law(params: ModelParams, p0: np.ndarray, t: float, tol: float) 
     return acc / acc.sum()
 
 
-def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9,
-                  cap: int = DENSE_LAW_CAP) -> Pmf:
-    """Exact marginal law of the count at time ``t``, total-variation
-    accurate to ``tol``.
+class LawGrid(NamedTuple):
+    """Exact count laws on a time grid: column j of ``probs`` is the law at
+    the j-th time, and ``refilled[j]`` marks a column that the accuracy guard
+    rejected and uniformization supplied."""
 
-    ``start`` is either an integer count or a Pmf on {0,...,n} (so curves can
-    be evolved incrementally).  The law is p(t) = s * V exp(lam t) V^T (p0/s)
-    from one eigendecomposition of the generator symmetrized by s = sqrt(pi),
-    cached for the latest (n, a, b): (n+1)^2 doubles, 128 MB at n = 4096.
-    That product is trusted only when an a-priori bound on its rounding
-    error, (n+1) eps sum(s) sum(p0/s), is at most ``tol`` and the result
+    probs: np.ndarray
+    refilled: np.ndarray
+
+
+def _start_law(params: ModelParams, start) -> np.ndarray:
+    """Probabilities on {0,...,n} of a start given as one count or a Pmf."""
+    n = params.n
+    if isinstance(start, Pmf):
+        if start.support.size != n + 1 or not np.allclose(start.support, np.arange(n + 1)):
+            raise ValueError("start pmf must live on the full count grid {0,...,n}")
+        return start.probs
+    if np.ndim(start):
+        raise ValueError("start must be one count or a Pmf")
+    p0 = np.zeros(n + 1)
+    p0[_check_count(params, start)] = 1.0
+    return p0
+
+
+def transient_laws(params: ModelParams, start, times, tol: float = 1e-9,
+                   cap: int = DENSE_LAW_CAP) -> LawGrid:
+    """Exact marginal laws of the count at each of the ascending ``times``,
+    each total-variation accurate to ``tol``.
+
+    ``start`` is an integer count or a Pmf on {0,...,n}.  Every time is
+    computed from the start: in the eigenbasis of the generator symmetrized
+    by s = sqrt(pi), the laws are the columns of
+    s * V (exp(outer(lam, times)) * V^T (p0/s)), one matrix product for the
+    whole grid from one eigendecomposition cached for the latest (n, a, b):
+    (n+1)^2 doubles, 128 MB at n = 4096.  Columns at time 0 are the start
+    law exactly.  A column is trusted only when an a-priori bound on its
+    rounding error, (n+1) eps sum(s) sum(p0/s), is at most ``tol`` and it
     passes a-posteriori checks: no probability below -tol, mass within tol of
-    1, and mean within n*tol of the closed-form mean path.  Otherwise (starts
-    deep in the stationary tails) the law comes from uniformization, and
-    the fallback is logged at INFO on ``noisyvoter.model``.
+    1, and mean within n*tol of the closed-form mean path.  The first column
+    that fails (for starts deep in the stationary tails, every column fails
+    the a-priori bound) is refilled by uniformization from the previous
+    column, the rejection is logged at INFO on ``noisyvoter.model``, and the
+    later columns are computed again from the refilled one, so a tail start
+    pays uniformization only until its law has spread enough for the bound.
     """
     n = params.n
     if n > cap:
         raise CapacityError(f"n={n} exceeds the dense-law cap {cap}")
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    ts = np.asarray(times, dtype=float)
+    if (ts.ndim != 1 or ts.size == 0 or not np.isfinite(ts).all()
+            or np.any(ts < 0) or np.any(np.diff(ts) < 0)):
+        raise ValueError(f"times must be finite, nonnegative and ascending, got {times!r}")
     if not 0 < tol <= 1e-6:
         raise ValueError("tol must lie in (0, 1e-6]")
-    ks = np.arange(n + 1, dtype=float)
-    if isinstance(start, Pmf):
-        if start.support.size != n + 1 or not np.allclose(start.support, ks):
-            raise ValueError("start pmf must live on the full count grid {0,...,n}")
-        p0 = start.probs
-    elif np.ndim(start):
-        raise ValueError("start must be one count or a Pmf")
-    else:
-        p0 = np.zeros(n + 1)
-        p0[_check_count(params, start)] = 1.0
-    if t == 0:
-        return Pmf(ks, p0)
-    law = _spectral_law(params, p0, t, tol)
-    if law is None:
-        law = _uniformized_law(params, p0, t, tol)
-    return Pmf(ks, law)
+    law = _start_law(params, start)
+    probs = np.empty((n + 1, ts.size))
+    refilled = np.zeros(ts.size, dtype=bool)
+    origin, j = 0.0, 0
+    while j < ts.size:
+        laws, ok, reason = _spectral_laws(params, law, ts[j:] - origin, tol)
+        good = ok.size if ok.all() else int(np.argmin(ok))
+        probs[:, j:j + good] = laws[:, :good]
+        j += good
+        if j == ts.size:
+            break
+        logger.info("spectral law rejected for n=%d a=%g b=%g at t=%g (%s, tol=%g); "
+                    "falling back to uniformization", n, params.a, params.b, ts[j], reason, tol)
+        prev, t_prev = (probs[:, j - 1], ts[j - 1]) if j else (law, origin)
+        law = probs[:, j] = _uniformized_law(params, prev, ts[j] - t_prev, tol)
+        refilled[j], origin = True, ts[j]
+        j += 1
+    return LawGrid(probs, refilled)
+
+
+def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9,
+                  cap: int = DENSE_LAW_CAP) -> Pmf:
+    """Exact marginal law of the count at time ``t``, total-variation
+    accurate to ``tol``: the one-time case of ``transient_laws``.
+
+    ``start`` is either an integer count or a Pmf on {0,...,n}, so curves can
+    be evolved incrementally.
+    """
+    if np.ndim(t):
+        raise ValueError(f"t must be one time, got {t!r}")
+    law = transient_laws(params, start, [t], tol, cap).probs[:, 0]
+    return Pmf(np.arange(params.n + 1, dtype=float), law)
 
 
 def stationary_log_pmf(params: ModelParams) -> np.ndarray:

@@ -37,7 +37,8 @@ class Pmf:
         total = p.sum()
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"pmf mass {total!r} deviates from 1 by more than {SUM_TOL}")
-        p = np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum()
+        p = np.clip(p, 0.0, None)
+        p = p / p.sum()
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "probs", p)
 

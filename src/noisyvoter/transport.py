@@ -65,6 +65,28 @@ def w1_discrete(p: Pmf, q: Pmf) -> float:
     return _cdf_distance(p.support, p.probs, q.support, q.probs)
 
 
+def w1_lattice(probs, q: Pmf) -> np.ndarray:
+    """Exact W1 between each column of ``probs`` and ``q``, all on the evenly
+    spaced support of ``q``.
+
+    ``probs`` has shape (m, T) on the m support points of ``q``; on a lattice
+    of spacing h the CDF integral is h * sum_k |F_col(k) - F_q(k)|, and both
+    CDFs come from one cumulative sum of ``probs - q``.  Returns shape (T,).
+    """
+    xs = q.support
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2 or p.shape[0] != xs.size:
+        raise ValueError(f"probs must have shape ({xs.size}, T), got {p.shape}")
+    if xs.size == 1:
+        return np.zeros(p.shape[1])
+    h = (xs[-1] - xs[0]) / (xs.size - 1)
+    # spacings may differ only by the rounding of the support points
+    if np.max(np.abs(np.diff(xs) - h)) > 8 * np.finfo(float).eps * np.abs(xs).max():
+        raise ValueError("support of q must be evenly spaced")
+    gap = np.cumsum(p - q.probs[:, None], axis=0)[:-1]
+    return h * np.abs(gap).sum(axis=0)
+
+
 def _gauss_partial_moment(x, mean, sd):
     """Antiderivative of the Gaussian CDF: int_{-inf}^{x} Phi((u-mean)/sd) du."""
     z = (x - mean) / sd
@@ -83,7 +105,8 @@ def w1_discrete_vs_gaussian(p: Pmf, mean: float, sd: float) -> float:
         raise ValueError("sd must be positive")
     xs = p.support
     cum = np.cumsum(p.probs)
-    total = _gauss_partial_moment(xs[0], mean, sd)  # left tail: int Phi
+    g = _gauss_partial_moment(xs, mean, sd)
+    total = g[0]  # left tail: int Phi
     zk = (xs[-1] - mean) / sd
     pdfk = np.exp(-0.5 * zk * zk) / np.sqrt(2.0 * np.pi)
     total += sd * pdfk - (xs[-1] - mean) * ndtr(-zk)  # right tail: int (1 - Phi)
@@ -95,9 +118,8 @@ def w1_discrete_vs_gaussian(p: Pmf, mean: float, sd: float) -> float:
     with np.errstate(divide="ignore"):
         cross = mean + sd * ndtri(c)
     cross = np.clip(np.nan_to_num(cross, nan=0.0, posinf=np.inf, neginf=-np.inf), left, right)
-    return _add_cell_gaps(total, c, left, cross, right, _gauss_partial_moment(left, mean, sd),
-                          _gauss_partial_moment(cross, mean, sd),
-                          _gauss_partial_moment(right, mean, sd))
+    return _add_cell_gaps(total, c, left, cross, right, g[:-1],
+                          _gauss_partial_moment(cross, mean, sd), g[1:])
 
 
 def _add_cell_gaps(total, level, left, cross, right, g_left, g_cross, g_right) -> float:

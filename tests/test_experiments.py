@@ -3,6 +3,7 @@
 import ast
 import csv
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from scipy.stats import hypergeom
 
 import noisyvoter
 from noisyvoter import cli, experiments, model
-from noisyvoter.errors import ConfigError
+from noisyvoter.errors import ConfigError, DiagnosticError
 from noisyvoter.diffusion import WFParams, wf_marginal
 from noisyvoter.experiments import (
     ExperimentConfig,
@@ -278,8 +279,8 @@ class TestExitCodes:
         assert code == 1
 
     def test_qclt_zero_distance_is_1(self, tmp_path, capsys):
-        # at t = 0 every m0 n is an integer, so each count law equals the
-        # diffusion's point mass: log 0 would make the fitted slope NaN
+        # at t = 0 each count law equals the diffusion's point mass at the
+        # chain's start: log 0 would make the fitted slope NaN
         code = cli.main(["qclt-rate", "--n", "32,64,128", "--grid", "0", "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
@@ -316,6 +317,32 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(out1)]) == 0
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert read_bytes(out1 / "results.csv") == read_bytes(out2 / "results.csv")
+
+    @pytest.mark.parametrize("kwargs", [
+        # a start deep in the stationary tail, so some columns are refilled
+        {"scenario": "mixing-curve", "n": (64, 128), "a": 50.0, "b": 1.0, "m0": 0.01},
+        {"scenario": "profile", "n": (48, 64), "grid": (0.0, 0.2, 0.8), "dense_cap": 50,
+         "samples": 200},
+        {"scenario": "qclt-rate", "n": (32, 64, 128), "grid": (1.0,)},
+    ])
+    def test_exact_law_manifest_block(self, tmp_path, kwargs):
+        outs = []
+        for tag in ("r1", "r2"):
+            cfg = ExperimentConfig(**kwargs, out=str(tmp_path / tag))
+            assert experiments.run(cfg) == 0
+            outs.append(read_bytes(tmp_path / tag / "results.csv"))
+        assert outs[0] == outs[1]
+        block = json.loads((tmp_path / "r1" / "manifest.json").read_text())["exact_laws"]
+        exact = [n for n in cfg.n if n <= cfg.dense_cap]
+        assert set(block) == {str(n) for n in exact}
+        for n in exact:
+            info = block[str(n)]
+            assert info["columns"] == len(cfg.grid)
+            assert info["start"] + info["spectral"] + info["uniformized"] == len(cfg.grid)
+            assert info["start"] == cfg.grid.count(0.0)
+            assert info["modes"] == (n + 1 if info["spectral"] else 0)
+            refills = cfg.scenario == "mixing-curve"
+            assert (info["uniformized"] > 0) == refills
 
     def test_validate_exact_checks_seed_invariant(self, tmp_path):
         exact = ("rates-boundary", "detailed-balance", "uniform-start-variance",
@@ -384,6 +411,31 @@ class TestScenarioOutputs:
         assert all(k > 0 for k in extra["profile"]["series_terms"][1:])
         assert 0.0 < extra["profile"]["rounding_bound"] <= cfg.tol
 
+    def test_references_start_where_the_chain_starts(self, tmp_path):
+        # at m0 = 0.3 the chain at n = 128 starts from 38/128, and so must the
+        # diffusion marginal and the limit profile it is compared with
+        wf = WFParams(1.0, 1.0)
+        cfg = ExperimentConfig(scenario="profile", n=(128,), m0=0.3, grid=(0.05,),
+                               out=str(tmp_path))
+        (wf_row, stat_row), extra = run_profile(cfg)
+        assert wf_row.m0 == stat_row.m0 == 38 / 128
+        assert 128 * wf_row.estimate == pytest.approx(0.27458, abs=5e-6)
+        assert stat_row.theory == wf_marginal(wf, 38 / 128, 0.05).stationary_distance()
+        assert extra["profile"]["starts"] == [38 / 128]
+        # one reference per distinct start: a dyadic sweep at m0 = 1/2 has one
+        cfg = ExperimentConfig(scenario="qclt-rate", n=(32, 64, 128), m0=0.3, grid=(0.05,),
+                               out=str(tmp_path))
+        records, extra = run_qclt_rate(cfg)
+        starts = [cfg.particle_count(n) / n for n in cfg.n]
+        assert extra["qclt"]["starts"] == [0.3125, 0.296875]  # 19/64 = 38/128
+        for n, m0e, r in zip(cfg.n, starts, records):
+            law = model.transient_law(model.ModelParams(n, 1.0, 1.0), round(m0e * n), 0.05 * n)
+            assert r.estimate == pytest.approx(
+                w1_discrete_vs_wf(law.scaled(1 / n), wf_marginal(wf, m0e, 0.05)), abs=1e-12)
+        _, extra = run_qclt_rate(ExperimentConfig(scenario="qclt-rate", n=(32, 64, 128),
+                                                  out=str(tmp_path)))
+        assert extra["qclt"]["starts"] == [0.5]
+
     def test_qclt_rate_exact_reference(self, tmp_path):
         cfg = ExperimentConfig(scenario="qclt-rate", n=(32, 64, 128), grid=(1.0,),
                                out=str(tmp_path))
@@ -396,14 +448,12 @@ class TestScenarioOutputs:
         assert qclt["reference"] == "jacobi-series" and qclt["series_terms"] > 0
         assert 0.0 < qclt["rounding_bound"] <= cfg.tol
         assert qclt["halving_gap"] == 0.0 and qclt["reference_noise_floor"] == 0.0
-        # at t = 0 the reference is the point mass at m0
+        # at t = 0 the reference is the point mass at the chain's start, even
+        # where m0 n is not an integer, so every distance is 0
         cfg0 = ExperimentConfig(scenario="qclt-rate", n=(30, 60, 120), m0=0.31, grid=(0.0,),
                                 out=str(tmp_path))
-        records0, extra0 = run_qclt_rate(cfg0)
-        for r in records0[:3]:
-            assert r.estimate == pytest.approx(abs(np.floor(0.31 * r.n + 0.5) / r.n - 0.31),
-                                               abs=1e-15)
-        assert extra0["qclt"]["reference"] == "point-mass"
+        with pytest.raises(DiagnosticError, match="distance is 0 at n = 30, 60, 120"):
+            run_qclt_rate(cfg0)
 
     @pytest.mark.parametrize("a,b,m0", [(0.5, 2.0, 0.75), (3.0, 1.5, 0.25)])
     def test_mixing_curve_closed_form(self, tmp_path, a, b, m0):
@@ -556,18 +606,38 @@ class TestScenarioOutputs:
         np.testing.assert_allclose(probs, pmf.probs, rtol=0, atol=0)  # full precision
 
 
-def test_benchmark_span_targets_resolve():
-    # perfbench/spans.py wraps package functions by attribute name, so a renamed
-    # or deleted target fails here rather than under `perfbench/run.py --trace 1`
+def perfbench_spans():
+    """The benchmark's span tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps package functions by attribute name, so a renamed
+    # or deleted target fails here rather than under `perfbench/run.py --trace 1`
+    spans = perfbench_spans()
     assert spans.TARGETS
     unresolved = [f"{module.__name__}.{attr}" for module, attr, *_ in spans.TARGETS
                   if not (module.__name__.startswith("noisyvoter.")
                           and callable(getattr(module, attr, None)))]
     assert unresolved == []
+
+
+def test_benchmark_work_counters_take_the_wrapped_arguments():
+    # a traced call binds the wrapped function's arguments by name and passes
+    # them all to the work counter, so a parameter the counter lacks would
+    # crash `perfbench/run.py --trace 1`
+    mismatched = []
+    for module, attr, _span, work in perfbench_spans().TARGETS:
+        if work is not None:
+            wrapped = set(inspect.signature(getattr(module, attr)).parameters)
+            missing = wrapped - set(inspect.signature(work).parameters)
+            if missing:
+                mismatched.append(f"{module.__name__}.{attr}: {sorted(missing)}")
+    assert mismatched == []
 
 
 def test_demo_imports_resolve():

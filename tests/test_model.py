@@ -24,6 +24,7 @@ from noisyvoter.model import (
     stationary_log_pmf,
     stationary_pmf,
     transient_law,
+    transient_laws,
     _poisson_isf,
     _poisson_pmf,
     _spectrum,
@@ -295,6 +296,99 @@ class TestSpectralLaw:
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
             transient_law(ModelParams(128, 1.0, 1.0), 64, 50.0)
         assert not [r for r in caplog.records if r.name == "noisyvoter.model"]
+
+
+def oracle_grid(params: ModelParams, p0: np.ndarray, times) -> np.ndarray:
+    """Uniformization oracle at every time of a grid, each from ``p0``."""
+    return np.stack([p0 if t == 0 else uniformization_oracle(params, p0, t) for t in times],
+                    axis=1)
+
+
+class TestLawGrid:
+    @given(st.integers(1, 64), st.floats(np.log(0.05), np.log(20.0)).map(np.exp),
+           st.floats(np.log(0.05), np.log(20.0)).map(np.exp),
+           st.sampled_from(["0", "1", "half", "n-1", "n"]),
+           st.lists(st.floats(0.0, 1.0), min_size=0, max_size=7))
+    @example(64, 20.0, 0.05, "0", [0.1, 0.2, 0.5])
+    @example(64, 0.05, 20.0, "n", [0.1, 0.2, 0.5])
+    @example(1, 0.05, 0.05, "1", [1.0])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_uniformization(self, n, a, b, start, us):
+        # times 0 and up to 7 more, log-uniform on [1e-3, 5n]; starts at both
+        # ends of the count range, where the guard is most likely to refill
+        params = ModelParams(n, a, b)
+        times = np.sort([0.0] + [1e-3 * (5000.0 * n) ** u for u in us])
+        k0 = {"0": 0, "1": 1, "half": n // 2, "n-1": n - 1, "n": n}[start]
+        p0 = (np.arange(n + 1) == k0).astype(float)
+        grid = transient_laws(params, k0, times, tol=1e-12)
+        want = oracle_grid(params, p0, times)
+        assert grid.probs.shape == (n + 1, times.size)
+        np.testing.assert_array_equal(grid.probs[:, 0], p0)
+        assert not grid.refilled[0]
+        for got, ref in zip(grid.probs.T, want.T):
+            assert total_variation(got, ref) <= 1e-10
+
+    def test_deep_tail_start_refills_every_column(self, caplog):
+        # every column fails the a-priori bound, so each is uniformization
+        # stepped from the one before, as the stepped single-time law does
+        params = ModelParams(128, 50.0, 1.0)
+        times = 128 * np.array([0.001, 0.002, 0.005])
+        with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
+            grid = transient_laws(params, 0, times)
+        messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
+        assert grid.refilled.all() and len(messages) == times.size
+        assert all("a-priori" in m for m in messages)
+        law, t_prev = 0, 0.0
+        for t, col in zip(times, grid.probs.T):
+            law = transient_law(params, law, t - t_prev)
+            t_prev = t
+            assert total_variation(col, law.probs) <= 1e-15
+
+    def test_tail_start_returns_to_the_spectral_path(self):
+        # once the refilled law has spread out, later columns are spectral again
+        params = ModelParams(128, 50.0, 1.0)
+        times = 128 * np.array([0.01, 0.02, 0.05, 0.1, 0.2])
+        grid = transient_laws(params, 0, times)
+        assert grid.refilled[0] and not grid.refilled[-1]
+        p0 = np.zeros(129)
+        p0[0] = 1.0
+        want = oracle_grid(params, p0, times)
+        for got, ref in zip(grid.probs.T, want.T):
+            assert total_variation(got, ref) <= 1e-9
+
+    def test_wrong_spectrum_refills_every_column(self, monkeypatch):
+        # columns that pass the a-priori bound but fail the a-posteriori
+        # checks are refilled too
+        params = ModelParams(64, 1.0, 1.0)
+        lam, vecs, s = _spectrum(params)
+        monkeypatch.setattr(model, "_spectrum", lambda p: (0.5 * lam, vecs, s))
+        times = np.array([0.0, 5.0, 20.0, 60.0])
+        grid = transient_laws(params, 10, times)
+        assert grid.refilled.tolist() == [False, True, True, True]
+        p0 = np.zeros(65)
+        p0[10] = 1.0
+        want = oracle_grid(params, p0, times)
+        for got, ref in zip(grid.probs.T, want.T):
+            assert total_variation(got, ref) <= 1e-9
+
+    def test_single_time_is_transient_law(self):
+        params = ModelParams(40, 0.7, 2.5)
+        times = np.array([0.0, 3.0, 11.0, 40.0])
+        grid = transient_laws(params, 13, times)
+        assert not grid.refilled.any()
+        for t, col in zip(times, grid.probs.T):
+            np.testing.assert_allclose(transient_law(params, 13, t).probs, col,
+                                       rtol=0, atol=1e-15)
+
+    def test_validation(self):
+        params = ModelParams(6, 1, 1)
+        for times in ([], [1.0, 0.5], [-1.0, 1.0], [np.nan], [[1.0]]):
+            with pytest.raises(ValueError):
+                transient_laws(params, 2, times)
+        with pytest.raises(ValueError):
+            transient_law(params, 2, np.array([1.0, 2.0]))
+        with pytest.raises(CapacityError):
+            transient_laws(ModelParams(5000, 1, 1), 2, [1.0])
 
 
 class TestPoissonTruncation:

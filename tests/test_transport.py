@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.stats import wasserstein_distance
 
 from noisyvoter.diffusion import WFParams, wf_marginal
-from noisyvoter.model import ModelParams, transient_law
+from noisyvoter.model import ModelParams, stationary_pmf, transient_law
 
 from noisyvoter.errors import CapacityError
 from noisyvoter.pmf import Pmf, empirical_pmf, point_mass
@@ -19,6 +19,7 @@ from noisyvoter.transport import (
     w1_discrete,
     w1_discrete_vs_gaussian,
     w1_discrete_vs_wf,
+    w1_lattice,
     w1_matching,
     w1_sorted,
 )
@@ -120,6 +121,39 @@ class TestW1Discrete:
         assert dpq == pytest.approx(dqp, abs=1e-12)
         assert dpq >= 0
         assert w1_discrete(p, r) <= dpq + w1_discrete(q, r) + 1e-9
+
+
+class TestW1Lattice:
+    @given(st.integers(1, 60), st.integers(1, 6), st.floats(-1.0, 1.0),
+           st.floats(0.01, 1.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_w1_discrete_per_column(self, m, cols, x0, span, seed):
+        # supports of width at most 1, as the density lattices {0, 1/n, ..., 1}
+        rng = np.random.default_rng(seed)
+        support = x0 + span / max(m - 1, 1) * np.arange(m)
+        q = Pmf(support, rng.dirichlet(np.ones(m)))
+        # sparse columns too, as exact laws near a boundary are
+        probs = rng.dirichlet(np.full(m, 0.3), size=cols).T
+        got = w1_lattice(probs, q)
+        assert got.shape == (cols,)
+        for d, col in zip(got, probs.T):
+            assert d == pytest.approx(w1_discrete(Pmf(support, col), q), rel=0, abs=1e-14)
+
+    def test_count_laws_against_stationary(self):
+        params = ModelParams(50, 0.8, 2.0)
+        stat = stationary_pmf(params).scaled(1 / 50)
+        laws = [transient_law(params, 7, t).scaled(1 / 50) for t in (0.0, 5.0, 40.0, 400.0)]
+        got = w1_lattice(np.stack([law.probs for law in laws], axis=1), stat)
+        want = [w1_discrete(law, stat) for law in laws]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_shape_and_spacing_checked(self):
+        q = Pmf([0.0, 1.0, 3.0], [0.2, 0.3, 0.5])
+        with pytest.raises(ValueError):
+            w1_lattice(np.full((3, 1), 1 / 3), q)
+        even = Pmf([0.0, 0.5, 1.0], [0.2, 0.3, 0.5])
+        with pytest.raises(ValueError):
+            w1_lattice(np.full((2, 1), 0.5), even)
 
 
 class TestW1DiscreteVsGaussian:
