@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed, any nonnegative integer")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--eps", type=_float_list, help="mixing thresholds, comma separated")
-    parser.add_argument("--dense-cap", type=int, dest="dense_cap",
-                        help="largest n for exact dense laws")
+    parser.add_argument("--tol", type=float,
+                        help="accuracy of the exact laws and series, in (0, 1e-6]")
     return parser
 
 

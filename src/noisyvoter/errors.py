@@ -6,7 +6,9 @@ class ConfigError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An exact computation exceeds its configured size cap."""
+    """An exact computation is out of reach at this size: a spectral law
+    above the dense-law cap that fails its accuracy guard, or a matching
+    above its size cap."""
 
 
 class DiagnosticError(RuntimeError):

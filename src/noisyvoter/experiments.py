@@ -22,13 +22,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import __version__, diffusion, model, stein, transport
-from .errors import CapacityError, ConfigError, DiagnosticError
+from .errors import ConfigError, DiagnosticError
+# empirical_pmf is not called here; perfbench/spans.py wraps it under this name
 from .pmf import Pmf, empirical_pmf, point_mass
 
 SCENARIOS = ("profile", "thermalize", "qclt-rate", "stein-rate", "validate", "mixing-curve")
-
-# scenarios whose estimates are Monte Carlo distances
-_MC_SCENARIOS = ("profile", "thermalize")
 
 DEFAULT_GRIDS = {
     "profile": tuple(np.geomspace(0.05, 3.0, 24)),
@@ -41,7 +39,8 @@ DEFAULT_GRIDS = {
 
 # fixed stream ids so every random draw hangs off (seed, purpose, index...);
 # retired ids are not reused, so the remaining streams keep their draws
-_STREAM = {"profile-mc": 2, "thermalize": 5, "validate-mc": 6}
+# (id 2 was profile's Monte Carlo branch)
+_STREAM = {"thermalize": 5, "validate-mc": 6}
 
 
 def replica_stream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
@@ -76,7 +75,6 @@ class ExperimentConfig:
     out: str = "results"
     tol: float = 1e-9
     eps: tuple[float, ...] = (0.01, 0.05, 0.1)
-    dense_cap: int = model.DENSE_LAW_CAP
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -85,7 +83,7 @@ class ExperimentConfig:
             object.__setattr__(self, "n", (self.n,))
         for field in fields(self)[1:]:
             name, value = field.name, getattr(self, field.name)
-            integral = name in ("n", "ell", "samples", "repetitions", "seed", "dense_cap")
+            integral = name in ("n", "ell", "samples", "repetitions", "seed")
             if name == "out":
                 if not isinstance(value, str):
                     raise ConfigError(f"out must be a directory name, got {value!r}")
@@ -117,16 +115,14 @@ class ExperimentConfig:
             if self.scenario != "thermalize" and grid[0] < 0:
                 raise ConfigError("time grid must be nonnegative")
         object.__setattr__(self, "grid", grid)
-        if self.samples < 1 or (self.scenario in _MC_SCENARIOS and self.samples < 100):
-            raise ConfigError("distance-estimation scenarios need samples >= 100")
+        if self.samples < 1 or (self.scenario == "thermalize" and self.samples < 100):
+            raise ConfigError("samples must be positive, and at least 100 for thermalize")
         if self.repetitions < 2:
             raise ConfigError("repetitions must be at least 2")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if not 0 < self.tol <= 1e-6:
             raise ConfigError("tol must lie in (0, 1e-6]")
-        if self.dense_cap < 0:
-            raise ConfigError("dense_cap must be nonnegative")
         eps = self.eps
         if not eps or not all(0 < e < np.inf for e in eps) or len(set(eps)) != len(eps):
             raise ConfigError("eps must be distinct positive thresholds")
@@ -253,14 +249,6 @@ def _declared_tolerance(r: ResultRecord) -> float:
     return np.inf
 
 
-def _batched_w1_stderr(distance, samples: np.ndarray, batches: int = 10) -> float:
-    """Spread-based error bar: std of per-batch distances over sqrt(batches);
-    ``distance`` maps a batch's empirical pmf to its W1 distance."""
-    parts = np.array_split(samples, batches)
-    vals = [distance(empirical_pmf(p)) for p in parts]
-    return float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-
-
 def _wf_reference(wf: diffusion.WFParams, m0: float, t: float, tol: float):
     """Exact Wright-Fisher marginal at time t from m0: the point mass at m0
     when t = 0, else the guarded Jacobi series of ``diffusion.wf_marginal``."""
@@ -281,16 +269,17 @@ def _exact_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> model.LawGrid:
 
     Records under ``law_info[str(n)]`` the manifest's account of the grid:
     how many columns are the start law (t = 0), came from the spectral
-    product or were refilled by uniformization, and the eigenmodes used.
+    product or were refilled by uniformization, the eigenmodes used and the
+    largest a-priori error bound of the spectral columns.
     """
     params = model.ModelParams(n, cfg.a, cfg.b)
     ts = n * np.asarray(cfg.grid)
-    laws = model.transient_laws(params, cfg.particle_count(n), ts, cfg.tol, cap=cfg.dense_cap)
+    laws = model.transient_laws(params, cfg.particle_count(n), ts, cfg.tol)
     start = int(np.count_nonzero(ts == 0))
     uniformized = int(laws.refilled.sum())
-    spectral = ts.size - start - uniformized
-    law_info[str(n)] = {"columns": ts.size, "start": start, "spectral": spectral,
-                        "uniformized": uniformized, "modes": n + 1 if spectral else 0}
+    law_info[str(n)] = {"columns": ts.size, "start": start,
+                        "spectral": ts.size - start - uniformized, "uniformized": uniformized,
+                        "modes": laws.modes, "apriori_bound": laws.bound}
     return laws
 
 
@@ -298,20 +287,6 @@ def _density_pmfs(laws: model.LawGrid, n: int):
     """The columns of an ``_exact_laws`` grid as density pmfs on {0, 1/n, ..., 1}."""
     support = np.arange(n + 1) * (1.0 / n)
     return [Pmf(support, col) for col in laws.probs.T]
-
-
-def _sampled_laws(cfg: ExperimentConfig, n: int, stat_scaled: Pmf, refs):
-    """Monte Carlo counterpart of ``_exact_laws`` from ``cfg.samples`` count
-    chains, with batch error bars on the distances to ``stat_scaled`` and ``refs``."""
-    params = model.ModelParams(n, cfg.a, cfg.b)
-    rng = replica_stream(cfg.seed, "profile-mc", n)
-    counts, t_prev = np.full(cfg.samples, cfg.particle_count(n), dtype=np.int64), 0.0
-    for t, ref in zip(cfg.grid, refs):
-        counts = model.simulate_count_batch(params, counts, np.array([n * (t - t_prev)]), rng)[0]
-        t_prev, dens = t, counts / n
-        yield (empirical_pmf(dens),
-               _batched_w1_stderr(lambda p: transport.w1_discrete(stat_scaled, p), dens),
-               _batched_w1_stderr(lambda p: _w1_to_reference(p, ref), dens))
 
 
 def _reference_info(ref) -> dict:
@@ -334,11 +309,11 @@ def run_profile(cfg: ExperimentConfig):
     The diffusion marginal is exact (``diffusion.wf_marginal``, the point mass
     at the start at t = 0) and starts where the chain does, at
     ``particle_count(n)/n``; it is built once per grid time and distinct
-    start.  The density law is exact up to ``dense_cap`` (stderr 0), the
-    whole grid from one ``_exact_laws`` call, and sampled beyond it, with
-    error bars from 10 batches of the samples.  The ``profile:stationary``
-    theory is the paper's limit profile D(t) = W1(Wright-Fisher marginal at
-    t, Beta(a, b)) from the same start.
+    start.  The density law is exact at every n, the whole grid from one
+    ``_exact_laws`` call (above ``model.DENSE_LAW_CAP`` from the slow modes
+    only), so every stderr is 0.  The ``profile:stationary`` theory is the
+    paper's limit profile D(t) = W1(Wright-Fisher marginal at t, Beta(a, b))
+    from the same start.
     """
     wf = diffusion.WFParams(cfg.a, cfg.b)
     starts = {n: cfg.particle_count(n) / n for n in cfg.n}
@@ -351,27 +326,21 @@ def run_profile(cfg: ExperimentConfig):
     records, law_info = [], {}
     for n, m0e in starts.items():
         stat_scaled = model.stationary_pmf(model.ModelParams(n, cfg.a, cfg.b)).scaled(1.0 / n)
-        if n <= cfg.dense_cap:
-            grid = _exact_laws(cfg, n, law_info)
-            d_stats = transport.w1_lattice(grid.probs, stat_scaled)
-            laws = ((law, d, 0.0, 0.0) for law, d in zip(_density_pmfs(grid, n), d_stats))
-        else:
-            laws = ((law, transport.w1_discrete(law, stat_scaled), stat_err, wf_err)
-                    for law, stat_err, wf_err in _sampled_laws(cfg, n, stat_scaled, refs[m0e]))
-        for t, ref, limit, (law_scaled, d_stat, stat_err, wf_err) in zip(
-                cfg.grid, refs[m0e], limits[m0e], laws):
+        grid = _exact_laws(cfg, n, law_info)
+        d_stats = transport.w1_lattice(grid.probs, stat_scaled)
+        for t, ref, limit, law_scaled, d_stat in zip(
+                cfg.grid, refs[m0e], limits[m0e], _density_pmfs(grid, n), d_stats):
             d_wf = _w1_to_reference(law_scaled, ref)
             records.append(ResultRecord("profile:wf", n, cfg.a, cfg.b, m0e, t,
-                                        d_wf, wf_err, None, None, cfg.seed))
+                                        d_wf, 0.0, None, None, cfg.seed))
             records.append(ResultRecord("profile:stationary", n, cfg.a, cfg.b, m0e, t,
-                                        float(d_stat), stat_err, limit, None, cfg.seed))
+                                        float(d_stat), 0.0, limit, None, cfg.seed))
     infos = [[_reference_info(ref) for ref in per_start] for per_start in refs.values()]
     extra = {"profile": {
         "starts": list(refs),
         "series_terms": [max(i["series_terms"] for i in per_time) for per_time in zip(*infos)],
-        "rounding_bound": max(i["rounding_bound"] for per_start in infos for i in per_start)}}
-    if law_info:
-        extra["exact_laws"] = law_info
+        "rounding_bound": max(i["rounding_bound"] for per_start in infos for i in per_start)},
+        "exact_laws": law_info}
     return records, extra
 
 
@@ -818,24 +787,12 @@ def _check_density_apriori(cfg, _rng):
                        "exact mean-square density deviation vs Gronwall bound")
 
 
-def _check_w1_scaling(cfg, rng):
-    # informational diagnostic: empirical W1 self-distance scaling constant
-    consts = []
-    for size in (500, 1000, 2000, 4000):
-        vals = [transport.w1_sorted(rng.normal(size=size), rng.normal(size=size))
-                for _ in range(4)]
-        consts.append(np.mean(vals) * np.sqrt(size))
-    return CheckResult("w1-sample-scaling", True, float(np.mean(consts)), np.inf,
-                       f"self-distance * sqrt(N) per N: {np.round(consts, 3).tolist()} (logged only)")
-
-
 _VALIDATE_CHECKS = (
     _check_rates, _check_detailed_balance, _check_uniform_variance,
     _check_translation, _check_pushforward, _check_stein_bounds,
     _check_stein_identity, _check_exclusion_stationarity, _check_exclusion_residual,
     _check_coupling, _check_coupling_uniformity, _check_gaussian_coupling,
     _check_block_mean_identity, _check_derivative_decay, _check_density_apriori,
-    _check_w1_scaling,
 )
 
 

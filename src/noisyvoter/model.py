@@ -12,12 +12,15 @@ stationary count is Beta-Binomial(n, a, b).
 Exact transient laws come from the spectral decomposition of the count
 chain: reversibility makes its generator, symmetrized by sqrt(pi), a
 symmetric tridiagonal matrix with the Hahn spectrum -j(j-1+a+b)/n.  Every
-time shares the start's coefficients in that eigenbasis, so one cached
-eigendecomposition per (n, a, b) turns a whole grid of times, each computed
-from the start count, into one matrix product.  An accuracy guard (an
-a-priori rounding bound, then per time nonnegativity, unit mass and the
-closed-form mean) sends the laws it cannot trust, from starts deep in the
-stationary tails, to uniformization instead.
+time shares the start's coefficients in that eigenbasis, so one cached set of
+eigenpairs per (n, a, b) turns a whole grid of times, each computed from the
+start count, into one matrix product.  Up to ``DENSE_LAW_CAP`` that is the
+full eigendecomposition; above it, only the slow modes that the first grid
+time needs, O(nJ) work with J independent of n.  An accuracy guard (an
+a-priori bound on rounding and truncation, then per time nonnegativity, unit
+mass and the closed-form mean) sends the laws it cannot trust, from starts
+deep in the stationary tails, to uniformization up to the cap and to a
+``CapacityError`` above it.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .pmf import Pmf
 
 logger = logging.getLogger(__name__)
 
-# Largest n for which dense exact laws (transient laws, stationary pmf checks)
-# are computed by default.
+# Largest n whose exact laws use the full eigendecomposition (128 MB at the cap)
+# and may fall back to uniformization; above it only the slow modes are solved for.
 DENSE_LAW_CAP = 4096
 
 
@@ -194,18 +197,21 @@ def simulate_blocks_batch(
 
 
 @lru_cache(maxsize=1)
-def _spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectrum(params: ModelParams, modes: int | None = None):
     """Eigendecomposition of the count generator symmetrized by sqrt(pi).
 
     Detailed balance makes diag(s) Q diag(1/s), s = sqrt(pi), the symmetric
     tridiagonal matrix with diagonal -(up+down) and off-diagonal
     sqrt(up[k] down[k+1]).  Returns ascending eigenvalues, orthonormal
-    eigenvectors (columns) and s, all read-only.  The spectrum is
-    -j(j-1+a+b)/n, j = 0..n.  Only the latest (n, a, b) is kept, so the cache
+    eigenvectors (columns) and s, all read-only; only the ``modes`` slowest
+    eigenpairs, in O(n modes), when ``modes`` is given.  The spectrum is
+    -j(j-1+a+b)/n, j = 0..n.  Only the latest call is kept, so the cache
     holds at most one (n+1)^2 matrix of doubles (128 MB at n = 4096).
     """
-    up, down = count_rates(params, np.arange(params.n + 1))
-    lam, vecs = eigh_tridiagonal(-(up + down), np.sqrt(up[:-1] * down[1:]))
+    n = params.n
+    up, down = count_rates(params, np.arange(n + 1))
+    select = {} if modes is None else {"select": "i", "select_range": (n + 1 - modes, n)}
+    lam, vecs = eigh_tridiagonal(-(up + down), np.sqrt(up[:-1] * down[1:]), **select)
     # The stationary eigenvalue is exactly 0; left at its rounded value
     # (about 1e-14) the mass would drift like exp(lam t) over long times.
     lam[-1] = 0.0
@@ -217,28 +223,44 @@ def _spectrum(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: float):
     """Laws at ``times`` (ascending, >= 0) from the law ``p0`` at time 0, all
-    from one product with the cached eigendecomposition.
+    from one product with the cached eigenpairs.
 
     Returns the (n+1, T) laws, the mask of columns that pass the accuracy
-    guard and the reason the first failing column fails.  Columns at time 0
-    are ``p0`` itself and always pass; when the a-priori bound fails, no
-    other column does.
+    guard, the reason the first failing column fails, the number of modes
+    and the a-priori error bound.  Columns at time 0 are ``p0`` itself and
+    always pass; when the a-priori bound fails, no other column does.
     """
     n, a, b = params.n, params.a, params.b
-    lam, vecs, s = _spectrum(params)
     zero = times == 0
     laws = np.empty((n + 1, times.size))
     laws[:, zero] = p0[:, None]
     ok = zero.copy()
+    live = ~zero
+    if not live.any():
+        return laws, ok, "", 0, 0.0
+    if n <= DENSE_LAW_CAP:
+        lam, vecs, s = _spectrum(params)
+    else:
+        s = np.exp(0.5 * stationary_log_pmf(params))
     with np.errstate(divide="ignore", invalid="ignore"):
         q0 = np.where(p0 > 0, p0 / s, 0.0)
     # rounding in the eigenvectors is amplified by the conditioning of the
     # similarity transform on this start
     bound = (n + 1) * np.finfo(float).eps * s.sum() * q0.sum()
-    if not bound <= tol:
-        return laws, ok, f"a-priori error bound {bound:.3g} exceeds tol"
-    live = ~zero
+    modes = n + 1
     ts = times[live]
+    if n > DENSE_LAW_CAP:
+        # from the first time on, mode j adds at most sum(s) sum(q0) exp(lam_j t)
+        # in l1: keep the fewest slow modes whose dropped tail is within tol/4
+        j = np.arange(n + 1, dtype=float)
+        decay = np.exp(-j * (j - 1 + a + b) * ts[0] / n)
+        tails = s.sum() * q0.sum() * np.append(np.cumsum(decay[::-1])[::-1], 0.0)
+        modes = int(np.argmax(tails <= tol / 4))
+        bound += tails[modes]
+        if bound <= tol:
+            lam, vecs, _ = _spectrum(params, modes)
+    if not bound <= tol:
+        return laws, ok, f"a-priori error bound {bound:.3g} exceeds tol", modes, bound
     p = s[:, None] * (vecs @ (np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]))
     ks = np.arange(n + 1, dtype=float)
     fix = n * a / (a + b)
@@ -250,7 +272,7 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
     laws[:, live] = p / p.sum(axis=0)
     ok[live] = passed
     if passed.all():
-        return laws, ok, ""
+        return laws, ok, "", modes, bound
     i = int(np.argmin(passed))
     if not low[i] >= -tol:
         reason = f"min probability {low[i]:.3g} below -tol"
@@ -258,7 +280,7 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
         reason = f"mass {mass[i]!r} deviates from 1 by more than tol"
     else:
         reason = f"mean {got[i]!r} misses the closed form {mean[i]!r} by more than n*tol"
-    return laws, ok, reason
+    return laws, ok, reason, modes, bound
 
 
 def _poisson_isf(q: float, mu: float) -> int:
@@ -306,10 +328,14 @@ def _uniformized_law(params: ModelParams, p0: np.ndarray, t: float, tol: float) 
 class LawGrid(NamedTuple):
     """Exact count laws on a time grid: column j of ``probs`` is the law at
     the j-th time, and ``refilled[j]`` marks a column that the accuracy guard
-    rejected and uniformization supplied."""
+    rejected and uniformization supplied.  ``modes`` is the number of
+    eigenmodes behind the spectral columns and ``bound`` the largest a-priori
+    error bound among them (both 0 when no column is spectral)."""
 
     probs: np.ndarray
     refilled: np.ndarray
+    modes: int
+    bound: float
 
 
 def _start_law(params: ModelParams, start) -> np.ndarray:
@@ -326,8 +352,7 @@ def _start_law(params: ModelParams, start) -> np.ndarray:
     return p0
 
 
-def transient_laws(params: ModelParams, start, times, tol: float = 1e-9,
-                   cap: int = DENSE_LAW_CAP) -> LawGrid:
+def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawGrid:
     """Exact marginal laws of the count at each of the ascending ``times``,
     each total-variation accurate to ``tol``.
 
@@ -335,21 +360,21 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9,
     computed from the start: in the eigenbasis of the generator symmetrized
     by s = sqrt(pi), the laws are the columns of
     s * V (exp(outer(lam, times)) * V^T (p0/s)), one matrix product for the
-    whole grid from one eigendecomposition cached for the latest (n, a, b):
-    (n+1)^2 doubles, 128 MB at n = 4096.  Columns at time 0 are the start
-    law exactly.  A column is trusted only when an a-priori bound on its
-    rounding error, (n+1) eps sum(s) sum(p0/s), is at most ``tol`` and it
+    whole grid from eigenpairs cached for the latest (n, a, b): all n+1 up to
+    ``DENSE_LAW_CAP``, above it the J slowest, the fewest whose dropped tail
+    sum(s) sum(p0/s) sum_{j >= J} exp(-j(j-1+a+b) t1/n) at the first positive
+    time t1 is at most tol/4.  Columns at time 0 are the start law exactly.
+    A column is trusted only when an a-priori bound on its error,
+    (n+1) eps sum(s) sum(p0/s) plus that tail, is at most ``tol`` and it
     passes a-posteriori checks: no probability below -tol, mass within tol of
-    1, and mean within n*tol of the closed-form mean path.  The first column
-    that fails (for starts deep in the stationary tails, every column fails
-    the a-priori bound) is refilled by uniformization from the previous
-    column, the rejection is logged at INFO on ``noisyvoter.model``, and the
-    later columns are computed again from the refilled one, so a tail start
-    pays uniformization only until its law has spread enough for the bound.
+    1, and mean within n*tol of the closed-form mean path.  Up to the cap,
+    the first column that fails (for starts deep in the stationary tails,
+    every column fails the a-priori bound) is refilled by uniformization from
+    the previous column, the rejection is logged at INFO on
+    ``noisyvoter.model``, and the later columns are computed again from the
+    refilled one.  Above the cap a rejected column raises ``CapacityError``.
     """
     n = params.n
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the dense-law cap {cap}")
     ts = np.asarray(times, dtype=float)
     if (ts.ndim != 1 or ts.size == 0 or not np.isfinite(ts).all()
             or np.any(ts < 0) or np.any(np.diff(ts) < 0)):
@@ -359,25 +384,31 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9,
     law = _start_law(params, start)
     probs = np.empty((n + 1, ts.size))
     refilled = np.zeros(ts.size, dtype=bool)
+    modes, bound = 0, 0.0
     origin, j = 0.0, 0
     while j < ts.size:
-        laws, ok, reason = _spectral_laws(params, law, ts[j:] - origin, tol)
+        laws, ok, reason, used, apriori = _spectral_laws(params, law, ts[j:] - origin, tol)
         good = ok.size if ok.all() else int(np.argmin(ok))
+        if np.any(ts[j:j + good] > origin):
+            modes, bound = max(modes, used), max(bound, apriori)
         probs[:, j:j + good] = laws[:, :good]
         j += good
         if j == ts.size:
             break
+        if n > DENSE_LAW_CAP:
+            raise CapacityError(f"spectral law rejected for n={n} a={params.a:g} b={params.b:g} "
+                                f"at t={ts[j]:g} ({reason}, tol={tol:g}); above n = {DENSE_LAW_CAP} "
+                                "nothing is uniformized, so only a larger tol can pass")
         logger.info("spectral law rejected for n=%d a=%g b=%g at t=%g (%s, tol=%g); "
                     "falling back to uniformization", n, params.a, params.b, ts[j], reason, tol)
         prev, t_prev = (probs[:, j - 1], ts[j - 1]) if j else (law, origin)
         law = probs[:, j] = _uniformized_law(params, prev, ts[j] - t_prev, tol)
         refilled[j], origin = True, ts[j]
         j += 1
-    return LawGrid(probs, refilled)
+    return LawGrid(probs, refilled, modes, bound)
 
 
-def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9,
-                  cap: int = DENSE_LAW_CAP) -> Pmf:
+def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9) -> Pmf:
     """Exact marginal law of the count at time ``t``, total-variation
     accurate to ``tol``: the one-time case of ``transient_laws``.
 
@@ -386,24 +417,23 @@ def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9,
     """
     if np.ndim(t):
         raise ValueError(f"t must be one time, got {t!r}")
-    law = transient_laws(params, start, [t], tol, cap).probs[:, 0]
+    law = transient_laws(params, start, [t], tol).probs[:, 0]
     return Pmf(np.arange(params.n + 1, dtype=float), law)
 
 
 def stationary_log_pmf(params: ModelParams) -> np.ndarray:
     """Log of the Beta-Binomial(n, a, b) stationary count pmf.
 
-    Computed in log space from the cumulative consecutive-odds
-    log[(n-k)(a+k)] - log[(k+1)(b+n-k-1)] and normalized by log-sum-exp.
+    Computed in log space from the cumulative consecutive odds
+    log up(k) - log down(k+1) of ``count_rates`` (detailed balance) and
+    normalized by log-sum-exp.
     This is the same Beta function algebra as the direct log-Gamma formula
     (the test suite's cross-check oracle) but keeps the consecutive ratios
     accurate to a few ulps, which the reversibility identity needs; it stays
     finite for n up to 1e6.
     """
-    n, a, b = params.n, params.a, params.b
-    ks = np.arange(n, dtype=float)
-    steps = np.log((n - ks) * (a + ks)) - np.log((ks + 1.0) * (b + n - ks - 1.0))
-    logp = np.concatenate([[0.0], np.cumsum(steps)])
+    up, down = count_rates(params, np.arange(params.n + 1))
+    logp = np.concatenate([[0.0], np.cumsum(np.log(up[:-1]) - np.log(down[1:]))])
     peak = logp.max()
     return logp - (peak + np.log(np.exp(logp - peak).sum()))
 

@@ -183,20 +183,21 @@ def _as_cloud(xs) -> np.ndarray:
     return arr
 
 
-def w1_matching(xs, ys, metric: str = "euclidean", cap: int = MATCHING_CAP) -> float:
+def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     """Exact empirical W1 between equal-size 2-D point clouds.
 
     Solves the minimum-cost perfect matching by the shortest-augmenting-path
     assignment algorithm (exact optimum, O(N^3) worst case) and returns the
     mean matched cost.  ``metric`` is any ``cdist`` ground metric; Euclidean
     is the default, ``cityblock`` gives the Hamming-compatible l1 cost.
+    Clouds of more than ``MATCHING_CAP`` points raise ``CapacityError``.
     """
     xa = _as_cloud(xs)
     ya = _as_cloud(ys)
     if xa.shape[0] != ya.shape[0]:
         raise ValueError(f"point sets differ in size: {xa.shape[0]} vs {ya.shape[0]}")
-    if xa.shape[0] > cap:
-        raise CapacityError(f"matching size {xa.shape[0]} exceeds cap {cap}")
+    if xa.shape[0] > MATCHING_CAP:
+        raise CapacityError(f"matching size {xa.shape[0]} exceeds cap {MATCHING_CAP}")
     cost = cdist(xa, ya, metric)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())

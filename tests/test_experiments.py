@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import tomllib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from noisyvoter.experiments import (
     run_validate,
     thermalize_distance,
 )
-from noisyvoter.pmf import point_mass
+from noisyvoter.pmf import Pmf, point_mass
 from noisyvoter.transport import w1_discrete, w1_discrete_vs_wf, w1_matching
 from oracles import block_rates
 
@@ -126,7 +127,7 @@ class TestConfig:
         dict(scenario="profile", n=(0,)),
         dict(scenario="profile", a=-1.0),
         dict(scenario="profile", m0=0.0),
-        dict(scenario="profile", samples=50),
+        dict(scenario="thermalize", n=(400,), samples=50),
         dict(scenario="profile", grid=(1.0, 0.5)),
         dict(scenario="thermalize", n=(100, 200)),
         dict(scenario="thermalize", n=(10000,), grid=(-20.0,)),
@@ -138,7 +139,7 @@ class TestConfig:
         dict(scenario="qclt-rate", n=(32, 64, 128), tol=1e-3),
         dict(scenario="stein-rate", n=(16,), ell=40),
         dict(scenario="stein-rate", n=(1,)),
-        dict(scenario="mixing-curve", n=(32, 64), dense_cap=-5),
+        dict(scenario="mixing-curve", n=(32, 64), samples=0),
         dict(scenario="mixing-curve", n=(32, 64), eps=(0.0, 0.1)),
         dict(scenario="mixing-curve", n=(32, 64), eps=(0.05, 0.05)),
         dict(scenario="mixing-curve", n=(32, 64), grid=(-0.5, 1.0)),
@@ -151,7 +152,7 @@ class TestConfig:
         dict(scenario="profile", n=100.7),
         dict(scenario="stein-rate", n=(64,), ell=10.6),
         dict(scenario="profile", seed=1.5),
-        dict(scenario="profile", dense_cap=10.5),
+        dict(scenario="mixing-curve", n=(32, 64.5)),
         # numbers must be numbers, and list fields lists
         dict(scenario="profile", a="1"),
         dict(scenario="profile", m0=True),
@@ -204,14 +205,14 @@ class TestConfig:
 
 class TestExitCodes:
     def test_config_error_is_2(self, capsys):
-        assert cli.main(["profile", "--samples", "10"]) == 2
+        assert cli.main(["thermalize", "--samples", "10"]) == 2
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["profile", "--seed", "-1"],
         ["qclt-rate", "--n", "32,64,100"],
         ["stein-rate", "--n", "16", "--ell", "40"],
-        ["mixing-curve", "--n", "32,64", "--dense-cap", "-5"],
+        ["mixing-curve", "--n", "32,64", "--tol", "-5"],
         ["thermalize", "--n", "400", "--tau", "nan"],
         ["thermalize", "--n", "400", "--tau", "inf"],
         ["profile", "--n", "48", "--grid", "0.2,nan"],
@@ -272,6 +273,28 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == 3
 
+    def test_profile_above_the_cap(self, tmp_path, capsys):
+        # above the dense-law cap the laws come from the slow modes alone, so
+        # they stay exact; at the default tol the a-priori bound (about
+        # 1.5e-8 at n = 8192) stops the run with exit 3 and names the bound
+        args = ["profile", "--n", "8192", "--out", str(tmp_path)]
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and "a-priori error bound 1.5e-08" in err
+        assert cli.main(args + ["--tol", "1e-7"]) == 0
+        rows = list(csv.DictReader((tmp_path / "results.csv").read_text().splitlines()))
+        assert len(rows) == 48 and {r["stderr"] for r in rows} == {"0.0"}
+        info = json.loads((tmp_path / "manifest.json").read_text())["exact_laws"]["8192"]
+        assert info["spectral"] == 24 and 0 < info["modes"] < 8193
+        assert 0 < info["apriori_bound"] <= 1e-7
+
+    def test_every_config_field_has_a_flag(self):
+        # a flag without a field, or a field without a flag, can only be set
+        # one way, or not at all
+        flags = {action.dest for action in cli.build_parser()._actions if action.option_strings}
+        settable = {field.name for field in fields(ExperimentConfig)} - {"scenario"}
+        assert flags - {"help", "config"} == settable
+
     def test_diagnostic_error_is_1(self, tmp_path, capsys):
         # grid too short to reach the smallest eps
         code = cli.main(["mixing-curve", "--n", "32,64", "--grid", "0.01,0.02",
@@ -321,11 +344,14 @@ class TestDeterminism:
     @pytest.mark.parametrize("kwargs", [
         # a start deep in the stationary tail, so some columns are refilled
         {"scenario": "mixing-curve", "n": (64, 128), "a": 50.0, "b": 1.0, "m0": 0.01},
-        {"scenario": "profile", "n": (48, 64), "grid": (0.0, 0.2, 0.8), "dense_cap": 50,
-         "samples": 200},
+        # n = 64 is above the lowered cap, so it uses the slow modes only
+        {"scenario": "profile", "n": (48, 64), "grid": (0.0, 0.2, 0.8), "cap": 50},
         {"scenario": "qclt-rate", "n": (32, 64, 128), "grid": (1.0,)},
     ])
-    def test_exact_law_manifest_block(self, tmp_path, kwargs):
+    def test_exact_law_manifest_block(self, tmp_path, monkeypatch, kwargs):
+        kwargs = dict(kwargs)
+        cap = kwargs.pop("cap", model.DENSE_LAW_CAP)
+        monkeypatch.setattr(model, "DENSE_LAW_CAP", cap)
         outs = []
         for tag in ("r1", "r2"):
             cfg = ExperimentConfig(**kwargs, out=str(tmp_path / tag))
@@ -333,14 +359,18 @@ class TestDeterminism:
             outs.append(read_bytes(tmp_path / tag / "results.csv"))
         assert outs[0] == outs[1]
         block = json.loads((tmp_path / "r1" / "manifest.json").read_text())["exact_laws"]
-        exact = [n for n in cfg.n if n <= cfg.dense_cap]
-        assert set(block) == {str(n) for n in exact}
-        for n in exact:
+        assert set(block) == {str(n) for n in cfg.n}
+        for n in cfg.n:
             info = block[str(n)]
             assert info["columns"] == len(cfg.grid)
             assert info["start"] + info["spectral"] + info["uniformized"] == len(cfg.grid)
             assert info["start"] == cfg.grid.count(0.0)
-            assert info["modes"] == (n + 1 if info["spectral"] else 0)
+            if n <= cap:
+                assert info["modes"] == (n + 1 if info["spectral"] else 0)
+            else:
+                assert 0 < info["modes"] < n + 1 and info["spectral"]
+            assert (info["apriori_bound"] > 0) == (info["spectral"] > 0)
+            assert info["apriori_bound"] <= cfg.tol
             refills = cfg.scenario == "mixing-curve"
             assert (info["uniformized"] > 0) == refills
 
@@ -385,28 +415,34 @@ class TestScenarioOutputs:
         expect = w1_discrete(point_mass(0.5), model.stationary_pmf(params).scaled(1 / n))
         assert st0.estimate == pytest.approx(expect, abs=1e-6)
 
-    def test_profile_exact_reference_rows(self, tmp_path):
-        # profile:wf against the exact marginal (stderr 0 for exact laws, batch
-        # spread for sampled ones); profile:stationary carries the limit profile
+    def test_profile_exact_reference_rows(self, tmp_path, monkeypatch):
+        # profile:wf against the exact marginal, with stderr 0 on both sides of
+        # the dense-law cap (lowered so that n = 64 uses the slow modes only);
+        # profile:stationary carries the limit profile
+        monkeypatch.setattr(model, "DENSE_LAW_CAP", 40)
         cfg = ExperimentConfig(scenario="profile", n=(32, 64), grid=(0.0, 0.3, 1.0),
-                               dense_cap=40, samples=500, seed=3, out=str(tmp_path))
+                               seed=3, out=str(tmp_path))
         records, extra = run_profile(cfg)
         wf = WFParams(1.0, 1.0)
         beta = wf_marginal(wf, 0.5, np.inf)
         for r in records:
+            assert r.stderr == 0.0
             if r.scenario == "profile:stationary":
                 want = (w1_discrete_vs_wf(point_mass(0.5), beta) if r.t_or_tau == 0
                         else wf_marginal(wf, 0.5, r.t_or_tau).stationary_distance())
                 assert r.theory == want
-            elif r.n == 32:
-                law = model.transient_law(model.ModelParams(32, 1.0, 1.0), 16, 32 * r.t_or_tau)
+            else:
+                params = model.ModelParams(r.n, 1.0, 1.0)
+                p0 = (np.arange(r.n + 1) == r.n // 2).astype(float)
+                probs = (p0 if r.t_or_tau == 0
+                         else model._uniformized_law(params, p0, r.n * r.t_or_tau, 1e-12))
+                law = Pmf(np.arange(r.n + 1) / r.n, probs)
                 ref = (point_mass(0.5) if r.t_or_tau == 0
                        else wf_marginal(wf, 0.5, r.t_or_tau))
-                got = (w1_discrete(law.scaled(1 / 32), ref) if r.t_or_tau == 0
-                       else w1_discrete_vs_wf(law.scaled(1 / 32), ref))
-                assert r.estimate == pytest.approx(got, abs=1e-12) and r.stderr == 0.0
-            elif r.t_or_tau > 0:
-                assert r.stderr > 0.0
+                got = (w1_discrete(law, ref) if r.t_or_tau == 0
+                       else w1_discrete_vs_wf(law, ref))
+                # W1 on [0, 1] moves by at most the TV gap of the two laws
+                assert r.estimate == pytest.approx(got, abs=1e-9)
         assert extra["profile"]["series_terms"][0] == 0
         assert all(k > 0 for k in extra["profile"]["series_terms"][1:])
         assert 0.0 < extra["profile"]["rounding_bound"] <= cfg.tol

@@ -280,10 +280,11 @@ class TestSpectralLaw:
 
     def test_guard_checks_the_result(self, monkeypatch, caplog):
         # a decomposition that passes the a-priori bound but is wrong must be
-        # caught by the a-posteriori checks
+        # caught by the a-posteriori checks, on both sides of the cap: below
+        # it uniformization refills the law, above it the call fails loudly
         params = ModelParams(64, 1.0, 1.0)
         lam, vecs, s = _spectrum(params)
-        monkeypatch.setattr(model, "_spectrum", lambda p: (0.5 * lam, vecs, s))
+        monkeypatch.setattr(model, "_spectrum", lambda p, modes=None: (0.5 * lam, vecs, s))
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
             law = transient_law(params, 10, 20.0)
         messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
@@ -291,6 +292,39 @@ class TestSpectralLaw:
         p0 = np.zeros(65)
         p0[10] = 1.0
         assert total_variation(law.probs, uniformization_oracle(params, p0, 20.0)) <= 1e-9
+        monkeypatch.setattr(model, "DENSE_LAW_CAP", 32)
+        with pytest.raises(CapacityError, match="n=64") as exc:
+            transient_law(params, 10, 20.0)
+        assert "a-priori" not in str(exc.value) and "nothing is uniformized" in str(exc.value)
+
+    @pytest.mark.parametrize("n", [64, 300])
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.5, 2.0), (20.0, 20.0)])
+    @pytest.mark.parametrize("fraction", [2, 10])
+    def test_slow_modes_match_uniformization(self, monkeypatch, n, a, b, fraction):
+        # with the cap lowered, these sizes solve for the slow modes only; every
+        # column the guard accepts is within tol of uniformization, and a
+        # rejected one raises CapacityError, since nothing is uniformized there
+        monkeypatch.setattr(model, "DENSE_LAW_CAP", 16)
+        params = ModelParams(n, a, b)
+        k0, tol = n // fraction, 1e-10
+        p0 = (np.arange(n + 1) == k0).astype(float)
+        times = n * np.array([0.0, 0.01, 0.05, 0.2, 1.0])
+        laws, ok, _, modes, bound = model._spectral_laws(params, p0, times, tol)
+        # only the a-priori bound rejects here (the tail start at n = 300,
+        # a = b = 20); the a-posteriori checks pass every column it accepts
+        assert modes < n + 1 and ok.all() == (bound <= tol)
+        law, t_prev = p0, 0.0
+        for t, col, good in zip(times[1:], laws.T[1:], ok[1:]):
+            law, t_prev = _uniformized_law(params, law, t - t_prev, 1e-13), t
+            if good:
+                assert total_variation(col, law) <= tol
+        if ok.all():
+            grid = transient_laws(params, k0, times, tol)
+            np.testing.assert_array_equal(grid.probs, laws)
+            assert grid.modes == modes and grid.bound == bound <= tol
+        else:
+            with pytest.raises(CapacityError):
+                transient_laws(params, k0, times, tol)
 
     def test_spectral_path_logs_nothing(self, caplog):
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):

@@ -15,6 +15,7 @@ from noisyvoter.errors import CapacityError
 from noisyvoter.pmf import Pmf, empirical_pmf, point_mass
 from noisyvoter.stein import hypergeom_zeta_pmf
 from noisyvoter.transport import (
+    MATCHING_CAP,
     pushforward_check,
     w1_discrete,
     w1_discrete_vs_gaussian,
@@ -316,8 +317,10 @@ class TestW1Matching:
     def test_errors(self):
         with pytest.raises(ValueError):
             w1_matching(np.zeros((3, 2)), np.zeros((4, 2)))
+        # the size check runs before the cost matrix is built
+        big = np.zeros((MATCHING_CAP + 1, 2))
         with pytest.raises(CapacityError):
-            w1_matching(np.zeros((11, 2)), np.zeros((11, 2)), cap=10)
+            w1_matching(big, big)
 
 
 class TestPushforward:
