@@ -13,7 +13,6 @@ from noisyvoter import (
     ModelParams,
     detailed_balance_gap,
     empirical_pmf,
-    sample_stationary,
     stationary_pmf,
     w1_discrete,
 )
@@ -33,7 +32,7 @@ for n in (10, 100, 1000):
     print(f"reversibility gap at n={n}: {gap:.2e} (log scale)")
 
 rng = np.random.default_rng(1)
-draws = sample_stationary(params, rng, size=200_000)
+draws = rng.binomial(params.n, rng.beta(params.a, params.b, size=200_000))
 dist = w1_discrete(empirical_pmf(draws), pmf)
 print(f"W1(empirical law of 2e5 sampler draws, exact pmf) = {dist:.5f}")
 

@@ -16,7 +16,6 @@ from noisyvoter import (
     Pmf,
     point_mass,
     pushforward_check,
-    samples_to_csv,
     w1_discrete,
     w1_discrete_vs_gaussian,
     w1_matching,
@@ -51,5 +50,6 @@ d2, d1 = pushforward_check(cloud_a, cloud_b, lambda pnt: pnt[0])
 print(f"projection contracts W1: 1-D {d1:.5f} <= 2-D {d2:.5f}")
 
 os.makedirs("demos/output", exist_ok=True)
-samples_to_csv(cloud_a, "demos/output/cloud.csv")
+np.savetxt("demos/output/cloud.csv", cloud_a, fmt="%.17g", delimiter=",",
+           header="x,y", comments="")
 print("wrote demos/output/cloud.csv (x,y columns, full precision)")

@@ -13,7 +13,6 @@ from .model import (
     count_rates,
     couple_by_block_counts,
     detailed_balance_gap,
-    sample_stationary,
     sample_uniform_given_count,
     simulate_blocks_batch,
     simulate_count_batch,
@@ -38,7 +37,6 @@ from .diffusion import (
 )
 from .transport import (
     pushforward_check,
-    samples_to_csv,
     w1_discrete,
     w1_discrete_vs_gaussian,
     w1_discrete_vs_wf,

@@ -155,15 +155,25 @@ def simulate_wf(params: WFParams, m0, t: float, dt: float | None,
         x = np.atleast_1d(x).astype(float).copy()
     if np.any(x < 0) or np.any(x > 1):
         raise ValueError("m0 must lie in [0, 1]")
+    _euler_maruyama(params, x, t, dt, rng, x.shape)
+    return float(x[0]) if scalar else x
+
+
+def _euler_maruyama(params: WFParams, x: np.ndarray, t: float, dt: float,
+                    rng: np.random.Generator, noise_shape) -> None:
+    """Advance the Wright-Fisher states ``x`` in place to time t in steps of
+    at most dt, clamping to [0, 1] after every step.  Each step draws one
+    standard normal array of ``noise_shape``, broadcast against ``x``: the
+    shape of ``x`` for independent paths, a trailing axis of it for noise
+    shared along the leading axes (common random numbers)."""
     a, b = params.a, params.b
     remaining = t
     while remaining > 0:
         h = min(dt, remaining)
-        noise = rng.standard_normal(x.shape)
+        noise = rng.standard_normal(noise_shape)
         x += (a * (1.0 - x) - b * x) * h + np.sqrt(2.0 * x * (1.0 - x) * h) * noise
         np.clip(x, 0.0, 1.0, out=x)
         remaining -= h
-    return float(x[0]) if scalar else x
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +492,8 @@ def derivative_decay_probe(params: WFParams, f, order: int, s: float, t: float,
     shifts = (-step, step) if order == 1 else (-step, 0.0, step)
     starts = (grid[:, None] + np.asarray(shifts)[None, :]).ravel()
     x = np.repeat(starts[:, None], mc_budget, axis=1)
-    a, b = params.a, params.b
-    remaining = horizon
-    while remaining > 0:
-        h = min(dt, remaining)
-        noise = rng.standard_normal(mc_budget)  # shared: common random numbers
-        x += (a * (1.0 - x) - b * x) * h + np.sqrt(2.0 * x * (1.0 - x) * h) * noise[None, :]
-        np.clip(x, 0.0, 1.0, out=x)
-        remaining -= h
+    # one draw per path, shared by every start: common random numbers
+    _euler_maruyama(params, x, horizon, dt, rng, mc_budget)
     vals = np.asarray(f(x))
     vals = vals.reshape(grid.size, len(shifts), mc_budget)
     if order == 1:

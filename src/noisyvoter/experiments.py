@@ -4,6 +4,10 @@ Each scenario composes the model, diffusion, transport and Stein modules to
 measure one headline quantity: the distance-to-stationarity profile, the
 thermalization cut-off profile, the density QCLT rate, the hypergeometric CLT
 rate, the no-cutoff mixing curve, or the full invariant validation sweep.
+The three exact scenarios (profile, qclt-rate, mixing-curve) are loops over
+two shared steps: per n, ``_density_laws`` makes the one exact-law call and
+puts the whole time grid on the density lattice {0, 1/n, ..., 1}; per
+distinct start, ``_wf_references`` builds the exact Wright-Fisher marginals.
 Runs are seed-exact: a config (including seed) maps to byte-identical
 results.csv output; wall-clock timings live in manifest.json only.
 """
@@ -17,6 +21,7 @@ import time
 from dataclasses import dataclass, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -114,6 +119,8 @@ class ExperimentConfig:
                 raise ConfigError("grid must be strictly increasing")
             if self.scenario != "thermalize" and grid[0] < 0:
                 raise ConfigError("time grid must be nonnegative")
+            if self.scenario != "thermalize" and not np.isfinite(max(ns) * grid[-1]):
+                raise ConfigError(f"time n*t overflows at n = {max(ns)}, t = {grid[-1]:g}")
         object.__setattr__(self, "grid", grid)
         if self.samples < 1 or (self.scenario == "thermalize" and self.samples < 100):
             raise ConfigError("samples must be positive, and at least 100 for thermalize")
@@ -187,7 +194,6 @@ class ResultRecord:
     estimate: float
     stderr: float
     theory: float | None
-    runtime_s: float | None
     seed: int
 
 
@@ -196,8 +202,8 @@ CSV_COLUMNS = ("scenario", "n", "a", "b", "m0", "t_or_tau",
 
 
 def write_results(records, outdir) -> Path:
-    """Write results.csv deterministically (runtime_s stays empty; wall-clock
-    timings go to the manifest so reruns are byte-identical)."""
+    """Write results.csv deterministically: the runtime_s column stays empty,
+    because wall-clock timings go to the manifest so reruns are byte-identical."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "results.csv"
@@ -208,9 +214,7 @@ def write_results(records, outdir) -> Path:
             writer.writerow([
                 r.scenario, r.n, repr(float(r.a)), repr(float(r.b)), repr(float(r.m0)),
                 repr(float(r.t_or_tau)), repr(float(r.estimate)), repr(float(r.stderr)),
-                "" if r.theory is None else repr(float(r.theory)),
-                "" if r.runtime_s is None else repr(float(r.runtime_s)),
-                r.seed,
+                "" if r.theory is None else repr(float(r.theory)), "", r.seed,
             ])
     return path
 
@@ -249,23 +253,37 @@ def _declared_tolerance(r: ResultRecord) -> float:
     return np.inf
 
 
-def _wf_reference(wf: diffusion.WFParams, m0: float, t: float, tol: float):
-    """Exact Wright-Fisher marginal at time t from m0: the point mass at m0
-    when t = 0, else the guarded Jacobi series of ``diffusion.wf_marginal``."""
-    return point_mass(m0) if t == 0 else diffusion.wf_marginal(wf, m0, t, tol)
+class _DensityLaws(NamedTuple):
+    """Exact density laws at one size n on the lattice {0, 1/n, ..., 1}:
+    column j of ``probs`` is the law at time n * cfg.grid[j] from the
+    density ``start`` = particle_count(n)/n."""
+
+    params: model.ModelParams
+    start: float
+    lattice: np.ndarray
+    probs: np.ndarray
+
+    def to_references(self, refs) -> list[float]:
+        """Exact W1 from each column to the ``_wf_references`` entry of its time."""
+        out = []
+        for col, ref in zip(self.probs.T, refs):
+            law = Pmf(self.lattice, col)
+            out.append(transport.w1_discrete(law, ref) if isinstance(ref, Pmf)
+                       else transport.w1_discrete_vs_wf(law, ref))
+        return out
+
+    def to_stationary(self) -> np.ndarray:
+        """Exact W1 from every column to the stationary density law, at once."""
+        stationary = model.stationary_pmf(self.params).probs
+        return transport.w1_lattice(self.probs, Pmf(self.lattice, stationary))
 
 
-def _w1_to_reference(law: Pmf, ref) -> float:
-    """Exact W1 from a pmf on [0, 1] to a ``_wf_reference``."""
-    if isinstance(ref, Pmf):
-        return transport.w1_discrete(law, ref)
-    return transport.w1_discrete_vs_wf(law, ref)
-
-
-def _exact_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> model.LawGrid:
-    """Exact count laws at the times n*t, t in ``cfg.grid``, all computed
-    from the start count ``cfg.particle_count(n)`` by one
-    ``model.transient_laws`` call: column j is the law at n * cfg.grid[j].
+def _density_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> _DensityLaws:
+    """The per-n step of the exact scenarios: the count laws at every time
+    n*t, t in ``cfg.grid``, from the start count ``cfg.particle_count(n)`` by
+    one ``model.transient_laws`` call, as density laws on one lattice
+    ``arange(n + 1) / n``.  Its start point is particle_count(n)/n exactly,
+    so at t = 0 the law is the point mass of ``_wf_references``.
 
     Records under ``law_info[str(n)]`` the manifest's account of the grid:
     how many columns are the start law (t = 0), came from the spectral
@@ -274,28 +292,35 @@ def _exact_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> model.LawGrid:
     """
     params = model.ModelParams(n, cfg.a, cfg.b)
     ts = n * np.asarray(cfg.grid)
-    laws = model.transient_laws(params, cfg.particle_count(n), ts, cfg.tol)
+    k0 = cfg.particle_count(n)
+    laws = model.transient_laws(params, k0, ts, cfg.tol)
     start = int(np.count_nonzero(ts == 0))
     uniformized = int(laws.refilled.sum())
     law_info[str(n)] = {"columns": ts.size, "start": start,
                         "spectral": ts.size - start - uniformized, "uniformized": uniformized,
                         "modes": laws.modes, "apriori_bound": laws.bound}
-    return laws
+    lattice = np.arange(n + 1) / n
+    return _DensityLaws(params, float(lattice[k0]), lattice, laws.probs)
 
 
-def _density_pmfs(laws: model.LawGrid, n: int):
-    """The columns of an ``_exact_laws`` grid as density pmfs on {0, 1/n, ..., 1}."""
-    support = np.arange(n + 1) * (1.0 / n)
-    return [Pmf(support, col) for col in laws.probs.T]
-
-
-def _reference_info(ref) -> dict:
-    """Manifest entry for a ``_wf_reference``: exact, so no time step and no
-    sampling noise, only the series length and its rounding bound."""
-    if isinstance(ref, Pmf):
-        return {"reference": "point-mass", "series_terms": 0, "rounding_bound": 0.0}
-    return {"reference": "jacobi-series", "series_terms": ref.series_terms,
-            "rounding_bound": ref.rounding_bound}
+def _wf_references(cfg: ExperimentConfig):
+    """The per-start step of ``profile`` and ``qclt-rate``: for each distinct
+    start m0 = particle_count(n)/n, the exact Wright-Fisher marginal from m0
+    at every grid time (the point mass at m0 at t = 0, else
+    ``diffusion.wf_marginal``).  Exact, so no time step and no sampling
+    noise: the manifest summary gives the starts, the longest series per
+    grid time and the largest rounding bound.
+    """
+    wf = diffusion.WFParams(cfg.a, cfg.b)
+    refs = {m0: [point_mass(m0) if t == 0 else diffusion.wf_marginal(wf, m0, t, cfg.tol)
+                 for t in cfg.grid]
+            for m0 in dict.fromkeys(cfg.particle_count(n) / n for n in cfg.n)}
+    series = [[getattr(ref, "series_terms", 0) for ref in per_start] for per_start in refs.values()]
+    summary = {"starts": list(refs),
+               "series_terms": [max(per_time) for per_time in zip(*series)],
+               "rounding_bound": max(getattr(ref, "rounding_bound", 0.0)
+                                     for per_start in refs.values() for ref in per_start)}
+    return refs, summary
 
 
 # ---------------------------------------------------------------------------
@@ -306,42 +331,29 @@ def run_profile(cfg: ExperimentConfig):
     """Distance of the density law at time n*t to (i) the Wright-Fisher
     marginal and (ii) the rescaled stationary law, per grid time.
 
-    The diffusion marginal is exact (``diffusion.wf_marginal``, the point mass
-    at the start at t = 0) and starts where the chain does, at
-    ``particle_count(n)/n``; it is built once per grid time and distinct
-    start.  The density law is exact at every n, the whole grid from one
-    ``_exact_laws`` call (above ``model.DENSE_LAW_CAP`` from the slow modes
-    only), so every stderr is 0.  The ``profile:stationary`` theory is the
-    paper's limit profile D(t) = W1(Wright-Fisher marginal at t, Beta(a, b))
-    from the same start.
+    The diffusion marginal is exact and starts where the chain does
+    (``_wf_references``).  The density law is exact at every n, the whole
+    grid from one ``_density_laws`` step (above ``model.DENSE_LAW_CAP`` from
+    the slow modes only), so every stderr is 0.  The ``profile:stationary``
+    theory is the paper's limit profile D(t) = W1(Wright-Fisher marginal at
+    t, Beta(a, b)) from the same start.
     """
-    wf = diffusion.WFParams(cfg.a, cfg.b)
-    starts = {n: cfg.particle_count(n) / n for n in cfg.n}
-    refs, limits = {}, {}
-    for m0e in dict.fromkeys(starts.values()):
-        refs[m0e] = [_wf_reference(wf, m0e, t, cfg.tol) for t in cfg.grid]
-        beta = diffusion.wf_marginal(wf, m0e, np.inf)
-        limits[m0e] = [transport.w1_discrete_vs_wf(ref, beta) if isinstance(ref, Pmf)
-                       else ref.stationary_distance() for ref in refs[m0e]]
+    refs, summary = _wf_references(cfg)
+    beta = diffusion.wf_marginal(diffusion.WFParams(cfg.a, cfg.b), 0.0, np.inf)
+    limits = {m0: [transport.w1_discrete_vs_wf(ref, beta) if isinstance(ref, Pmf)
+                   else ref.stationary_distance() for ref in per_start]
+              for m0, per_start in refs.items()}
     records, law_info = [], {}
-    for n, m0e in starts.items():
-        stat_scaled = model.stationary_pmf(model.ModelParams(n, cfg.a, cfg.b)).scaled(1.0 / n)
-        grid = _exact_laws(cfg, n, law_info)
-        d_stats = transport.w1_lattice(grid.probs, stat_scaled)
-        for t, ref, limit, law_scaled, d_stat in zip(
-                cfg.grid, refs[m0e], limits[m0e], _density_pmfs(grid, n), d_stats):
-            d_wf = _w1_to_reference(law_scaled, ref)
-            records.append(ResultRecord("profile:wf", n, cfg.a, cfg.b, m0e, t,
-                                        d_wf, 0.0, None, None, cfg.seed))
-            records.append(ResultRecord("profile:stationary", n, cfg.a, cfg.b, m0e, t,
-                                        float(d_stat), 0.0, limit, None, cfg.seed))
-    infos = [[_reference_info(ref) for ref in per_start] for per_start in refs.values()]
-    extra = {"profile": {
-        "starts": list(refs),
-        "series_terms": [max(i["series_terms"] for i in per_time) for per_time in zip(*infos)],
-        "rounding_bound": max(i["rounding_bound"] for per_start in infos for i in per_start)},
-        "exact_laws": law_info}
-    return records, extra
+    for n in cfg.n:
+        laws = _density_laws(cfg, n, law_info)
+        m0 = laws.start
+        for t, d_wf, d_stat, limit in zip(cfg.grid, laws.to_references(refs[m0]),
+                                          laws.to_stationary(), limits[m0]):
+            records.append(ResultRecord("profile:wf", n, cfg.a, cfg.b, m0, t,
+                                        d_wf, 0.0, None, cfg.seed))
+            records.append(ResultRecord("profile:stationary", n, cfg.a, cfg.b, m0, t,
+                                        float(d_stat), 0.0, limit, cfg.seed))
+    return records, {"profile": summary, "exact_laws": law_info}
 
 
 # ---------------------------------------------------------------------------
@@ -352,39 +364,34 @@ def run_qclt_rate(cfg: ExperimentConfig):
     """Log-log rate of the density-vs-Wright-Fisher distance over a dyadic
     n-sweep at a fixed observation time.
 
-    Both laws are exact: the count law from ``_exact_laws`` and the
-    diffusion marginal from ``diffusion.wf_marginal`` (the point mass at the
-    start at t = 0), started where the chain starts, at
-    ``particle_count(n)/n``, and built once per distinct start.  So the
-    distances carry no Monte Carlo or time-step error and their stderr is 0.
-    ``halving_gap`` and ``reference_noise_floor`` stay in the manifest at
-    their exact value 0.
+    Both laws are exact, from ``_density_laws`` and ``_wf_references``, so
+    the distances carry no Monte Carlo or time-step error and their stderr
+    is 0.  ``halving_gap`` and ``reference_noise_floor`` stay in the manifest
+    at their exact value 0.  At t = 0 both laws are the point mass at the
+    start, every distance is 0 and the run fails.
     """
     t = cfg.grid[0]
-    wf = diffusion.WFParams(cfg.a, cfg.b)
-    starts = {n: cfg.particle_count(n) / n for n in cfg.n}
-    refs = {m0e: _wf_reference(wf, m0e, t, cfg.tol) for m0e in dict.fromkeys(starts.values())}
+    refs, summary = _wf_references(cfg)
     dists, law_info = [], {}
-    for n, m0e in starts.items():
-        (law,) = _density_pmfs(_exact_laws(cfg, n, law_info), n)
-        dists.append(_w1_to_reference(law, refs[m0e]))
+    for n in cfg.n:
+        laws = _density_laws(cfg, n, law_info)
+        dists += laws.to_references(refs[laws.start])
     zero = [n for n, d in zip(cfg.n, dists) if d == 0]
     if zero:
         raise DiagnosticError(f"qclt-rate distance is 0 at n = {', '.join(map(str, zero))} "
                               f"(t = {t:g}); the log-log slope is undefined")
-    records = [ResultRecord("qclt-rate", n, cfg.a, cfg.b, cfg.m0, t, d, 0.0, None, None, cfg.seed)
+    records = [ResultRecord("qclt-rate", n, cfg.a, cfg.b, cfg.m0, t, d, 0.0, None, cfg.seed)
                for n, d in zip(cfg.n, dists)]
     coeffs, cov = np.polyfit(np.log(np.asarray(cfg.n, dtype=float)), np.log(dists), 1, cov=True)
     slope = float(coeffs[0])
     slope_err = float(np.sqrt(cov[0, 0]))
     records.append(ResultRecord("qclt-rate:slope", cfg.n[-1], cfg.a, cfg.b, cfg.m0, t,
-                                slope, slope_err, -0.5, None, cfg.seed))
-    infos = [_reference_info(ref) for ref in refs.values()]
-    extra = {"qclt": {"slope": slope, "slope_stderr": slope_err,
-                      "reference": infos[0]["reference"],
-                      "series_terms": max(i["series_terms"] for i in infos),
-                      "rounding_bound": max(i["rounding_bound"] for i in infos),
-                      "starts": list(refs), "halving_gap": 0.0, "reference_noise_floor": 0.0},
+                                slope, slope_err, -0.5, cfg.seed))
+    # t > 0 here (see above), so every reference is a Jacobi series
+    extra = {"qclt": {"slope": slope, "slope_stderr": slope_err, "reference": "jacobi-series",
+                      "series_terms": summary["series_terms"][0],
+                      "rounding_bound": summary["rounding_bound"], "starts": summary["starts"],
+                      "halving_gap": 0.0, "reference_noise_floor": 0.0},
              "exact_laws": law_info}
     return records, extra
 
@@ -462,9 +469,9 @@ def run_thermalize(cfg: ExperimentConfig):
         err = float(values[:, i].std(ddof=1) / np.sqrt(cfg.repetitions))
         surrogate = thermalize_distance(params, ell, horizons[i])
         records.append(ResultRecord("thermalize", n, cfg.a, cfg.b, m0e, float(tau),
-                                    est, err, theory, None, cfg.seed))
+                                    est, err, theory, cfg.seed))
         records.append(ResultRecord("thermalize:surrogate", n, cfg.a, cfg.b, m0e, float(tau),
-                                    float(surrogate), 0.0, theory, None, cfg.seed))
+                                    float(surrogate), 0.0, theory, cfg.seed))
         checks.append({"tau": float(tau), "exact": surrogate,
                        "mc_bias": est - surrogate, "mc_stderr": err})
     return records, {"thermalize": checks}
@@ -494,8 +501,7 @@ def run_mixing_curve(cfg: ExperimentConfig):
     law_info = {}
 
     def curve(n):
-        stat_scaled = model.stationary_pmf(model.ModelParams(n, cfg.a, cfg.b)).scaled(1.0 / n)
-        ds = transport.w1_lattice(_exact_laws(cfg, n, law_info).probs, stat_scaled)
+        ds = _density_laws(cfg, n, law_info).to_stationary()
         peak = int(np.argmax(ds))
         if np.any(np.diff(ds[peak:]) > 5e-9):
             raise DiagnosticError(f"distance curve non-monotone beyond noise at n={n}")
@@ -510,16 +516,16 @@ def run_mixing_curve(cfg: ExperimentConfig):
             raise DiagnosticError("mixing times must decrease strictly in eps")
         for e, tm in zip(eps_grid, tmix[n]):
             records.append(ResultRecord("mixing-curve", n, cfg.a, cfg.b, cfg.m0,
-                                        float(e), tm, 0.0, None, None, cfg.seed))
+                                        float(e), tm, 0.0, None, cfg.seed))
     n_prev, n_last = cfg.n[-2], cfg.n[-1]
     gap = np.abs(np.asarray(tmix[n_last]) - np.asarray(tmix[n_prev]))
     drift_abs = float(np.max(gap))
     drift_rel = float(np.max(gap / np.asarray(tmix[n_last])))
     spread = float(tmix[n_last][0] - tmix[n_last][-1])
     records.append(ResultRecord("mixing-curve:drift", n_last, cfg.a, cfg.b, cfg.m0,
-                                0.0, drift_abs, 0.0, None, None, cfg.seed))
+                                0.0, drift_abs, 0.0, None, cfg.seed))
     records.append(ResultRecord("mixing-curve:spread", n_last, cfg.a, cfg.b, cfg.m0,
-                                0.0, spread, 0.0, None, None, cfg.seed))
+                                0.0, spread, 0.0, None, cfg.seed))
     extra = {"mixing": {"tmix_over_n": {str(n): tmix[n] for n in cfg.n},
                         "eps": eps_grid, "drift_abs": drift_abs,
                         "drift_rel": drift_rel, "spread": spread,
@@ -543,9 +549,9 @@ def run_stein_rate(cfg: ExperimentConfig):
         nu = m0e * (1 - m0e)
         rows.append((n, ell, m0e, nu, distance, normalized))
         records.append(ResultRecord("stein-rate", n, cfg.a, cfg.b, m0e, 0.0,
-                                    distance, 0.0, None, None, cfg.seed))
+                                    distance, 0.0, None, cfg.seed))
         records.append(ResultRecord("stein-rate:normalized", n, cfg.a, cfg.b, m0e, 0.0,
-                                    normalized, 0.0, None, None, cfg.seed))
+                                    normalized, 0.0, None, cfg.seed))
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "stein_sweep.csv", "w", newline="", encoding="utf-8") as fh:
@@ -807,9 +813,8 @@ def run_validate(cfg: ExperimentConfig):
     records = []
     for r in results:
         records.append(ResultRecord(f"validate:{r.name}", cfg.n[0], cfg.a, cfg.b, cfg.m0,
-                                    0.0, r.measured,
-                                    0.0, r.tolerance if np.isfinite(r.tolerance) else None,
-                                    None, cfg.seed))
+                                    0.0, r.measured, 0.0,
+                                    r.tolerance if np.isfinite(r.tolerance) else None, cfg.seed))
     # wall seconds go to the manifest and the report only, never to results.csv
     report = {r.name: {"passed": bool(r.passed), "measured": float(r.measured),
                        "tolerance": float(r.tolerance), "note": r.note, "runtime_s": secs}

@@ -17,10 +17,10 @@ eigenpairs per (n, a, b) turns a whole grid of times, each computed from the
 start count, into one matrix product.  Up to ``DENSE_LAW_CAP`` that is the
 full eigendecomposition; above it, only the slow modes that the first grid
 time needs, O(nJ) work with J independent of n.  An accuracy guard (an
-a-priori bound on rounding and truncation, then per time nonnegativity, unit
-mass and the closed-form mean) sends the laws it cannot trust, from starts
-deep in the stationary tails, to uniformization up to the cap and to a
-``CapacityError`` above it.
+a-priori bound on rounding and truncation, checked before any eigenpair is
+computed, then per time nonnegativity, unit mass and the closed-form mean)
+sends the laws it cannot trust, from starts deep in the stationary tails, to
+uniformization up to the cap and to a ``CapacityError`` above it.
 """
 
 from __future__ import annotations
@@ -197,28 +197,28 @@ def simulate_blocks_batch(
 
 
 @lru_cache(maxsize=1)
-def _spectrum(params: ModelParams, modes: int | None = None):
-    """Eigendecomposition of the count generator symmetrized by sqrt(pi).
+def _spectrum(params: ModelParams, modes: int):
+    """The ``modes`` slowest eigenpairs of the count generator symmetrized
+    by s = sqrt(pi).
 
-    Detailed balance makes diag(s) Q diag(1/s), s = sqrt(pi), the symmetric
-    tridiagonal matrix with diagonal -(up+down) and off-diagonal
-    sqrt(up[k] down[k+1]).  Returns ascending eigenvalues, orthonormal
-    eigenvectors (columns) and s, all read-only; only the ``modes`` slowest
-    eigenpairs, in O(n modes), when ``modes`` is given.  The spectrum is
-    -j(j-1+a+b)/n, j = 0..n.  Only the latest call is kept, so the cache
-    holds at most one (n+1)^2 matrix of doubles (128 MB at n = 4096).
+    Detailed balance makes diag(s) Q diag(1/s) the symmetric tridiagonal
+    matrix with diagonal -(up+down) and off-diagonal sqrt(up[k] down[k+1]).
+    Returns ascending eigenvalues and orthonormal eigenvectors (columns),
+    both read-only: all of them when ``modes`` is n+1, else only the slowest
+    ``modes``, in O(n modes).  The spectrum is -j(j-1+a+b)/n, j = 0..n.
+    Only the latest call is kept, so the cache holds at most one (n+1)^2
+    matrix of doubles (128 MB at n = 4096).
     """
     n = params.n
     up, down = count_rates(params, np.arange(n + 1))
-    select = {} if modes is None else {"select": "i", "select_range": (n + 1 - modes, n)}
+    select = {} if modes == n + 1 else {"select": "i", "select_range": (n + 1 - modes, n)}
     lam, vecs = eigh_tridiagonal(-(up + down), np.sqrt(up[:-1] * down[1:]), **select)
     # The stationary eigenvalue is exactly 0; left at its rounded value
     # (about 1e-14) the mass would drift like exp(lam t) over long times.
     lam[-1] = 0.0
-    s = np.exp(0.5 * stationary_log_pmf(params))
-    for arr in (lam, vecs, s):
+    for arr in (lam, vecs):
         arr.setflags(write=False)
-    return lam, vecs, s
+    return lam, vecs
 
 
 def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: float):
@@ -228,7 +228,8 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
     Returns the (n+1, T) laws, the mask of columns that pass the accuracy
     guard, the reason the first failing column fails, the number of modes
     and the a-priori error bound.  Columns at time 0 are ``p0`` itself and
-    always pass; when the a-priori bound fails, no other column does.
+    always pass; when the a-priori bound fails, no other column does, and
+    no eigenpair is computed.
     """
     n, a, b = params.n, params.a, params.b
     zero = times == 0
@@ -238,10 +239,7 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
     live = ~zero
     if not live.any():
         return laws, ok, "", 0, 0.0
-    if n <= DENSE_LAW_CAP:
-        lam, vecs, s = _spectrum(params)
-    else:
-        s = np.exp(0.5 * stationary_log_pmf(params))
+    s = np.exp(0.5 * stationary_log_pmf(params))
     with np.errstate(divide="ignore", invalid="ignore"):
         q0 = np.where(p0 > 0, p0 / s, 0.0)
     # rounding in the eigenvectors is amplified by the conditioning of the
@@ -257,10 +255,9 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
         tails = s.sum() * q0.sum() * np.append(np.cumsum(decay[::-1])[::-1], 0.0)
         modes = int(np.argmax(tails <= tol / 4))
         bound += tails[modes]
-        if bound <= tol:
-            lam, vecs, _ = _spectrum(params, modes)
     if not bound <= tol:
         return laws, ok, f"a-priori error bound {bound:.3g} exceeds tol", modes, bound
+    lam, vecs = _spectrum(params, modes)
     p = s[:, None] * (vecs @ (np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]))
     ks = np.arange(n + 1, dtype=float)
     fix = n * a / (a + b)
@@ -365,9 +362,10 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
     sum(s) sum(p0/s) sum_{j >= J} exp(-j(j-1+a+b) t1/n) at the first positive
     time t1 is at most tol/4.  Columns at time 0 are the start law exactly.
     A column is trusted only when an a-priori bound on its error,
-    (n+1) eps sum(s) sum(p0/s) plus that tail, is at most ``tol`` and it
-    passes a-posteriori checks: no probability below -tol, mass within tol of
-    1, and mean within n*tol of the closed-form mean path.  Up to the cap,
+    (n+1) eps sum(s) sum(p0/s) plus that tail, is at most ``tol`` (checked
+    before any eigenpair is computed) and it passes a-posteriori checks: no
+    probability below -tol, mass within tol of 1, and mean within n*tol of
+    the closed-form mean path.  Up to the cap,
     the first column that fails (for starts deep in the stationary tails,
     every column fails the a-priori bound) is refilled by uniformization from
     the previous column, the rejection is logged at INFO on
@@ -452,12 +450,6 @@ def detailed_balance_gap(params: ModelParams) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.abs(np.log(up[:-1]) + logp[:-1] - np.log(down[1:]) - logp[1:])
     return float(np.max(gap)) if np.all(np.isfinite(gap)) else np.inf
-
-
-def sample_stationary(params: ModelParams, rng: np.random.Generator, size=None):
-    """Draw counts from the stationary law: p ~ Beta(a, b), k ~ Binomial(n, p)."""
-    p = rng.beta(params.a, params.b, size=size)
-    return rng.binomial(params.n, p)
 
 
 def sample_uniform_given_count(

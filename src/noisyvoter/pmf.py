@@ -58,13 +58,6 @@ class Pmf:
             raise ValueError("scale factor must be positive")
         return Pmf(self.support * factor, self.probs)
 
-    def to_csv(self, path) -> None:
-        """Write rows ``k,prob`` in full double precision."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,prob\n")
-            for k, p in zip(self.support, self.probs):
-                fh.write(f"{k:.17g},{p:.17g}\n")
-
 
 def point_mass(x: float) -> Pmf:
     return Pmf(np.array([float(x)]), np.array([1.0]))

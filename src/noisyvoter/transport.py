@@ -203,21 +203,6 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     return float(cost[rows, cols].mean())
 
 
-def samples_to_csv(samples, path) -> None:
-    """Serialize a 1-D or 2-D sample set to CSV (columns ``x`` or ``x,y``)."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 1:
-        header, rows = "x", ((f"{v:.17g}",) for v in arr)
-    elif arr.ndim == 2 and arr.shape[1] == 2:
-        header, rows = "x,y", ((f"{p[0]:.17g}", f"{p[1]:.17g}") for p in arr)
-    else:
-        raise ValueError("samples must be 1-D scalars or (N, 2) points")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def pushforward_check(xs, ys, map_fn, lip_tol: float = 1e-9):
     """Contraction of W1 under a 1-Lipschitz scalar map of the plane.
 

@@ -1,19 +1,23 @@
 """Runner tests: config handling, determinism, exit codes, mutation."""
 
 import ast
+import contextlib
 import csv
 import importlib.util
 import inspect
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 import tomllib
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 from scipy.optimize import linprog
@@ -42,6 +46,31 @@ from oracles import block_rates
 
 # a and b log-uniform on [1e-3, 1e3]
 _LOG_AB = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+def _joined(values) -> str:
+    return ",".join(repr(v) for v in values)
+
+
+@st.composite
+def _extreme_start_args(draw):
+    """CLI arguments of an exact scenario from a start within 0.05 of 0 or 1:
+    profile and mixing-curve at any n in 8-64, qclt-rate over a dyadic sweep
+    there; a and b log-uniform on [0.05, 20]; every time grid holds 0."""
+    scenario = draw(st.sampled_from(["profile", "mixing-curve", "qclt-rate"]))
+    m0 = draw(st.floats(0.0, 0.05, exclude_min=True) | st.floats(0.95, 1.0, exclude_max=True))
+    a, b = (math.exp(draw(st.floats(math.log(0.05), math.log(20.0)))) for _ in range(2))
+    times = st.floats(0.02, 3.0)
+    if scenario == "qclt-rate":
+        n0 = draw(st.sampled_from([8, 16]))
+        ns, grid = (n0, 2 * n0, 4 * n0), (draw(st.just(0.0) | times),)
+    else:
+        sizes = draw(st.lists(st.integers(8, 64), min_size=1 if scenario == "profile" else 2,
+                              max_size=3, unique=True))
+        ns = sorted(sizes)
+        grid = (0.0, *sorted(draw(st.lists(times, min_size=1, max_size=3, unique=True))))
+    return [scenario, "--n", _joined(ns), "--m0", repr(m0), "--a", repr(a), "--b", repr(b),
+            "--grid", _joined(grid)]
 
 
 def _thermalize_lp_distances(n, ell, a, b, times):
@@ -222,6 +251,9 @@ class TestExitCodes:
         ["qclt-rate", "--n", "32,64,128", "--ell", "3"],
         ["stein-rate", "--n", "64,128,256", "--ell", "3"],
         ["validate", "--ell", "3"],
+        # n*t overflows to inf
+        ["profile", "--n", "64", "--grid", "1e308"],
+        ["mixing-curve", "--n", "32,64", "--grid", "0.01,1e307"],
     ])
     def test_bad_field_values_exit_2(self, args, tmp_path, capsys):
         # rejected by the config, not by a traceback from the run
@@ -401,6 +433,33 @@ class TestDeterminism:
 
 
 class TestScenarioOutputs:
+    # t = 0 at a non-dyadic n: the lattice point at the start must be the
+    # references' start exactly, not an ulp off
+    @example(["qclt-rate", "--n", "10,20,40", "--m0", "0.3", "--grid", "0"])
+    @example(["profile", "--n", "10", "--m0", "0.3", "--grid", "0,0.5"])
+    @given(_extreme_start_args())
+    @settings(max_examples=60, deadline=None)
+    def test_extreme_starts_exit_cleanly(self, args):
+        # exit 0 with finite nonnegative distances and mixing times, or a
+        # diagnostic error (exit 1); never a traceback
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+            code = cli.main(args + ["--out", out])
+            rows = (list(csv.DictReader((Path(out) / "results.csv").read_text().splitlines()))
+                    if code == 0 else [])
+        zero_time_qclt = args[0] == "qclt-rate" and float(args[-1]) == 0
+        if code == 1 or zero_time_qclt:
+            # at t = 0 both qclt-rate laws are the point mass at the start
+            assert code == 1 and err.getvalue().startswith("diagnostic error: ")
+            return
+        assert code == 0
+        for r in rows:
+            estimate = float(r["estimate"])
+            assert math.isfinite(estimate)
+            assert estimate >= 0 or r["scenario"] == "qclt-rate:slope"
+            if r["scenario"] == "profile:wf" and float(r["t_or_tau"]) == 0:
+                assert estimate == 0.0
+
     def test_profile_zero_time_rows(self, tmp_path):
         # at t ~ 0 the to-diffusion distance is 0 and the to-stationarity
         # distance equals W1(point mass, rescaled stationary law)
@@ -618,28 +677,6 @@ class TestScenarioOutputs:
         rows = (tmp_path / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + len(experiments._VALIDATE_CHECKS)
         assert all(r.split(",")[9] == "" for r in rows[1:])
-
-    def test_samples_csv_contract(self, tmp_path):
-        from noisyvoter.transport import samples_to_csv
-        p1 = tmp_path / "s1.csv"
-        samples_to_csv(np.array([1.0, -0.5]), p1)
-        assert p1.read_text().splitlines() == ["x", "1", "-0.5"]
-        p2 = tmp_path / "s2.csv"
-        samples_to_csv(np.array([[0.25, 2.0]]), p2)
-        assert p2.read_text().splitlines() == ["x,y", "0.25,2"]
-        with pytest.raises(ValueError):
-            samples_to_csv(np.zeros((2, 3)), tmp_path / "bad.csv")
-
-    def test_pmf_csv_contract(self, tmp_path):
-        pmf = model.stationary_pmf(model.ModelParams(3, 1.0, 2.0))
-        path = tmp_path / "pmf.csv"
-        pmf.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,prob"
-        support = [float(line.split(",")[0]) for line in lines[1:]]
-        probs = [float(line.split(",")[1]) for line in lines[1:]]
-        np.testing.assert_allclose(support, pmf.support)
-        np.testing.assert_allclose(probs, pmf.probs, rtol=0, atol=0)  # full precision
 
 
 def perfbench_spans():

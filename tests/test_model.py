@@ -17,7 +17,6 @@ from noisyvoter.model import (
     count_rates,
     couple_by_block_counts,
     detailed_balance_gap,
-    sample_stationary,
     sample_uniform_given_count,
     simulate_blocks_batch,
     simulate_count_batch,
@@ -155,13 +154,14 @@ class TestStationary:
         params = ModelParams(40, 1.5, 0.7)
         pmf = stationary_pmf(params)
         rng = np.random.default_rng(11)
-        draws = sample_stationary(params, rng, size=1_000_000)
+        # the two-step draw: p ~ Beta(a, b), then k ~ Binomial(n, p)
+        draws = rng.binomial(params.n, rng.beta(params.a, params.b, size=1_000_000))
         dist = w1_discrete(empirical_pmf(draws), pmf)
         assert dist <= 2.5 * empirical_w1_floor(pmf, draws.size)
 
     def test_sampler_symmetric_mean(self):
         rng = np.random.default_rng(12)
-        draws = sample_stationary(ModelParams(1, 1, 1), rng, size=200_000)
+        draws = rng.binomial(1, rng.beta(1.0, 1.0, size=200_000))
         se = 0.5 / np.sqrt(draws.size)
         assert abs(draws.mean() - 0.5) <= 3 * se
 
@@ -258,11 +258,16 @@ class TestSpectralLaw:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300, 1024])
     @pytest.mark.parametrize("a,b", [(0.01, 0.01), (1.0, 1.0), (20.0, 50.0), (50.0, 1.0)])
     def test_hahn_spectrum(self, n, a, b):
-        lam, vecs, s = _spectrum(ModelParams(n, a, b))
+        params = ModelParams(n, a, b)
+        lam, vecs = _spectrum(params, n + 1)
         j = np.arange(n + 1, dtype=float)
         assert np.max(np.abs(lam - np.sort(-j * (j - 1 + a + b) / n))) <= 1e-10 * n
-        np.testing.assert_allclose(s ** 2, stationary_pmf(ModelParams(n, a, b)).probs,
-                                   rtol=1e-12, atol=1e-300)
+        # eigen-residual of the symmetrized generator, built here from the rates
+        up, down = count_rates(params, np.arange(n + 1))
+        off = np.sqrt(up[:-1] * down[1:])
+        sym = np.diag(-(up + down)) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.max(np.abs(sym @ vecs - vecs * lam)) <= 1e-10 * n
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(n + 1))) <= 1e-10
 
     @pytest.mark.parametrize("n,a,b", [(512, 20.0, 20.0), (128, 50.0, 1.0)])
     def test_guard_falls_back_on_tail_starts(self, n, a, b, caplog):
@@ -278,13 +283,26 @@ class TestSpectralLaw:
         p0[0] = 1.0
         assert total_variation(law.probs, uniformization_oracle(params, p0, t)) <= 1e-9
 
+    def test_rejected_bound_solves_no_eigenpairs(self, monkeypatch):
+        # the a-priori bound needs only sqrt(pi) and the start, so a tail
+        # start that it rejects goes to uniformization without an eigensolve
+        def no_eigensolve(params, modes):
+            raise AssertionError("eigenpairs computed for a rejected law")
+
+        monkeypatch.setattr(model, "_spectrum", no_eigensolve)
+        params = ModelParams(128, 50.0, 1.0)
+        law = transient_law(params, 0, 25.6)
+        p0 = np.zeros(129)
+        p0[0] = 1.0
+        assert total_variation(law.probs, uniformization_oracle(params, p0, 25.6)) <= 1e-9
+
     def test_guard_checks_the_result(self, monkeypatch, caplog):
         # a decomposition that passes the a-priori bound but is wrong must be
         # caught by the a-posteriori checks, on both sides of the cap: below
         # it uniformization refills the law, above it the call fails loudly
         params = ModelParams(64, 1.0, 1.0)
-        lam, vecs, s = _spectrum(params)
-        monkeypatch.setattr(model, "_spectrum", lambda p, modes=None: (0.5 * lam, vecs, s))
+        lam, vecs = _spectrum(params, 65)
+        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs))
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
             law = transient_law(params, 10, 20.0)
         messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
@@ -394,8 +412,8 @@ class TestLawGrid:
         # columns that pass the a-priori bound but fail the a-posteriori
         # checks are refilled too
         params = ModelParams(64, 1.0, 1.0)
-        lam, vecs, s = _spectrum(params)
-        monkeypatch.setattr(model, "_spectrum", lambda p: (0.5 * lam, vecs, s))
+        lam, vecs = _spectrum(params, 65)
+        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs))
         times = np.array([0.0, 5.0, 20.0, 60.0])
         grid = transient_laws(params, 10, times)
         assert grid.refilled.tolist() == [False, True, True, True]
