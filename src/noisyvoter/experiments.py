@@ -518,9 +518,11 @@ def run_mixing_curve(cfg: ExperimentConfig):
             records.append(ResultRecord("mixing-curve", n, cfg.a, cfg.b, cfg.m0,
                                         float(e), tm, 0.0, None, cfg.seed))
     n_prev, n_last = cfg.n[-2], cfg.n[-1]
-    gap = np.abs(np.asarray(tmix[n_last]) - np.asarray(tmix[n_prev]))
+    last = np.asarray(tmix[n_last])
+    gap = np.abs(last - np.asarray(tmix[n_prev]))
     drift_abs = float(np.max(gap))
-    drift_rel = float(np.max(gap / np.asarray(tmix[n_last])))
+    # a mixing time of 0 (a start already within eps) leaves the relative gap undefined
+    drift_rel = float(np.max(gap / last)) if np.all(last > 0) else None
     spread = float(tmix[n_last][0] - tmix[n_last][-1])
     records.append(ResultRecord("mixing-curve:drift", n_last, cfg.a, cfg.b, cfg.m0,
                                 0.0, drift_abs, 0.0, None, cfg.seed))
@@ -646,10 +648,10 @@ def _check_stein_identity(cfg, _rng):
     worst = 0.0
     for nu in (0.25, 1.0):
         grid = np.linspace(-9 * nu, 9 * nu, 3001)
+        w = np.exp(-0.5 * (grid / nu) ** 2)
+        w /= np.trapezoid(w, grid)
         for h, dh in stein.stein_test_family()[:6]:
             sol = stein.stein_solve(stein.SteinProblem(h, dh, nu), grid)
-            w = np.exp(-0.5 * (grid / nu) ** 2)
-            w /= np.trapezoid(w, grid)
             val = np.trapezoid((nu ** 2 * sol.df - grid * sol.f) * w, grid)
             worst = max(worst, abs(val))
     return CheckResult("stein-identity", worst <= 1e-8, worst, 1e-8)
@@ -805,11 +807,13 @@ _VALIDATE_CHECKS = (
 def run_validate(cfg: ExperimentConfig):
     """Execute every module's invariant checks; nonzero exit on any failure."""
     results, runtimes = [], []
+    lattices_before = stein._stein_lattice.cache_info()
     for i, check in enumerate(_VALIDATE_CHECKS):
         rng = replica_stream(cfg.seed, "validate-mc", i)
         start = time.perf_counter()
         results.append(check(cfg, rng))
         runtimes.append(time.perf_counter() - start)
+    lattices_after = stein._stein_lattice.cache_info()
     records = []
     for r in results:
         records.append(ResultRecord(f"validate:{r.name}", cfg.n[0], cfg.a, cfg.b, cfg.m0,
@@ -820,7 +824,11 @@ def run_validate(cfg: ExperimentConfig):
                        "tolerance": float(r.tolerance), "note": r.note, "runtime_s": secs}
               for r, secs in zip(results, runtimes)}
     ok = all(r.passed for r in results)
-    extra = {"validate": {"ok": ok, "checks": report}}
+    # every Stein solve looks its lattice up once; only a miss builds one
+    misses = lattices_after.misses - lattices_before.misses
+    solves = lattices_after.hits - lattices_before.hits + misses
+    extra = {"validate": {"ok": ok, "stein_solves": solves, "stein_lattices": misses,
+                          "checks": report}}
     return records, extra
 
 

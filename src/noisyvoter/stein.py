@@ -3,16 +3,25 @@
 The Stein equation nu^2 f'(x) - x f(x) = h(x) - E[h(W)], W ~ N(0, nu^2), has
 a unique bounded solution; it is evaluated here from its integral
 representation with a tail-switched quadrature that stays stable across the
-whole working interval.  The complete-graph symmetric exclusion generator
-acting on the centered, sqrt(n)-scaled block count supplies the discrete
-side: its action is an explicit two-term difference operator whose gap to
-the Stein operator is bounded pointwise, which is what turns the generator
-identity into a quantitative CLT for the hypergeometric start.
+whole working interval.  Everything in a solve but h depends on (grid, nu)
+only: the refined quadrature lattice, the Gaussian kernel on its nodes and
+the grid's tail prefactors.  That lattice is built once and shared by every
+solve on the same (grid, nu).  The cache holds a single lattice, because
+callers such as ``validate`` solve a whole function family on one grid
+before moving to the next, so a second slot would keep a lattice no later
+solve asks for.
+
+The complete-graph symmetric exclusion generator acting on the centered,
+sqrt(n)-scaled block count supplies the discrete side: its action is an
+explicit two-term difference operator whose gap to the Stein operator is
+bounded pointwise, which is what turns the generator identity into a
+quantitative CLT for the hypergeometric start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -78,24 +87,69 @@ def _refined_edges(grid: np.ndarray, nu: float) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _stein_cells(prob: SteinProblem, edges: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-cell Gauss-Legendre(8) integrals of K (h - E h), K the Gaussian
-    kernel exp(-x^2 / 2 nu^2), and E h = int K h / int K.
+def _cell_integrals(vals: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre(8) integral over each cell of values given at its nodes."""
+    return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
 
-    One node array serves all three integrals (K, K h and K (h - E h)), so
-    the kernel and h are evaluated once per node.
-    """
+
+@dataclass(frozen=True)
+class _SteinLattice:
+    """The part of a Stein solve that depends on (grid, nu) only: the
+    refined edges, the Gauss-Legendre nodes with the Gaussian kernel K on
+    them and its total integral, and, for the grid points, their lattice
+    indices and tail prefactors exp(x^2 / 2 nu^2) / nu^2.  ``far`` marks the
+    points past the exponent cap, where the far-tail asymptotic applies and
+    the prefactor is 0."""
+
+    edges: np.ndarray
+    mid: np.ndarray
+    half: np.ndarray
+    nodes: np.ndarray
+    kern: np.ndarray
+    kern_mass: float
+    idx: np.ndarray
+    pref: np.ndarray
+    far: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _stein_lattice(grid_bytes: bytes, nu: float) -> _SteinLattice:
+    """Build the lattice of the validated grid whose float64 bytes are
+    ``grid_bytes``.  The key is the bytes, not the array, so a grid changed
+    in place after a solve gets a new lattice; the cached arrays are
+    read-only, because every solve on this (grid, nu) shares them."""
+    g = np.frombuffer(grid_bytes, dtype=float)
+    edges = _refined_edges(g, nu)
+    idx = np.searchsorted(edges, g)
+    if not np.allclose(edges[idx], g, rtol=0, atol=1e-12 * max(1.0, nu)):
+        raise RuntimeError("grid points must be lattice points")
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    kern = np.exp(-0.5 * (nodes / prob.nu) ** 2)
-    hvals = np.asarray(prob.h(nodes), float)
+    kern = np.exp(-0.5 * (nodes / nu) ** 2)
+    expo = 0.5 * (g / nu) ** 2
+    safe = expo <= _TAIL_EXPONENT
+    pref = np.zeros_like(g)
+    pref[safe] = np.exp(expo[safe]) / nu ** 2
+    lattice = _SteinLattice(edges=edges, mid=mid, half=half, nodes=nodes, kern=kern,
+                            kern_mass=_cell_integrals(kern, half).sum(), idx=idx,
+                            pref=pref, far=~safe)
+    for value in vars(lattice).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return lattice
 
-    def integrate(vals):
-        return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
 
-    e_h = float(integrate(kern * hvals).sum() / integrate(kern).sum())
-    return integrate(kern * (hvals - e_h)), e_h
+def _stein_cells(prob: SteinProblem, lattice: _SteinLattice) -> tuple[np.ndarray, float]:
+    """Per-cell Gauss-Legendre(8) integrals of K (h - E h), K the Gaussian
+    kernel exp(-x^2 / 2 nu^2), and E h = int K h / int K.
+
+    h is evaluated once per node; the nodes, K and int K come from the
+    lattice.
+    """
+    hvals = np.asarray(prob.h(lattice.nodes), float)
+    e_h = float(_cell_integrals(lattice.kern * hvals, lattice.half).sum() / lattice.kern_mass)
+    return _cell_integrals(lattice.kern * (hvals - e_h), lattice.half), e_h
 
 
 def stein_solve(prob: SteinProblem, grid) -> SteinSolution:
@@ -110,35 +164,27 @@ def stein_solve(prob: SteinProblem, grid) -> SteinSolution:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
         raise ValueError("grid must be 1-D and strictly increasing")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("grid points must be finite")
     nu = prob.nu
     if g[0] > -8.0 * nu or g[-1] < 8.0 * nu:
         raise ValueError("grid must span at least [-8 nu, 8 nu]")
-    edges = _refined_edges(g, nu)
-    cells, e_h = _stein_cells(prob, edges)
+    lattice = _stein_lattice(g.tobytes(), nu)
+    cells, e_h = _stein_cells(prob, lattice)
     cum_left = np.concatenate([[0.0], np.cumsum(cells)])
     cum_right = cum_left[-1] - cum_left
 
-    idx = np.searchsorted(edges, g)
-    if not np.allclose(edges[idx], g, rtol=0, atol=1e-12 * max(1.0, nu)):
-        raise RuntimeError("grid points must be lattice points")
-    expo = 0.5 * (g / nu) ** 2
-    f = np.empty_like(g)
-    left = g <= 0
-    safe = expo <= _TAIL_EXPONENT
-    pref = np.zeros_like(g)
-    pref[safe] = np.exp(expo[safe]) / nu ** 2
-    f[left & safe] = pref[left & safe] * cum_left[idx[left & safe]]
-    f[~left & safe] = -pref[~left & safe] * cum_right[idx[~left & safe]]
-    if np.any(~safe):
+    idx = lattice.idx
+    f = lattice.pref * np.where(g <= 0, cum_left[idx], -cum_right[idx])
+    if np.any(lattice.far):
         # Far tail: the ODE balances -x f ~ h - E h.
-        gx = g[~safe]
-        f[~safe] = -(np.asarray(prob.h(gx), float) - e_h) / gx
+        gx = g[lattice.far]
+        f[lattice.far] = -(np.asarray(prob.h(gx), float) - e_h) / gx
     hvals = np.asarray(prob.h(g), dtype=float)
     dhvals = np.asarray(prob.dh(g), dtype=float)
     df = (hvals - e_h + g * f) / nu ** 2
     d2f = (dhvals + f + g * df) / nu ** 2
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    h_deriv_sup = float(np.max(np.abs(np.asarray(prob.dh(mid), dtype=float))))
+    h_deriv_sup = float(np.max(np.abs(np.asarray(prob.dh(lattice.mid), dtype=float))))
     return SteinSolution(grid=g, f=f, df=df, d2f=d2f, e_h=e_h, h_deriv_sup=h_deriv_sup)
 
 

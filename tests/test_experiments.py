@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tomllib
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -418,6 +419,9 @@ class TestDeterminism:
                                    out=str(tmp_path / f"v{seed}"))
             _, extra = run_validate(cfg)
             reports.append(extra["validate"]["checks"])
+            # 60 stein-bounds solves on 3 lattices, 12 stein-identity solves on 2
+            assert extra["validate"]["stein_solves"] == 72
+            assert extra["validate"]["stein_lattices"] == 5
         for name in exact:
             assert reports[0][name]["measured"] == reports[1][name]["measured"]
         assert reports[0]["density-apriori"]["passed"]
@@ -562,6 +566,22 @@ class TestScenarioOutputs:
         want = [np.log(abs(m0 - a / (a + b)) / e) / (a + b) for e in eps]
         for tmix in extra["mixing"]["tmix_over_n"].values():
             np.testing.assert_allclose(tmix, want, rtol=0, atol=1e-8)
+
+    def test_mixing_curve_zero_mixing_time_writes_strict_json(self, tmp_path):
+        # the start lies within eps = 0.1 of stationarity at n = 58, so that
+        # t_mix is 0 and the relative drift is undefined
+        def reject(name):
+            raise ValueError(f"manifest holds {name}")
+
+        args = ["mixing-curve", "--n", "41,58", "--m0", "0.98873", "--a", "13.199",
+                "--b", "1.5977", "--grid", "0,0.658,1.624,1.948", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 0
+        text = (tmp_path / "manifest.json").read_text()
+        mixing = json.loads(text, parse_constant=reject)["mixing"]
+        assert 0.0 in mixing["tmix_over_n"]["58"]
+        assert mixing["drift_rel"] is None
 
     def test_profile_stationary_curve_decreases(self, tmp_path):
         cfg = ExperimentConfig(scenario="profile", n=(64,),

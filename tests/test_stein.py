@@ -44,11 +44,12 @@ def refined_edges_oracle(grid, nu):
     return np.concatenate(pieces)
 
 
-def three_pass_stein_cells(prob, edges):
+def three_pass_stein_cells(prob, lattice):
     """The Stein cell integrals with the node array, the kernel and h rebuilt
-    for each of the three integrals (K, K h, K (h - E h)): the reference for
-    the single-pass ``stein._stein_cells``."""
+    from the lattice's edges for each of the three integrals (K, K h,
+    K (h - E h)): the reference for the single-pass ``stein._stein_cells``."""
     nu = prob.nu
+    edges = lattice.edges
 
     def cell_integrals(func):
         mid = 0.5 * (edges[1:] + edges[:-1])
@@ -162,6 +163,50 @@ class TestSteinSolve:
         prob = SteinProblem(lambda x: x, lambda x: np.ones_like(x), 1.0)
         with pytest.raises(ValueError):
             stein_solve(prob, np.linspace(-4, 4, 101))
+        # non-finite points are rejected before any lattice is built
+        before = stein._stein_lattice.cache_info()
+        for grid in ([-np.inf, 0.0, 8.0], [-8.0, 0.0, np.inf], [-np.inf, np.inf]):
+            with pytest.raises(ValueError, match="grid points must be finite"):
+                stein_solve(prob, grid)
+        assert stein._stein_lattice.cache_info() == before
+
+
+class TestSteinLatticeCache:
+    @staticmethod
+    def solve_and_compare(prob, grid):
+        """Solve through the cache, then again right after clearing it; the
+        two solutions must agree bit for bit."""
+        got = stein_solve(prob, grid)
+        assert stein._stein_lattice.cache_info().currsize <= 1
+        lattice = stein._stein_lattice(np.asarray(grid, float).tobytes(), prob.nu)
+        for value in vars(lattice).values():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
+                with pytest.raises(ValueError):
+                    value[...] = 0
+        stein._stein_lattice.cache_clear()
+        fresh = stein_solve(prob, grid)
+        for field in ("grid", "f", "df", "d2f", "e_h", "h_deriv_sup"):
+            assert (np.asarray(getattr(got, field)).tobytes()
+                    == np.asarray(getattr(fresh, field)).tobytes())
+
+    def test_cached_solves_match_fresh_solves(self):
+        h, dh = stein_test_family()[4]
+        wide, narrow = SteinProblem(h, dh, 1.0), SteinProblem(h, dh, 0.5)
+        grid = np.linspace(-8.0, 8.0, 801)
+        nudged = grid.copy()
+        nudged[300] += 1e-3
+        changing = grid.copy()
+        # one grid at two nu, then two grids of one size that differ in one point
+        for prob, g in ((wide, grid), (narrow, grid), (narrow, grid), (narrow, nudged),
+                        (narrow, grid)):
+            self.solve_and_compare(prob, g)
+        # a grid changed in place after a solve
+        self.solve_and_compare(wide, changing)
+        changing[-1] = 9.0
+        self.solve_and_compare(wide, changing)
+        # back to the first pair
+        self.solve_and_compare(wide, grid)
 
 
 class TestExclusionGenerator:
