@@ -7,8 +7,8 @@ class ConfigError(ValueError):
 
 class CapacityError(RuntimeError):
     """An exact computation is out of reach at this size: a spectral law
-    above the dense-law cap that fails its accuracy guard, or a matching
-    above its size cap."""
+    that fails its accuracy guard above the uniformization cap or outgrows
+    its eigenvector budget, or a matching above its size cap."""
 
 
 class DiagnosticError(RuntimeError):

@@ -333,10 +333,9 @@ def run_profile(cfg: ExperimentConfig):
 
     The diffusion marginal is exact and starts where the chain does
     (``_wf_references``).  The density law is exact at every n, the whole
-    grid from one ``_density_laws`` step (above ``model.DENSE_LAW_CAP`` from
-    the slow modes only), so every stderr is 0.  The ``profile:stationary``
-    theory is the paper's limit profile D(t) = W1(Wright-Fisher marginal at
-    t, Beta(a, b)) from the same start.
+    grid from the slow modes in one ``_density_laws`` step, so every stderr
+    is 0.  The ``profile:stationary`` theory is the paper's limit profile
+    D(t) = W1(Wright-Fisher marginal at t, Beta(a, b)) from the same start.
     """
     refs, summary = _wf_references(cfg)
     beta = diffusion.wf_marginal(diffusion.WFParams(cfg.a, cfg.b), 0.0, np.inf)

@@ -12,15 +12,13 @@ stationary count is Beta-Binomial(n, a, b).
 Exact transient laws come from the spectral decomposition of the count
 chain: reversibility makes its generator, symmetrized by sqrt(pi), a
 symmetric tridiagonal matrix with the Hahn spectrum -j(j-1+a+b)/n.  Every
-time shares the start's coefficients in that eigenbasis, so one cached set of
-eigenpairs per (n, a, b) turns a whole grid of times, each computed from the
-start count, into one matrix product.  Up to ``DENSE_LAW_CAP`` that is the
-full eigendecomposition; above it, only the slow modes that the first grid
-time needs, O(nJ) work with J independent of n.  An accuracy guard (an
-a-priori bound on rounding and truncation, checked before any eigenpair is
-computed, then per time nonnegativity, unit mass and the closed-form mean)
-sends the laws it cannot trust, from starts deep in the stationary tails, to
-uniformization up to the cap and to a ``CapacityError`` above it.
+time shares the start's coefficients in that eigenbasis, so at every n the J
+slowest eigenpairs, the fewest that the first time needs, turn a whole grid
+of times into one matrix product.  An accuracy guard (an a-priori bound on
+rounding and on the dropped modes, checked before any eigenpair is computed,
+then per time nonnegativity, unit mass and the closed-form mean) sends the
+laws it cannot trust, from starts deep in the stationary tails, to
+uniformization up to ``DENSE_LAW_CAP`` and to a ``CapacityError`` above it.
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ from .pmf import Pmf
 
 logger = logging.getLogger(__name__)
 
-# Largest n whose exact laws use the full eigendecomposition (128 MB at the cap)
-# and may fall back to uniformization; above it only the slow modes are solved for.
+# Largest n that may uniformize; eigensolves hold at most (cap + 1)^2 doubles (128 MB).
 DENSE_LAW_CAP = 4096
 
 
@@ -204,15 +201,18 @@ def _spectrum(params: ModelParams, modes: int):
     Detailed balance makes diag(s) Q diag(1/s) the symmetric tridiagonal
     matrix with diagonal -(up+down) and off-diagonal sqrt(up[k] down[k+1]).
     Returns ascending eigenvalues and orthonormal eigenvectors (columns),
-    both read-only: all of them when ``modes`` is n+1, else only the slowest
-    ``modes``, in O(n modes).  The spectrum is -j(j-1+a+b)/n, j = 0..n.
-    Only the latest call is kept, so the cache holds at most one (n+1)^2
-    matrix of doubles (128 MB at n = 4096).
+    both read-only.  The spectrum is -j(j-1+a+b)/n, j = 0..n.  On 2 cores
+    the full decomposition takes about 0.09 n^2 us and selecting the modes
+    0.6 n modes us, so the full one, sliced, runs when n+1 <= 7 modes and
+    its (n+1)^2 doubles fit the budget.  Only the latest call is kept.
     """
     n = params.n
     up, down = count_rates(params, np.arange(n + 1))
-    select = {} if modes == n + 1 else {"select": "i", "select_range": (n + 1 - modes, n)}
+    full = n + 1 <= min(7 * modes, DENSE_LAW_CAP + 1)
+    select = {} if full else {"select": "i", "select_range": (n + 1 - modes, n)}
     lam, vecs = eigh_tridiagonal(-(up + down), np.sqrt(up[:-1] * down[1:]), **select)
+    if vecs.shape[1] > modes:
+        lam, vecs = lam[-modes:], vecs[:, -modes:].copy()
     # The stationary eigenvalue is exactly 0; left at its rounded value
     # (about 1e-14) the mass would drift like exp(lam t) over long times.
     lam[-1] = 0.0
@@ -223,13 +223,14 @@ def _spectrum(params: ModelParams, modes: int):
 
 def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: float):
     """Laws at ``times`` (ascending, >= 0) from the law ``p0`` at time 0, all
-    from one product with the cached eigenpairs.
+    from one product with the cached slowest eigenpairs.
 
     Returns the (n+1, T) laws, the mask of columns that pass the accuracy
     guard, the reason the first failing column fails, the number of modes
     and the a-priori error bound.  Columns at time 0 are ``p0`` itself and
     always pass; when the a-priori bound fails, no other column does, and
-    no eigenpair is computed.
+    no eigenpair is computed.  Eigenvectors over their budget of
+    (DENSE_LAW_CAP + 1)^2 doubles raise ``CapacityError`` before the solve.
     """
     n, a, b = params.n, params.a, params.b
     zero = times == 0
@@ -242,24 +243,24 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
     s = np.exp(0.5 * stationary_log_pmf(params))
     with np.errstate(divide="ignore", invalid="ignore"):
         q0 = np.where(p0 > 0, p0 / s, 0.0)
-    # rounding in the eigenvectors is amplified by the conditioning of the
-    # similarity transform on this start
-    bound = (n + 1) * np.finfo(float).eps * s.sum() * q0.sum()
-    modes = n + 1
+    # sum(s^2) = 1, so an error e before the factor s costs at most |e|_2 in l1
+    # (Cauchy-Schwarz): (n+1) eps |q0|_2 for rounding, |q0|_2 exp(lam_j t) for mode
+    # j from the first time on; keep the fewest slow modes whose dropped tail <= tol/4
+    scale = np.linalg.norm(q0)
     ts = times[live]
-    if n > DENSE_LAW_CAP:
-        # from the first time on, mode j adds at most sum(s) sum(q0) exp(lam_j t)
-        # in l1: keep the fewest slow modes whose dropped tail is within tol/4
-        j = np.arange(n + 1, dtype=float)
-        decay = np.exp(-j * (j - 1 + a + b) * ts[0] / n)
-        tails = s.sum() * q0.sum() * np.append(np.cumsum(decay[::-1])[::-1], 0.0)
-        modes = int(np.argmax(tails <= tol / 4))
-        bound += tails[modes]
+    j = ks = np.arange(n + 1, dtype=float)
+    decay = np.exp(-j * (j - 1 + a + b) * ts[0] / n)
+    tails = scale * np.append(np.cumsum(decay[::-1])[::-1], 0.0)
+    modes = int(np.argmax(tails <= tol / 4))
+    bound = (n + 1) * np.finfo(float).eps * scale + tails[modes]
     if not bound <= tol:
         return laws, ok, f"a-priori error bound {bound:.3g} exceeds tol", modes, bound
+    if (n + 1) * modes > (DENSE_LAW_CAP + 1) ** 2:
+        raise CapacityError(f"n={n} a={a:g} b={b:g} needs {modes} eigenmodes at t={ts[0]:g}: "
+                            f"{(n + 1) * modes / 2**17:.0f} MB of eigenvectors, over the "
+                            f"{(DENSE_LAW_CAP + 1) ** 2 / 2**17:.0f} MB budget")
     lam, vecs = _spectrum(params, modes)
     p = s[:, None] * (vecs @ (np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]))
-    ks = np.arange(n + 1, dtype=float)
     fix = n * a / (a + b)
     # the closed-form mean path of diffusion.mean_ode (which imports this module)
     mean = fix + (p0 @ ks - fix) * np.exp(-(a + b) * ts / n)
@@ -325,8 +326,8 @@ def _uniformized_law(params: ModelParams, p0: np.ndarray, t: float, tol: float) 
 class LawGrid(NamedTuple):
     """Exact count laws on a time grid: column j of ``probs`` is the law at
     the j-th time, and ``refilled[j]`` marks a column that the accuracy guard
-    rejected and uniformization supplied.  ``modes`` is the number of
-    eigenmodes behind the spectral columns and ``bound`` the largest a-priori
+    rejected and uniformization supplied.  ``modes`` is the most slow
+    eigenmodes behind a spectral column and ``bound`` the largest a-priori
     error bound among them (both 0 when no column is spectral)."""
 
     probs: np.ndarray
@@ -356,21 +357,20 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
     ``start`` is an integer count or a Pmf on {0,...,n}.  Every time is
     computed from the start: in the eigenbasis of the generator symmetrized
     by s = sqrt(pi), the laws are the columns of
-    s * V (exp(outer(lam, times)) * V^T (p0/s)), one matrix product for the
-    whole grid from eigenpairs cached for the latest (n, a, b): all n+1 up to
-    ``DENSE_LAW_CAP``, above it the J slowest, the fewest whose dropped tail
-    sum(s) sum(p0/s) sum_{j >= J} exp(-j(j-1+a+b) t1/n) at the first positive
-    time t1 is at most tol/4.  Columns at time 0 are the start law exactly.
-    A column is trusted only when an a-priori bound on its error,
-    (n+1) eps sum(s) sum(p0/s) plus that tail, is at most ``tol`` (checked
-    before any eigenpair is computed) and it passes a-posteriori checks: no
-    probability below -tol, mass within tol of 1, and mean within n*tol of
-    the closed-form mean path.  Up to the cap,
-    the first column that fails (for starts deep in the stationary tails,
-    every column fails the a-priori bound) is refilled by uniformization from
-    the previous column, the rejection is logged at INFO on
-    ``noisyvoter.model``, and the later columns are computed again from the
-    refilled one.  Above the cap a rejected column raises ``CapacityError``.
+    s * V (exp(outer(lam, times)) * V^T (p0/s)), one matrix product from the
+    J slowest eigenpairs, the fewest whose dropped tail |p0/s|_2
+    sum_{j >= J} exp(-j(j-1+a+b) t1/n) at the first positive time t1 is at
+    most tol/4.  Columns at time 0 are the start law exactly.  A column is
+    trusted only when the a-priori bound (n+1) eps |p0/s|_2 plus that tail
+    is at most ``tol`` (checked before any eigenpair is computed) and it
+    passes a-posteriori checks: no probability below -tol, mass within tol
+    of 1, and mean within n*tol of the closed-form mean path.  Up to
+    ``DENSE_LAW_CAP``, the first column that fails (for starts deep in the
+    stationary tails, every column fails the a-priori bound) is refilled by
+    uniformization from the previous column, logged at INFO on
+    ``noisyvoter.model``, and the later columns are computed again from it.
+    Above the cap a rejected column raises ``CapacityError``, as do, at any
+    n, eigenvectors over their budget of (DENSE_LAW_CAP + 1)^2 doubles.
     """
     n = params.n
     ts = np.asarray(times, dtype=float)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import expm
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 from scipy.stats import hypergeom
 
 import noisyvoter
@@ -302,24 +302,30 @@ class TestExitCodes:
         assert "argument --tau" in capsys.readouterr().err
 
     def test_capacity_error_is_3(self, tmp_path, capsys):
-        code = cli.main(["mixing-curve", "--n", "8192,16384",
-                         "--out", str(tmp_path)])
+        # a tail start above the cap (k0 = 1 at n = 8192, a-priori bound 1.4e12)
+        code = cli.main(["mixing-curve", "--n", "8192,16384", "--a", "20", "--b", "20",
+                         "--m0", str(1 / 8192), "--out", str(tmp_path)])
         assert code == 3
+        # a first grid time so small that the slow modes outgrow the memory budget
+        code = cli.main(["mixing-curve", "--n", "32,65536", "--tol", "1e-8",
+                         "--grid", "1e-6,0.5,1,2", "--out", str(tmp_path)])
+        assert code == 3
+        assert "eigenmodes" in capsys.readouterr().err
 
     def test_profile_above_the_cap(self, tmp_path, capsys):
-        # above the dense-law cap the laws come from the slow modes alone, so
-        # they stay exact; at the default tol the a-priori bound (about
-        # 1.5e-8 at n = 8192) stops the run with exit 3 and names the bound
+        # above the cap the laws stay exact and spectral at the default tol;
+        # a tail start that the a-priori bound rejects cannot be uniformized
+        # there, so it stops the run with exit 3 and names the bound
         args = ["profile", "--n", "8192", "--out", str(tmp_path)]
-        assert cli.main(args) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("capacity error: ") and "a-priori error bound 1.5e-08" in err
-        assert cli.main(args + ["--tol", "1e-7"]) == 0
+        assert cli.main(args) == 0
         rows = list(csv.DictReader((tmp_path / "results.csv").read_text().splitlines()))
         assert len(rows) == 48 and {r["stderr"] for r in rows} == {"0.0"}
         info = json.loads((tmp_path / "manifest.json").read_text())["exact_laws"]["8192"]
         assert info["spectral"] == 24 and 0 < info["modes"] < 8193
-        assert 0 < info["apriori_bound"] <= 1e-7
+        assert 0 < info["apriori_bound"] <= 1e-9
+        assert cli.main(args + ["--a", "20", "--b", "20", "--m0", str(1 / 8192)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and "a-priori error bound 1.4e+12" in err
 
     def test_every_config_field_has_a_flag(self):
         # a flag without a field, or a field without a flag, can only be set
@@ -377,14 +383,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("kwargs", [
         # a start deep in the stationary tail, so some columns are refilled
         {"scenario": "mixing-curve", "n": (64, 128), "a": 50.0, "b": 1.0, "m0": 0.01},
-        # n = 64 is above the lowered cap, so it uses the slow modes only
-        {"scenario": "profile", "n": (48, 64), "grid": (0.0, 0.2, 0.8), "cap": 50},
+        {"scenario": "profile", "n": (48, 64), "grid": (0.0, 0.2, 0.8)},
         {"scenario": "qclt-rate", "n": (32, 64, 128), "grid": (1.0,)},
     ])
-    def test_exact_law_manifest_block(self, tmp_path, monkeypatch, kwargs):
-        kwargs = dict(kwargs)
-        cap = kwargs.pop("cap", model.DENSE_LAW_CAP)
-        monkeypatch.setattr(model, "DENSE_LAW_CAP", cap)
+    def test_exact_law_manifest_block(self, tmp_path, kwargs):
         outs = []
         for tag in ("r1", "r2"):
             cfg = ExperimentConfig(**kwargs, out=str(tmp_path / tag))
@@ -398,10 +400,7 @@ class TestDeterminism:
             assert info["columns"] == len(cfg.grid)
             assert info["start"] + info["spectral"] + info["uniformized"] == len(cfg.grid)
             assert info["start"] == cfg.grid.count(0.0)
-            if n <= cap:
-                assert info["modes"] == (n + 1 if info["spectral"] else 0)
-            else:
-                assert 0 < info["modes"] < n + 1 and info["spectral"]
+            assert (0 < info["modes"] <= n + 1) if info["spectral"] else info["modes"] == 0
             assert (info["apriori_bound"] > 0) == (info["spectral"] > 0)
             assert info["apriori_bound"] <= cfg.tol
             refills = cfg.scenario == "mixing-curve"
@@ -478,11 +477,9 @@ class TestScenarioOutputs:
         expect = w1_discrete(point_mass(0.5), model.stationary_pmf(params).scaled(1 / n))
         assert st0.estimate == pytest.approx(expect, abs=1e-6)
 
-    def test_profile_exact_reference_rows(self, tmp_path, monkeypatch):
-        # profile:wf against the exact marginal, with stderr 0 on both sides of
-        # the dense-law cap (lowered so that n = 64 uses the slow modes only);
+    def test_profile_exact_reference_rows(self, tmp_path):
+        # profile:wf against the exact marginal, with stderr 0;
         # profile:stationary carries the limit profile
-        monkeypatch.setattr(model, "DENSE_LAW_CAP", 40)
         cfg = ExperimentConfig(scenario="profile", n=(32, 64), grid=(0.0, 0.3, 1.0),
                                seed=3, out=str(tmp_path))
         records, extra = run_profile(cfg)
@@ -566,6 +563,20 @@ class TestScenarioOutputs:
         want = [np.log(abs(m0 - a / (a + b)) / e) / (a + b) for e in eps]
         for tmix in extra["mixing"]["tmix_over_n"].values():
             np.testing.assert_allclose(tmix, want, rtol=0, atol=1e-8)
+
+    def test_mixing_curve_at_large_n(self, tmp_path):
+        # at the default settings every column is spectral, and t_mix/n at
+        # n = 4096 lies within 1e-3 of where the limit profile
+        # D(t) = W1(WF_t(1/2), Beta(1, 1)) crosses each eps
+        assert cli.main(["mixing-curve", "--n", "2048,4096", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [info["uniformized"] for info in manifest["exact_laws"].values()] == [0, 0]
+        wf = WFParams(1.0, 1.0)
+        mixing = manifest["mixing"]
+        for eps, tmix in zip(mixing["eps"], mixing["tmix_over_n"]["4096"]):
+            crossing = brentq(lambda t: wf_marginal(wf, 0.5, t).stationary_distance() - eps,
+                              0.01, 2.0, xtol=1e-9)
+            assert tmix == pytest.approx(crossing, abs=1e-3)
 
     def test_mixing_curve_zero_mixing_time_writes_strict_json(self, tmp_path):
         # the start lies within eps = 0.1 of stationarity at n = 58, so that

@@ -221,13 +221,15 @@ class TestTransientLaw:
         for start in ([1, 2], 2.5, 7):
             with pytest.raises(ValueError):
                 transient_law(params, start, 1.0)
+        # a tail start above the cap: its a-priori bound (2.8e10) cannot be
+        # uniformized there
         with pytest.raises(CapacityError):
-            transient_law(ModelParams(5000, 1, 1), 2, 1.0)
+            transient_law(ModelParams(5000, 20, 20), 0, 1.0)
 
 
 def uniformization_oracle(params: ModelParams, p0: np.ndarray, t: float) -> np.ndarray:
-    """Uniformization at a tolerance well below the default 1e-9."""
-    return _uniformized_law(params, p0, t, 1e-12)
+    """Uniformization at a tolerance well below the 1e-9 and 1e-12 under test."""
+    return _uniformized_law(params, p0, t, 1e-13)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -236,38 +238,49 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 class TestSpectralLaw:
     @given(st.sampled_from([1, 2, 7, 64, 300]),
-           st.sampled_from([0.01, 1.0, 20.0, 50.0]), st.sampled_from([0.01, 1.0, 20.0, 50.0]),
-           st.sampled_from(["zero", "half", "full", "binomial"]), st.floats(0.0, 1.0))
-    @example(300, 1.0, 1.0, "half", 1.0)
-    @example(300, 1.0, 1.0, "binomial", 1.0)
+           st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+           st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+           st.sampled_from(["zero", "half", "full", "binomial"]), st.floats(0.0, 1.0),
+           st.sampled_from([1e-9, 1e-12]))
+    @example(300, 1.0, 1.0, "half", 1.0, 1e-9)
+    @example(300, 1.0, 1.0, "binomial", 1.0, 1e-12)
+    @example(300, 0.01, 100.0, "binomial", 0.5, 1e-12)
     @settings(max_examples=60, deadline=None)
-    def test_matches_uniformization(self, n, a, b, start, u):
-        # t log-uniform on [1e-3, 5n]; int starts 0, n//2, n and a Pmf start
+    def test_matches_uniformization(self, n, a, b, start, u, tol):
+        # a and b log-uniform on [0.01, 100], t log-uniform on [1e-3, 5n] but
+        # at most 2e5 oracle steps; int starts 0, n//2, n and a Pmf start,
+        # whose |p0/s|_2 in the a-priori bound is below sum(p0/s)
         params = ModelParams(n, a, b)
-        t = 1e-3 * (5000.0 * n) ** u
+        up, down = count_rates(params, np.arange(n + 1))
+        t = min(1e-3 * (5000.0 * n) ** u, 2e5 / (1.05 * float((up + down).max())))
         ks = np.arange(n + 1)
         if start == "binomial":
             p0 = binom.pmf(ks, n, 0.3)
-            law = transient_law(params, Pmf(ks, p0), t)
+            law = transient_law(params, Pmf(ks, p0), t, tol)
         else:
             k0 = {"zero": 0, "half": n // 2, "full": n}[start]
             p0 = (ks == k0).astype(float)
-            law = transient_law(params, k0, t)
-        assert total_variation(law.probs, uniformization_oracle(params, p0, t)) <= 1e-9
+            law = transient_law(params, k0, t, tol)
+        assert total_variation(law.probs, uniformization_oracle(params, p0, t)) <= tol
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300, 1024])
     @pytest.mark.parametrize("a,b", [(0.01, 0.01), (1.0, 1.0), (20.0, 50.0), (50.0, 1.0)])
     def test_hahn_spectrum(self, n, a, b):
+        # all n+1 modes from the full decomposition, then the slowest eighth,
+        # which from n = 7 on are selected instead
         params = ModelParams(n, a, b)
-        lam, vecs = _spectrum(params, n + 1)
         j = np.arange(n + 1, dtype=float)
-        assert np.max(np.abs(lam - np.sort(-j * (j - 1 + a + b) / n))) <= 1e-10 * n
+        hahn = np.sort(-j * (j - 1 + a + b) / n)
         # eigen-residual of the symmetrized generator, built here from the rates
         up, down = count_rates(params, np.arange(n + 1))
         off = np.sqrt(up[:-1] * down[1:])
         sym = np.diag(-(up + down)) + np.diag(off, 1) + np.diag(off, -1)
-        assert np.max(np.abs(sym @ vecs - vecs * lam)) <= 1e-10 * n
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(n + 1))) <= 1e-10
+        for modes in (n + 1, (n + 1) // 8 or 1):
+            lam, vecs = _spectrum(params, modes)
+            assert vecs.shape == (n + 1, modes)
+            assert np.max(np.abs(lam - hahn[-modes:])) <= 1e-10 * n
+            assert np.max(np.abs(sym @ vecs - vecs * lam)) <= 1e-10 * n
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(modes))) <= 1e-10
 
     @pytest.mark.parametrize("n,a,b", [(512, 20.0, 20.0), (128, 50.0, 1.0)])
     def test_guard_falls_back_on_tail_starts(self, n, a, b, caplog):
@@ -296,10 +309,23 @@ class TestSpectralLaw:
         p0[0] = 1.0
         assert total_variation(law.probs, uniformization_oracle(params, p0, 25.6)) <= 1e-9
 
+    def test_memory_guard_solves_no_eigenpairs(self, monkeypatch):
+        # a tiny first time passes the a-priori bound (6.2e-9) with 5464 slow
+        # modes, 2.7 GB of eigenvectors at n = 65536: the call fails on the
+        # (DENSE_LAW_CAP + 1)^2 budget before any eigensolve
+        def no_eigensolve(params, modes):
+            raise AssertionError("eigenpairs computed beyond the memory budget")
+
+        monkeypatch.setattr(model, "_spectrum", no_eigensolve)
+        params = ModelParams(65536, 1.0, 1.0)
+        with pytest.raises(CapacityError, match="needs 5464 eigenmodes"):
+            transient_laws(params, 32768, 65536 * np.array([1e-6, 0.5]), tol=1e-8)
+
     def test_guard_checks_the_result(self, monkeypatch, caplog):
         # a decomposition that passes the a-priori bound but is wrong must be
         # caught by the a-posteriori checks, on both sides of the cap: below
         # it uniformization refills the law, above it the call fails loudly
+        # (the lowered cap still leaves room for this law's eigenvectors)
         params = ModelParams(64, 1.0, 1.0)
         lam, vecs = _spectrum(params, 65)
         monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs))
@@ -318,11 +344,10 @@ class TestSpectralLaw:
     @pytest.mark.parametrize("n", [64, 300])
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.5, 2.0), (20.0, 20.0)])
     @pytest.mark.parametrize("fraction", [2, 10])
-    def test_slow_modes_match_uniformization(self, monkeypatch, n, a, b, fraction):
-        # with the cap lowered, these sizes solve for the slow modes only; every
-        # column the guard accepts is within tol of uniformization, and a
-        # rejected one raises CapacityError, since nothing is uniformized there
-        monkeypatch.setattr(model, "DENSE_LAW_CAP", 16)
+    def test_slow_modes_match_uniformization(self, n, a, b, fraction):
+        # the laws come from the slow modes only; every column the guard
+        # accepts is within tol of uniformization, and a rejected one is
+        # refilled by uniformization
         params = ModelParams(n, a, b)
         k0, tol = n // fraction, 1e-10
         p0 = (np.arange(n + 1) == k0).astype(float)
@@ -336,13 +361,12 @@ class TestSpectralLaw:
             law, t_prev = _uniformized_law(params, law, t - t_prev, 1e-13), t
             if good:
                 assert total_variation(col, law) <= tol
+        grid = transient_laws(params, k0, times, tol)
         if ok.all():
-            grid = transient_laws(params, k0, times, tol)
             np.testing.assert_array_equal(grid.probs, laws)
             assert grid.modes == modes and grid.bound == bound <= tol
         else:
-            with pytest.raises(CapacityError):
-                transient_laws(params, k0, times, tol)
+            assert grid.refilled[1]
 
     def test_spectral_path_logs_nothing(self, caplog):
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
@@ -424,13 +448,17 @@ class TestLawGrid:
             assert total_variation(got, ref) <= 1e-9
 
     def test_single_time_is_transient_law(self):
+        # a single time keeps the modes its own time needs, a grid those of its
+        # first positive time, so the two differ by at most both bounds
         params = ModelParams(40, 0.7, 2.5)
         times = np.array([0.0, 3.0, 11.0, 40.0])
         grid = transient_laws(params, 13, times)
         assert not grid.refilled.any()
         for t, col in zip(times, grid.probs.T):
-            np.testing.assert_allclose(transient_law(params, 13, t).probs, col,
-                                       rtol=0, atol=1e-15)
+            single = transient_laws(params, 13, [t])
+            np.testing.assert_array_equal(transient_law(params, 13, t).probs,
+                                          Pmf(np.arange(41), single.probs[:, 0]).probs)
+            assert np.abs(single.probs[:, 0] - col).sum() <= grid.bound + single.bound
 
     def test_validation(self):
         params = ModelParams(6, 1, 1)
@@ -440,7 +468,7 @@ class TestLawGrid:
         with pytest.raises(ValueError):
             transient_law(params, 2, np.array([1.0, 2.0]))
         with pytest.raises(CapacityError):
-            transient_laws(ModelParams(5000, 1, 1), 2, [1.0])
+            transient_laws(ModelParams(5000, 20, 20), 0, [1.0])
 
 
 class TestPoissonTruncation:
