@@ -434,6 +434,9 @@ def run_thermalize(cfg: ExperimentConfig):
 
     The manifest's ``thermalize`` block lists, per tau, the exact distance,
     the Monte Carlo bias (estimate minus exact) and the estimate's stderr.
+    Its ``thermalize_work`` block gives the wall seconds spent simulating the
+    clouds and matching them, each summed over repetitions, the number of
+    matchings (repetitions x taus) and the pairs matched in all of them.
     """
     n = cfg.n[0]
     params = model.ModelParams(n, cfg.a, cfg.b)
@@ -444,19 +447,26 @@ def run_thermalize(cfg: ExperimentConfig):
     horizons = 0.5 * np.log(n) + np.log(m0e * (1 - m0e)) + taus
     pairs = cfg.samples
     sqrt_n = np.sqrt(n)
+    work = {"simulate_s": 0.0, "matching_s": 0.0, "matchings": 0, "pairs": 0}
 
     def one_rep(rep):
+        start = time.perf_counter()
         rng = replica_stream(cfg.seed, "thermalize", rep)
         fixed = np.tile(np.array([[0, ell]], dtype=np.int64), (pairs, 1))
         u0, u1 = model.sample_uniform_given_count(params, part, ell, rng, size=pairs)
         starts = np.vstack([fixed, np.stack([u0, u1], axis=1)])
         states = model.simulate_blocks_batch(params, part, starts, horizons, rng)
+        simulated = time.perf_counter()
         out = []
         for i in range(len(taus)):
             cloud_fixed = states[i, :pairs].astype(float)
             cloud_unif = states[i, pairs:].astype(float)
             out.append(transport.w1_matching(cloud_fixed, cloud_unif,
                                              metric="cityblock") / sqrt_n)
+        work["simulate_s"] += simulated - start
+        work["matching_s"] += time.perf_counter() - simulated
+        work["matchings"] += len(taus)
+        work["pairs"] += len(taus) * pairs
         return out
 
     per_rep = [one_rep(rep) for rep in range(cfg.repetitions)]
@@ -473,7 +483,7 @@ def run_thermalize(cfg: ExperimentConfig):
                                     float(surrogate), 0.0, theory, cfg.seed))
         checks.append({"tau": float(tau), "exact": surrogate,
                        "mc_bias": est - surrogate, "mc_stderr": err})
-    return records, {"thermalize": checks}
+    return records, {"thermalize": checks, "thermalize_work": work}
 
 
 # ---------------------------------------------------------------------------

@@ -252,9 +252,12 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
     decay = np.exp(-j * (j - 1 + a + b) * ts[0] / n)
     tails = scale * np.append(np.cumsum(decay[::-1])[::-1], 0.0)
     modes = int(np.argmax(tails <= tol / 4))
-    bound = (n + 1) * np.finfo(float).eps * scale + tails[modes]
+    rounding = (n + 1) * np.finfo(float).eps * scale
+    bound = rounding + tails[modes]
     if not bound <= tol:
-        return laws, ok, f"a-priori error bound {bound:.3g} exceeds tol", modes, bound
+        # more modes shrink the tail term, never the rounding term
+        return laws, ok, (f"a-priori error bound {bound:.3g} exceeds tol; its rounding "
+                          f"term alone needs tol >= {rounding:.3g}"), modes, bound
     if (n + 1) * modes > (DENSE_LAW_CAP + 1) ** 2:
         raise CapacityError(f"n={n} a={a:g} b={b:g} needs {modes} eigenmodes at t={ts[0]:g}: "
                             f"{(n + 1) * modes / 2**17:.0f} MB of eigenvectors, over the "
@@ -395,8 +398,8 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
             break
         if n > DENSE_LAW_CAP:
             raise CapacityError(f"spectral law rejected for n={n} a={params.a:g} b={params.b:g} "
-                                f"at t={ts[j]:g} ({reason}, tol={tol:g}); above n = {DENSE_LAW_CAP} "
-                                "nothing is uniformized, so only a larger tol can pass")
+                                f"at t={ts[j]:g}, tol={tol:g} ({reason}); "
+                                f"above n = {DENSE_LAW_CAP} nothing is uniformized")
         logger.info("spectral law rejected for n=%d a=%g b=%g at t=%g (%s, tol=%g); "
                     "falling back to uniformization", n, params.a, params.b, ts[j], reason, tol)
         prev, t_prev = (probs[:, j - 1], ts[j - 1]) if j else (law, origin)

@@ -2,7 +2,10 @@
 
 One-dimensional distances are exact: the optimal coupling is the monotone
 rearrangement, equivalently the integral of the CDF gap.  Two-dimensional
-empirical distances are solved exactly as minimum-cost perfect matchings.
+empirical distances are solved exactly as minimum-cost perfect matchings;
+under the l1 (cityblock) ground metric the assignment solver starts from the
+dual given by the one-dimensional Kantorovich potentials of each coordinate,
+which leaves its optimum unchanged and shortens its search.
 """
 
 from __future__ import annotations
@@ -183,6 +186,30 @@ def _as_cloud(xs) -> np.ndarray:
     return arr
 
 
+def _cityblock_potentials(xa, ya):
+    """Dual start (u, v) for the l1 matching of the equal-size clouds ``xa``
+    and ``ya``: u_i = sum_k phi_k(x_ik) and v_j = sum_k phi_k(y_jk), with
+    phi_k the optimal 1-D Kantorovich potential of coordinate k.
+
+    phi_k is 0 at the smallest point and has slope sign(F_x - F_y) between
+    neighbouring points of the merged coordinates, so it is 1-Lipschitz and
+    mean phi_k(y) - mean phi_k(x) = int |F_x - F_y|, the exact 1-D W1.  Hence
+    v_j - u_i <= |x_i - y_j|_1, and mean v - mean u, the sum of the
+    per-coordinate W1s, is a lower bound on the l1 matching cost.
+    """
+    u = np.zeros(xa.shape[0])
+    v = np.zeros(ya.shape[0])
+    for xk, yk in zip(xa.T, ya.T):
+        grid = np.sort(np.concatenate([xk, yk]))
+        fx = np.searchsorted(np.sort(xk), grid[:-1], side="right")
+        fy = np.searchsorted(np.sort(yk), grid[:-1], side="right")
+        phi = np.concatenate([[0.0], np.cumsum(np.sign(fx - fy) * np.diff(grid))])
+        # tied points share a phi value: the gaps between them are 0
+        u += phi[np.searchsorted(grid, xk)]
+        v += phi[np.searchsorted(grid, yk)]
+    return u, v
+
+
 def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     """Exact empirical W1 between equal-size 2-D point clouds.
 
@@ -191,6 +218,17 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     mean matched cost.  ``metric`` is any ``cdist`` ground metric; Euclidean
     is the default, ``cityblock`` gives the Hamming-compatible l1 cost.
     Clouds of more than ``MATCHING_CAP`` points raise ``CapacityError``.
+
+    Under ``cityblock`` the cost matrix is reduced in place to
+    cost_ij + u_i - v_j >= 0 with the potentials of ``_cityblock_potentials``
+    before it is solved.  Adding a constant to every row and column changes
+    the cost of every perfect matching by the same amount, so the optimal
+    matchings are the same; the potentials only give the solver a dual start
+    close to the optimum (the separable bound mean v - mean u is often the
+    optimum itself), which shortens its augmenting paths.  The mean is then
+    taken over the l1 costs of the matched pairs, recomputed from the points,
+    so on integer points it is bit-identical to solving the plain cost
+    matrix.  The O(N^3) worst case is unchanged.
     """
     xa = _as_cloud(xs)
     ya = _as_cloud(ys)
@@ -199,8 +237,14 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     if xa.shape[0] > MATCHING_CAP:
         raise CapacityError(f"matching size {xa.shape[0]} exceeds cap {MATCHING_CAP}")
     cost = cdist(xa, ya, metric)
+    if metric != "cityblock":
+        rows, cols = linear_sum_assignment(cost)
+        return float(cost[rows, cols].mean())
+    u, v = _cityblock_potentials(xa, ya)
+    cost += u[:, None]
+    cost -= v
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    return float(np.abs(xa[rows] - ya[cols]).sum(axis=1).mean())
 
 
 def pushforward_check(xs, ys, map_fn, lip_tol: float = 1e-9):

@@ -326,6 +326,9 @@ class TestExitCodes:
         assert cli.main(args + ["--a", "20", "--b", "20", "--m0", str(1 / 8192)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("capacity error: ") and "a-priori error bound 1.4e+12" in err
+        # no allowed tol (at most 1e-6) passes a bound of this size
+        assert "only a larger tol can pass" not in err
+        assert "rounding term alone needs tol >= 1.4e+12" in err
 
     def test_every_config_field_has_a_flag(self):
         # a flag without a field, or a field without a flag, can only be set
@@ -662,6 +665,24 @@ class TestScenarioOutputs:
             assert entry["exact"] == rows["thermalize:surrogate", entry["tau"]][0]
             assert entry["mc_bias"] == est - entry["exact"]
             assert entry["mc_stderr"] == err > 0
+
+    def test_thermalize_work_block(self, tmp_path):
+        # the stage timers and work counts go to the manifest only: reruns
+        # still write the same results.csv bytes
+        outs = []
+        for tag in ("r1", "r2"):
+            cfg = ExperimentConfig(scenario="thermalize", n=(400,), grid=(-1.0, 0.0, 1.0),
+                                   samples=120, repetitions=2, seed=4, out=str(tmp_path / tag))
+            assert run(cfg) == 0
+            outs.append(read_bytes(tmp_path / tag / "results.csv"))
+        assert outs[0] == outs[1]
+        manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
+        assert len(manifest["thermalize"]) == 3
+        work = manifest["thermalize_work"]
+        assert set(work) == {"simulate_s", "matching_s", "matchings", "pairs"}
+        assert work["matchings"] == 2 * 3 and work["pairs"] == 2 * 3 * 120
+        assert 0 < work["simulate_s"] and 0 < work["matching_s"]
+        assert work["simulate_s"] + work["matching_s"] <= manifest["wall_time_s"]
 
     @pytest.mark.parametrize("n,ell,a,b", [(20, 8, 1.0, 1.0), (24, 12, 0.3, 4.0),
                                            (30, 10, 20.0, 20.0)])

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linear_sum_assignment
+from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance
 
 from noisyvoter.diffusion import WFParams, wf_marginal
@@ -16,6 +17,7 @@ from noisyvoter.pmf import Pmf, empirical_pmf, point_mass
 from noisyvoter.stein import hypergeom_zeta_pmf
 from noisyvoter.transport import (
     MATCHING_CAP,
+    _cityblock_potentials,
     pushforward_check,
     w1_discrete,
     w1_discrete_vs_gaussian,
@@ -26,6 +28,12 @@ from noisyvoter.transport import (
 )
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+
+
+def plain_cityblock_matching(xs, ys) -> float:
+    """Oracle: the assignment solved on the unreduced l1 cost matrix."""
+    c = cdist(xs, ys, "cityblock")
+    return float(c[linear_sum_assignment(c)].mean())
 
 
 def brute_force_w1_equal(xs, ys):
@@ -313,6 +321,69 @@ class TestW1Matching:
         xs = np.array([[0.0, 0.0]])
         ys = np.array([[3.0, 4.0]])
         assert w1_matching(xs, ys, metric="cityblock") == pytest.approx(7.0, abs=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cityblock_integer_clouds_bit_identical(self, data):
+        # narrow coordinate ranges give ties, duplicates and shared points; a
+        # shift wider than the range separates the clouds in that coordinate
+        size = data.draw(st.integers(1, 80), label="size")
+        coord = st.integers(0, data.draw(st.integers(0, 6), label="width"))
+        shift = data.draw(st.tuples(st.integers(-10, 10), st.integers(-10, 10)), label="shift")
+        xs, ys = (np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=size,
+                                              max_size=size)), dtype=float)
+                  for _ in range(2))
+        ys += shift
+        assert w1_matching(xs, ys, metric="cityblock") == plain_cityblock_matching(xs, ys)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cityblock_real_clouds(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        size = int(rng.integers(20, 300))
+        xs = rng.normal(size=(size, 2))
+        ys = rng.normal(loc=rng.uniform(-2, 2, size=2), scale=rng.uniform(0.2, 3.0),
+                        size=(size, 2))
+        assert w1_matching(xs, ys, metric="cityblock") == pytest.approx(
+            plain_cityblock_matching(xs, ys), rel=1e-12)
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_cityblock_brute_force_factorial(self, size):
+        rng = np.random.default_rng(20 + size)
+        xs = rng.uniform(size=(size, 2))
+        ys = rng.uniform(size=(size, 2))
+        cost = np.abs(xs[:, None, :] - ys[None, :, :]).sum(axis=2)
+        best = min(np.mean([cost[i, j] for i, j in enumerate(perm)])
+                   for perm in itertools.permutations(range(size)))
+        assert w1_matching(xs, ys, metric="cityblock") == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cityblock_potentials(self, seed):
+        # dual feasible for the l1 cost, and their bound is the sum of the
+        # per-coordinate 1-D distances
+        rng = np.random.default_rng(200 + seed)
+        size = int(rng.integers(1, 200))
+        xs = rng.normal(size=(size, 2))
+        ys = rng.normal(loc=rng.uniform(-1, 1, size=2), size=(size, 2))
+        if seed % 2:
+            xs, ys = np.round(4 * xs), np.round(4 * ys)
+        cost = cdist(xs, ys, "cityblock")
+        u, v = _cityblock_potentials(xs, ys)
+        assert (cost + u[:, None] - v).min() >= -1e-12 * cost.max()
+        separable = sum(w1_sorted(xs[:, k], ys[:, k]) for k in range(2))
+        assert v.mean() - u.mean() == pytest.approx(separable, rel=1e-12, abs=1e-12)
+        assert w1_matching(xs, ys, metric="cityblock") >= separable - 1e-12
+
+    @pytest.mark.parametrize("size", [1, 17, 120])
+    def test_cityblock_separated_clouds_attain_the_bound(self, size):
+        # every x is below every y in both coordinates, so every matching
+        # costs the same, the separable bound
+        rng = np.random.default_rng(size)
+        xs = rng.integers(0, 5, size=(size, 2)).astype(float)
+        ys = rng.integers(5, 9, size=(size, 2)).astype(float)
+        u, v = _cityblock_potentials(xs, ys)
+        assert w1_matching(xs, ys, metric="cityblock") == (v.sum() - u.sum()) / size
+        assert w1_matching(xs, ys, metric="cityblock") == pytest.approx(
+            sum(w1_sorted(xs[:, k], ys[:, k]) for k in range(2)), rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(ValueError):
