@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(thermalize and single-size stein-rate only)")
     parser.add_argument("--grid", type=_float_list, help="t-grid or tau-grid, comma separated")
     parser.add_argument("--tau", type=_float_list, dest="grid", help="alias for --grid")
-    parser.add_argument("--samples", type=int, help="Monte Carlo replicas / matched pairs")
+    parser.add_argument("--samples", type=int, help="matched pairs (thermalize only)")
     parser.add_argument("--repetitions", type=int, help="independent repetitions to average")
     parser.add_argument("--seed", type=int, help="master seed, any nonnegative integer")
     parser.add_argument("--out", help="output directory")

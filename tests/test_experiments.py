@@ -365,6 +365,27 @@ class TestExitCodes:
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert not report["checks"]["detailed-balance"]["passed"]
 
+    @pytest.mark.parametrize("row", range(len(experiments._VALIDATE_CHECKS)),
+                             ids=[name for name, _, _ in experiments._VALIDATE_CHECKS])
+    def test_validate_passes_iff_measured_within_tolerance(self, tmp_path, monkeypatch, row):
+        # every measure stubbed: at its tolerance every check passes; one ulp
+        # above it that check alone fails, and its row reports that tolerance
+        at_tol = [(name, tol, lambda cfg, tol=tol: tol)
+                  for name, tol, _ in experiments._VALIDATE_CHECKS]
+        monkeypatch.setattr(experiments, "_VALIDATE_CHECKS", tuple(at_tol))
+        assert run(ExperimentConfig(scenario="validate", out=str(tmp_path / "at"))) == 0
+        name, tol, _ = at_tol[row]
+        over = np.nextafter(tol, np.inf)
+        at_tol[row] = (name, tol, lambda cfg: (over, "one ulp over"))
+        monkeypatch.setattr(experiments, "_VALIDATE_CHECKS", tuple(at_tol))
+        assert run(ExperimentConfig(scenario="validate", out=str(tmp_path / "over"))) == 4
+        checks = json.loads((tmp_path / "over" / "validate_report.json").read_text())["checks"]
+        assert [k for k, info in checks.items() if not info["passed"]] == [name]
+        assert checks[name]["measured"] == over and checks[name]["tolerance"] == tol
+        with open(tmp_path / "over" / "results.csv", newline="") as fh:
+            rows = {r["scenario"]: r for r in csv.DictReader(fh)}
+        assert float(rows[f"validate:{name}"]["theory"]) == tol
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
@@ -411,7 +432,7 @@ class TestDeterminism:
 
     def test_validate_exact_checks_seed_invariant(self, tmp_path):
         exact = ("rates-boundary", "detailed-balance", "uniform-start-variance",
-                 "translation-exact", "pushforward-contraction", "stein-bounds",
+                 "translation-1d", "translation-2d", "pushforward-contraction", "stein-bounds",
                  "stein-identity", "exclusion-stationarity", "exclusion-residual-bounds",
                  "coupling-disagreements", "gaussian-coupling-bound", "block-mean-identity",
                  "derivative-decay", "density-apriori")
@@ -430,6 +451,15 @@ class TestDeterminism:
         assert reports[0]["density-apriori"]["tolerance"] == 0.0
         assert reports[0]["derivative-decay"]["passed"]
         assert reports[0]["derivative-decay"]["tolerance"] <= 1e-10
+
+    def test_validate_ignores_samples(self, tmp_path):
+        # only thermalize reads samples; validate's draw counts are fixed
+        outs = []
+        for samples in (100, 5000):
+            out = tmp_path / f"s{samples}"
+            assert cli.main(["validate", "--samples", str(samples), "--out", str(out)]) == 0
+            outs.append(read_bytes(out / "results.csv"))
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("a,b", [(20, 20), (200, 1), (1e3, 1e-3), (1e3, 1e3)])
     def test_validate_passes_at_large_drift(self, tmp_path, a, b):
@@ -712,9 +742,32 @@ class TestScenarioOutputs:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["scenario"] == "stein-rate"
         assert "timestamp" in manifest and "wall_time_s" in manifest
-        sweep = (tmp_path / "stein_sweep.csv").read_text().splitlines()
-        assert sweep[0] == "n,ell,m0,nu,distance,normalized"
-        assert len(sweep) == 3
+
+    @pytest.mark.parametrize("kwargs", [
+        {"scenario": "validate"},
+        {"scenario": "thermalize", "n": (400,), "grid": (0.0, 1.0), "samples": 120,
+         "repetitions": 3},
+        {"scenario": "qclt-rate", "n": (32, 64, 128), "grid": (1.0,)},
+    ])
+    def test_theory_check_entries(self, tmp_path, kwargs):
+        # one entry per row with a nonzero theory value, except validate rows,
+        # whose theory column is their check's tolerance
+        cfg = ExperimentConfig(**kwargs, seed=0, out=str(tmp_path))
+        assert run(cfg) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if r["theory"] not in ("", "0.0") and not r["scenario"].startswith("validate:")]
+        declared = {"thermalize": 0.15, "thermalize:surrogate": 0.15, "qclt-rate:slope": 0.30}
+        want = []
+        for r in rows:
+            est, theory = float(r["estimate"]), float(r["theory"])
+            rel = abs(est - theory) / abs(theory)
+            want.append({"scenario": r["scenario"], "n": int(r["n"]),
+                         "t_or_tau": float(r["t_or_tau"]), "rel_error": rel,
+                         "flagged": rel > declared[r["scenario"]]})
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["theory_check"] == want
+        assert bool(want) == (cfg.scenario != "validate")
 
     def test_validate_check_runtimes(self, tmp_path):
         # per-check wall seconds in the manifest and the report, not in results.csv
