@@ -436,8 +436,9 @@ def run_thermalize(cfg: ExperimentConfig):
     The manifest's ``thermalize`` block lists, per tau, the exact distance,
     the Monte Carlo bias (estimate minus exact) and the estimate's stderr.
     Its ``thermalize_work`` block gives the wall seconds spent simulating the
-    clouds and matching them, each summed over repetitions, the number of
-    matchings (repetitions x taus) and the pairs matched in all of them.
+    clouds (``simulate_s``: one event loop over every repetition, each on its
+    own random stream) and matching them, summed over repetitions, the number
+    of matchings (repetitions x taus) and the pairs matched in all of them.
     """
     n = cfg.n[0]
     params = model.ModelParams(n, cfg.a, cfg.b)
@@ -448,35 +449,30 @@ def run_thermalize(cfg: ExperimentConfig):
     horizons = 0.5 * np.log(n) + np.log(m0e * (1 - m0e)) + taus
     pairs = cfg.samples
     sqrt_n = np.sqrt(n)
-    work = {"simulate_s": 0.0, "matching_s": 0.0, "matchings": 0, "pairs": 0}
-
-    def one_rep(rep):
-        start = time.perf_counter()
-        rng = replica_stream(cfg.seed, "thermalize", rep)
-        fixed = np.tile(np.array([[0, ell]], dtype=np.int64), (pairs, 1))
+    reps = cfg.repetitions
+    start = time.perf_counter()
+    # each repetition draws its uniform starts, then its events, from its own stream
+    rngs = [replica_stream(cfg.seed, "thermalize", rep) for rep in range(reps)]
+    fixed = np.tile(np.array([[0, ell]], dtype=np.int64), (pairs, 1))
+    starts = []
+    for rng in rngs:
         u0, u1 = model.sample_uniform_given_count(params, part, ell, rng, size=pairs)
-        starts = np.vstack([fixed, np.stack([u0, u1], axis=1)])
-        states = model.simulate_blocks_batch(params, part, starts, horizons, rng)
-        simulated = time.perf_counter()
-        out = []
+        starts += [fixed, np.stack([u0, u1], axis=1)]
+    states = model.simulate_blocks_batch(params, part, np.vstack(starts), horizons, rngs)
+    simulated = time.perf_counter()
+    values = np.empty((reps, len(taus)))
+    for rep in range(reps):
+        cloud = states[:, 2 * pairs * rep:2 * pairs * (rep + 1)].astype(float)
         for i in range(len(taus)):
-            cloud_fixed = states[i, :pairs].astype(float)
-            cloud_unif = states[i, pairs:].astype(float)
-            out.append(transport.w1_matching(cloud_fixed, cloud_unif,
-                                             metric="cityblock") / sqrt_n)
-        work["simulate_s"] += simulated - start
-        work["matching_s"] += time.perf_counter() - simulated
-        work["matchings"] += len(taus)
-        work["pairs"] += len(taus) * pairs
-        return out
-
-    per_rep = [one_rep(rep) for rep in range(cfg.repetitions)]
-    values = np.asarray(per_rep)  # (reps, taus)
+            values[rep, i] = transport.w1_matching(cloud[i, :pairs], cloud[i, pairs:],
+                                                   metric="cityblock") / sqrt_n
+    work = {"simulate_s": simulated - start, "matching_s": time.perf_counter() - simulated,
+            "matchings": reps * len(taus), "pairs": reps * len(taus) * pairs}
     records, checks = [], []
     for i, tau in enumerate(taus):
         theory = 2.0 * np.exp(-tau)
         est = float(values[:, i].mean())
-        err = float(values[:, i].std(ddof=1) / np.sqrt(cfg.repetitions))
+        err = float(values[:, i].std(ddof=1) / np.sqrt(reps))
         surrogate = thermalize_distance(params, ell, horizons[i])
         records.append(ResultRecord("thermalize", n, cfg.a, cfg.b, m0e, float(tau),
                                     est, err, theory, cfg.seed))

@@ -7,7 +7,10 @@ permutation-invariant starts are determined by the particle count (or by
 per-block counts for a two-block split), so simulation happens on lumped
 birth-death chains at O(1) cost per event: one event loop advances many
 replicas in lockstep, with the count chain as its one-block case.  The
-stationary count is Beta-Binomial(n, a, b).
+replicas may come in equal groups, each drawing from its own random stream,
+so that one loop runs several independent batches and each batch gets the
+same numbers as a loop of its own.  The stationary count is
+Beta-Binomial(n, a, b).
 
 Exact transient laws come from the spectral decomposition of the count
 chain: reversibility makes its generator, symmetrized by sqrt(pi), a
@@ -114,17 +117,21 @@ def count_rates(params: ModelParams, k):
     return up, down
 
 
-def _lockstep(params: ModelParams, sizes: tuple[int, ...], x0, horizons,
-              rng: np.random.Generator) -> np.ndarray:
+def _lockstep(params: ModelParams, sizes: tuple[int, ...], x0, horizons, rng) -> np.ndarray:
     """Event loop shared by R independent replicas of the B-block chain.
 
     Block i of ``sizes`` (which must sum to n) gains a particle at rate
     (sizes[i] - x_i)(a + X)/n and loses one at rate x_i (b + n - X)/n, with X
     the total count; B = 1 is the count chain.  ``x0`` holds the (R, B)
-    starting counts.  Returns the int counts at each horizon, shape (H, R, B).
-    Every iteration draws ``exponential(size=R)`` for the waiting times, then
-    ``random(R)`` scaled by the total rate, and takes the first event of
-    up_0..up_{B-1}, down_0..down_{B-1} whose running rate sum exceeds it.
+    starting counts and ``rng`` is one Generator or a sequence of G of them:
+    the replicas split into G equal consecutive groups, group g drawing from
+    ``rng[g]``.  Returns the int counts at each horizon, shape (H, R, B).
+    Every iteration each group draws ``standard_exponential`` for its waiting
+    times, then ``random`` scaled by the total rate, and each replica takes
+    the first event of up_0..up_{B-1}, down_0..down_{B-1} whose running rate
+    sum exceeds it.  A group stops drawing, before its uniforms, once all its
+    replicas have passed the last horizon, so it ends with the states and
+    stream position of a call over its replicas and generator alone.
     """
     n, a, b = params.n, params.a, params.b
     hs = np.atleast_1d(np.asarray(horizons, dtype=float))
@@ -138,29 +145,48 @@ def _lockstep(params: ModelParams, sizes: tuple[int, ...], x0, horizons,
         raise ValueError(f"starts must have shape (R, {len(sizes)}), got {x.shape}")
     if not (np.all(x == np.round(x)) and np.all(x >= 0) and np.all(x <= sizes)):
         raise ValueError(f"start counts must be integers in [0, size] for block sizes {sizes}")
-    counts = list(x.T.copy())
+    live = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     R, H = x.shape[0], hs.size
+    if not live or R % len(live):
+        raise ValueError(f"{R} replicas do not split into {len(live)} equal groups")
+    width = R // len(live)
+    counts = list(x.T.copy())
     # a replica past its last horizon keeps moving, but is never recorded again
     stops = np.append(hs, np.inf)
     t = np.zeros(R)
     hidx = np.zeros(R, dtype=np.int64)
+    rows = np.arange(R)  # each replica's column in out, as finished groups drop out
+    draws = np.empty(R)
     out = np.empty((H, R, len(sizes)), dtype=np.int64)
+    if R == 0:
+        return out
     while True:
         X = sum(counts)
         grow, shrink = (a + X) / n, (b + n - X) / n
         cum = list(accumulate([(s - c) * grow for s, c in zip(sizes, counts)]
                               + [c * shrink for c in counts]))
-        tnew = t + rng.exponential(size=R) / cum[-1]
+        for g, gen in enumerate(live):
+            gen.standard_exponential(out=draws[g * width:(g + 1) * width])
+        tnew = t + draws / cum[-1]
         # record the pre-event state at every horizon the waiting time jumps over
         crossed = np.nonzero(stops[hidx] < tnew)[0]
-        while crossed.size:
-            for i, c in enumerate(counts):
-                out[hidx[crossed], crossed, i] = c[crossed]
-            hidx[crossed] += 1
-            crossed = crossed[stops[hidx[crossed]] < tnew[crossed]]
-        if (hidx == H).all():
-            return out
-        u = rng.random(R) * cum[-1]
+        if crossed.size:
+            while crossed.size:
+                for i, c in enumerate(counts):
+                    out[hidx[crossed], rows[crossed], i] = c[crossed]
+                hidx[crossed] += 1
+                crossed = crossed[stops[hidx[crossed]] < tnew[crossed]]
+            running = (hidx < H).reshape(len(live), width).any(axis=1)
+            if not running.any():
+                return out
+            if not running.all():
+                keep = np.repeat(running, width)
+                live = [gen for gen, on in zip(live, running) if on]
+                counts, cum = [c[keep] for c in counts], [c[keep] for c in cum]
+                tnew, hidx, rows, draws = tnew[keep], hidx[keep], rows[keep], draws[keep]
+        for g, gen in enumerate(live):
+            gen.random(out=draws[g * width:(g + 1) * width])
+        u = draws * cum[-1]
         below = [u < c for c in cum[:-1]]
         # below is nested, so event i is where u passed threshold i-1 but not i
         events = [below[0], *(hi ^ lo for lo, hi in zip(below, below[1:])), ~below[-1]]
@@ -170,13 +196,16 @@ def _lockstep(params: ModelParams, sizes: tuple[int, ...], x0, horizons,
         t = tnew
 
 
-def simulate_count_batch(params: ModelParams, k0, horizons, rng: np.random.Generator) -> np.ndarray:
+def simulate_count_batch(params: ModelParams, k0, horizons, rng) -> np.ndarray:
     """Run many independent count chains, recording each at every horizon.
 
     ``k0`` is an integer array of shape (R,); ``horizons`` a finite,
     nonnegative, ascending array of shape (H,).  Returns an int array of
     shape (H, R).  The replicas evolve in lockstep over one shared event loop,
-    the one-block case of ``simulate_blocks_batch``.
+    the one-block case of ``simulate_blocks_batch``.  ``rng`` is one Generator
+    or a sequence of G Generators; with G of them the R replicas split into G
+    equal consecutive groups, and group g gets exactly what a call with its
+    own starts and ``rng[g]`` alone would give, states and stream position.
     """
     k0 = np.asarray(k0)
     if k0.ndim != 1:
@@ -185,10 +214,13 @@ def simulate_count_batch(params: ModelParams, k0, horizons, rng: np.random.Gener
 
 
 def simulate_blocks_batch(
-    params: ModelParams, part: BlockPartition, x0, horizons, rng: np.random.Generator
+    params: ModelParams, part: BlockPartition, x0, horizons, rng
 ) -> np.ndarray:
     """Two-block analogue of ``simulate_count_batch``: ``x0`` holds (R, 2)
     integer (block-0, block-1) counts; returns an int array of shape (H, R, 2).
+    ``rng`` is one Generator or a sequence of G of them, splitting ``x0``
+    into G equal consecutive groups as in ``simulate_count_batch``: one call
+    runs G independent batches, each on its own stream, in one event loop.
     """
     return _lockstep(params, (part.n0, part.n1), x0, horizons, rng)
 

@@ -11,8 +11,6 @@ which leaves its optimum unchanged and shortens its search.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 from scipy.special import ndtr, ndtri
 
 from .errors import CapacityError
@@ -230,6 +228,11 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     so on integer points it is bit-identical to solving the plain cost
     matrix.  The O(N^3) worst case is unchanged.
     """
+    # imported here, not at module level: only matchings need them, and they
+    # are a large share of the package's import time
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     xa = _as_cloud(xs)
     ya = _as_cloud(ys)
     if xa.shape[0] != ya.shape[0]:
@@ -255,6 +258,8 @@ def pushforward_check(xs, ys, map_fn, lip_tol: float = 1e-9):
     mapped samples.  d1 <= d2 always holds for exact distances; a violation
     beyond 1e-12 raises.
     """
+    from scipy.spatial.distance import cdist
+
     xa = _as_cloud(xs)
     ya = _as_cloud(ys)
     pts = np.vstack([xa, ya])

@@ -714,6 +714,39 @@ class TestScenarioOutputs:
         assert 0 < work["simulate_s"] and 0 < work["matching_s"]
         assert work["simulate_s"] + work["matching_s"] <= manifest["wall_time_s"]
 
+    def test_thermalize_repetitions_keep_their_own_streams(self, monkeypatch, tmp_path):
+        # one event loop over every repetition gives each repetition the states
+        # and distances of a loop of its own on its own stream
+        cfg = ExperimentConfig(scenario="thermalize", n=(400,), grid=(-1.0, 0.0, 1.0),
+                               samples=120, repetitions=3, seed=4, out=str(tmp_path))
+        n, pairs, ell = 400, cfg.samples, cfg.particle_count(400)
+        params, part = model.ModelParams(n, cfg.a, cfg.b), model.BlockPartition(n - ell, ell)
+        horizons = 0.5 * np.log(n) + np.log(ell / n * (1 - ell / n)) + np.asarray(cfg.grid)
+        original, calls = model.simulate_blocks_batch, []
+
+        def spy(*args):
+            calls.append((args, original(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(model, "simulate_blocks_batch", spy)
+        records, _ = run_thermalize(cfg)
+        monkeypatch.undo()
+        assert len(calls) == 1 and len(calls[0][0][4]) == cfg.repetitions
+        states = calls[0][1]
+        values = []
+        for rep in range(cfg.repetitions):
+            rng = replica_stream(cfg.seed, "thermalize", rep)
+            u0, u1 = model.sample_uniform_given_count(params, part, ell, rng, size=pairs)
+            starts = np.vstack([np.tile([[0, ell]], (pairs, 1)), np.stack([u0, u1], axis=1)])
+            alone = model.simulate_blocks_batch(params, part, starts, horizons, rng)
+            rows = slice(2 * pairs * rep, 2 * pairs * (rep + 1))
+            np.testing.assert_array_equal(states[:, rows], alone)
+            values.append([w1_matching(alone[i, :pairs].astype(float),
+                                       alone[i, pairs:].astype(float), metric="cityblock")
+                           / np.sqrt(n) for i in range(len(cfg.grid))])
+        est = [r.estimate for r in records if r.scenario == "thermalize"]
+        assert est == [float(col.mean()) for col in np.asarray(values).T]
+
     @pytest.mark.parametrize("n,ell,a,b", [(20, 8, 1.0, 1.0), (24, 12, 0.3, 4.0),
                                            (30, 10, 20.0, 20.0)])
     def test_thermalize_distance_is_exact(self, n, ell, a, b):
@@ -836,11 +869,22 @@ def test_demo_imports_resolve():
     assert imported and unresolved == []
 
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats costs about 0.7 s to import and serves only as a test oracle
+def loaded_by_import(*prefixes: str) -> list[str]:
+    """Modules under ``prefixes`` that a fresh ``import noisyvoter, noisyvoter.cli`` loads."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import noisyvoter, noisyvoter.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    done = subprocess.run([sys.executable, "-c", code, str(src)],
+            "print(*sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[2:]))))")
+    done = subprocess.run([sys.executable, "-c", code, str(src), *prefixes],
                           capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.split()
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 0.7 s to import and serves only as a test oracle
+    assert loaded_by_import("scipy.stats") == []
+
+
+def test_import_leaves_out_matching_modules():
+    # scipy.optimize and scipy.spatial serve only the matchings, which import
+    # them on first use
+    assert loaded_by_import("scipy.optimize", "scipy.spatial") == []

@@ -541,6 +541,50 @@ class TestSimulation:
                 assert got[:, 0].tolist() == scalar_chain(params, sizes, start, horizons, r2)
                 assert r1.random() == r2.random()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("groups", [2, 3])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_grouped_engine_matches_separate_calls(self, groups, blocks):
+        # one call over G generators is, draw for draw, G calls of its own:
+        # same states at every horizon, same stream position after, although
+        # the groups pass their last horizon at different iterations
+        params, part = ModelParams(40, 0.7, 1.9), BlockPartition(15, 25)
+        horizons = [0.0, 0.3, 0.3, 2.5]
+        setup = np.random.default_rng(10 * groups + blocks)
+
+        def simulate(x, rng):
+            if blocks == 1:
+                return simulate_count_batch(params, x.sum(axis=1), horizons, rng)[:, :, None]
+            return simulate_blocks_batch(params, part, x, horizons, rng)
+
+        for width in (1, 4):
+            x0 = np.stack([setup.integers(0, 16, size=groups * width),
+                           setup.integers(0, 26, size=groups * width)], axis=1)
+            seeds = setup.integers(0, 2**32, size=groups)
+            gens = [np.random.default_rng(seed) for seed in seeds]
+            got = simulate(x0, gens)
+            for g, seed in enumerate(seeds):
+                rows = slice(g * width, (g + 1) * width)
+                alone = np.random.default_rng(seed)
+                np.testing.assert_array_equal(got[:, rows], simulate(x0[rows], alone))
+                after = gens[g].random()
+                assert alone.random() == after
+                if width == 1:
+                    oracle = np.random.default_rng(seed)
+                    sizes, start = ((40,), [x0[g].sum()]) if blocks == 1 else ((15, 25), x0[g])
+                    assert got[:, g].tolist() == scalar_chain(params, sizes, start, horizons,
+                                                              oracle)
+                    assert oracle.random() == after
+
+    @pytest.mark.parametrize("streams", [0, 2, 4])
+    def test_groups_must_split_evenly(self, streams):
+        gens = [np.random.default_rng(s) for s in range(streams)]
+        with pytest.raises(ValueError, match="equal groups"):
+            simulate_count_batch(ModelParams(10, 1, 1), [1, 2, 3, 4, 5], [1.0], gens)
+        with pytest.raises(ValueError, match="equal groups"):
+            simulate_blocks_batch(ModelParams(10, 1, 1), BlockPartition(4, 6),
+                                  np.ones((5, 2), dtype=int), [1.0], gens)
+
     def test_two_state_law(self):
         params = ModelParams(1, 1, 1)
         rng = np.random.default_rng(21)
