@@ -7,7 +7,9 @@ distance between the two laws collapses around time
 distance follows the cut-off profile 2 exp(-tau).  The distance is measured
 as an exact minimum-cost matching between paired block-count clouds under
 the l1 ground metric, which is what the configuration-space Hamming distance
-reduces to.
+reduces to.  Only the fixed-site clouds are simulated: the uniform start stays
+exchangeable, so each uniform-site replica is drawn from its fixed partner's
+particle count X as a Hypergeometric(n, n1, X) block split.
 """
 
 import numpy as np

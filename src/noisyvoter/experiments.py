@@ -433,12 +433,25 @@ def run_thermalize(cfg: ExperimentConfig):
     2 n m0 (1-m0) and relaxes at rate 1 + (a+b)/n, so at the times above the
     distance is 2 e^{-tau} e^{-(a+b) t/n}.
 
+    Only the fixed-start clouds are simulated.  The uniform start is
+    exchangeable and the dynamics are permutation invariant, so at every time
+    the uniform-start block-1 count given the total X is Hypergeometric(n, n1,
+    X).  X itself is the autonomous count chain, started at ell from both
+    starts, so the fixed-start replicas' totals already have its law: each
+    uniform-start replica is drawn at each horizon from its fixed partner's
+    total.  Each uniform cloud is then an iid sample of the uniform-start law,
+    tied to the fixed cloud only through the totals, as in the coupling
+    above; by joint convexity of W1 the matching estimate stays biased upward
+    and consistent.
+
     The manifest's ``thermalize`` block lists, per tau, the exact distance,
     the Monte Carlo bias (estimate minus exact) and the estimate's stderr.
     Its ``thermalize_work`` block gives the wall seconds spent simulating the
-    clouds (``simulate_s``: one event loop over every repetition, each on its
-    own random stream) and matching them, summed over repetitions, the number
-    of matchings (repetitions x taus) and the pairs matched in all of them.
+    clouds (``simulate_s``: one event loop over the fixed-start replicas of
+    every repetition, each on its own random stream, then the hypergeometric
+    draws) and matching them, summed over repetitions, the number of
+    ``replicas`` the loop ran (repetitions x samples), the number of
+    matchings (repetitions x taus) and the pairs matched in all of them.
     """
     n = cfg.n[0]
     params = model.ModelParams(n, cfg.a, cfg.b)
@@ -451,23 +464,27 @@ def run_thermalize(cfg: ExperimentConfig):
     sqrt_n = np.sqrt(n)
     reps = cfg.repetitions
     start = time.perf_counter()
-    # each repetition draws its uniform starts, then its events, from its own stream
+    # each repetition runs its fixed-start replicas, then draws its uniform
+    # clouds, on its own stream
     rngs = [replica_stream(cfg.seed, "thermalize", rep) for rep in range(reps)]
-    fixed = np.tile(np.array([[0, ell]], dtype=np.int64), (pairs, 1))
-    starts = []
-    for rng in rngs:
-        u0, u1 = model.sample_uniform_given_count(params, part, ell, rng, size=pairs)
-        starts += [fixed, np.stack([u0, u1], axis=1)]
-    states = model.simulate_blocks_batch(params, part, np.vstack(starts), horizons, rngs)
+    fixed = np.tile(np.array([[0, ell]], dtype=np.int64), (reps * pairs, 1))
+    states = model.simulate_blocks_batch(params, part, fixed, horizons, rngs)
+    uniform = np.empty_like(states)
+    for rep, rng in enumerate(rngs):
+        cols = slice(pairs * rep, pairs * (rep + 1))
+        u0, u1 = model.sample_uniform_given_count(params, part, states[:, cols].sum(axis=2), rng)
+        uniform[:, cols, 0], uniform[:, cols, 1] = u0, u1
     simulated = time.perf_counter()
     values = np.empty((reps, len(taus)))
     for rep in range(reps):
-        cloud = states[:, 2 * pairs * rep:2 * pairs * (rep + 1)].astype(float)
+        cols = slice(pairs * rep, pairs * (rep + 1))
         for i in range(len(taus)):
-            values[rep, i] = transport.w1_matching(cloud[i, :pairs], cloud[i, pairs:],
+            values[rep, i] = transport.w1_matching(states[i, cols].astype(float),
+                                                   uniform[i, cols].astype(float),
                                                    metric="cityblock") / sqrt_n
     work = {"simulate_s": simulated - start, "matching_s": time.perf_counter() - simulated,
-            "matchings": reps * len(taus), "pairs": reps * len(taus) * pairs}
+            "replicas": reps * pairs, "matchings": reps * len(taus),
+            "pairs": reps * len(taus) * pairs}
     records, checks = [], []
     for i, tau in enumerate(taus):
         theory = 2.0 * np.exp(-tau)

@@ -278,7 +278,9 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
     # sum(s^2) = 1, so an error e before the factor s costs at most |e|_2 in l1
     # (Cauchy-Schwarz): (n+1) eps |q0|_2 for rounding, |q0|_2 exp(lam_j t) for mode
     # j from the first time on; keep the fewest slow modes whose dropped tail <= tol/4
-    scale = np.linalg.norm(q0)
+    # scaled by its largest entry, so that tail starts (q0 near 1/sqrt(pi_min)) do not overflow
+    top = q0.max()
+    scale = top * np.linalg.norm(q0 / top)
     ts = times[live]
     j = ks = np.arange(n + 1, dtype=float)
     decay = np.exp(-j * (j - 1 + a + b) * ts[0] / n)
@@ -488,12 +490,16 @@ def detailed_balance_gap(params: ModelParams) -> float:
 
 
 def sample_uniform_given_count(
-    params: ModelParams, part: BlockPartition, k: int, rng: np.random.Generator, size=None
+    params: ModelParams, part: BlockPartition, k: int | np.ndarray,
+    rng: np.random.Generator, size=None
 ):
     """Block counts of a uniform configuration with exactly ``k`` particles.
 
     The block-1 count is Hypergeometric(n, n1, k); block 0 takes the rest.
-    Returns a pair of ints, or a pair of arrays when ``size`` is given.
+    ``k`` is one count or an array of counts.  Returns a pair of ints for
+    one count and no ``size``; otherwise a pair of arrays of the broadcast
+    shape of ``k`` and ``size``.  An array of counts gets, element by element
+    in C order, the draws of a loop of one-count calls on the same generator.
     """
     if part.n != params.n:
         raise ValueError("partition does not match params")

@@ -74,29 +74,41 @@ def _extreme_start_args(draw):
             "--grid", _joined(grid)]
 
 
+_MOVES = ((1, 0), (0, 1), (-1, 0), (0, -1))  # the order of block_rates
+
+
+def _two_block_generator(params, part):
+    """Dense generator of the two-block chain on the (x0, x1) grid of shape
+    (n0 + 1, n1 + 1), states in C order, and that shape."""
+    shape = (part.n0 + 1, part.n1 + 1)
+    gen = np.zeros((np.prod(shape), np.prod(shape)))
+    for i, x in enumerate(np.ndindex(shape)):
+        for rate, (d0, d1) in zip(block_rates(params, part, x), _MOVES):
+            if rate > 0:
+                gen[i, np.ravel_multi_index((x[0] + d0, x[1] + d1), shape)] = rate
+    gen -= np.diag(gen.sum(axis=1))
+    return gen, shape
+
+
+def _uniform_start(part, ell, shape):
+    """Law on the grid of the block counts of ell particles at uniform sites."""
+    x0, x1 = np.indices(shape)
+    return np.where(x0 + x1 == ell, hypergeom(part.n, part.n1, ell).pmf(x1), 0.0).ravel()
+
+
 def _thermalize_lp_distances(n, ell, a, b, times):
     """l1 Kantorovich distances, over sqrt(n), between the exact two-block
     laws at each time from the fixed start (0, ell) and the uniform start:
     the laws by expm of the dense generator, the distance as a min-cost flow
     on the grid graph (HiGHS)."""
     params, part = model.ModelParams(n, a, b), model.BlockPartition(n - ell, ell)
-    shape = (part.n0 + 1, part.n1 + 1)
+    gen, shape = _two_block_generator(params, part)
     states = list(np.ndindex(shape))
-    gen = np.zeros((len(states), len(states)))
-    moves = ((1, 0), (0, 1), (-1, 0), (0, -1))  # the order of block_rates
-    for i, x in enumerate(states):
-        for rate, (d0, d1) in zip(block_rates(params, part, x), moves):
-            if rate > 0:
-                gen[i, np.ravel_multi_index((x[0] + d0, x[1] + d1), shape)] = rate
-    gen -= np.diag(gen.sum(axis=1))
     fixed = np.zeros(len(states))
     fixed[np.ravel_multi_index((0, ell), shape)] = 1.0
-    uniform = np.zeros(len(states))
-    for x1 in range(ell + 1):
-        if ell - x1 <= part.n0:
-            uniform[np.ravel_multi_index((ell - x1, x1), shape)] = hypergeom(n, ell, ell).pmf(x1)
+    uniform = _uniform_start(part, ell, shape)
     edges = [(np.ravel_multi_index(x, shape), np.ravel_multi_index((x[0] + d0, x[1] + d1), shape))
-             for x in states for d0, d1 in moves
+             for x in states for d0, d1 in _MOVES
              if 0 <= x[0] + d0 < shape[0] and 0 <= x[1] + d1 < shape[1]]
     src, dst = np.array(edges).T
     cols = np.arange(len(edges))
@@ -709,14 +721,17 @@ class TestScenarioOutputs:
         manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
         assert len(manifest["thermalize"]) == 3
         work = manifest["thermalize_work"]
-        assert set(work) == {"simulate_s", "matching_s", "matchings", "pairs"}
+        assert set(work) == {"simulate_s", "matching_s", "replicas", "matchings", "pairs"}
+        # the event loop runs only the fixed-start replicas
+        assert work["replicas"] == 2 * 120
         assert work["matchings"] == 2 * 3 and work["pairs"] == 2 * 3 * 120
         assert 0 < work["simulate_s"] and 0 < work["matching_s"]
         assert work["simulate_s"] + work["matching_s"] <= manifest["wall_time_s"]
 
     def test_thermalize_repetitions_keep_their_own_streams(self, monkeypatch, tmp_path):
-        # one event loop over every repetition gives each repetition the states
-        # and distances of a loop of its own on its own stream
+        # one event loop over every repetition's fixed-start replicas, then the
+        # uniform clouds drawn from their totals, give each repetition the
+        # states and distances of its own loop and draws on its own stream
         cfg = ExperimentConfig(scenario="thermalize", n=(400,), grid=(-1.0, 0.0, 1.0),
                                samples=120, repetitions=3, seed=4, out=str(tmp_path))
         n, pairs, ell = 400, cfg.samples, cfg.particle_count(400)
@@ -733,19 +748,58 @@ class TestScenarioOutputs:
         monkeypatch.undo()
         assert len(calls) == 1 and len(calls[0][0][4]) == cfg.repetitions
         states = calls[0][1]
+        assert states.shape == (len(cfg.grid), cfg.repetitions * pairs, 2)
         values = []
         for rep in range(cfg.repetitions):
             rng = replica_stream(cfg.seed, "thermalize", rep)
-            u0, u1 = model.sample_uniform_given_count(params, part, ell, rng, size=pairs)
-            starts = np.vstack([np.tile([[0, ell]], (pairs, 1)), np.stack([u0, u1], axis=1)])
-            alone = model.simulate_blocks_batch(params, part, starts, horizons, rng)
-            rows = slice(2 * pairs * rep, 2 * pairs * (rep + 1))
-            np.testing.assert_array_equal(states[:, rows], alone)
-            values.append([w1_matching(alone[i, :pairs].astype(float),
-                                       alone[i, pairs:].astype(float), metric="cityblock")
-                           / np.sqrt(n) for i in range(len(cfg.grid))])
+            alone = model.simulate_blocks_batch(params, part, np.tile([[0, ell]], (pairs, 1)),
+                                                horizons, rng)
+            np.testing.assert_array_equal(states[:, pairs * rep:pairs * (rep + 1)], alone)
+            u0, u1 = model.sample_uniform_given_count(params, part, alone.sum(axis=2), rng)
+            values.append([w1_matching(alone[i].astype(float),
+                                       np.stack([u0[i], u1[i]], axis=1).astype(float),
+                                       metric="cityblock") / np.sqrt(n)
+                           for i in range(len(cfg.grid))])
         est = [r.estimate for r in records if r.scenario == "thermalize"]
         assert est == [float(col.mean()) for col in np.asarray(values).T]
+
+    def test_thermalize_uniform_clouds_keep_partner_totals(self, monkeypatch):
+        # each uniform-start replica holds its fixed partner's total X, split
+        # within the block sizes (250, 150) with block-1 mean X n1/n; a swap
+        # of the blocks would move that mean by X (n0 - n1)/n, about 37 here,
+        # against a standard error near 0.4
+        cfg = ExperimentConfig(scenario="thermalize", n=(400,), ell=150, grid=(-1.0, 0.0, 1.0),
+                               samples=120, repetitions=2, seed=4)
+        original, clouds = experiments.transport.w1_matching, []
+
+        def spy(x, y, metric):
+            clouds.append((x, y))
+            return original(x, y, metric=metric)
+
+        monkeypatch.setattr(experiments.transport, "w1_matching", spy)
+        run_thermalize(cfg)
+        assert len(clouds) == 2 * 3
+        for fixed, uniform in clouds:
+            assert fixed.shape == uniform.shape == (120, 2)
+            np.testing.assert_array_equal(fixed.sum(axis=1), uniform.sum(axis=1))
+            assert np.all(uniform >= 0) and np.all(uniform <= [250, 150])
+            assert abs(np.mean(uniform[:, 1] - uniform.sum(axis=1) * 150 / 400)) < 2.0
+            assert not np.array_equal(fixed, uniform)
+
+    @pytest.mark.parametrize("n,n1,ell,a,b,t", [(12, 5, 6, 1.0, 1.0, 0.7),
+                                                (15, 7, 3, 0.3, 4.0, 2.0),
+                                                (20, 10, 10, 20.0, 20.0, 1.3)])
+    def test_uniform_start_law_is_hypergeometric_given_total(self, n, n1, ell, a, b, t):
+        # the uniform-start two-block law at time t, by expm of the generator,
+        # is the count law from ell times Hypergeometric(n, n1, X): the law
+        # run_thermalize draws its uniform clouds from
+        params, part = model.ModelParams(n, a, b), model.BlockPartition(n - n1, n1)
+        gen, shape = _two_block_generator(params, part)
+        law = (_uniform_start(part, ell, shape) @ expm(gen * t)).reshape(shape)
+        counts = model.transient_laws(params, ell, [t]).probs[:, 0]
+        x0, x1 = np.indices(shape)
+        want = counts[x0 + x1] * hypergeom(n, n1, x0 + x1).pmf(x1)
+        assert np.max(np.abs(law - want)) <= 1e-10
 
     @pytest.mark.parametrize("n,ell,a,b", [(20, 8, 1.0, 1.0), (24, 12, 0.3, 4.0),
                                            (30, 10, 20.0, 20.0)])

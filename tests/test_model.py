@@ -1,6 +1,7 @@
 """Model-core tests: rates, exact laws, simulation, coupling."""
 
 import logging
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -420,6 +421,20 @@ class TestLawGrid:
             t_prev = t
             assert total_variation(col, law.probs) <= 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    def test_deep_tail_bound_is_finite(self, caplog):
+        # q0 = p0/sqrt(pi) reaches 2.4e154 at k0 = 0 here, so its plain 2-norm
+        # overflows; the rejection must still name a finite bound
+        params = ModelParams(300, 1e3, 1e-3)
+        with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
+            grid = transient_laws(params, 0, [1.0])
+        messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
+        assert grid.refilled.all() and len(messages) == 1
+        bound = float(re.search(r"a-priori error bound (\S+) exceeds", messages[0]).group(1))
+        want = 301 * np.finfo(float).eps * np.exp(-0.5 * stationary_log_pmf(params)[0])
+        assert bound == pytest.approx(want, rel=1e-2) and np.isfinite(bound)
+        assert "inf" not in messages[0] and "nan" not in messages[0]
+
     def test_tail_start_returns_to_the_spectral_path(self):
         # once the refilled law has spread out, later columns are spectral again
         params = ModelParams(128, 50.0, 1.0)
@@ -725,6 +740,18 @@ class TestUniformGivenCount:
         expected = hypergeom.pmf(support, 12, 7, 6) * x1.size
         assert counts.sum() == x1.size  # support is exactly the reachable set
         assert chisquare(counts, expected).pvalue > 1e-6
+
+    def test_array_counts_match_scalar_loop(self):
+        # an (H, R) array of counts draws, in C order, what a loop of one-count
+        # calls on the same generator draws
+        params, part = ModelParams(20, 1, 1), BlockPartition(8, 12)
+        k = np.random.default_rng(34).integers(0, 21, size=(3, 50))
+        r1, r2 = np.random.default_rng(35), np.random.default_rng(35)
+        x0, x1 = sample_uniform_given_count(params, part, k, r1)
+        assert x0.shape == x1.shape == k.shape
+        loop = [sample_uniform_given_count(params, part, int(c), r2) for c in k.flat]
+        np.testing.assert_array_equal(np.stack([x0, x1], axis=-1).reshape(-1, 2), loop)
+        assert r1.random() == r2.random()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
