@@ -10,9 +10,14 @@ from .model import (
     DENSE_LAW_CAP,
     BlockPartition,
     ModelParams,
+    block_mean_ode,
     count_rates,
     couple_by_block_counts,
+    density_drift,
+    density_noise,
+    density_variance,
     detailed_balance_gap,
+    mean_ode,
     sample_uniform_given_count,
     simulate_blocks_batch,
     simulate_count_batch,
@@ -23,14 +28,9 @@ from .model import (
 from .diffusion import (
     WFMarginal,
     WFParams,
-    block_mean_ode,
-    density_drift,
-    density_noise,
-    density_variance,
     derivative_decay_probe,
     gaussian_coupling,
     gaussian_coupling_bound,
-    mean_ode,
     simulate_wf,
     wf_marginal,
     wf_semigroup,

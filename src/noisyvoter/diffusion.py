@@ -1,5 +1,8 @@
 """Diffusion and Gaussian limit objects of the voter density.
 
+Only the limits live here; the finite-n chain and its closed-form moments
+are in ``model``, which this module does not import.
+
 The particle density converges (in time units sped up by n) to the
 Wright-Fisher diffusion dx = (a(1-x) - b x) dt + sqrt(2 x (1-x)) dB with
 stationary law Beta(a, b).  Its law at time t from a point start is exact
@@ -10,10 +13,6 @@ a-posteriori checks.  ``transport.w1_discrete_vs_wf`` measures W1 against
 it, and ``WFMarginal.stationary_distance`` gives the paper's limit profile
 W1(marginal at t, Beta(a, b)).  The Euler-Maruyama ``simulate_wf`` remains
 as the independent simulation cross-check.
-
-The density's mean and variance from a point start are closed forms: the
-count chain's first two moments solve a linear ODE with the Hahn rates
-(a+b)/n and 2(a+b+1)/n.
 
 The Wright-Fisher semigroup P_t maps polynomials of each degree to
 themselves, so ``wf_semigroup`` applies it (and its scaled derivatives
@@ -34,7 +33,6 @@ from scipy.linalg import solve_triangular
 from scipy.special import betainc, betaln
 
 from .errors import DiagnosticError
-from .model import BlockPartition, ModelParams
 
 
 @dataclass(frozen=True)
@@ -50,81 +48,6 @@ class WFParams:
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
             object.__setattr__(self, name, v)
-
-
-# ---------------------------------------------------------------------------
-# drift / noise coefficients of the lumped density
-# ---------------------------------------------------------------------------
-
-def density_drift(params: ModelParams, m) -> np.ndarray | float:
-    """Restoring drift a - (a+b) m of the density (before the 1/n slowdown)."""
-    return params.a - (params.a + params.b) * np.asarray(m, dtype=float)
-
-
-def density_noise(params: ModelParams, m) -> np.ndarray | float:
-    """Instantaneous variance production 2m(1-m) + (a(1-m) + b m)/n."""
-    m = np.asarray(m, dtype=float)
-    return 2.0 * m * (1.0 - m) + (params.a * (1.0 - m) + params.b * m) / params.n
-
-
-# ---------------------------------------------------------------------------
-# mean paths
-# ---------------------------------------------------------------------------
-
-def mean_ode(params: ModelParams, m0: float, t: float) -> float:
-    """Closed-form mean density path dm/dt = (a - (a+b) m)/n started at m0."""
-    if not 0.0 <= m0 <= 1.0:
-        raise ValueError("m0 must lie in [0, 1]")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    fix = params.a / (params.a + params.b)
-    return fix + (m0 - fix) * np.exp(-(params.a + params.b) * t / params.n)
-
-
-def density_variance(params: ModelParams, m0: float, t: float) -> float:
-    """Exact variance of the density at time t from the point start m0.
-
-    The count chain has linear drift and quadratic variance production, so
-    in counts dVar/dt = -r2 Var + (a n + (b - a + 2n) m - 2 m^2)/n along the
-    mean path m = F + D e^{-r1 t}, F = n a/(a+b), D = n m0 - F, with the
-    j = 1, 2 Hahn rates r1 = (a+b)/n and r2 = 2(a+b+1)/n.  Expanding the
-    production around F gives c0 + c1 e^{-r1 t} + c2 e^{-2 r1 t} with
-    c0 = 2ab(a+b+n)/(a+b)^2, c1 = D (b-a)(a+b+2n)/(n(a+b)), c2 = -2 D^2/n,
-    and Var(0) = 0 integrates each term separately; the rates never
-    coincide because r2 - 2 r1 = 2/n.  At large t this is the
-    Beta-Binomial variance n a b (a+b+n)/((a+b)^2 (a+b+1)), over n^2.
-    """
-    if not 0.0 <= m0 <= 1.0:
-        raise ValueError("m0 must lie in [0, 1]")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n, a, b = params.n, params.a, params.b
-    s = a + b
-    r1 = s / n
-    d = n * m0 - n * a / s
-    coef = (2.0 * a * b * (s + n) / s ** 2,
-            d * (b - a) * (s + 2 * n) / (n * s),
-            -2.0 * d * d / n)
-    var = 0.0
-    for j, c in enumerate(coef):
-        gap = 2.0 * (s + 1) / n - j * r1
-        var += c / gap * np.exp(-j * r1 * t) * -np.expm1(-gap * t)
-    return float(max(var, 0.0) / n ** 2)
-
-
-def block_mean_ode(params: ModelParams, part: BlockPartition, t: float) -> tuple[float, float]:
-    """Mean local densities at time t, started from (0, 1).
-
-    The weighted mean follows ``mean_ode`` from m0 = n1/n while the block
-    offsets relax at rate 1 + (a+b)/n, so a0*m0_t + a1*m1_t equals the global
-    mean path exactly.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    _, a1 = part.weights
-    m = mean_ode(params, a1, t)
-    decay = np.exp(-(1.0 + (params.a + params.b) / params.n) * t)
-    return m - a1 * decay, m + (1.0 - a1) * decay
 
 
 # ---------------------------------------------------------------------------

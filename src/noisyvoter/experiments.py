@@ -122,10 +122,6 @@ class ExperimentConfig:
             if self.scenario != "thermalize" and not np.isfinite(max(ns) * grid[-1]):
                 raise ConfigError(f"time n*t overflows at n = {max(ns)}, t = {grid[-1]:g}")
         object.__setattr__(self, "grid", grid)
-        if self.samples < 1 or (self.scenario == "thermalize" and self.samples < 100):
-            raise ConfigError("samples must be positive, and at least 100 for thermalize")
-        if self.repetitions < 2:
-            raise ConfigError("repetitions must be at least 2")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if not 0 < self.tol <= 1e-6:
@@ -138,6 +134,11 @@ class ExperimentConfig:
                 if not 1 <= self.particle_count(n) <= n - 1:
                     raise ConfigError(f"particle count at n={n} must lie in [1, n-1]")
         if self.scenario == "thermalize":
+            # the one scenario that reads samples and repetitions
+            if self.samples < 100:
+                raise ConfigError("thermalize needs at least 100 samples")
+            if self.repetitions < 2:
+                raise ConfigError("thermalize needs at least 2 repetitions")
             if len(ns) != 1:
                 raise ConfigError("thermalize runs at a single n")
             n = ns[0]
@@ -429,7 +430,7 @@ def run_thermalize(cfg: ExperimentConfig):
     keeps x0 <= x0' and x1 >= x1' for the fixed-start chain at all times.
     That coupling costs E[(x1 - x0) - (x1' - x0')], and since x1 - x0 is
     1-Lipschitz for l1 the same quantity is also a lower bound: the coupling
-    is optimal.  By ``diffusion.block_mean_ode`` the imbalance gap starts at
+    is optimal.  By ``model.block_mean_ode`` the imbalance gap starts at
     2 n m0 (1-m0) and relaxes at rate 1 + (a+b)/n, so at the times above the
     distance is 2 e^{-tau} e^{-(a+b) t/n}.
 
@@ -734,8 +735,8 @@ def _block_mean_identity(cfg):
         part = model.BlockPartition(n - n1, n1)
         a0, a1 = part.weights
         for t in (0.0, 0.5, 3.0, 40.0):
-            m0t, m1t = diffusion.block_mean_ode(params, part, t)
-            m = diffusion.mean_ode(params, a1, t)
+            m0t, m1t = model.block_mean_ode(params, part, t)
+            m = model.mean_ode(params, a1, t)
             worst = max(worst, abs(a0 * m0t + a1 * m1t - m))
     return worst
 
@@ -781,9 +782,9 @@ def _density_apriori(cfg):
     for n in (100, 1000):
         params = model.ModelParams(n, cfg.a, cfg.b)
         m0 = cfg.particle_count(n) / n
-        gsup = float(np.max(diffusion.density_noise(params, np.linspace(0, 1, 201))))
+        gsup = float(np.max(model.density_noise(params, np.linspace(0, 1, 201))))
         for t in (1.0, 10.0, float(n) / 10.0, float(n)):
-            msd = diffusion.density_variance(params, m0, t)
+            msd = model.density_variance(params, m0, t)
             bound = gsup / (2 * (cfg.a + cfg.b)) * (1 - np.exp(-2 * (cfg.a + cfg.b) * t / n))
             worst = max(worst, msd - bound)
     return worst, "exact mean-square density deviation vs Gronwall bound"

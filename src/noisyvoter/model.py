@@ -12,28 +12,35 @@ so that one loop runs several independent batches and each batch gets the
 same numbers as a loop of its own.  The stationary count is
 Beta-Binomial(n, a, b).
 
+The count chain's closed forms live here too: its density k/n has linear
+drift and quadratic noise, so the mean path (``mean_ode``, and per block
+``block_mean_ode``) and the variance (``density_variance``) from a point
+start are exact at every n.
+
 Exact transient laws come from the spectral decomposition of the count
 chain: reversibility makes its generator, symmetrized by sqrt(pi), a
-symmetric tridiagonal matrix with the Hahn spectrum -j(j-1+a+b)/n.  Every
-time shares the start's coefficients in that eigenbasis, so at every n the J
-slowest eigenpairs, the fewest that the first time needs, turn a whole grid
-of times into one matrix product.  An accuracy guard (an a-priori bound on
-rounding and on the dropped modes, checked before any eigenpair is computed,
-then per time nonnegativity, unit mass and the closed-form mean) sends the
-laws it cannot trust, from starts deep in the stationary tails, to
-uniformization up to ``DENSE_LAW_CAP`` and to a ``CapacityError`` above it.
+symmetric tridiagonal matrix with the Hahn spectrum -j(j-1+a+b)/n (Karlin
+and McGregor 1962).  The eigenvalues are that closed form; only the
+eigenvectors are computed.  Every time shares the start's coefficients in
+that eigenbasis, so at every n the J slowest eigenpairs, the fewest that the
+first time needs, turn a whole grid of times into one matrix product.  An
+accuracy guard (an a-priori bound on rounding and on the dropped modes,
+checked before any eigenvector is computed, then per time nonnegativity,
+unit mass and the closed-form mean) sends the laws it cannot trust, from
+starts deep in the stationary tails, to uniformization up to
+``DENSE_LAW_CAP`` and to a ``CapacityError`` above it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import CapacityError
@@ -115,6 +122,73 @@ def count_rates(params: ModelParams, k):
     up = (n - k) * (a + k) / n
     down = k * (b + n - k) / n
     return up, down
+
+
+def density_drift(params: ModelParams, m) -> np.ndarray | float:
+    """Restoring drift a - (a+b) m of the density (before the 1/n slowdown)."""
+    return params.a - (params.a + params.b) * np.asarray(m, dtype=float)
+
+
+def density_noise(params: ModelParams, m) -> np.ndarray | float:
+    """Instantaneous variance production 2m(1-m) + (a(1-m) + b m)/n."""
+    m = np.asarray(m, dtype=float)
+    return 2.0 * m * (1.0 - m) + (params.a * (1.0 - m) + params.b * m) / params.n
+
+
+def mean_ode(params: ModelParams, m0: float, t: float) -> float:
+    """Closed-form mean density path dm/dt = (a - (a+b) m)/n started at m0."""
+    if not 0.0 <= m0 <= 1.0:
+        raise ValueError("m0 must lie in [0, 1]")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    fix = params.a / (params.a + params.b)
+    return fix + (m0 - fix) * np.exp(-(params.a + params.b) * t / params.n)
+
+
+def density_variance(params: ModelParams, m0: float, t: float) -> float:
+    """Exact variance of the density at time t from the point start m0.
+
+    The count chain has linear drift and quadratic variance production, so
+    in counts dVar/dt = -r2 Var + (a n + (b - a + 2n) m - 2 m^2)/n along the
+    mean path m = F + D e^{-r1 t}, F = n a/(a+b), D = n m0 - F, with the
+    j = 1, 2 Hahn rates r1 = (a+b)/n and r2 = 2(a+b+1)/n.  Expanding the
+    production around F gives c0 + c1 e^{-r1 t} + c2 e^{-2 r1 t} with
+    c0 = 2ab(a+b+n)/(a+b)^2, c1 = D (b-a)(a+b+2n)/(n(a+b)), c2 = -2 D^2/n,
+    and Var(0) = 0 integrates each term separately; the rates never
+    coincide because r2 - 2 r1 = 2/n.  At large t this is the
+    Beta-Binomial variance n a b (a+b+n)/((a+b)^2 (a+b+1)), over n^2.
+    """
+    if not 0.0 <= m0 <= 1.0:
+        raise ValueError("m0 must lie in [0, 1]")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    n, a, b = params.n, params.a, params.b
+    s = a + b
+    r1 = s / n
+    d = n * m0 - n * a / s
+    coef = (2.0 * a * b * (s + n) / s ** 2,
+            d * (b - a) * (s + 2 * n) / (n * s),
+            -2.0 * d * d / n)
+    var = 0.0
+    for j, c in enumerate(coef):
+        gap = 2.0 * (s + 1) / n - j * r1
+        var += c / gap * np.exp(-j * r1 * t) * -np.expm1(-gap * t)
+    return float(max(var, 0.0) / n ** 2)
+
+
+def block_mean_ode(params: ModelParams, part: BlockPartition, t: float) -> tuple[float, float]:
+    """Mean local densities at time t, started from (0, 1).
+
+    The weighted mean follows ``mean_ode`` from m0 = n1/n while the block
+    offsets relax at rate 1 + (a+b)/n, so a0*m0_t + a1*m1_t equals the global
+    mean path exactly.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    _, a1 = part.weights
+    m = mean_ode(params, a1, t)
+    decay = np.exp(-(1.0 + (params.a + params.b) / params.n) * t)
+    return m - a1 * decay, m + (1.0 - a1) * decay
 
 
 def _lockstep(params: ModelParams, sizes: tuple[int, ...], x0, horizons, rng) -> np.ndarray:
@@ -225,37 +299,42 @@ def simulate_blocks_batch(
     return _lockstep(params, (part.n0, part.n1), x0, horizons, rng)
 
 
-@lru_cache(maxsize=1)
 def _spectrum(params: ModelParams, modes: int):
     """The ``modes`` slowest eigenpairs of the count generator symmetrized
     by s = sqrt(pi).
 
     Detailed balance makes diag(s) Q diag(1/s) the symmetric tridiagonal
     matrix with diagonal -(up+down) and off-diagonal sqrt(up[k] down[k+1]).
-    Returns ascending eigenvalues and orthonormal eigenvectors (columns),
-    both read-only.  The spectrum is -j(j-1+a+b)/n, j = 0..n.  On 2 cores
-    the full decomposition takes about 0.09 n^2 us and selecting the modes
-    0.6 n modes us, so the full one, sliced, runs when n+1 <= 7 modes and
-    its (n+1)^2 doubles fit the budget.  Only the latest call is kept.
+    Its spectrum is the Hahn one, -j(j-1+a+b)/n for j = 0..n (Karlin and
+    McGregor 1962), so the eigenvalues are that closed form, ascending, with
+    the stationary one exactly 0; only the eigenvectors are computed.  On 2
+    cores the full decomposition takes about 0.09 n^2 us and LAPACK inverse
+    iteration (``dstein``) at the known eigenvalues about 0.1 n modes us; it
+    reorthogonalizes within clusters at a cost near n modes^2, so the full
+    one, sliced, runs when n+1 <= 7 modes and its (n+1)^2 doubles fit the
+    budget.  Returns the eigenvalues and orthonormal eigenvectors (columns).
     """
     n = params.n
+    j = np.arange(modes - 1, -1, -1, dtype=float)
+    lam = -j * (j - 1 + params.a + params.b) / n
     up, down = count_rates(params, np.arange(n + 1))
-    full = n + 1 <= min(7 * modes, DENSE_LAW_CAP + 1)
-    select = {} if full else {"select": "i", "select_range": (n + 1 - modes, n)}
-    lam, vecs = eigh_tridiagonal(-(up + down), np.sqrt(up[:-1] * down[1:]), **select)
-    if vecs.shape[1] > modes:
-        lam, vecs = lam[-modes:], vecs[:, -modes:].copy()
-    # The stationary eigenvalue is exactly 0; left at its rounded value
-    # (about 1e-14) the mass would drift like exp(lam t) over long times.
-    lam[-1] = 0.0
-    for arr in (lam, vecs):
-        arr.setflags(write=False)
+    diag, off = -(up + down), np.sqrt(up[:-1] * down[1:])
+    if n + 1 <= min(7 * modes, DENSE_LAW_CAP + 1):
+        vecs = eigh_tridiagonal(diag, off)[1]
+        return lam, vecs if modes > n else vecs[:, n + 1 - modes:].copy()
+    # one unsplit block: iblock all 1, isplit[0] its last row
+    block = np.ones(n + 1, dtype=np.int32)
+    split = np.zeros(n + 1, dtype=np.int32)
+    split[0] = n + 1
+    vecs, info = dstein(diag, off, lam, block, split)
+    if info:
+        raise LinAlgError(f"dstein returned info={info} for n={n}, {modes} modes")
     return lam, vecs
 
 
 def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: float):
     """Laws at ``times`` (ascending, >= 0) from the law ``p0`` at time 0, all
-    from one product with the cached slowest eigenpairs.
+    from one product with the slowest eigenpairs.
 
     Returns the (n+1, T) laws, the mask of columns that pass the accuracy
     guard, the reason the first failing column fails, the number of modes
@@ -299,7 +378,7 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
     lam, vecs = _spectrum(params, modes)
     p = s[:, None] * (vecs @ (np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]))
     fix = n * a / (a + b)
-    # the closed-form mean path of diffusion.mean_ode (which imports this module)
+    # mean_ode's closed-form path, in counts and at every time at once
     mean = fix + (p0 @ ks - fix) * np.exp(-(a + b) * ts / n)
     low, mass, got = p.min(axis=0), p.sum(axis=0), ks @ p
     passed = (low >= -tol) & (np.abs(mass - 1.0) <= tol) & (np.abs(got - mean) <= n * tol)

@@ -63,19 +63,10 @@ def point_mass(x: float) -> Pmf:
     return Pmf(np.array([float(x)]), np.array([1.0]))
 
 
-def empirical_pmf(samples, weights=None) -> Pmf:
+def empirical_pmf(samples) -> Pmf:
     """Empirical distribution of a sample set (ties merged)."""
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("empty sample set")
-    if weights is None:
-        support, counts = np.unique(xs, return_counts=True)
-        return Pmf(support, counts / xs.size)
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.shape != xs.shape or np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative, match samples, and have positive mass")
-    order = np.argsort(xs, kind="stable")
-    xs, w = xs[order], w[order]
-    support, start = np.unique(xs, return_index=True)
-    sums = np.add.reduceat(w, start)
-    return Pmf(support, sums / w.sum())
+    support, counts = np.unique(xs, return_counts=True)
+    return Pmf(support, counts / xs.size)

@@ -17,6 +17,8 @@ from .errors import CapacityError
 from .pmf import Pmf
 
 MATCHING_CAP = 5000
+# pushforward_check accepts a map whose pairwise ratios reach 1 + this
+LIP_TOL = 1e-9
 # w1_discrete_vs_wf brackets each CDF crossing to this width before
 # interpolating inside the bracket
 _CROSSING_BRACKET = 1e-6
@@ -43,22 +45,19 @@ def _cdf_distance(xs, xw, ys, yw) -> float:
     return float(np.sum(np.abs(fx - fy) * np.diff(grid)))
 
 
-def w1_sorted(xs, ys, x_weights=None, y_weights=None) -> float:
-    """Exact W1 between two 1-D empirical measures.
+def w1_sorted(xs, ys) -> float:
+    """Exact W1 between two 1-D empirical measures with equal weights.
 
-    Equal-size unweighted inputs take the sorted-pairing fast path; anything
-    else falls through to weighted CDF integration.
+    Equal sizes take the sorted-pairing fast path; unequal sizes fall
+    through to CDF integration.  Weighted measures go through
+    ``w1_discrete``.
     """
     xs = _as_samples(xs)
     ys = _as_samples(ys)
-    if x_weights is None and y_weights is None and xs.size == ys.size:
+    if xs.size == ys.size:
         return float(np.mean(np.abs(np.sort(xs) - np.sort(ys))))
-    xw = np.full(xs.size, 1.0 / xs.size) if x_weights is None else np.asarray(x_weights, float)
-    yw = np.full(ys.size, 1.0 / ys.size) if y_weights is None else np.asarray(y_weights, float)
-    for w, s in ((xw, xs), (yw, ys)):
-        if w.shape != s.shape or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative, match samples, and have positive mass")
-    return _cdf_distance(xs, xw / xw.sum(), ys, yw / yw.sum())
+    xw, yw = np.full(xs.size, 1.0 / xs.size), np.full(ys.size, 1.0 / ys.size)
+    return _cdf_distance(xs, xw, ys, yw)
 
 
 def w1_discrete(p: Pmf, q: Pmf) -> float:
@@ -250,10 +249,11 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     return float(np.abs(xa[rows] - ya[cols]).sum(axis=1).mean())
 
 
-def pushforward_check(xs, ys, map_fn, lip_tol: float = 1e-9):
+def pushforward_check(xs, ys, map_fn):
     """Contraction of W1 under a 1-Lipschitz scalar map of the plane.
 
-    Verifies the Lipschitz property pairwise on the inputs, then returns
+    Verifies the Lipschitz property pairwise on the inputs, up to a relative
+    ``LIP_TOL``, then returns
     (d2, d1) with d2 the 2-D matching distance and d1 the 1-D distance of the
     mapped samples.  d1 <= d2 always holds for exact distances; a violation
     beyond 1e-12 raises.
@@ -267,7 +267,7 @@ def pushforward_check(xs, ys, map_fn, lip_tol: float = 1e-9):
     gaps = np.abs(vals[:, None] - vals[None, :])
     dists = cdist(pts, pts)
     mask = dists > 0
-    if np.any(gaps[mask] > (1.0 + lip_tol) * dists[mask]):
+    if np.any(gaps[mask] > (1.0 + LIP_TOL) * dists[mask]):
         worst = float(np.max(gaps[mask] / dists[mask]))
         raise ValueError(f"map is not 1-Lipschitz on the inputs (ratio {worst:.6g})")
     d2 = w1_matching(xa, ya)

@@ -1,8 +1,11 @@
 """Reference implementations that only the tests use.
 
-Each one spells out a rule of the model directly, one state at a time, so the
-tests can check the package's vectorized code against it.
+Each one spells out a rule of the model directly, one state at a time, or
+computes a law by an independent route in higher precision, so the tests can
+check the package's vectorized code against it.
 """
+
+import numpy as np
 
 from noisyvoter.model import BlockPartition, ModelParams, count_rates
 
@@ -47,3 +50,53 @@ def generator_residual(params: ModelParams, k: int, f, df, d2f) -> float:
     discrete = n * (up * (f(m + 1.0 / n) - f(m)) + down * (f(m - 1.0 / n) - f(m)))
     limit = (a * (1 - m) - b * m) * df(m) + m * (1 - m) * d2f(m)
     return float(discrete - limit)
+
+
+def hahn_laws_longdouble(params: ModelParams, k0: int, times, modes: int) -> np.ndarray:
+    """Count laws at ``times`` from the count ``k0``, summed over the ``modes``
+    slowest Hahn modes in 80-bit ``np.longdouble``; shape (n+1, T).
+
+    Valid only for few modes.  Run forward in the degree, the recurrence
+    below loses accuracy from a degree of about 6 sqrt(n) (mode 48 at n = 64,
+    a = b = 1), so it is an oracle for the slow modes at large n, not an
+    eigensolver.
+
+    The symmetrized generator's eigenvector of degree j is
+    v_j = sqrt(pi) Q_j / |Q_j|, with Q_j(k; alpha, beta, N) the Hahn
+    polynomial at alpha = a-1, beta = b-1, N = n, orthogonal under the
+    Beta-Binomial weight pi, and its eigenvalue is -j(j-1+a+b)/n (Karlin and
+    McGregor 1962).  The v_j follow from the orthonormal three-term
+    recurrence v_0 = sqrt(pi),
+    v_{j+1} = ((A_j + C_j - k) v_j - b_j v_{j-1}) / b_{j+1}, b_{j+1} = sqrt(A_j C_{j+1}),
+    with A_j = (j+s+1)(j+alpha+1)(N-j) / ((2j+s+1)(2j+s+2)),
+    C_j = j(j+s+N+1)(j+beta) / ((2j+s)(2j+s+1)), s = alpha + beta, C_0 = 0,
+    and A_0 = (alpha+1) N / (s+2), its limit, so that a + b = 1 works.  The
+    law at t is sqrt(pi) sum_j e^{lambda_j t} v_j v_j(k0) / sqrt(pi(k0)).
+    """
+    n = params.n
+    a, b, big = np.longdouble(params.a), np.longdouble(params.b), np.longdouble(n)
+    alpha, beta = a - 1, b - 1
+    s = alpha + beta
+    k = np.arange(n + 1, dtype=np.longdouble)
+    # detailed balance: pi(k+1) / pi(k) = up(k) / down(k+1)
+    up, down = (big - k) * (a + k) / big, k * (b + big - k) / big
+    pi = np.concatenate(([np.longdouble(1)], np.cumprod(up[:-1] / down[1:])))
+    root = np.sqrt(pi / pi.sum())
+
+    def rise(j):  # A_j
+        if j == 0:
+            return (alpha + 1) * big / (s + 2)
+        return (j + s + 1) * (j + alpha + 1) * (big - j) / ((2 * j + s + 1) * (2 * j + s + 2))
+
+    def fall(j):  # C_j
+        return j * (j + s + big + 1) * (j + beta) / ((2 * j + s) * (2 * j + s + 1)) if j else 0
+
+    ts = np.asarray(times, dtype=np.longdouble)
+    laws = np.zeros((n + 1, ts.size), dtype=np.longdouble)
+    prev, cur, off = np.zeros_like(root), root, np.longdouble(0)
+    for j in range(modes):
+        laws += np.outer(cur, np.exp(-j * (j - 1 + a + b) / big * ts) * cur[k0])
+        if j + 1 < modes:
+            nxt = np.sqrt(rise(j) * fall(j + 1))
+            prev, cur, off = cur, ((rise(j) + fall(j) - k) * cur - off * prev) / nxt, nxt
+    return root[:, None] * laws / root[k0]

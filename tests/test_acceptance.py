@@ -17,20 +17,21 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from noisyvoter import cli
-from noisyvoter.diffusion import (
-    WFParams,
-    block_mean_ode,
-    density_drift,
-    derivative_decay_probe,
-    mean_ode,
-)
+from noisyvoter.diffusion import WFParams, derivative_decay_probe
 from noisyvoter.experiments import (
     ExperimentConfig,
     run_mixing_curve,
     run_qclt_rate,
     run_thermalize,
 )
-from noisyvoter.model import BlockPartition, ModelParams, detailed_balance_gap
+from noisyvoter.model import (
+    BlockPartition,
+    ModelParams,
+    block_mean_ode,
+    density_drift,
+    detailed_balance_gap,
+    mean_ode,
+)
 from noisyvoter.stein import (
     SteinProblem,
     exclusion_stein_residual,

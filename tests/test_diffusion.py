@@ -13,14 +13,9 @@ from scipy.special import betainc, eval_jacobi
 
 from noisyvoter.diffusion import (
     WFParams,
-    block_mean_ode,
-    density_drift,
-    density_noise,
-    density_variance,
     derivative_decay_probe,
     gaussian_coupling,
     gaussian_coupling_bound,
-    mean_ode,
     simulate_wf,
     wf_marginal,
     wf_semigroup,
@@ -28,7 +23,17 @@ from noisyvoter.diffusion import (
 from noisyvoter import diffusion
 from noisyvoter.diffusion import _jacobi_values
 from noisyvoter.errors import DiagnosticError
-from noisyvoter.model import BlockPartition, ModelParams, stationary_pmf, transient_law
+from noisyvoter.model import (
+    BlockPartition,
+    ModelParams,
+    block_mean_ode,
+    density_drift,
+    density_noise,
+    density_variance,
+    mean_ode,
+    stationary_pmf,
+    transient_law,
+)
 from noisyvoter.pmf import empirical_pmf
 from noisyvoter.transport import w1_discrete_vs_wf, w1_sorted
 

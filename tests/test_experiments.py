@@ -181,7 +181,7 @@ class TestConfig:
         dict(scenario="qclt-rate", n=(32, 64, 128), tol=1e-3),
         dict(scenario="stein-rate", n=(16,), ell=40),
         dict(scenario="stein-rate", n=(1,)),
-        dict(scenario="mixing-curve", n=(32, 64), samples=0),
+        dict(scenario="thermalize", n=(400,), samples=0),
         dict(scenario="mixing-curve", n=(32, 64), eps=(0.0, 0.1)),
         dict(scenario="mixing-curve", n=(32, 64), eps=(0.05, 0.05)),
         dict(scenario="mixing-curve", n=(32, 64), grid=(-0.5, 1.0)),
@@ -223,6 +223,17 @@ class TestConfig:
         assert cfg.particle_count(64) == 10
         cfg = ExperimentConfig(scenario="stein-rate", n=(64, 128), m0=0.3)
         assert [cfg.particle_count(n) for n in cfg.n] == [19, 38]
+
+    def test_samples_and_repetitions_bind_only_thermalize(self, tmp_path):
+        # thermalize is the one scenario that reads them; the others take any
+        # integer, and the type checks stay global
+        for scenario in ("profile", "validate"):
+            ExperimentConfig(scenario=scenario, samples=0, repetitions=1)
+        with pytest.raises(ConfigError, match="repetitions"):
+            ExperimentConfig(scenario="thermalize", n=(400,), samples=200, repetitions=1)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(scenario="validate", samples=0.5)
+        assert cli.main(["validate", "--samples", "0", "--out", str(tmp_path)]) == 0
 
     def test_version_matches_pyproject(self, tmp_path):
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
@@ -272,6 +283,11 @@ class TestExitCodes:
         # rejected by the config, not by a traceback from the run
         assert cli.main(args + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_profile_at_16384_exits_0(self, tmp_path):
+        # the closed-form eigenvalues keep the count laws inside the default
+        # tol at n = 16384, off-centre starts included
+        assert cli.main(["profile", "--n", "16384", "--m0", "0.1", "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("scenario,params,top", [
         ("thermalize", {"n": 400}, {"samples": 150.5}),

@@ -17,7 +17,9 @@ from noisyvoter.model import (
     ModelParams,
     count_rates,
     couple_by_block_counts,
+    density_noise,
     detailed_balance_gap,
+    mean_ode,
     sample_uniform_given_count,
     simulate_blocks_batch,
     simulate_count_batch,
@@ -30,10 +32,9 @@ from noisyvoter.model import (
     _spectrum,
     _uniformized_law,
 )
-from noisyvoter.diffusion import density_noise, mean_ode
 from noisyvoter.pmf import Pmf, empirical_pmf
 from noisyvoter.transport import w1_discrete
-from oracles import block_rates, generator_residual
+from oracles import block_rates, generator_residual, hahn_laws_longdouble
 
 
 # a and b log-uniform on [1e-3, 1e3]
@@ -268,7 +269,8 @@ class TestSpectralLaw:
     @pytest.mark.parametrize("a,b", [(0.01, 0.01), (1.0, 1.0), (20.0, 50.0), (50.0, 1.0)])
     def test_hahn_spectrum(self, n, a, b):
         # all n+1 modes from the full decomposition, then the slowest eighth,
-        # which from n = 7 on are selected instead
+        # whose eigenvectors from n = 7 on come from inverse iteration; the
+        # eigenvalues are the closed form, bit for bit, with 0 exactly 0
         params = ModelParams(n, a, b)
         j = np.arange(n + 1, dtype=float)
         hahn = np.sort(-j * (j - 1 + a + b) / n)
@@ -279,9 +281,22 @@ class TestSpectralLaw:
         for modes in (n + 1, (n + 1) // 8 or 1):
             lam, vecs = _spectrum(params, modes)
             assert vecs.shape == (n + 1, modes)
-            assert np.max(np.abs(lam - hahn[-modes:])) <= 1e-10 * n
+            assert np.array_equal(lam, hahn[-modes:]) and lam[-1] == 0.0
             assert np.max(np.abs(sym @ vecs - vecs * lam)) <= 1e-10 * n
             assert np.max(np.abs(vecs.T @ vecs - np.eye(modes))) <= 1e-10
+
+    @pytest.mark.parametrize("a,b,k0", [(1.0, 1.0, 8192), (0.5, 2.0, 8192), (1.0, 1.0, 1638)])
+    def test_laws_within_bound_of_longdouble_hahn_series(self, a, b, k0):
+        # the `profile --n 16384` grid, against the 80-bit Hahn series with
+        # twice the engine's modes: every column's l1 error, rounding and
+        # dropped modes together, is within the reported a-priori bound
+        n = 16384
+        params = ModelParams(n, a, b)
+        times = n * np.geomspace(0.05, 3.0, 24)
+        grid = transient_laws(params, k0, times)
+        assert not grid.refilled.any()
+        want = hahn_laws_longdouble(params, k0, times, 2 * grid.modes)
+        assert np.abs(grid.probs - want).sum(axis=0).max() <= grid.bound
 
     @pytest.mark.parametrize("n,a,b", [(512, 20.0, 20.0), (128, 50.0, 1.0)])
     def test_guard_falls_back_on_tail_starts(self, n, a, b, caplog):
