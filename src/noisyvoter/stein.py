@@ -88,8 +88,18 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _cell_integrals(vals: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre(8) integral over each cell of values given at its nodes."""
-    return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+    """Gauss-Legendre(8) integral over each cell of values given at its nodes.
+
+    The eight weighted node values of a cell are added as column arrays, in
+    the order numpy's pairwise summation uses for eight terms,
+    ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)).  That is the result of
+    ``(vals * _GL_WEIGHTS).sum(axis=1)`` bit for bit at about half its cost,
+    so every Stein solve keeps its values; adding the columns left to right,
+    or a matrix-vector product, rounds differently.
+    """
+    p = vals * _GL_WEIGHTS
+    return (((p[:, 0] + p[:, 1]) + (p[:, 2] + p[:, 3]))
+            + ((p[:, 4] + p[:, 5]) + (p[:, 6] + p[:, 7]))) * half
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 
 One-dimensional distances are exact: the optimal coupling is the monotone
 rearrangement, equivalently the integral of the CDF gap.  Two-dimensional
-empirical distances are solved exactly as minimum-cost perfect matchings;
-under the l1 (cityblock) ground metric the assignment solver starts from the
-dual given by the one-dimensional Kantorovich potentials of each coordinate,
-which leaves its optimum unchanged and shortens its search.
+empirical distances are solved exactly as minimum-cost perfect matchings
+under the Euclidean or the l1 (cityblock) ground metric.  The assignment
+solver starts from a dual that leaves its optimum unchanged and shortens its
+search: under l1 the one-dimensional Kantorovich potentials of each
+coordinate, under the Euclidean metric the projection onto the direction
+between the two clouds' means, which is already optimal for a translation.
+The pushforward check measures the 1-D distances of several maps against one
+2-D matching.
 """
 
 from __future__ import annotations
@@ -207,26 +211,52 @@ def _cityblock_potentials(xa, ya):
     return u, v
 
 
+def _euclidean_potentials(xa, ya):
+    """Dual start (u, v) for the Euclidean matching of the equal-size clouds
+    ``xa`` and ``ya``, or None when their means coincide.
+
+    With e the unit vector along mean(y) - mean(x), u_i = <x_i - c, e> and
+    v_j = <y_j - c, e>.  The projection onto e is 1-Lipschitz, so
+    v_j - u_i <= |x_i - y_j|, and mean v - mean u = |mean(y) - mean(x)| is a
+    lower bound on the matching cost, attained when y is a translate of x.
+    Any origin c gives the same reduced costs; c = mean(x) keeps the
+    projections, and so their rounding, at the scale of the costs.
+    """
+    center = xa.mean(axis=0)
+    shift = ya.mean(axis=0) - center
+    norm = np.hypot(*shift)
+    if norm == 0:
+        return None
+    e = shift / norm
+    return (xa - center) @ e, (ya - center) @ e
+
+
 def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     """Exact empirical W1 between equal-size 2-D point clouds.
 
     Solves the minimum-cost perfect matching by the shortest-augmenting-path
     assignment algorithm (exact optimum, O(N^3) worst case) and returns the
-    mean matched cost.  ``metric`` is any ``cdist`` ground metric; Euclidean
-    is the default, ``cityblock`` gives the Hamming-compatible l1 cost.
-    Clouds of more than ``MATCHING_CAP`` points raise ``CapacityError``.
+    mean matched cost.  ``metric`` is ``"euclidean"`` (the default) or
+    ``"cityblock"``, the Hamming-compatible l1 cost; any other value raises
+    ``ValueError``.  Clouds of more than ``MATCHING_CAP`` points raise
+    ``CapacityError``.
 
-    Under ``cityblock`` the cost matrix is reduced in place to
+    Both metrics start the solver from a dual: the cost matrix is reduced to
     cost_ij + u_i - v_j >= 0 with the potentials of ``_cityblock_potentials``
-    before it is solved.  Adding a constant to every row and column changes
-    the cost of every perfect matching by the same amount, so the optimal
-    matchings are the same; the potentials only give the solver a dual start
-    close to the optimum (the separable bound mean v - mean u is often the
-    optimum itself), which shortens its augmenting paths.  The mean is then
-    taken over the l1 costs of the matched pairs, recomputed from the points,
-    so on integer points it is bit-identical to solving the plain cost
-    matrix.  The O(N^3) worst case is unchanged.
+    or ``_euclidean_potentials`` before it is solved.  Adding a constant to
+    every row and column changes the cost of every perfect matching by the
+    same amount, so the optimal matchings are the same; the potentials only
+    give the solver a dual start close to the optimum (their bound
+    mean v - mean u is often the optimum itself), which shortens its
+    augmenting paths.  The O(N^3) worst case is unchanged.  The returned mean
+    is taken over the unreduced costs of the matched pairs, so it is the
+    plain solve's value: under ``cityblock`` they are recomputed from the
+    points (bit-identical on integer points), under ``euclidean`` the
+    reduction goes into a second buffer and the mean is read from the
+    ``cdist`` matrix.
     """
+    if metric not in ("euclidean", "cityblock"):
+        raise ValueError(f"metric must be 'euclidean' or 'cityblock', got {metric!r}")
     # imported here, not at module level: only matchings need them, and they
     # are a large share of the package's import time
     from scipy.optimize import linear_sum_assignment
@@ -239,39 +269,53 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     if xa.shape[0] > MATCHING_CAP:
         raise CapacityError(f"matching size {xa.shape[0]} exceeds cap {MATCHING_CAP}")
     cost = cdist(xa, ya, metric)
-    if metric != "cityblock":
+    if metric == "cityblock":
+        u, v = _cityblock_potentials(xa, ya)
+        cost += u[:, None]
+        cost -= v
         rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].mean())
-    u, v = _cityblock_potentials(xa, ya)
-    cost += u[:, None]
-    cost -= v
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.abs(xa[rows] - ya[cols]).sum(axis=1).mean())
+        return float(np.abs(xa[rows] - ya[cols]).sum(axis=1).mean())
+    reduced = cost
+    potentials = _euclidean_potentials(xa, ya)
+    if potentials is not None:
+        u, v = potentials
+        reduced = cost + u[:, None]
+        reduced -= v
+    rows, cols = linear_sum_assignment(reduced)
+    return float(cost[rows, cols].mean())
 
 
 def pushforward_check(xs, ys, map_fn):
-    """Contraction of W1 under a 1-Lipschitz scalar map of the plane.
+    """Contraction of W1 under 1-Lipschitz scalar maps of the plane.
 
-    Verifies the Lipschitz property pairwise on the inputs, up to a relative
-    ``LIP_TOL``, then returns
-    (d2, d1) with d2 the 2-D matching distance and d1 the 1-D distance of the
-    mapped samples.  d1 <= d2 always holds for exact distances; a violation
-    beyond 1e-12 raises.
+    ``map_fn`` is one map or a sequence of maps, each taking a point to a
+    float.  Verifies the Lipschitz property of every map pairwise on the
+    inputs, up to a relative ``LIP_TOL``, then returns (d2, d1) with d2 the
+    2-D matching distance, solved once for all maps, and d1 the largest 1-D
+    distance of the mapped samples.  d1 <= d2 always holds for exact
+    distances; a violation beyond 1e-12 raises.
     """
     from scipy.spatial.distance import cdist
 
     xa = _as_cloud(xs)
     ya = _as_cloud(ys)
+    maps = [map_fn] if callable(map_fn) else list(map_fn)
+    if not maps:
+        raise ValueError("no map given")
     pts = np.vstack([xa, ya])
-    vals = np.asarray([float(map_fn(p)) for p in pts])
-    gaps = np.abs(vals[:, None] - vals[None, :])
     dists = cdist(pts, pts)
-    mask = dists > 0
-    if np.any(gaps[mask] > (1.0 + LIP_TOL) * dists[mask]):
-        worst = float(np.max(gaps[mask] / dists[mask]))
-        raise ValueError(f"map is not 1-Lipschitz on the inputs (ratio {worst:.6g})")
+    limit = (1.0 + LIP_TOL) * dists
+    d1 = -np.inf
+    for fn in maps:
+        vals = np.asarray([float(fn(p)) for p in pts])
+        gaps = np.abs(vals[:, None] - vals[None, :])
+        # coincident points have gap 0, so the test can run on every pair
+        if np.any(gaps > limit):
+            mask = dists > 0
+            worst = float(np.max(gaps[mask] / dists[mask]))
+            raise ValueError(f"map is not 1-Lipschitz on the inputs (ratio {worst:.6g})")
+        d1 = max(d1, w1_sorted(vals[: len(xa)], vals[len(xa):]))
     d2 = w1_matching(xa, ya)
-    d1 = w1_sorted(vals[: len(xa)], vals[len(xa):])
     if d1 > d2 + 1e-12:
         raise RuntimeError(f"pushforward contraction violated: {d1} > {d2}")
     return d2, d1

@@ -6,8 +6,11 @@ check the package's vectorized code against it.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from noisyvoter.model import BlockPartition, ModelParams, count_rates
+from noisyvoter.stein import _GL_NODES, _GL_WEIGHTS
 
 
 def _check_block_counts(params: ModelParams, part: BlockPartition, x) -> tuple[int, int]:
@@ -100,3 +103,39 @@ def hahn_laws_longdouble(params: ModelParams, k0: int, times, modes: int) -> np.
             nxt = np.sqrt(rise(j) * fall(j + 1))
             prev, cur, off = cur, ((rise(j) + fall(j) - k) * cur - off * prev) / nxt, nxt
     return root[:, None] * laws / root[k0]
+
+
+def plain_cityblock_matching(xs, ys) -> float:
+    """Oracle: the assignment solved on the unreduced l1 cost matrix."""
+    c = cdist(xs, ys, "cityblock")
+    return float(c[linear_sum_assignment(c)].mean())
+
+
+def plain_euclidean_matching(xs, ys) -> float:
+    """Oracle: the assignment solved cold on the Euclidean cost matrix."""
+    c = cdist(xs, ys)
+    return float(c[linear_sum_assignment(c)].mean())
+
+
+def three_pass_stein_cells(prob, lattice):
+    """The Stein cell integrals with the node array, the kernel and h rebuilt
+    from the lattice's edges for each of the three integrals (K, K h,
+    K (h - E h)): the reference for the single-pass ``stein._stein_cells``."""
+    nu = prob.nu
+    edges = lattice.edges
+
+    def cell_integrals(func):
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * np.diff(edges)
+        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+        vals = func(nodes)
+        return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+
+    def kernel(x):
+        return np.exp(-0.5 * (x / nu) ** 2)
+
+    kern_cells = cell_integrals(kernel)
+    h_kern_cells = cell_integrals(lambda x: kernel(x) * np.asarray(prob.h(x), float))
+    e_h = float(h_kern_cells.sum() / kern_cells.sum())
+    cells = cell_integrals(lambda x: kernel(x) * (np.asarray(prob.h(x), float) - e_h))
+    return cells, e_h

@@ -1,4 +1,4 @@
-"""Layer benchmarks at the shapes of two scenario runs.
+"""Layer benchmarks at the shapes of scenario runs.
 
     PYTHONPATH=src python -m pytest tests/test_layer_bench.py --benchmark-only
 
@@ -8,26 +8,37 @@ blocks (250, 250), start (0, 250), the horizons of tau = -1, 0, 1), the one
 call that ``run_thermalize`` makes.  ``test_layer_bench_spectral_laws`` times
 ``transient_laws`` at the ``profile --n 16384`` shape (a = b = 1, start
 n/2, the default 24-point grid), where the eigenvectors come from inverse
-iteration.  There is no time gate: the tests only check that the lockstep
-call equals one call per stream and that no law column is refilled, so they
-give before/after numbers.
+iteration.  ``test_layer_bench_stein_solve`` times ``stein_solve`` over the
+20-function family on ``validate``'s nu = 0.1, 4001-point grid, with its
+quadrature lattice already cached, as in ``validate``'s later solves.
+``test_layer_bench_matching`` times the two Euclidean ``w1_matching`` calls
+of ``validate``'s ``translation-2d`` check (160 points).  There is no time
+gate: the tests only check that the lockstep call equals one call per
+stream, that no law column is refilled, that the Stein solutions equal the
+three-pass reference bit for bit, and that the matchings equal the cold
+assignment solve, so they give before/after numbers.
 """
 
 import numpy as np
 
-from noisyvoter.experiments import DEFAULT_GRIDS, replica_stream
+from noisyvoter import stein
+from noisyvoter.experiments import DEFAULT_GRIDS, _translation_draws, replica_stream
 from noisyvoter.model import (
     BlockPartition,
     ModelParams,
     simulate_blocks_batch,
     transient_laws,
 )
+from noisyvoter.transport import w1_matching
+from oracles import plain_euclidean_matching, three_pass_stein_cells
 
 N, ELL, PAIRS, STREAMS = 500, 250, 600, 3
 PARAMS, PART = ModelParams(N, 1.0, 1.0), BlockPartition(N - ELL, ELL)
 HORIZONS = 0.5 * np.log(N) + np.log(0.25) + np.array([-1.0, 0.0, 1.0])
 FIXED = np.tile([[0, ELL]], (PAIRS, 1))
 LAW_N = 16384
+STEIN_NU = 0.1
+SHIFTS = np.array([[1.5, -0.25], [0.0, 3.0]])
 
 
 def streams():
@@ -48,3 +59,29 @@ def test_layer_bench_spectral_laws(benchmark):
     args = (ModelParams(LAW_N, 1.0, 1.0), LAW_N // 2, times)
     grid = benchmark.pedantic(transient_laws, args=args, rounds=3)
     assert not grid.refilled.any()
+
+
+def test_layer_bench_stein_solve(benchmark, monkeypatch):
+    grid = np.linspace(-8 * STEIN_NU, 8 * STEIN_NU, 4001)
+    probs = [stein.SteinProblem(h, dh, STEIN_NU) for h, dh in stein.stein_test_family()]
+
+    def solve_family():
+        return [stein.stein_solve(prob, grid) for prob in probs]
+
+    got = benchmark.pedantic(solve_family, rounds=5, warmup_rounds=1)
+    monkeypatch.setattr(stein, "_stein_cells", three_pass_stein_cells)
+    for sol, ref in zip(got, solve_family()):
+        assert sol.e_h == ref.e_h
+        for field in ("f", "df", "d2f"):
+            assert np.array_equal(getattr(sol, field), getattr(ref, field))
+
+
+def test_layer_bench_matching(benchmark):
+    _, cloud = _translation_draws()
+    pairs = [(cloud + shift, cloud) for shift in SHIFTS]
+
+    def match_all():
+        return [w1_matching(xs, ys) for xs, ys in pairs]
+
+    got = benchmark.pedantic(match_all, rounds=5)
+    assert got == [plain_euclidean_matching(xs, ys) for xs, ys in pairs]

@@ -11,7 +11,6 @@ from scipy.stats import hypergeom
 
 from noisyvoter import stein
 from noisyvoter.stein import (
-    _GL_NODES,
     _GL_WEIGHTS,
     SteinProblem,
     _refined_edges,
@@ -25,6 +24,7 @@ from noisyvoter.stein import (
     zeta_support,
 )
 from noisyvoter.transport import w1_sorted
+from oracles import three_pass_stein_cells
 
 
 def default_grid(nu, points=2001):
@@ -44,30 +44,6 @@ def refined_edges_oracle(grid, nu):
     return np.concatenate(pieces)
 
 
-def three_pass_stein_cells(prob, lattice):
-    """The Stein cell integrals with the node array, the kernel and h rebuilt
-    from the lattice's edges for each of the three integrals (K, K h,
-    K (h - E h)): the reference for the single-pass ``stein._stein_cells``."""
-    nu = prob.nu
-    edges = lattice.edges
-
-    def cell_integrals(func):
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = func(nodes)
-        return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
-
-    def kernel(x):
-        return np.exp(-0.5 * (x / nu) ** 2)
-
-    kern_cells = cell_integrals(kernel)
-    h_kern_cells = cell_integrals(lambda x: kernel(x) * np.asarray(prob.h(x), float))
-    e_h = float(h_kern_cells.sum() / kern_cells.sum())
-    cells = cell_integrals(lambda x: kernel(x) * (np.asarray(prob.h(x), float) - e_h))
-    return cells, e_h
-
-
 class TestRefinedEdges:
     @pytest.mark.parametrize("nu", [1e-3, 0.1, 0.25, 0.37, 1.0, 3.3])
     def test_matches_linspace_loop(self, nu):
@@ -83,6 +59,21 @@ class TestRefinedEdges:
             got = _refined_edges(grid, nu)
             assert np.array_equal(got, refined_edges_oracle(grid, nu))
             assert np.all(np.diff(got) > 0) and np.max(np.diff(got)) <= nu / 16.0 * (1 + 1e-12)
+
+
+class TestCellIntegrals:
+    def test_column_sums_match_numpy_pairwise_reduction(self):
+        # _cell_integrals spells out the order numpy's sum(axis=1) adds eight
+        # terms in; a numpy release that changes that order fails here
+        rng = np.random.default_rng(43)
+        for trial in range(40):
+            vals = rng.normal(size=(4194, 8)) * 10.0 ** rng.uniform(-30, 5, size=(4194, 8))
+            special = rng.random(vals.shape) < 0.1
+            vals[special] = rng.choice([5e-324, -3e-310, 2.5e-308, 1e300, -1e300],
+                                       size=special.sum())
+            half = rng.uniform(0.0, 1.0, size=4194)
+            want = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+            assert np.array_equal(stein._cell_integrals(vals, half), want)
 
 
 class TestSteinSolve:

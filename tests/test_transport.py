@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq, linear_sum_assignment
+from scipy.optimize import brentq
 from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance
 
@@ -18,6 +18,7 @@ from noisyvoter.stein import hypergeom_zeta_pmf
 from noisyvoter.transport import (
     MATCHING_CAP,
     _cityblock_potentials,
+    _euclidean_potentials,
     pushforward_check,
     w1_discrete,
     w1_discrete_vs_gaussian,
@@ -26,14 +27,9 @@ from noisyvoter.transport import (
     w1_matching,
     w1_sorted,
 )
+from oracles import plain_cityblock_matching, plain_euclidean_matching
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
-
-
-def plain_cityblock_matching(xs, ys) -> float:
-    """Oracle: the assignment solved on the unreduced l1 cost matrix."""
-    c = cdist(xs, ys, "cityblock")
-    return float(c[linear_sum_assignment(c)].mean())
 
 
 def brute_force_w1_equal(xs, ys):
@@ -385,6 +381,51 @@ class TestW1Matching:
         assert w1_matching(xs, ys, metric="cityblock") == pytest.approx(
             sum(w1_sorted(xs[:, k], ys[:, k]) for k in range(2)), rel=1e-12)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_euclidean_matches_cold_solve(self, data):
+        # integer coordinates give ties, duplicate points and, for a permuted
+        # copy, exactly equal means (no dual start); real coordinates give
+        # generic clouds, and a permuted copy means that agree to rounding
+        size = data.draw(st.integers(1, 60), label="size")
+        if data.draw(st.booleans(), label="integer"):
+            coord = st.integers(0, data.draw(st.integers(0, 6), label="width")).map(float)
+        else:
+            coord = st.floats(-10, 10, allow_nan=False)
+        cloud = st.lists(st.tuples(coord, coord), min_size=size, max_size=size).map(np.array)
+        xs = data.draw(cloud, label="xs")
+        if data.draw(st.booleans(), label="permuted copy"):
+            ys = xs[data.draw(st.permutations(range(size)), label="perm")]
+        else:
+            ys = data.draw(cloud, label="ys")
+        assert w1_matching(xs, ys) == pytest.approx(plain_euclidean_matching(xs, ys),
+                                                    rel=1e-12, abs=1e-12)
+        potentials = _euclidean_potentials(xs, ys)
+        if potentials is None:
+            assert np.array_equal(xs.mean(axis=0), ys.mean(axis=0))
+        else:
+            # the dual start is feasible: no reduced cost below rounding
+            u, v = potentials
+            cost = cdist(xs, ys)
+            assert (cost + u[:, None] - v).min() >= -1e-12 * cost.max()
+
+    @pytest.mark.parametrize("shift", [(1.5, -0.25), (0.0, 3.0), (-7.25, 0.5), (1e-3, 2e-3)])
+    def test_euclidean_translation_attains_the_bound(self, shift):
+        # for a translate the projection bound mean v - mean u is the optimum
+        rng = np.random.default_rng(300)
+        xs = rng.normal(size=(160, 2))
+        ys = xs + np.array(shift)
+        u, v = _euclidean_potentials(xs, ys)
+        assert v.mean() - u.mean() == pytest.approx(np.hypot(*shift), rel=1e-12)
+        assert w1_matching(ys, xs) == plain_euclidean_matching(ys, xs)
+        assert w1_matching(ys, xs) == pytest.approx(np.hypot(*shift), rel=1e-12)
+
+    @pytest.mark.parametrize("metric", ["sqeuclidean", "minkowski", "chebyshev", "Euclidean"])
+    def test_other_metrics_rejected(self, metric):
+        # a squared-Euclidean matching cost is not a W1, so it may not pass as one
+        with pytest.raises(ValueError, match="'euclidean' or 'cityblock'"):
+            w1_matching(np.zeros((3, 2)), np.ones((3, 2)), metric=metric)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             w1_matching(np.zeros((3, 2)), np.zeros((4, 2)))
@@ -422,3 +463,28 @@ class TestPushforward:
         ys = rng.normal(size=(10, 2))
         with pytest.raises(ValueError):
             pushforward_check(xs, ys, lambda p: 2.0 * p[0])
+
+    def test_several_maps_share_one_matching(self):
+        rng = np.random.default_rng(13)
+        xs = rng.normal(size=(60, 2))
+        ys = rng.normal(loc=0.3, size=(60, 2))
+        maps = (lambda p: p[0], lambda p: 0.6 * p[0] - 0.8 * p[1], lambda p: 0.0)
+        singles = [pushforward_check(xs, ys, fn) for fn in maps]
+        d2, d1 = pushforward_check(xs, ys, maps)
+        assert all(d2 == single[0] for single in singles)
+        assert d1 == max(single[1] for single in singles)
+        assert d1 > 0.0
+
+    def test_lipschitz_violation_among_several_maps(self):
+        rng = np.random.default_rng(14)
+        xs = rng.normal(size=(10, 2))
+        ys = rng.normal(size=(10, 2))
+        pts = np.vstack([xs, ys])
+        dists = cdist(pts, pts)
+        mask = dists > 0
+        ratio = np.max(2.0 * np.abs(pts[:, None, 0] - pts[None, :, 0])[mask] / dists[mask])
+        maps = [lambda p: p[1], lambda p: 2.0 * p[0], lambda p: 0.0]
+        with pytest.raises(ValueError, match=f"ratio {ratio:.6g}"):
+            pushforward_check(xs, ys, maps)
+        with pytest.raises(ValueError, match="no map"):
+            pushforward_check(xs, ys, [])
