@@ -8,8 +8,11 @@ The three exact scenarios (profile, qclt-rate, mixing-curve) are loops over
 two shared steps: per n, ``_density_laws`` makes the one exact-law call and
 puts the whole time grid on the density lattice {0, 1/n, ..., 1}; per
 distinct start, ``_wf_references`` builds the exact Wright-Fisher marginals.
-Runs are seed-exact: a config (including seed) maps to byte-identical
-results.csv output; wall-clock timings live in manifest.json only.
+``SCENARIOS`` names every scenario once, with its runner and default grid.
+A ``ResultRecord`` holds what varies per row; ``write_results`` takes the
+run constants a, b and seed from the config.  Runs are seed-exact: a config
+(including seed) maps to byte-identical results.csv output; wall-clock
+timings live in manifest.json only.
 """
 
 from __future__ import annotations
@@ -30,17 +33,6 @@ from . import __version__, diffusion, model, stein, transport
 from .errors import ConfigError, DiagnosticError
 # empirical_pmf is not called here; perfbench/spans.py wraps it under this name
 from .pmf import Pmf, empirical_pmf, point_mass
-
-SCENARIOS = ("profile", "thermalize", "qclt-rate", "stein-rate", "validate", "mixing-curve")
-
-DEFAULT_GRIDS = {
-    "profile": tuple(np.geomspace(0.05, 3.0, 24)),
-    "mixing-curve": tuple(np.geomspace(0.01, 3.0, 60)),
-    "thermalize": (-1.0, 0.0, 1.0),
-    "qclt-rate": (1.0,),
-    "stein-rate": (),
-    "validate": (),
-}
 
 # fixed stream ids so every random draw hangs off (seed, purpose, index...);
 # retired ids are not reused, so the remaining streams keep their draws
@@ -83,7 +75,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+            raise ConfigError(f"unknown scenario {self.scenario!r}; "
+                              f"choose from {tuple(SCENARIOS)}")
         if not isinstance(self.n, (tuple, list)):
             object.__setattr__(self, "n", (self.n,))
         for field in fields(self)[1:]:
@@ -109,7 +102,7 @@ class ExperimentConfig:
             raise ConfigError("a and b must be positive and finite")
         if not 0.0 < self.m0 < 1.0:
             raise ConfigError("m0 must lie strictly inside (0, 1)")
-        grid = self.grid or DEFAULT_GRIDS[self.scenario]
+        grid = self.grid or SCENARIOS[self.scenario][1]
         if self.scenario not in ("stein-rate", "validate"):
             if not grid:
                 raise ConfigError("grid must be nonempty")
@@ -184,44 +177,44 @@ def config_from_json(path) -> dict:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One output row: estimate (with error bar) against theory when known."""
+    """One output row: estimate (with error bar) against theory when known.
+    The run constants a, b and seed come from the config (``write_results``)."""
 
     scenario: str
     n: int
-    a: float
-    b: float
     m0: float
     t_or_tau: float
     estimate: float
-    stderr: float
-    theory: float | None
-    seed: int
+    stderr: float = 0.0
+    theory: float | None = None
 
 
 CSV_COLUMNS = ("scenario", "n", "a", "b", "m0", "t_or_tau",
                "estimate", "stderr", "theory", "runtime_s", "seed")
 
 
-def write_results(records, outdir) -> Path:
-    """Write results.csv deterministically: the runtime_s column stays empty,
-    because wall-clock timings go to the manifest so reruns are byte-identical."""
-    outdir = Path(outdir)
+def write_results(cfg: ExperimentConfig, records) -> Path:
+    """Write results.csv to ``cfg.out`` deterministically: the runtime_s
+    column stays empty, because wall-clock timings go to the manifest so
+    reruns are byte-identical."""
+    outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "results.csv"
+    a, b = repr(float(cfg.a)), repr(float(cfg.b))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
             writer.writerow([
-                r.scenario, r.n, repr(float(r.a)), repr(float(r.b)), repr(float(r.m0)),
+                r.scenario, r.n, a, b, repr(float(r.m0)),
                 repr(float(r.t_or_tau)), repr(float(r.estimate)), repr(float(r.stderr)),
-                "" if r.theory is None else repr(float(r.theory)), "", r.seed,
+                "" if r.theory is None else repr(float(r.theory)), "", cfg.seed,
             ])
     return path
 
 
-def write_manifest(cfg: ExperimentConfig, outdir, records, extra=None) -> Path:
-    outdir = Path(outdir)
+def write_manifest(cfg: ExperimentConfig, records, extra=None) -> Path:
+    outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     theory_check = []
     for r in records:
@@ -350,10 +343,9 @@ def run_profile(cfg: ExperimentConfig):
         m0 = laws.start
         for t, d_wf, d_stat, limit in zip(cfg.grid, laws.to_references(refs[m0]),
                                           laws.to_stationary(), limits[m0]):
-            records.append(ResultRecord("profile:wf", n, cfg.a, cfg.b, m0, t,
-                                        d_wf, 0.0, None, cfg.seed))
-            records.append(ResultRecord("profile:stationary", n, cfg.a, cfg.b, m0, t,
-                                        float(d_stat), 0.0, limit, cfg.seed))
+            records.append(ResultRecord("profile:wf", n, m0, t, d_wf))
+            records.append(ResultRecord("profile:stationary", n, m0, t, float(d_stat),
+                                        theory=limit))
     return records, {"profile": summary, "exact_laws": law_info}
 
 
@@ -381,13 +373,11 @@ def run_qclt_rate(cfg: ExperimentConfig):
     if zero:
         raise DiagnosticError(f"qclt-rate distance is 0 at n = {', '.join(map(str, zero))} "
                               f"(t = {t:g}); the log-log slope is undefined")
-    records = [ResultRecord("qclt-rate", n, cfg.a, cfg.b, cfg.m0, t, d, 0.0, None, cfg.seed)
-               for n, d in zip(cfg.n, dists)]
+    records = [ResultRecord("qclt-rate", n, cfg.m0, t, d) for n, d in zip(cfg.n, dists)]
     coeffs, cov = np.polyfit(np.log(np.asarray(cfg.n, dtype=float)), np.log(dists), 1, cov=True)
     slope = float(coeffs[0])
     slope_err = float(np.sqrt(cov[0, 0]))
-    records.append(ResultRecord("qclt-rate:slope", cfg.n[-1], cfg.a, cfg.b, cfg.m0, t,
-                                slope, slope_err, -0.5, cfg.seed))
+    records.append(ResultRecord("qclt-rate:slope", cfg.n[-1], cfg.m0, t, slope, slope_err, -0.5))
     # t > 0 here (see above), so every reference is a Jacobi series
     extra = {"qclt": {"slope": slope, "slope_stderr": slope_err, "reference": "jacobi-series",
                       "series_terms": summary["series_terms"][0],
@@ -492,10 +482,9 @@ def run_thermalize(cfg: ExperimentConfig):
         est = float(values[:, i].mean())
         err = float(values[:, i].std(ddof=1) / np.sqrt(reps))
         surrogate = thermalize_distance(params, ell, horizons[i])
-        records.append(ResultRecord("thermalize", n, cfg.a, cfg.b, m0e, float(tau),
-                                    est, err, theory, cfg.seed))
-        records.append(ResultRecord("thermalize:surrogate", n, cfg.a, cfg.b, m0e, float(tau),
-                                    float(surrogate), 0.0, theory, cfg.seed))
+        records.append(ResultRecord("thermalize", n, m0e, float(tau), est, err, theory))
+        records.append(ResultRecord("thermalize:surrogate", n, m0e, float(tau),
+                                    float(surrogate), theory=theory))
         checks.append({"tau": float(tau), "exact": surrogate,
                        "mc_bias": est - surrogate, "mc_stderr": err})
     return records, {"thermalize": checks, "thermalize_work": work}
@@ -539,8 +528,7 @@ def run_mixing_curve(cfg: ExperimentConfig):
         if not all(v1 > v2 for v1, v2 in zip(tmix[n], tmix[n][1:])):
             raise DiagnosticError("mixing times must decrease strictly in eps")
         for e, tm in zip(eps_grid, tmix[n]):
-            records.append(ResultRecord("mixing-curve", n, cfg.a, cfg.b, cfg.m0,
-                                        float(e), tm, 0.0, None, cfg.seed))
+            records.append(ResultRecord("mixing-curve", n, cfg.m0, float(e), tm))
     n_prev, n_last = cfg.n[-2], cfg.n[-1]
     last = np.asarray(tmix[n_last])
     gap = np.abs(last - np.asarray(tmix[n_prev]))
@@ -548,10 +536,8 @@ def run_mixing_curve(cfg: ExperimentConfig):
     # a mixing time of 0 (a start already within eps) leaves the relative gap undefined
     drift_rel = float(np.max(gap / last)) if np.all(last > 0) else None
     spread = float(tmix[n_last][0] - tmix[n_last][-1])
-    records.append(ResultRecord("mixing-curve:drift", n_last, cfg.a, cfg.b, cfg.m0,
-                                0.0, drift_abs, 0.0, None, cfg.seed))
-    records.append(ResultRecord("mixing-curve:spread", n_last, cfg.a, cfg.b, cfg.m0,
-                                0.0, spread, 0.0, None, cfg.seed))
+    records.append(ResultRecord("mixing-curve:drift", n_last, cfg.m0, 0.0, drift_abs))
+    records.append(ResultRecord("mixing-curve:spread", n_last, cfg.m0, 0.0, spread))
     extra = {"mixing": {"tmix_over_n": {str(n): tmix[n] for n in cfg.n},
                         "eps": eps_grid, "drift_abs": drift_abs,
                         "drift_rel": drift_rel, "spread": spread,
@@ -571,10 +557,8 @@ def run_stein_rate(cfg: ExperimentConfig):
         ell = cfg.particle_count(n)
         distance, normalized = stein.hypergeom_gaussian_w1(n, ell)
         m0e = ell / n
-        records.append(ResultRecord("stein-rate", n, cfg.a, cfg.b, m0e, 0.0,
-                                    distance, 0.0, None, cfg.seed))
-        records.append(ResultRecord("stein-rate:normalized", n, cfg.a, cfg.b, m0e, 0.0,
-                                    normalized, 0.0, None, cfg.seed))
+        records.append(ResultRecord("stein-rate", n, m0e, 0.0, distance))
+        records.append(ResultRecord("stein-rate:normalized", n, m0e, 0.0, normalized))
     return records, {}
 
 
@@ -826,8 +810,8 @@ def run_validate(cfg: ExperimentConfig):
         secs = time.perf_counter() - start
         measured, note = value if isinstance(value, tuple) else (value, "")
         measured = float(measured)
-        records.append(ResultRecord(f"validate:{name}", cfg.n[0], cfg.a, cfg.b, cfg.m0,
-                                    0.0, measured, 0.0, tol, cfg.seed))
+        records.append(ResultRecord(f"validate:{name}", cfg.n[0], cfg.m0, 0.0, measured,
+                                    theory=tol))
         # wall seconds go to the manifest and the report only, never to results.csv
         report[name] = {"passed": measured <= tol, "measured": measured,
                         "tolerance": tol, "note": note, "runtime_s": secs}
@@ -845,25 +829,26 @@ def run_validate(cfg: ExperimentConfig):
 # dispatch
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "profile": run_profile,
-    "thermalize": run_thermalize,
-    "qclt-rate": run_qclt_rate,
-    "stein-rate": run_stein_rate,
-    "mixing-curve": run_mixing_curve,
-    "validate": run_validate,
+# every scenario: its runner and the grid it uses when the config gives none
+SCENARIOS = {
+    "profile": (run_profile, tuple(np.geomspace(0.05, 3.0, 24))),
+    "thermalize": (run_thermalize, (-1.0, 0.0, 1.0)),
+    "qclt-rate": (run_qclt_rate, (1.0,)),
+    "stein-rate": (run_stein_rate, ()),
+    "validate": (run_validate, ()),
+    "mixing-curve": (run_mixing_curve, tuple(np.geomspace(0.01, 3.0, 60))),
 }
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Run one scenario, persist results.csv + manifest.json, return exit code."""
     start = time.perf_counter()
-    records, extra = _RUNNERS[cfg.scenario](cfg)
+    records, extra = SCENARIOS[cfg.scenario][0](cfg)
     elapsed = time.perf_counter() - start
     extra = dict(extra or {})
     extra["wall_time_s"] = elapsed
-    write_results(records, cfg.out)
-    write_manifest(cfg, cfg.out, records, extra)
+    write_results(cfg, records)
+    write_manifest(cfg, records, extra)
     if cfg.scenario == "validate":
         report = extra["validate"]
         with open(Path(cfg.out) / "validate_report.json", "w", encoding="utf-8") as fh:

@@ -452,31 +452,16 @@ class LawGrid(NamedTuple):
     bound: float
 
 
-def _start_law(params: ModelParams, start) -> np.ndarray:
-    """Probabilities on {0,...,n} of a start given as one count or a Pmf."""
-    n = params.n
-    if isinstance(start, Pmf):
-        if start.support.size != n + 1 or not np.allclose(start.support, np.arange(n + 1)):
-            raise ValueError("start pmf must live on the full count grid {0,...,n}")
-        return start.probs
-    if np.ndim(start):
-        raise ValueError("start must be one count or a Pmf")
-    p0 = np.zeros(n + 1)
-    p0[_check_count(params, start)] = 1.0
-    return p0
-
-
 def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawGrid:
     """Exact marginal laws of the count at each of the ascending ``times``,
     each total-variation accurate to ``tol``.
 
-    ``start`` is an integer count or a Pmf on {0,...,n}.  Every time is
-    computed from the start: in the eigenbasis of the generator symmetrized
-    by s = sqrt(pi), the laws are the columns of
-    s * V (exp(outer(lam, times)) * V^T (p0/s)), one matrix product from the
-    J slowest eigenpairs, the fewest whose dropped tail |p0/s|_2
-    sum_{j >= J} exp(-j(j-1+a+b) t1/n) at the first positive time t1 is at
-    most tol/4.  Columns at time 0 are the start law exactly.  A column is
+    ``start`` is one integer count.  Every time is computed from the start:
+    in the eigenbasis of the generator symmetrized by s = sqrt(pi), the laws
+    are the columns of s * V (exp(outer(lam, times)) * V^T (p0/s)), one
+    matrix product from the J slowest eigenpairs, the fewest whose dropped
+    tail |p0/s|_2 sum_{j >= J} exp(-j(j-1+a+b) t1/n) at the first positive
+    time t1 is at most tol/4.  Columns at time 0 are the start law exactly.  A column is
     trusted only when the a-priori bound (n+1) eps |p0/s|_2 plus that tail
     is at most ``tol`` (checked before any eigenpair is computed) and it
     passes a-posteriori checks: no probability below -tol, mass within tol
@@ -495,7 +480,10 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
         raise ValueError(f"times must be finite, nonnegative and ascending, got {times!r}")
     if not 0 < tol <= 1e-6:
         raise ValueError("tol must lie in (0, 1e-6]")
-    law = _start_law(params, start)
+    if np.ndim(start):
+        raise ValueError(f"start must be one count, got {start!r}")
+    law = np.zeros(n + 1)
+    law[_check_count(params, start)] = 1.0
     probs = np.empty((n + 1, ts.size))
     refilled = np.zeros(ts.size, dtype=bool)
     modes, bound = 0, 0.0
@@ -524,10 +512,8 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
 
 def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9) -> Pmf:
     """Exact marginal law of the count at time ``t``, total-variation
-    accurate to ``tol``: the one-time case of ``transient_laws``.
-
-    ``start`` is either an integer count or a Pmf on {0,...,n}, so curves can
-    be evolved incrementally.
+    accurate to ``tol``, from the count ``start``: the one-time case of
+    ``transient_laws``.
     """
     if np.ndim(t):
         raise ValueError(f"t must be one time, got {t!r}")
@@ -568,22 +554,20 @@ def detailed_balance_gap(params: ModelParams) -> float:
     return float(np.max(gap)) if np.all(np.isfinite(gap)) else np.inf
 
 
-def sample_uniform_given_count(
-    params: ModelParams, part: BlockPartition, k: int | np.ndarray,
-    rng: np.random.Generator, size=None
-):
+def sample_uniform_given_count(params: ModelParams, part: BlockPartition, k: int | np.ndarray,
+                               rng: np.random.Generator):
     """Block counts of a uniform configuration with exactly ``k`` particles.
 
     The block-1 count is Hypergeometric(n, n1, k); block 0 takes the rest.
     ``k`` is one count or an array of counts.  Returns a pair of ints for
-    one count and no ``size``; otherwise a pair of arrays of the broadcast
-    shape of ``k`` and ``size``.  An array of counts gets, element by element
-    in C order, the draws of a loop of one-count calls on the same generator.
+    one count, otherwise a pair of arrays of the shape of ``k``.  An array of
+    counts gets, element by element in C order, the draws of a loop of
+    one-count calls on the same generator.
     """
     if part.n != params.n:
         raise ValueError("partition does not match params")
     k = _check_count(params, k)
-    x1 = rng.hypergeometric(part.n1, part.n0, k, size=size)
+    x1 = rng.hypergeometric(part.n1, part.n0, k)
     return k - x1, x1
 
 

@@ -292,8 +292,8 @@ def pushforward_check(xs, ys, map_fn):
     float.  Verifies the Lipschitz property of every map pairwise on the
     inputs, up to a relative ``LIP_TOL``, then returns (d2, d1) with d2 the
     2-D matching distance, solved once for all maps, and d1 the largest 1-D
-    distance of the mapped samples.  d1 <= d2 always holds for exact
-    distances; a violation beyond 1e-12 raises.
+    distance of the mapped samples.  d1 <= d2 holds for exact distances;
+    the caller judges the measured gap (``validate:pushforward-contraction``).
     """
     from scipy.spatial.distance import cdist
 
@@ -315,7 +315,4 @@ def pushforward_check(xs, ys, map_fn):
             worst = float(np.max(gaps[mask] / dists[mask]))
             raise ValueError(f"map is not 1-Lipschitz on the inputs (ratio {worst:.6g})")
         d1 = max(d1, w1_sorted(vals[: len(xa)], vals[len(xa):]))
-    d2 = w1_matching(xa, ya)
-    if d1 > d2 + 1e-12:
-        raise RuntimeError(f"pushforward contraction violated: {d1} > {d2}")
-    return d2, d1
+    return w1_matching(xa, ya), d1

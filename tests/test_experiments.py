@@ -365,6 +365,18 @@ class TestExitCodes:
         settable = {field.name for field in fields(ExperimentConfig)} - {"scenario"}
         assert flags - {"help", "config"} == settable
 
+    def test_flags_are_the_config_fields_and_one_alias(self):
+        # one --<field> flag per field; besides them only --config and the
+        # --tau alias of grid; the scenario choices are the scenario table
+        parser = cli.build_parser()
+        flags = [flag for action in parser._actions for flag in action.option_strings
+                 if flag not in ("-h", "--help")]
+        settable = [field.name for field in fields(ExperimentConfig) if field.name != "scenario"]
+        assert sorted(flags) == sorted([f"--{name}" for name in settable] + ["--config", "--tau"])
+        assert {a.dest for a in parser._actions if "--tau" in a.option_strings} == {"grid"}
+        choices = next(a.choices for a in parser._actions if a.dest == "scenario")
+        assert list(choices) == list(experiments.SCENARIOS)
+
     def test_diagnostic_error_is_1(self, tmp_path, capsys):
         # grid too short to reach the smallest eps
         code = cli.main(["mixing-curve", "--n", "32,64", "--grid", "0.01,0.02",
@@ -392,6 +404,18 @@ class TestExitCodes:
         assert code == 4
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert not report["checks"]["detailed-balance"]["passed"]
+
+    def test_contraction_failure_is_4(self, tmp_path, monkeypatch, capsys):
+        # a matching that reads half its value breaks d1 <= d2: the
+        # pushforward-contraction row must fail, not the check's helper
+        matching = experiments.transport.w1_matching
+        monkeypatch.setattr(experiments.transport, "w1_matching",
+                            lambda *args, **kwargs: 0.5 * matching(*args, **kwargs))
+        args = ["validate", "--samples", "100", "--out", str(tmp_path)]
+        assert cli.main(args) == 4
+        assert "FAIL pushforward-contraction" in capsys.readouterr().out
+        report = json.loads((tmp_path / "validate_report.json").read_text())
+        assert not report["checks"]["pushforward-contraction"]["passed"]
 
     @pytest.mark.parametrize("row", range(len(experiments._VALIDATE_CHECKS)),
                              ids=[name for name, _, _ in experiments._VALIDATE_CHECKS])

@@ -22,7 +22,7 @@ assignment solve, so they give before/after numbers.
 import numpy as np
 
 from noisyvoter import stein
-from noisyvoter.experiments import DEFAULT_GRIDS, _translation_draws, replica_stream
+from noisyvoter.experiments import SCENARIOS, _translation_draws, replica_stream
 from noisyvoter.model import (
     BlockPartition,
     ModelParams,
@@ -55,7 +55,7 @@ def test_layer_bench_lockstep(benchmark):
 
 
 def test_layer_bench_spectral_laws(benchmark):
-    times = LAW_N * np.asarray(DEFAULT_GRIDS["profile"])
+    times = LAW_N * np.asarray(SCENARIOS["profile"][1])
     args = (ModelParams(LAW_N, 1.0, 1.0), LAW_N // 2, times)
     grid = benchmark.pedantic(transient_laws, args=args, rounds=3)
     assert not grid.refilled.any()

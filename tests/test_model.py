@@ -29,6 +29,7 @@ from noisyvoter.model import (
     transient_laws,
     _poisson_isf,
     _poisson_pmf,
+    _spectral_laws,
     _spectrum,
     _uniformized_law,
 )
@@ -192,23 +193,21 @@ class TestTransientLaw:
         assert w1_discrete(law, stationary_pmf(params)) <= 1e-6
 
     def test_accepts_pmf_start_and_composes(self):
+        # a law start is the route of the refill restarts: _spectral_laws
+        # from the law at t = 0.75
         params = ModelParams(12, 0.8, 1.7)
         direct = transient_law(params, 3, 2.0, 1e-9)
         half = transient_law(params, 3, 0.75, 1e-9)
-        composed = transient_law(params, half, 1.25, 1e-9)
+        laws, ok = _spectral_laws(params, half.probs, np.array([1.25]), 1e-9)[:2]
+        assert ok.all()
+        composed = Pmf(half.support, laws[:, 0])
         assert w1_discrete(direct, composed) <= 1e-8
 
     def test_monotone_approach_to_stationarity(self):
         params = ModelParams(80, 1.2, 0.9)
         stat = stationary_pmf(params)
-        law = None
-        ds = []
-        t_prev = 0.0
-        for t in np.linspace(0.5, 60, 24):
-            law = transient_law(params, 5 if law is None else law, t - t_prev)
-            t_prev = t
-            ds.append(w1_discrete(law, stat))
-        ds = np.array(ds)
+        grid = transient_laws(params, 5, np.linspace(0.5, 60, 24))
+        ds = np.array([w1_discrete(Pmf(stat.support, col), stat) for col in grid.probs.T])
         peak = int(np.argmax(ds))
         assert np.all(np.diff(ds[peak:]) <= 5e-9)
 
@@ -219,7 +218,7 @@ class TestTransientLaw:
                 transient_law(params, 2, t)
         with pytest.raises(ValueError):
             transient_law(params, 2, 1.0, tol=1e-3)
-        # count_rates takes count arrays; a start is one count or a Pmf
+        # count_rates takes count arrays; a start is one count
         for start in ([1, 2], 2.5, 7):
             with pytest.raises(ValueError):
                 transient_law(params, start, 1.0)
@@ -250,20 +249,22 @@ class TestSpectralLaw:
     @settings(max_examples=60, deadline=None)
     def test_matches_uniformization(self, n, a, b, start, u, tol):
         # a and b log-uniform on [0.01, 100], t log-uniform on [1e-3, 5n] but
-        # at most 2e5 oracle steps; int starts 0, n//2, n and a Pmf start,
-        # whose |p0/s|_2 in the a-priori bound is below sum(p0/s)
+        # at most 2e5 oracle steps; int starts 0, n//2, n and a law start,
+        # whose |p0/s|_2 in the a-priori bound is below sum(p0/s), taken as the
+        # refill restarts take it: _spectral_laws, uniformization where it fails
         params = ModelParams(n, a, b)
         up, down = count_rates(params, np.arange(n + 1))
         t = min(1e-3 * (5000.0 * n) ** u, 2e5 / (1.05 * float((up + down).max())))
         ks = np.arange(n + 1)
         if start == "binomial":
             p0 = binom.pmf(ks, n, 0.3)
-            law = transient_law(params, Pmf(ks, p0), t, tol)
+            laws, ok = _spectral_laws(params, p0, np.array([t]), tol)[:2]
+            law = laws[:, 0] if ok[0] else _uniformized_law(params, p0, t, tol)
         else:
             k0 = {"zero": 0, "half": n // 2, "full": n}[start]
             p0 = (ks == k0).astype(float)
-            law = transient_law(params, k0, t, tol)
-        assert total_variation(law.probs, uniformization_oracle(params, p0, t)) <= tol
+            law = transient_law(params, k0, t, tol).probs
+        assert total_variation(law, uniformization_oracle(params, p0, t)) <= tol
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300, 1024])
     @pytest.mark.parametrize("a,b", [(0.01, 0.01), (1.0, 1.0), (20.0, 50.0), (50.0, 1.0)])
@@ -422,7 +423,7 @@ class TestLawGrid:
 
     def test_deep_tail_start_refills_every_column(self, caplog):
         # every column fails the a-priori bound, so each is uniformization
-        # stepped from the one before, as the stepped single-time law does
+        # stepped from the one before
         params = ModelParams(128, 50.0, 1.0)
         times = 128 * np.array([0.001, 0.002, 0.005])
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
@@ -430,11 +431,11 @@ class TestLawGrid:
         messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
         assert grid.refilled.all() and len(messages) == times.size
         assert all("a-priori" in m for m in messages)
-        law, t_prev = 0, 0.0
+        law, t_prev = (np.arange(129) == 0).astype(float), 0.0
         for t, col in zip(times, grid.probs.T):
-            law = transient_law(params, law, t - t_prev)
+            law = _uniformized_law(params, law, t - t_prev, 1e-9)
             t_prev = t
-            assert total_variation(col, law.probs) <= 1e-15
+            assert total_variation(col, law) <= 1e-15
 
     @pytest.mark.filterwarnings("error")
     def test_deep_tail_bound_is_finite(self, caplog):
@@ -739,7 +740,7 @@ class TestUniformGivenCount:
         params = ModelParams(4, 1, 1)
         part = BlockPartition(2, 2)
         rng = np.random.default_rng(32)
-        _, x1 = sample_uniform_given_count(params, part, 2, rng, size=200_000)
+        _, x1 = sample_uniform_given_count(params, part, np.full(200_000, 2), rng)
         var = x1.var(ddof=1)
         se = np.sqrt(2.0 / x1.size) * var  # relative noise of a variance estimate
         assert abs(var - 1.0 / 3.0) <= 4 * se
@@ -749,7 +750,7 @@ class TestUniformGivenCount:
         params = ModelParams(12, 1, 1)
         part = BlockPartition(5, 7)
         rng = np.random.default_rng(33)
-        _, x1 = sample_uniform_given_count(params, part, 6, rng, size=100_000)
+        _, x1 = sample_uniform_given_count(params, part, np.full(100_000, 6), rng)
         support = np.arange(max(0, 6 - 5), min(7, 6) + 1)
         counts = np.array([(x1 == y).sum() for y in support])
         expected = hypergeom.pmf(support, 12, 7, 6) * x1.size
