@@ -8,8 +8,9 @@ solver starts from a dual that leaves its optimum unchanged and shortens its
 search: under l1 the one-dimensional Kantorovich potentials of each
 coordinate, under the Euclidean metric the projection onto the direction
 between the two clouds' means, which is already optimal for a translation.
-The pushforward check measures the 1-D distances of several maps against one
-2-D matching.
+Integer l1 matchings whose sorted coupling attains the bound of the l1
+start are certified optimal and skip the solve.  The pushforward check
+measures the 1-D distances of several maps against one 2-D matching.
 """
 
 from __future__ import annotations
@@ -231,6 +232,42 @@ def _euclidean_potentials(xa, ya):
     return (xa - center) @ e, (ya - center) @ e
 
 
+class CertifiedCost(float):
+    """A cityblock ``w1_matching`` value that the sorted coupling's
+    certificate proved optimal, returned without the assignment solve.  It is
+    the float the solve would return; only its type records the path."""
+
+
+def _integer_cloud(arr) -> bool:
+    """Whether every coordinate is an integer below 2**31 in magnitude.
+
+    For such clouds, of at most ``MATCHING_CAP`` points, every l1 cost, every
+    gap between sorted coordinates and every sum of them is an integer below
+    2**53, so float64 holds them exactly and equal totals compare equal
+    without rounding.
+    """
+    return bool(np.all(np.abs(arr) < 2.0**31)) and np.array_equal(arr, np.rint(arr))
+
+
+def _sorted_certificate(xa, ya):
+    """Mean cost of the sorted coupling of the integer clouds ``xa`` and
+    ``ya`` when its total attains the l1 dual bound, else None.
+
+    Both clouds are sorted by (x0 + x1, then x0) and paired by rank.  The
+    bound is the sum of the per-coordinate 1-D distances, times N: the value
+    v.sum() - u.sum() of the feasible dual of ``_cityblock_potentials``, here
+    taken from the sorted coordinates without building the potentials.  A
+    total equal to it is optimal by weak duality.
+    """
+    bound = np.abs(np.sort(xa, axis=0) - np.sort(ya, axis=0)).sum()
+    ox = np.lexsort((xa[:, 0], xa.sum(axis=1)))
+    oy = np.lexsort((ya[:, 0], ya.sum(axis=1)))
+    costs = np.abs(xa[ox] - ya[oy]).sum(axis=1)
+    if costs.sum() != bound:
+        return None
+    return CertifiedCost(costs.mean())
+
+
 def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     """Exact empirical W1 between equal-size 2-D point clouds.
 
@@ -254,6 +291,18 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     points (bit-identical on integer points), under ``euclidean`` the
     reduction goes into a second buffer and the mean is read from the
     ``cdist`` matrix.
+
+    Under ``cityblock``, integer clouds (``thermalize``'s block counts) are
+    first offered a certificate.  Both clouds are sorted by (x0 + x1, then
+    x0) and paired by rank; when that matching's total cost equals the dual
+    bound v.sum() - u.sum() of the l1 start, the sum of the per-coordinate
+    1-D distances, weak duality proves it optimal, and its mean is returned
+    as a ``CertifiedCost`` without the potentials, the cost matrix or the
+    solve.  On integers every cost and coordinate gap is exact in float64,
+    so the equality test is exact and the value is the solve's, bit for bit.
+    When the two clouds hold the same multiset of totals, as ``thermalize``'s
+    do, this matching is the sorted coupling within each total.  Otherwise,
+    and for real-valued clouds, the dual-started solve runs.
     """
     if metric not in ("euclidean", "cityblock"):
         raise ValueError(f"metric must be 'euclidean' or 'cityblock', got {metric!r}")
@@ -268,13 +317,18 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
         raise ValueError(f"point sets differ in size: {xa.shape[0]} vs {ya.shape[0]}")
     if xa.shape[0] > MATCHING_CAP:
         raise CapacityError(f"matching size {xa.shape[0]} exceeds cap {MATCHING_CAP}")
-    cost = cdist(xa, ya, metric)
     if metric == "cityblock":
+        if _integer_cloud(xa) and _integer_cloud(ya):
+            certified = _sorted_certificate(xa, ya)
+            if certified is not None:
+                return certified
         u, v = _cityblock_potentials(xa, ya)
+        cost = cdist(xa, ya, metric)
         cost += u[:, None]
         cost -= v
         rows, cols = linear_sum_assignment(cost)
         return float(np.abs(xa[rows] - ya[cols]).sum(axis=1).mean())
+    cost = cdist(xa, ya, metric)
     reduced = cost
     potentials = _euclidean_potentials(xa, ya)
     if potentials is not None:

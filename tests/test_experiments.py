@@ -417,6 +417,20 @@ class TestExitCodes:
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert not report["checks"]["pushforward-contraction"]["passed"]
 
+    def test_block_mean_rate_failure_is_4(self, tmp_path, monkeypatch):
+        # block offsets relaxing at rate 1, without the (a+b)/n of the noise,
+        # keep the weighted mean exact: only the per-block comparison sees it
+        def slow(params, part, t):
+            _, a1 = part.weights
+            m, decay = model.mean_ode(params, a1, t), np.exp(-t)
+            return m - a1 * decay, m + (1.0 - a1) * decay
+
+        monkeypatch.setattr(model, "block_mean_ode", slow)
+        cfg = ExperimentConfig(scenario="validate", samples=100, out=str(tmp_path))
+        assert run(cfg) == 4
+        checks = json.loads((tmp_path / "validate_report.json").read_text())["checks"]
+        assert [k for k, info in checks.items() if not info["passed"]] == ["block-mean-identity"]
+
     @pytest.mark.parametrize("row", range(len(experiments._VALIDATE_CHECKS)),
                              ids=[name for name, _, _ in experiments._VALIDATE_CHECKS])
     def test_validate_passes_iff_measured_within_tolerance(self, tmp_path, monkeypatch, row):
@@ -761,10 +775,12 @@ class TestScenarioOutputs:
         manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
         assert len(manifest["thermalize"]) == 3
         work = manifest["thermalize_work"]
-        assert set(work) == {"simulate_s", "matching_s", "replicas", "matchings", "pairs"}
+        assert set(work) == {"simulate_s", "matching_s", "replicas", "matchings", "certified",
+                             "pairs"}
         # the event loop runs only the fixed-start replicas
         assert work["replicas"] == 2 * 120
         assert work["matchings"] == 2 * 3 and work["pairs"] == 2 * 3 * 120
+        assert 0 < work["certified"] <= work["matchings"]
         assert 0 < work["simulate_s"] and 0 < work["matching_s"]
         assert work["simulate_s"] + work["matching_s"] <= manifest["wall_time_s"]
 

@@ -12,11 +12,15 @@ iteration.  ``test_layer_bench_stein_solve`` times ``stein_solve`` over the
 20-function family on ``validate``'s nu = 0.1, 4001-point grid, with its
 quadrature lattice already cached, as in ``validate``'s later solves.
 ``test_layer_bench_matching`` times the two Euclidean ``w1_matching`` calls
-of ``validate``'s ``translation-2d`` check (160 points).  There is no time
-gate: the tests only check that the lockstep call equals one call per
-stream, that no law column is refilled, that the Stein solutions equal the
-three-pass reference bit for bit, and that the matchings equal the cold
-assignment solve, so they give before/after numbers.
+of ``validate``'s ``translation-2d`` check (160 points), and
+``test_layer_bench_cityblock_matching`` the 9 cityblock calls of
+``thermalize-cloud``: the lockstep bench's clouds, each stream's uniform
+clouds drawn from its totals as ``run_thermalize`` does, 3 taus x 3 streams
+of 600 pairs.  There is no time gate: the tests only check that the lockstep
+call equals one call per stream, that no law column is refilled, that the
+Stein solutions equal the three-pass reference bit for bit, and that the
+matchings equal the plain assignment solve (the cityblock ones bit for bit),
+so they give before/after numbers.
 """
 
 import numpy as np
@@ -26,11 +30,16 @@ from noisyvoter.experiments import SCENARIOS, _translation_draws, replica_stream
 from noisyvoter.model import (
     BlockPartition,
     ModelParams,
+    sample_uniform_given_count,
     simulate_blocks_batch,
     transient_laws,
 )
 from noisyvoter.transport import w1_matching
-from oracles import plain_euclidean_matching, three_pass_stein_cells
+from oracles import (
+    plain_cityblock_matching,
+    plain_euclidean_matching,
+    three_pass_stein_cells,
+)
 
 N, ELL, PAIRS, STREAMS = 500, 250, 600, 3
 PARAMS, PART = ModelParams(N, 1.0, 1.0), BlockPartition(N - ELL, ELL)
@@ -85,3 +94,20 @@ def test_layer_bench_matching(benchmark):
 
     got = benchmark.pedantic(match_all, rounds=5)
     assert got == [plain_euclidean_matching(xs, ys) for xs, ys in pairs]
+
+
+def test_layer_bench_cityblock_matching(benchmark):
+    rngs = streams()
+    states = simulate_blocks_batch(PARAMS, PART, np.tile(FIXED, (STREAMS, 1)), HORIZONS, rngs)
+    pairs = []
+    for rep, rng in enumerate(rngs):
+        fixed = states[:, PAIRS * rep:PAIRS * (rep + 1)]
+        u0, u1 = sample_uniform_given_count(PARAMS, PART, fixed.sum(axis=2), rng)
+        uniform = np.stack([u0, u1], axis=2)
+        pairs += [(fixed[i].astype(float), uniform[i].astype(float)) for i in range(len(HORIZONS))]
+
+    def match_all():
+        return [w1_matching(xs, ys, metric="cityblock") for xs, ys in pairs]
+
+    got = benchmark.pedantic(match_all, rounds=5)
+    assert got == [plain_cityblock_matching(xs, ys) for xs, ys in pairs]

@@ -17,8 +17,10 @@ from noisyvoter.pmf import Pmf, empirical_pmf, point_mass
 from noisyvoter.stein import hypergeom_zeta_pmf
 from noisyvoter.transport import (
     MATCHING_CAP,
+    CertifiedCost,
     _cityblock_potentials,
     _euclidean_potentials,
+    _sorted_certificate,
     pushforward_check,
     w1_discrete,
     w1_discrete_vs_gaussian,
@@ -325,12 +327,58 @@ class TestW1Matching:
         # shift wider than the range separates the clouds in that coordinate
         size = data.draw(st.integers(1, 80), label="size")
         coord = st.integers(0, data.draw(st.integers(0, 6), label="width"))
-        shift = data.draw(st.tuples(st.integers(-10, 10), st.integers(-10, 10)), label="shift")
-        xs, ys = (np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=size,
-                                              max_size=size)), dtype=float)
-                  for _ in range(2))
-        ys += shift
+        cloud = st.lists(st.tuples(coord, coord), min_size=size, max_size=size)
+        xs = np.array(data.draw(cloud, label="xs"), dtype=float)
+        if data.draw(st.booleans(), label="same totals"):
+            # a permuted copy of xs, each point moved along (-1, +1): the
+            # clouds share their multiset of totals, as thermalize's do, so
+            # the sorted certificate often answers
+            perm = data.draw(st.permutations(range(size)), label="perm")
+            moves = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size),
+                              label="moves")
+            ys = xs[perm] + np.outer(moves, [-1.0, 1.0])
+        else:
+            shift = data.draw(st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
+                              label="shift")
+            ys = np.array(data.draw(cloud, label="ys"), dtype=float) + shift
         assert w1_matching(xs, ys, metric="cityblock") == plain_cityblock_matching(xs, ys)
+
+    @staticmethod
+    def thermalize_like_pair():
+        # block counts and copies of them moved along (-1, +1), toward block
+        # 1 only: equal totals, and within each total the copy's block-0
+        # counts are no larger, so the sorted coupling attains the 1-D bound
+        rng = np.random.default_rng(400)
+        xs = np.stack([rng.integers(0, 40, 300), rng.integers(20, 60, 300)], axis=1)
+        moves = rng.integers(0, 4, 300)
+        ys = (xs + np.outer(moves, [-1, 1]))[rng.permutation(300)]
+        return xs.astype(float), ys.astype(float)
+
+    def test_cityblock_certificate_fires_on_equal_totals(self):
+        xs, ys = self.thermalize_like_pair()
+        got = w1_matching(xs, ys, metric="cityblock")
+        assert isinstance(got, CertifiedCost)
+        assert got == plain_cityblock_matching(xs, ys)
+
+    def test_cityblock_strict_bound_takes_the_solve(self):
+        # both coordinates have the same marginals, so the 1-D bound is 0,
+        # while every matching costs 1 per pair
+        xs = np.array([[0.0, 0.0], [1.0, 1.0]])
+        ys = np.array([[1.0, 0.0], [0.0, 1.0]])
+        got = w1_matching(xs, ys, metric="cityblock")
+        assert not isinstance(got, CertifiedCost)
+        assert got == plain_cityblock_matching(xs, ys) == 1.0
+
+    def test_cityblock_real_clouds_take_the_solve(self):
+        # the certified pair moved off the integers along (1, -1): totals stay
+        # equal and the sorted coupling still attains the bound, with every
+        # cost exact, but only integer clouds are offered the certificate
+        xs, ys = self.thermalize_like_pair()
+        xs += [0.25, -0.25]
+        assert _sorted_certificate(xs, ys) is not None
+        got = w1_matching(xs, ys, metric="cityblock")
+        assert not isinstance(got, CertifiedCost)
+        assert got == plain_cityblock_matching(xs, ys)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cityblock_real_clouds(self, seed):
