@@ -259,13 +259,14 @@ class _DensityLaws(NamedTuple):
     lattice: np.ndarray
     probs: np.ndarray
 
-    def to_references(self, refs) -> list[float]:
-        """Exact W1 from each column to the ``_wf_references`` entry of its time."""
+    def to_references(self, refs, summary: dict) -> list[float]:
+        """Exact W1 from each column to the ``_wf_references`` entry of its
+        time; the crossing searches are counted in ``summary``."""
         out = []
         for col, ref in zip(self.probs.T, refs):
             law = Pmf(self.lattice, col)
             out.append(transport.w1_discrete(law, ref) if isinstance(ref, Pmf)
-                       else transport.w1_discrete_vs_wf(law, ref))
+                       else _w1_to_wf(law, ref, summary))
         return out
 
     def to_stationary(self) -> np.ndarray:
@@ -305,7 +306,8 @@ def _wf_references(cfg: ExperimentConfig):
     at every grid time (the point mass at m0 at t = 0, else
     ``diffusion.wf_marginal``).  Exact, so no time step and no sampling
     noise: the manifest summary gives the starts, the longest series per
-    grid time and the largest rounding bound.
+    grid time and the largest rounding bound.  It also opens the account of
+    the crossing searches that ``_w1_to_wf`` adds to.
     """
     wf = diffusion.WFParams(cfg.a, cfg.b)
     refs = {m0: [point_mass(m0) if t == 0 else diffusion.wf_marginal(wf, m0, t, cfg.tol)
@@ -315,8 +317,20 @@ def _wf_references(cfg: ExperimentConfig):
     summary = {"starts": list(refs),
                "series_terms": [max(per_time) for per_time in zip(*series)],
                "rounding_bound": max(getattr(ref, "rounding_bound", 0.0)
-                                     for per_start in refs.values() for ref in per_start)}
+                                     for per_start in refs.values() for ref in per_start),
+               "crossing_passes": 0, "crossing_bound": 0.0}
     return refs, summary
+
+
+def _w1_to_wf(p: Pmf, law, summary: dict) -> float:
+    """``transport.w1_discrete_vs_wf``, adding its crossing search to
+    ``summary``: the CDF passes to ``crossing_passes`` (summed over the run)
+    and the sum of the cells' a-posteriori crossing bounds to
+    ``crossing_bound`` (the largest over the run's calls)."""
+    value, bound, passes = transport._w1_vs_wf_search(p, law)
+    summary["crossing_passes"] += passes
+    summary["crossing_bound"] = max(summary["crossing_bound"], bound)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +346,19 @@ def run_profile(cfg: ExperimentConfig):
     grid from the slow modes in one ``_density_laws`` step, so every stderr
     is 0.  The ``profile:stationary`` theory is the paper's limit profile
     D(t) = W1(Wright-Fisher marginal at t, Beta(a, b)) from the same start.
+    The manifest's ``profile`` block is the ``_wf_references`` summary with
+    the crossing searches of every distance to a marginal (``_w1_to_wf``).
     """
     refs, summary = _wf_references(cfg)
     beta = diffusion.wf_marginal(diffusion.WFParams(cfg.a, cfg.b), 0.0, np.inf)
-    limits = {m0: [transport.w1_discrete_vs_wf(ref, beta) if isinstance(ref, Pmf)
+    limits = {m0: [_w1_to_wf(ref, beta, summary) if isinstance(ref, Pmf)
                    else ref.stationary_distance() for ref in per_start]
               for m0, per_start in refs.items()}
     records, law_info = [], {}
     for n in cfg.n:
         laws = _density_laws(cfg, n, law_info)
         m0 = laws.start
-        for t, d_wf, d_stat, limit in zip(cfg.grid, laws.to_references(refs[m0]),
+        for t, d_wf, d_stat, limit in zip(cfg.grid, laws.to_references(refs[m0], summary),
                                           laws.to_stationary(), limits[m0]):
             records.append(ResultRecord("profile:wf", n, m0, t, d_wf))
             records.append(ResultRecord("profile:stationary", n, m0, t, float(d_stat),
@@ -361,15 +377,17 @@ def run_qclt_rate(cfg: ExperimentConfig):
     Both laws are exact, from ``_density_laws`` and ``_wf_references``, so
     the distances carry no Monte Carlo or time-step error and their stderr
     is 0.  ``halving_gap`` and ``reference_noise_floor`` stay in the manifest
-    at their exact value 0.  At t = 0 both laws are the point mass at the
-    start, every distance is 0 and the run fails.
+    at their exact value 0; ``crossing_passes`` and ``crossing_bound``
+    account for the distances' crossing searches (``_w1_to_wf``).  At t = 0
+    both laws are the point mass at the start, every distance is 0 and the
+    run fails.
     """
     t = cfg.grid[0]
     refs, summary = _wf_references(cfg)
     dists, law_info = [], {}
     for n in cfg.n:
         laws = _density_laws(cfg, n, law_info)
-        dists += laws.to_references(refs[laws.start])
+        dists += laws.to_references(refs[laws.start], summary)
     zero = [n for n, d in zip(cfg.n, dists) if d == 0]
     if zero:
         raise DiagnosticError(f"qclt-rate distance is 0 at n = {', '.join(map(str, zero))} "
@@ -383,6 +401,8 @@ def run_qclt_rate(cfg: ExperimentConfig):
     extra = {"qclt": {"slope": slope, "slope_stderr": slope_err, "reference": "jacobi-series",
                       "series_terms": summary["series_terms"][0],
                       "rounding_bound": summary["rounding_bound"], "starts": summary["starts"],
+                      "crossing_passes": summary["crossing_passes"],
+                      "crossing_bound": summary["crossing_bound"],
                       "halving_gap": 0.0, "reference_noise_floor": 0.0},
              "exact_laws": law_info}
     return records, extra
@@ -441,10 +461,11 @@ def run_thermalize(cfg: ExperimentConfig):
     Its ``thermalize_work`` block gives the wall seconds spent simulating the
     clouds (``simulate_s``: one event loop over the fixed-start replicas of
     every repetition, each on its own random stream, then the hypergeometric
-    draws) and matching them, summed over repetitions, the number of
-    ``replicas`` the loop ran (repetitions x samples), the number of
-    matchings (repetitions x taus), how many of them were ``certified``, and
-    the pairs matched in all of them.
+    draws), importing the matching solvers (``import_s``, which a first
+    matching would otherwise pay) and matching them, summed over
+    repetitions, the number of ``replicas`` the loop ran (repetitions x
+    samples), the number of matchings (repetitions x taus), how many of them
+    were ``certified``, and the pairs matched in all of them.
 
     Each uniform replica holds its fixed partner's total, so the two clouds
     of a matching share their multiset of totals.  Sorting both by (total,
@@ -477,6 +498,8 @@ def run_thermalize(cfg: ExperimentConfig):
         u0, u1 = model.sample_uniform_given_count(params, part, states[:, cols].sum(axis=2), rng)
         uniform[:, cols, 0], uniform[:, cols, 1] = u0, u1
     simulated = time.perf_counter()
+    transport.matching_solvers()
+    imported = time.perf_counter()
     values = np.empty((reps, len(taus)))
     certified = 0
     for rep in range(reps):
@@ -486,7 +509,8 @@ def run_thermalize(cfg: ExperimentConfig):
                                          uniform[i, cols].astype(float), metric="cityblock")
             certified += isinstance(dist, transport.CertifiedCost)
             values[rep, i] = dist / sqrt_n
-    work = {"simulate_s": simulated - start, "matching_s": time.perf_counter() - simulated,
+    work = {"simulate_s": simulated - start, "import_s": imported - simulated,
+            "matching_s": time.perf_counter() - imported,
             "replicas": reps * pairs, "matchings": reps * len(taus), "certified": certified,
             "pairs": reps * len(taus) * pairs}
     records, checks = [], []

@@ -1,13 +1,18 @@
 """Kantorovich (Wasserstein-1) distance engines.
 
 One-dimensional distances are exact: the optimal coupling is the monotone
-rearrangement, equivalently the integral of the CDF gap.  Two-dimensional
-empirical distances are solved exactly as minimum-cost perfect matchings
-under the Euclidean or the l1 (cityblock) ground metric.  The assignment
-solver starts from a dual that leaves its optimum unchanged and shortens its
-search: under l1 the one-dimensional Kantorovich potentials of each
-coordinate, under the Euclidean metric the projection onto the direction
-between the two clouds' means, which is already optimal for a translation.
+rearrangement, equivalently the integral of the CDF gap.  Against a
+continuous law the gap is integrated in closed form from the antiderivative
+of its CDF, cell by cell of the pmf's support; the cell crossings of the
+Wright-Fisher CDF are found by the Illinois method, and each stops once an
+a-posteriori bound puts its effect on the distance far below rounding.
+Two-dimensional empirical distances are solved exactly as minimum-cost
+perfect matchings under the Euclidean or the l1 (cityblock) ground metric.
+The assignment solver starts from a dual that leaves its optimum unchanged
+and shortens its search: under l1 the one-dimensional Kantorovich potentials
+of each coordinate, under the Euclidean metric the projection onto the
+direction between the two clouds' means, which is already optimal for a
+translation.
 Integer l1 matchings whose sorted coupling attains the bound of the l1
 start are certified optimal and skip the solve.  The pushforward check
 measures the 1-D distances of several maps against one 2-D matching.
@@ -24,9 +29,12 @@ from .pmf import Pmf
 MATCHING_CAP = 5000
 # pushforward_check accepts a map whose pairwise ratios reach 1 + this
 LIP_TOL = 1e-9
-# w1_discrete_vs_wf brackets each CDF crossing to this width before
-# interpolating inside the bracket
-_CROSSING_BRACKET = 1e-6
+# w1_discrete_vs_wf stops a cell's crossing search once moving the crossing
+# anywhere in its bracket changes the distance by at most this, far below the
+# rounding of the sum
+_CROSSING_STOP = 1e-18
+# ... and after this many CDF passes, whatever its bound
+_CROSSING_PASSES = 64
 
 
 def _as_samples(xs) -> np.ndarray:
@@ -147,10 +155,38 @@ def w1_discrete_vs_wf(p: Pmf, law) -> float:
     through ``law.cdf_integral`` (``diffusion.WFMarginal``).  The pmf CDF is
     flat on each cell between consecutive support points (and on [0, first]
     and [last, 1]); the nondecreasing F crosses that level at most once per
-    cell.  Vectorized bisection brackets each crossing to a width h = 1e-6
-    and linear interpolation of F inside the bracket places it, off by about
-    h^2 F''/F'; a crossing off by d changes the result only by about
-    F'(cross) d^2.
+    cell.  The crossings are found together by the Illinois variant of
+    regula falsi, and each cell stops on an a-posteriori bound, not a fixed
+    width (``_w1_vs_wf_search``): a crossing off by at most the bracket width
+    w changes the cell's term by at most 2 |F(c) - level| w, and every cell
+    stops once that is below ``_CROSSING_STOP``.
+    """
+    return _w1_vs_wf_search(p, law)[0]
+
+
+def _w1_vs_wf_search(p: Pmf, law) -> tuple[float, float, int]:
+    """``w1_discrete_vs_wf`` with its crossing search's account: (value,
+    bound, passes), with ``bound`` the sum of the cells' a-posteriori bounds
+    on the distance's change from the crossings' error and ``passes`` the
+    ``law.cdf`` calls made after the one at the cell edges.
+
+    Each open cell keeps a bracket [lo, hi] with F(lo) < level < F(hi) and
+    evaluates F at the regula falsi point of the bracket ends' weighted
+    residuals.  When the same end moves twice in a row, the weight of the
+    end that stayed is halved (Illinois; Dowell and Jarratt 1971), which
+    keeps both ends moving and makes the convergence superlinear.  A cell
+    bisects instead when that point is not strictly inside the bracket or
+    when an end's residual is within rounding of the level, where F is flat
+    to rounding and the residuals no longer place the crossing.
+
+    F is monotone, so the true crossing lies in the bracket, within
+    hi - lo of either end, and F stays within |F(end) - level| of the level
+    between them: taking the end c with the smaller residual as the
+    crossing changes the cell's term by at most 2 |F(c) - level| (hi - lo).
+    A cell stops when that is at most ``_CROSSING_STOP``, when its bracket
+    holds no float between its ends, or after ``_CROSSING_PASSES`` passes,
+    so a CDF that is flat to rounding still ends; the bound is reported as
+    it is.
     """
     xs = p.support
     if xs[0] < 0.0 or xs[-1] > 1.0:
@@ -158,25 +194,45 @@ def w1_discrete_vs_wf(p: Pmf, law) -> float:
     edges = np.concatenate(([0.0], xs, [1.0]))
     level = np.concatenate(([0.0], np.cumsum(p.probs)))
     f_edges = law.cdf(edges)
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    f_lo, f_hi = f_edges[:-1].copy(), f_edges[1:].copy()
-    hi = np.where(f_lo >= level, lo, hi)  # F already above the level: cross at left
-    lo = np.where(f_hi <= level, hi, lo)  # F still below it: cross at right
-    open_cells = np.nonzero(hi - lo > _CROSSING_BRACKET)[0]
-    while open_cells.size:
-        mid = 0.5 * (lo[open_cells] + hi[open_cells])
-        f_mid = law.cdf(mid)
-        below = f_mid < level[open_cells]
-        lo[open_cells[below]], f_lo[open_cells[below]] = mid[below], f_mid[below]
-        hi[open_cells[~below]], f_hi[open_cells[~below]] = mid[~below], f_mid[~below]
-        open_cells = open_cells[hi[open_cells] - lo[open_cells] > _CROSSING_BRACKET]
-    rise = f_hi - f_lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(rise > 0, np.clip((level - f_lo) / rise, 0.0, 1.0), 0.5)
-    cross = lo + frac * (hi - lo)
-    g_edges = law.cdf_integral(edges)
-    return _add_cell_gaps(0.0, level, edges[:-1], cross, edges[1:], g_edges[:-1],
-                          law.cdf_integral(cross), g_edges[1:])
+    r_left, r_right = f_edges[:-1] - level, f_edges[1:] - level
+    # F already at or above the level: cross at the left edge; still at or
+    # below it: at the right edge; otherwise the cell is searched
+    cross = np.where(r_left >= 0, edges[:-1], edges[1:])
+    bounds = np.zeros(level.size)
+    cells = np.nonzero((r_left < 0) & (r_right > 0))[0]
+    lo, hi = edges[cells], edges[cells + 1]
+    r_lo, r_hi = r_left[cells], r_right[cells]
+    w_lo, w_hi = r_lo, r_hi
+    moved = np.zeros(cells.size, dtype=np.int8)  # +1: lo moved last, -1: hi, 0: neither
+    # a residual this small is the rounding of F near the level
+    flat = 4.0 * np.finfo(float).eps * level[cells]
+    passes = 0
+    while cells.size:
+        c = lo - w_lo * ((hi - lo) / (w_hi - w_lo))
+        bisect = ~((c > lo) & (c < hi)) | (np.minimum(-r_lo, r_hi) <= flat)
+        c = np.where(bisect, 0.5 * (lo + hi), c)
+        r = law.cdf(c) - level[cells]
+        passes += 1
+        below = r < 0
+        w_hi = np.where(below & (moved == 1), 0.5 * w_hi, w_hi)
+        w_lo = np.where(~below & (moved == -1), 0.5 * w_lo, w_lo)
+        lo, r_lo, w_lo = np.where(below, c, lo), np.where(below, r, r_lo), np.where(below, r, w_lo)
+        hi, r_hi, w_hi = np.where(below, hi, c), np.where(below, r_hi, r), np.where(below, w_hi, r)
+        moved = np.where(below, 1, -1).astype(np.int8)
+        bound = 2.0 * np.minimum(-r_lo, r_hi) * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        done = ((bound <= _CROSSING_STOP) | ~((mid > lo) & (mid < hi))
+                | (passes >= _CROSSING_PASSES))
+        cross[cells[done]] = np.where(-r_lo <= r_hi, lo, hi)[done]
+        bounds[cells[done]] = bound[done]
+        keep = ~done
+        cells, lo, hi, r_lo, r_hi, w_lo, w_hi, moved, flat = (
+            v[keep] for v in (cells, lo, hi, r_lo, r_hi, w_lo, w_hi, moved, flat))
+    g = law.cdf_integral(np.concatenate((edges, cross)))
+    g_edges, g_cross = g[:edges.size], g[edges.size:]
+    value = _add_cell_gaps(0.0, level, edges[:-1], cross, edges[1:], g_edges[:-1], g_cross,
+                           g_edges[1:])
+    return value, float(bounds.sum()), passes
 
 
 def _as_cloud(xs) -> np.ndarray:
@@ -268,6 +324,18 @@ def _sorted_certificate(xa, ya):
     return CertifiedCost(costs.mean())
 
 
+def matching_solvers():
+    """``scipy.optimize.linear_sum_assignment`` and
+    ``scipy.spatial.distance.cdist``, imported on the first call, not with
+    this module: only matchings need them, and they are a large share of the
+    package's import time.  A caller that times its matchings calls this
+    first, so the import is not charged to the first matching."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    return linear_sum_assignment, cdist
+
+
 def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     """Exact empirical W1 between equal-size 2-D point clouds.
 
@@ -306,11 +374,7 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     """
     if metric not in ("euclidean", "cityblock"):
         raise ValueError(f"metric must be 'euclidean' or 'cityblock', got {metric!r}")
-    # imported here, not at module level: only matchings need them, and they
-    # are a large share of the package's import time
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-
+    linear_sum_assignment, cdist = matching_solvers()
     xa = _as_cloud(xs)
     ya = _as_cloud(ys)
     if xa.shape[0] != ya.shape[0]:
@@ -349,8 +413,7 @@ def pushforward_check(xs, ys, map_fn):
     distance of the mapped samples.  d1 <= d2 holds for exact distances;
     the caller judges the measured gap (``validate:pushforward-contraction``).
     """
-    from scipy.spatial.distance import cdist
-
+    cdist = matching_solvers()[1]
     xa = _as_cloud(xs)
     ya = _as_cloud(ys)
     maps = [map_fn] if callable(map_fn) else list(map_fn)

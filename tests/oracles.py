@@ -6,7 +6,7 @@ check the package's vectorized code against it.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import brentq, linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from noisyvoter.model import BlockPartition, ModelParams, count_rates
@@ -139,3 +139,23 @@ def three_pass_stein_cells(prob, lattice):
     e_h = float(h_kern_cells.sum() / kern_cells.sum())
     cells = cell_integrals(lambda x: kernel(x) * (np.asarray(prob.h(x), float) - e_h))
     return cells, e_h
+
+
+def scalar_w1_oracle(p, law):
+    """The same cell decomposition as w1_discrete_vs_wf, one cell at a time,
+    with each crossing solved by brentq to full precision."""
+    edges = np.concatenate(([0.0], p.support, [1.0]))
+    levels = np.concatenate(([0.0], np.cumsum(p.probs)))
+    total = 0.0
+    for left, right, level in zip(edges[:-1], edges[1:], levels):
+        if law.cdf(left) >= level:
+            cross = left
+        elif law.cdf(right) <= level:
+            cross = right
+        else:
+            cross = brentq(lambda y: float(law.cdf(y)) - level, left, right,
+                           xtol=1e-16, rtol=1e-15)
+        g_left, g_cross, g_right = law.cdf_integral(np.array([left, cross, right]))
+        total += (abs(level * (cross - left) - (g_cross - g_left))
+                  + abs(level * (right - cross) - (g_right - g_cross)))
+    return total

@@ -605,6 +605,9 @@ class TestScenarioOutputs:
         assert extra["profile"]["series_terms"][0] == 0
         assert all(k > 0 for k in extra["profile"]["series_terms"][1:])
         assert 0.0 < extra["profile"]["rounding_bound"] <= cfg.tol
+        # 2 positive times x 2 sizes: four searches of 1 to 5 passes each
+        assert 4 <= extra["profile"]["crossing_passes"] <= 20
+        assert 0.0 <= extra["profile"]["crossing_bound"] <= 1e-15
 
     def test_references_start_where_the_chain_starts(self, tmp_path):
         # at m0 = 0.3 the chain at n = 128 starts from 38/128, and so must the
@@ -643,6 +646,9 @@ class TestScenarioOutputs:
         assert qclt["reference"] == "jacobi-series" and qclt["series_terms"] > 0
         assert 0.0 < qclt["rounding_bound"] <= cfg.tol
         assert qclt["halving_gap"] == 0.0 and qclt["reference_noise_floor"] == 0.0
+        # three distances at about 3 CDF passes each, every crossing proven
+        assert 3 <= qclt["crossing_passes"] <= 15
+        assert 0.0 <= qclt["crossing_bound"] <= 1e-15
         # at t = 0 the reference is the point mass at the chain's start, even
         # where m0 n is not an integer, so every distance is 0
         cfg0 = ExperimentConfig(scenario="qclt-rate", n=(30, 60, 120), m0=0.31, grid=(0.0,),
@@ -775,14 +781,15 @@ class TestScenarioOutputs:
         manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
         assert len(manifest["thermalize"]) == 3
         work = manifest["thermalize_work"]
-        assert set(work) == {"simulate_s", "matching_s", "replicas", "matchings", "certified",
-                             "pairs"}
+        assert set(work) == {"simulate_s", "import_s", "matching_s", "replicas", "matchings",
+                             "certified", "pairs"}
         # the event loop runs only the fixed-start replicas
         assert work["replicas"] == 2 * 120
         assert work["matchings"] == 2 * 3 and work["pairs"] == 2 * 3 * 120
         assert 0 < work["certified"] <= work["matchings"]
-        assert 0 < work["simulate_s"] and 0 < work["matching_s"]
-        assert work["simulate_s"] + work["matching_s"] <= manifest["wall_time_s"]
+        assert 0 < work["simulate_s"] and 0 <= work["import_s"] and 0 < work["matching_s"]
+        assert (work["simulate_s"] + work["import_s"] + work["matching_s"]
+                <= manifest["wall_time_s"])
 
     def test_thermalize_repetitions_keep_their_own_streams(self, monkeypatch, tmp_path):
         # one event loop over every repetition's fixed-start replicas, then the

@@ -16,16 +16,21 @@ of ``validate``'s ``translation-2d`` check (160 points), and
 ``test_layer_bench_cityblock_matching`` the 9 cityblock calls of
 ``thermalize-cloud``: the lockstep bench's clouds, each stream's uniform
 clouds drawn from its totals as ``run_thermalize`` does, 3 taus x 3 streams
-of 600 pairs.  There is no time gate: the tests only check that the lockstep
+of 600 pairs.  ``test_layer_bench_w1_vs_wf`` times the 24
+``w1_discrete_vs_wf`` calls of ``profile --n 1024`` (a = b = 1, start n/2,
+the default grid), each density law against the exact Wright-Fisher
+marginal.  There is no time gate: the tests only check that the lockstep
 call equals one call per stream, that no law column is refilled, that the
-Stein solutions equal the three-pass reference bit for bit, and that the
-matchings equal the plain assignment solve (the cityblock ones bit for bit),
-so they give before/after numbers.
+Stein solutions equal the three-pass reference bit for bit, that the
+matchings equal the plain assignment solve (the cityblock ones bit for bit)
+and that the distances to the marginal match the brentq oracle, so they
+give before/after numbers.
 """
 
 import numpy as np
 
 from noisyvoter import stein
+from noisyvoter.diffusion import WFParams, wf_marginal
 from noisyvoter.experiments import SCENARIOS, _translation_draws, replica_stream
 from noisyvoter.model import (
     BlockPartition,
@@ -34,10 +39,12 @@ from noisyvoter.model import (
     simulate_blocks_batch,
     transient_laws,
 )
-from noisyvoter.transport import w1_matching
+from noisyvoter.pmf import Pmf
+from noisyvoter.transport import w1_discrete_vs_wf, w1_matching
 from oracles import (
     plain_cityblock_matching,
     plain_euclidean_matching,
+    scalar_w1_oracle,
     three_pass_stein_cells,
 )
 
@@ -46,6 +53,7 @@ PARAMS, PART = ModelParams(N, 1.0, 1.0), BlockPartition(N - ELL, ELL)
 HORIZONS = 0.5 * np.log(N) + np.log(0.25) + np.array([-1.0, 0.0, 1.0])
 FIXED = np.tile([[0, ELL]], (PAIRS, 1))
 LAW_N = 16384
+PROFILE_N = 1024
 STEIN_NU = 0.1
 SHIFTS = np.array([[1.5, -0.25], [0.0, 3.0]])
 
@@ -111,3 +119,19 @@ def test_layer_bench_cityblock_matching(benchmark):
 
     got = benchmark.pedantic(match_all, rounds=5)
     assert got == [plain_cityblock_matching(xs, ys) for xs, ys in pairs]
+
+
+def test_layer_bench_w1_vs_wf(benchmark):
+    grid = np.asarray(SCENARIOS["profile"][1])
+    probs = transient_laws(ModelParams(PROFILE_N, 1.0, 1.0), PROFILE_N // 2,
+                           PROFILE_N * grid).probs
+    lattice = np.arange(PROFILE_N + 1) / PROFILE_N
+    pairs = [(Pmf(lattice, col), wf_marginal(WFParams(1.0, 1.0), 0.5, t))
+             for col, t in zip(probs.T, grid)]
+
+    def distances():
+        return [w1_discrete_vs_wf(p, law) for p, law in pairs]
+
+    got = benchmark.pedantic(distances, rounds=5)
+    for i in (0, len(pairs) // 2, len(pairs) - 1):
+        assert abs(got[i] - scalar_w1_oracle(*pairs[i])) <= 1e-14

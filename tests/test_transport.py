@@ -4,8 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance
 
@@ -18,9 +17,11 @@ from noisyvoter.stein import hypergeom_zeta_pmf
 from noisyvoter.transport import (
     MATCHING_CAP,
     CertifiedCost,
+    _CROSSING_PASSES,
     _cityblock_potentials,
     _euclidean_potentials,
     _sorted_certificate,
+    _w1_vs_wf_search,
     pushforward_check,
     w1_discrete,
     w1_discrete_vs_gaussian,
@@ -29,7 +30,7 @@ from noisyvoter.transport import (
     w1_matching,
     w1_sorted,
 )
-from oracles import plain_cityblock_matching, plain_euclidean_matching
+from oracles import plain_cityblock_matching, plain_euclidean_matching, scalar_w1_oracle
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -220,24 +221,22 @@ def dense_grid_w1(p, law, points=400_000):
     return total
 
 
-def scalar_w1_oracle(p, law):
-    """The same cell decomposition as w1_discrete_vs_wf, one cell at a time,
-    with each crossing solved by brentq to full precision."""
-    edges = np.concatenate(([0.0], p.support, [1.0]))
-    levels = np.concatenate(([0.0], np.cumsum(p.probs)))
-    total = 0.0
-    for left, right, level in zip(edges[:-1], edges[1:], levels):
-        if law.cdf(left) >= level:
-            cross = left
-        elif law.cdf(right) <= level:
-            cross = right
-        else:
-            cross = brentq(lambda y: float(law.cdf(y)) - level, left, right,
-                           xtol=1e-16, rtol=1e-15)
-        g_left, g_cross, g_right = law.cdf_integral(np.array([left, cross, right]))
-        total += (abs(level * (cross - left) - (g_cross - g_left))
-                  + abs(level * (right - cross) - (g_right - g_cross)))
-    return total
+def log_uniform(lo, hi):
+    return st.floats(np.log(lo), np.log(hi)).map(np.exp)
+
+
+class CountingLaw:
+    """``law`` with its ``cdf`` calls counted and its CDF times ``scale``."""
+
+    def __init__(self, law, scale=1.0):
+        self.law, self.scale, self.cdf_calls = law, scale, 0
+
+    def cdf(self, y):
+        self.cdf_calls += 1
+        return self.law.cdf(y) * self.scale
+
+    def cdf_integral(self, y):
+        return self.law.cdf_integral(y)
 
 
 class TestW1DiscreteVsWF:
@@ -261,6 +260,62 @@ class TestW1DiscreteVsWF:
         lattice = transient_law(ModelParams(n, a, b), int(m0 * n + 0.5), n * t).scaled(1 / n)
         assert w1_discrete_vs_wf(lattice, law) == pytest.approx(
             scalar_w1_oracle(lattice, law), rel=0, abs=2e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=log_uniform(0.1, 10.0), b=log_uniform(0.1, 10.0),
+           m0=st.floats(0.02, 0.98, exclude_min=True, exclude_max=True),
+           t=st.one_of(log_uniform(0.02, 3.0), st.just(np.inf)),
+           n=st.sampled_from([16, 40, 128, 300]), seed=st.integers(0, 2**32 - 1))
+    # a or b below 1: the density is singular at that end
+    @example(a=0.1, b=0.15, m0=0.9, t=0.02, n=300, seed=0)
+    @example(a=0.2, b=5.0, m0=0.5, t=np.inf, n=40, seed=1)
+    def test_against_scalar_oracle_sweep(self, a, b, m0, t, n, seed):
+        law = wf_marginal(WFParams(a, b), m0, t)
+        params = ModelParams(n, a, b)
+        count_law = (stationary_pmf(params) if t == np.inf
+                     else transient_law(params, round(m0 * n), n * t))
+        rng = np.random.default_rng(seed)
+        for p in (count_law.scaled(1 / n), point_mass(0.0), point_mass(m0), point_mass(1.0),
+                  Pmf(np.sort(rng.uniform(size=7)), rng.dirichlet(np.ones(7)))):
+            assert w1_discrete_vs_wf(p, law) == pytest.approx(scalar_w1_oracle(p, law),
+                                                               rel=0, abs=1e-14)
+
+    def test_crossing_pass_budget(self):
+        # the qclt-rate reference shape, where bisecting every crossing to a
+        # width of 1e-6 takes 13 to 15 passes
+        law = CountingLaw(wf_marginal(WFParams(1.0, 1.0), 0.5, 1.0))
+        for n in (32, 64, 128):
+            p = transient_law(ModelParams(n, 1.0, 1.0), n // 2, float(n)).scaled(1 / n)
+            law.cdf_calls = 0
+            value, bound, passes = _w1_vs_wf_search(p, law)
+            assert law.cdf_calls == 1 + passes  # one more pass, at the cell edges
+            assert passes <= 5
+            assert value == w1_discrete_vs_wf(p, law.law)
+            assert 0.0 <= bound <= 1e-15
+
+    def test_crossing_search_where_cdf_is_flat_to_rounding(self):
+        # F(1) rounds above 1, so the last cell of a point mass below 1 holds
+        # a crossing where F is within rounding of its level 1; ten masses of
+        # 0.1 sum to a last level just below 1, with the same effect
+        beta = wf_marginal(WFParams(1.0, 4.0), 0.5, np.inf)
+        law = CountingLaw(beta, 1.0 + 4.0 * np.finfo(float).eps)
+        assert law.cdf(1.0) > 1.0
+        for p in (point_mass(0.3), point_mass(0.9), point_mass(1.0),
+                  Pmf(np.linspace(0.05, 0.95, 10), np.full(10, 0.1))):
+            law.cdf_calls = 0
+            value, bound, passes = _w1_vs_wf_search(p, law)
+            assert law.cdf_calls == 1 + passes < 1 + _CROSSING_PASSES
+            assert bound <= 1e-15
+            assert value == pytest.approx(scalar_w1_oracle(p, beta), rel=0, abs=1e-15)
+        # the ten masses against the plain CDFs, flat to rounding near 1:
+        # bisection ends the last cell's search where Illinois steps alone
+        # creep toward the crossing for 20 passes or more
+        tenths = Pmf(np.linspace(0.05, 0.95, 10), np.full(10, 0.1))
+        for a, b in ((1.0, 4.0), (2.0, 8.0)):
+            law = wf_marginal(WFParams(a, b), 0.5, np.inf)
+            value, bound, passes = _w1_vs_wf_search(tenths, law)
+            assert passes <= 8 and bound <= 1e-15
+            assert value == pytest.approx(scalar_w1_oracle(tenths, law), rel=0, abs=1e-15)
 
     def test_qclt_reference_values(self):
         # exact count law at n t = n against the exact marginal, a = b = 1, t = 1
