@@ -654,17 +654,19 @@ def _pushforward(cfg):
 
 
 def _stein_bounds(cfg):
-    worst = np.inf
+    worst, nodes = np.inf, 0
     for nu in (0.1, 0.25, 1.0):
         grid = np.linspace(-8 * nu, 8 * nu, 4001)
         for h, dh in stein.stein_test_family():
             sol = stein.stein_solve(stein.SteinProblem(h, dh, nu), grid)
             worst = min(worst, min(stein.stein_bound_margins(sol, nu).values()))
-    return 0.0 - worst, "minus the min margin over the 20-function family, nu in {0.1,0.25,1}"
+            nodes += sol.nodes
+    return (0.0 - worst, "minus the min margin over the 20-function family, nu in {0.1,0.25,1}",
+            nodes)
 
 
 def _stein_identity(cfg):
-    worst = 0.0
+    worst, nodes = 0.0, 0
     for nu in (0.25, 1.0):
         grid = np.linspace(-9 * nu, 9 * nu, 3001)
         w = np.exp(-0.5 * (grid / nu) ** 2)
@@ -673,7 +675,8 @@ def _stein_identity(cfg):
             sol = stein.stein_solve(stein.SteinProblem(h, dh, nu), grid)
             val = np.trapezoid((nu ** 2 * sol.df - grid * sol.f) * w, grid)
             worst = max(worst, abs(val))
-    return worst
+            nodes += sol.nodes
+    return worst, "", nodes
 
 
 def _exclusion_stationarity(cfg):
@@ -820,8 +823,10 @@ def _density_apriori(cfg):
 
 
 # (name, tolerance, measure): measure(cfg) returns the measured value, or
-# (value, note), and the check passes when value <= tolerance.  A check of a
-# bound measures its violation, 0.0 - margin, so a zero margin reads 0.0.
+# (value, note), or (value, note, h evaluations at quadrature nodes) for a
+# check that solves Stein equations, and the check passes when
+# value <= tolerance.  A check of a bound measures its violation,
+# 0.0 - margin, so a zero margin reads 0.0.
 _VALIDATE_CHECKS = (
     ("rates-boundary", 0.0, _rates_boundary),
     ("detailed-balance", 1e-12,
@@ -849,11 +854,13 @@ def run_validate(cfg: ExperimentConfig):
     measured <= tolerance; the tolerance is also the row's theory column."""
     records, report = [], {}
     lattices_before = stein._stein_lattice.cache_info()
+    stein_nodes = 0
     for name, tol, measure in _VALIDATE_CHECKS:
         start = time.perf_counter()
         value = measure(cfg)
         secs = time.perf_counter() - start
-        measured, note = value if isinstance(value, tuple) else (value, "")
+        measured, note, *nodes = value if isinstance(value, tuple) else (value, "")
+        stein_nodes += sum(nodes)
         measured = float(measured)
         records.append(ResultRecord(f"validate:{name}", cfg.n[0], cfg.m0, 0.0, measured,
                                     theory=tol))
@@ -866,6 +873,7 @@ def run_validate(cfg: ExperimentConfig):
     misses = lattices_after.misses - lattices_before.misses
     solves = lattices_after.hits - lattices_before.hits + misses
     extra = {"validate": {"ok": ok, "stein_solves": solves, "stein_lattices": misses,
+                          "stein_nodes": stein_nodes,
                           "checks": report}}
     return records, extra
 

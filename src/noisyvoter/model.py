@@ -547,9 +547,9 @@ def stationary_pmf(params: ModelParams) -> Pmf:
 
 def detailed_balance_gap(params: ModelParams) -> float:
     """Max log-scale violation of rate_up(k) pi(k) = rate_down(k+1) pi(k+1)."""
-    logp = stationary_log_pmf(params)
     up, down = count_rates(params, np.arange(params.n + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
+        logp = stationary_log_pmf(params)
         gap = np.abs(np.log(up[:-1]) + logp[:-1] - np.log(down[1:]) - logp[1:])
     return float(np.max(gap)) if np.all(np.isfinite(gap)) else np.inf
 

@@ -5,11 +5,17 @@ a unique bounded solution; it is evaluated here from its integral
 representation with a tail-switched quadrature that stays stable across the
 whole working interval.  Everything in a solve but h depends on (grid, nu)
 only: the refined quadrature lattice, the Gaussian kernel on its nodes and
-the grid's tail prefactors.  That lattice is built once and shared by every
-solve on the same (grid, nu).  The cache holds a single lattice, because
-callers such as ``validate`` solve a whole function family on one grid
-before moving to the next, so a second slot would keep a lattice no later
-solve asks for.
+the grid's tail prefactors.  Each lattice cell gets 4 or 8 Gauss-Legendre
+nodes: 4 where an a-priori bound on the 4-node remainder of the Gaussian
+factor, (lambda w)^8 (4!)^4 / (9 (8!)^3) for a cell of width w, with lambda
+= max(|x| / nu^2, 16 / nu) at its outer end |x|, is below 2^-53, and 8
+elsewhere.  On ``validate``'s grids every cell between the grid's ends gets
+4 (the bound is at most 4e-18 there) and the nu / 16 cells of the tail
+extension get 8.  That lattice is built once and shared by every solve on
+the same (grid, nu).  The cache holds a single lattice, because callers
+such as ``validate`` solve a whole function family on one grid before
+moving to the next, so a second slot would keep a lattice no later solve
+asks for.
 
 The complete-graph symmetric exclusion generator acting on the centered,
 sqrt(n)-scaled block count supplies the discrete side: its action is an
@@ -56,7 +62,8 @@ class SteinProblem:
 
 @dataclass(frozen=True)
 class SteinSolution:
-    """Solution values on the grid plus derivatives recovered from the ODE."""
+    """Solution values on the grid plus derivatives recovered from the ODE,
+    and ``nodes``, the evaluations of h at quadrature nodes it took."""
 
     grid: np.ndarray
     f: np.ndarray
@@ -64,11 +71,18 @@ class SteinSolution:
     d2f: np.ndarray
     e_h: float
     h_deriv_sup: float
+    nodes: int
 
 
 def _refined_edges(grid: np.ndarray, nu: float) -> np.ndarray:
     """Integration lattice: the grid extended by 6 nu on both sides and
-    refined so no cell is wider than nu / 16."""
+    refined so no cell is wider than nu / 16.
+
+    That width is the scale on which h is assumed smooth.  The grid's own
+    cells are often much narrower (nu / 250 and nu / 167 on ``validate``'s
+    grids), so ``_gl_orders`` gives them 4 Gauss-Legendre nodes instead of
+    8; the refined cells of the 6 nu extension keep 8.
+    """
     lo = min(grid[0], -8.0 * nu) - 6.0 * nu
     hi = max(grid[-1], 8.0 * nu) + 6.0 * nu
     anchors = np.unique(np.concatenate([[lo], grid, [hi]]))
@@ -84,36 +98,72 @@ def _refined_edges(grid: np.ndarray, nu: float) -> np.ndarray:
     return np.concatenate([anchors[:1], inner])
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Gauss-Legendre nodes and weights on [-1, 1], by node count.
+_GAUSS_LEGENDRE = {order: np.polynomial.legendre.leggauss(order) for order in (4, 8)}
+
+# The 4-node Gauss-Legendre remainder on a cell of width w is
+# w^9 (4!)^4 / (9 (8!)^3) |g^(8)|; per unit of the integral it is this
+# constant times (lambda w)^8 when g^(8) / g is of order lambda^8.
+_GL4_REMAINDER = 24.0 ** 4 / (9.0 * 40320.0 ** 3)
+
+
+def _gl_orders(edges: np.ndarray, nu: float) -> np.ndarray:
+    """Gauss-Legendre node count of each lattice cell: 4 where the 4-node
+    remainder of the Gaussian factor, (lambda w)^8 (4!)^4 / (9 (8!)^3), is
+    below 2^-53, else 8.  w is the cell's width and lambda =
+    max(|x| / nu^2, 16 / nu), |x| its outer end: the Gaussian's log-slope
+    there, floored by the nu / 16 smoothness of h that the lattice assumes.
+    Cells of width nu / 16 or more always get 8.
+    """
+    outer = np.maximum(np.abs(edges[:-1]), np.abs(edges[1:]))
+    scale = np.maximum(outer / nu ** 2, 16.0 / nu) * np.diff(edges)
+    return np.where(scale ** 8 * _GL4_REMAINDER < 2.0 ** -53, 4, 8)
 
 
 def _cell_integrals(vals: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre(8) integral over each cell of values given at its nodes.
+    """Gauss-Legendre integral over each cell of values given at its 4 or 8
+    nodes, one node per row and one cell per column.
 
-    The eight weighted node values of a cell are added as column arrays, in
-    the order numpy's pairwise summation uses for eight terms,
-    ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)).  That is the result of
-    ``(vals * _GL_WEIGHTS).sum(axis=1)`` bit for bit at about half its cost,
-    so every Stein solve keeps its values; adding the columns left to right,
-    or a matrix-vector product, rounds differently.
+    The weighted node values of a cell are added row by row, in the order
+    numpy's ``sum(axis=1)`` uses on the cell-per-row layout: left to right
+    for four terms, and pairwise for eight,
+    ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)).  That is
+    ``(vals.T * weights).sum(axis=1)`` bit for bit at a fraction of its
+    cost, so every Stein solve keeps its values; another order, or a
+    matrix-vector product, rounds differently.
     """
-    p = vals * _GL_WEIGHTS
-    return (((p[:, 0] + p[:, 1]) + (p[:, 2] + p[:, 3]))
-            + ((p[:, 4] + p[:, 5]) + (p[:, 6] + p[:, 7]))) * half
+    p = [row * weight for row, weight in zip(vals, _GAUSS_LEGENDRE[vals.shape[0]][1])]
+    if len(p) == 4:
+        return (((p[0] + p[1]) + p[2]) + p[3]) * half
+    return (((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))) * half
+
+
+@dataclass(frozen=True)
+class _NodeBlock:
+    """The lattice cells of one Gauss-Legendre order: their indices, half
+    widths and the slice of the lattice's flat node array that holds their
+    nodes, node by node (the first node of every cell, then the second,
+    ...).  A block may have no cells."""
+
+    order: int
+    cells: np.ndarray
+    half: np.ndarray
+    nodes: slice
 
 
 @dataclass(frozen=True)
 class _SteinLattice:
     """The part of a Stein solve that depends on (grid, nu) only: the
-    refined edges, the Gauss-Legendre nodes with the Gaussian kernel K on
-    them and its total integral, and, for the grid points, their lattice
-    indices and tail prefactors exp(x^2 / 2 nu^2) / nu^2.  ``far`` marks the
-    points past the exponent cap, where the far-tail asymptotic applies and
-    the prefactor is 0."""
+    refined edges and cell midpoints, the Gauss-Legendre nodes of all cells
+    in one flat array (4-node cells first, then 8-node cells, as ``blocks``
+    says) with the Gaussian kernel K on them and its total integral, and,
+    for the grid points, their lattice indices and tail prefactors
+    exp(x^2 / 2 nu^2) / nu^2.  ``far`` marks the points past the exponent
+    cap, where the far-tail asymptotic applies and the prefactor is 0."""
 
     edges: np.ndarray
     mid: np.ndarray
-    half: np.ndarray
+    blocks: tuple[_NodeBlock, ...]
     nodes: np.ndarray
     kern: np.ndarray
     kern_mass: float
@@ -122,12 +172,22 @@ class _SteinLattice:
     far: np.ndarray
 
 
+def _lattice_cells(blocks: tuple[_NodeBlock, ...], vals: np.ndarray) -> np.ndarray:
+    """Per-cell integrals, in lattice order, of values given at the flat
+    node array of ``blocks``."""
+    out = np.empty(sum(block.cells.size for block in blocks))
+    for block in blocks:
+        out[block.cells] = _cell_integrals(vals[block.nodes].reshape(block.order, -1), block.half)
+    return out
+
+
 @lru_cache(maxsize=1)
 def _stein_lattice(grid_bytes: bytes, nu: float) -> _SteinLattice:
     """Build the lattice of the validated grid whose float64 bytes are
     ``grid_bytes``.  The key is the bytes, not the array, so a grid changed
     in place after a solve gets a new lattice; the cached arrays are
-    read-only, because every solve on this (grid, nu) shares them."""
+    read-only, because every solve on this (grid, nu) shares them.  Each
+    cell's node count comes from ``_gl_orders``."""
     g = np.frombuffer(grid_bytes, dtype=float)
     edges = _refined_edges(g, nu)
     idx = np.searchsorted(edges, g)
@@ -135,31 +195,41 @@ def _stein_lattice(grid_bytes: bytes, nu: float) -> _SteinLattice:
         raise RuntimeError("grid points must be lattice points")
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    orders = _gl_orders(edges, nu)
+    blocks, nodes, start = [], [], 0
+    for order in (4, 8):
+        cells = np.flatnonzero(orders == order)
+        nodes.append((mid[cells] + half[cells] * _GAUSS_LEGENDRE[order][0][:, None]).ravel())
+        blocks.append(_NodeBlock(order=order, cells=cells, half=half[cells],
+                                 nodes=slice(start, start + nodes[-1].size)))
+        start += nodes[-1].size
+    nodes = np.concatenate(nodes)
     kern = np.exp(-0.5 * (nodes / nu) ** 2)
     expo = 0.5 * (g / nu) ** 2
     safe = expo <= _TAIL_EXPONENT
     pref = np.zeros_like(g)
     pref[safe] = np.exp(expo[safe]) / nu ** 2
-    lattice = _SteinLattice(edges=edges, mid=mid, half=half, nodes=nodes, kern=kern,
-                            kern_mass=_cell_integrals(kern, half).sum(), idx=idx,
+    blocks = tuple(blocks)
+    lattice = _SteinLattice(edges=edges, mid=mid, blocks=blocks, nodes=nodes, kern=kern,
+                            kern_mass=_lattice_cells(blocks, kern).sum(), idx=idx,
                             pref=pref, far=~safe)
-    for value in vars(lattice).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+    for part in (lattice, *lattice.blocks):
+        for value in vars(part).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
     return lattice
 
 
 def _stein_cells(prob: SteinProblem, lattice: _SteinLattice) -> tuple[np.ndarray, float]:
-    """Per-cell Gauss-Legendre(8) integrals of K (h - E h), K the Gaussian
+    """Per-cell Gauss-Legendre integrals of K (h - E h), K the Gaussian
     kernel exp(-x^2 / 2 nu^2), and E h = int K h / int K.
 
     h is evaluated once per node; the nodes, K and int K come from the
-    lattice.
+    lattice.  Each pass integrates both node blocks into one cell array.
     """
     hvals = np.asarray(prob.h(lattice.nodes), float)
-    e_h = float(_cell_integrals(lattice.kern * hvals, lattice.half).sum() / lattice.kern_mass)
-    return _cell_integrals(lattice.kern * (hvals - e_h), lattice.half), e_h
+    e_h = float(_lattice_cells(lattice.blocks, lattice.kern * hvals).sum() / lattice.kern_mass)
+    return _lattice_cells(lattice.blocks, lattice.kern * (hvals - e_h)), e_h
 
 
 def stein_solve(prob: SteinProblem, grid) -> SteinSolution:
@@ -168,8 +238,12 @@ def stein_solve(prob: SteinProblem, grid) -> SteinSolution:
     The left-tail integral form is used for x <= 0 and the right-tail form
     for x > 0 (the two agree because the weighted integral of h - E[h] over
     the whole line vanishes), so the exp(x^2 / 2 nu^2) prefactor only ever
-    multiplies a same-scale tail mass.  Derivatives come from the ODE itself:
-    f' = (h - E h + x f) / nu^2 and f'' = (h' + f + x f') / nu^2.
+    multiplies a same-scale tail mass.  Each tail mass is summed from its own
+    end: taken as the total minus the left sums, the right tail would keep
+    the rounding of a running sum far larger than itself, which the
+    prefactor (e^40 at 9 nu) turns into errors of up to 1e-13 in f.
+    Derivatives come from the ODE itself: f' = (h - E h + x f) / nu^2 and
+    f'' = (h' + f + x f') / nu^2.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
@@ -182,7 +256,7 @@ def stein_solve(prob: SteinProblem, grid) -> SteinSolution:
     lattice = _stein_lattice(g.tobytes(), nu)
     cells, e_h = _stein_cells(prob, lattice)
     cum_left = np.concatenate([[0.0], np.cumsum(cells)])
-    cum_right = cum_left[-1] - cum_left
+    cum_right = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
 
     idx = lattice.idx
     f = lattice.pref * np.where(g <= 0, cum_left[idx], -cum_right[idx])
@@ -195,7 +269,8 @@ def stein_solve(prob: SteinProblem, grid) -> SteinSolution:
     df = (hvals - e_h + g * f) / nu ** 2
     d2f = (dhvals + f + g * df) / nu ** 2
     h_deriv_sup = float(np.max(np.abs(np.asarray(prob.dh(lattice.mid), dtype=float))))
-    return SteinSolution(grid=g, f=f, df=df, d2f=d2f, e_h=e_h, h_deriv_sup=h_deriv_sup)
+    return SteinSolution(grid=g, f=f, df=df, d2f=d2f, e_h=e_h, h_deriv_sup=h_deriv_sup,
+                         nodes=lattice.nodes.size)
 
 
 def stein_test_family() -> list[tuple]:

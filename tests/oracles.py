@@ -5,12 +5,15 @@ computes a law by an independent route in higher precision, so the tests can
 check the package's vectorized code against it.
 """
 
+from math import factorial
+from unittest import mock
+
 import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from noisyvoter import stein
 from noisyvoter.model import BlockPartition, ModelParams, count_rates
-from noisyvoter.stein import _GL_NODES, _GL_WEIGHTS
 
 
 def _check_block_counts(params: ModelParams, part: BlockPartition, x) -> tuple[int, int]:
@@ -117,19 +120,35 @@ def plain_euclidean_matching(xs, ys) -> float:
     return float(c[linear_sum_assignment(c)].mean())
 
 
-def three_pass_stein_cells(prob, lattice):
-    """The Stein cell integrals with the node array, the kernel and h rebuilt
-    from the lattice's edges for each of the three integrals (K, K h,
-    K (h - E h)): the reference for the single-pass ``stein._stein_cells``."""
+def stein_cell_orders(edges, nu):
+    """Gauss-Legendre node count of each Stein lattice cell, one cell at a
+    time: 4 when (lambda w)^8 (4!)^4 / (9 (8!)^3) < 2^-53 for the cell's
+    width w and lambda = max(|x| / nu^2, 16 / nu) at its outer end |x|,
+    else 8."""
+    remainder = factorial(4) ** 4 / (9 * factorial(8) ** 3)
+    orders = []
+    for left, right in zip(edges[:-1], edges[1:]):
+        lam = max(max(abs(left), abs(right)) / nu ** 2, 16.0 / nu)
+        orders.append(4 if (lam * (right - left)) ** 8 * remainder < 2.0 ** -53 else 8)
+    return np.array(orders)
+
+
+def _three_pass_cells(prob, edges, orders):
+    """Cell integrals of K, K h and K (h - E h) for the given node counts,
+    each with its nodes, kernel and h rebuilt from ``edges`` per order and
+    its cells summed by numpy, then scattered into lattice order."""
     nu = prob.nu
-    edges = lattice.edges
 
     def cell_integrals(func):
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = func(nodes)
-        return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+        out = np.empty(edges.size - 1)
+        for order in (4, 8):
+            cells = np.flatnonzero(orders == order)
+            left, right = edges[cells], edges[cells + 1]
+            mid, half = 0.5 * (right + left), 0.5 * (right - left)
+            x, w = np.polynomial.legendre.leggauss(order)
+            nodes = mid[:, None] + half[:, None] * x[None, :]
+            out[cells] = (func(nodes) * w[None, :]).sum(axis=1) * half
+        return out
 
     def kernel(x):
         return np.exp(-0.5 * (x / nu) ** 2)
@@ -139,6 +158,23 @@ def three_pass_stein_cells(prob, lattice):
     e_h = float(h_kern_cells.sum() / kern_cells.sum())
     cells = cell_integrals(lambda x: kernel(x) * (np.asarray(prob.h(x), float) - e_h))
     return cells, e_h
+
+
+def three_pass_stein_cells(prob, lattice):
+    """The Stein cell integrals with the node counts, the nodes, the kernel
+    and h rebuilt from the lattice's edges for each of the three integrals:
+    the reference for the single-pass ``stein._stein_cells``."""
+    return _three_pass_cells(prob, lattice.edges, stein_cell_orders(lattice.edges, prob.nu))
+
+
+def gl8_stein_solve(prob, grid):
+    """``stein.stein_solve`` with 8 Gauss-Legendre nodes in every lattice
+    cell: the accuracy reference for the per-cell node counts."""
+    def gl8_cells(prob, lattice):
+        return _three_pass_cells(prob, lattice.edges, np.full(lattice.edges.size - 1, 8))
+
+    with mock.patch.object(stein, "_stein_cells", gl8_cells):
+        return stein.stein_solve(prob, grid)
 
 
 def scalar_w1_oracle(p, law):

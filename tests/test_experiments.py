@@ -511,6 +511,8 @@ class TestDeterminism:
             # 60 stein-bounds solves on 3 lattices, 12 stein-identity solves on 2
             assert extra["validate"]["stein_solves"] == 72
             assert extra["validate"]["stein_lattices"] == 5
+            # h evaluations: 4 nodes in each of the 276,000 grid cells, 8 in each tail cell
+            assert extra["validate"]["stein_nodes"] == 1_214_912
         for name in exact:
             assert reports[0][name]["measured"] == reports[1][name]["measured"]
         assert reports[0]["density-apriori"]["passed"]

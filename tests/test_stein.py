@@ -11,7 +11,6 @@ from scipy.stats import hypergeom
 
 from noisyvoter import stein
 from noisyvoter.stein import (
-    _GL_WEIGHTS,
     SteinProblem,
     _refined_edges,
     exclusion_apply,
@@ -24,7 +23,10 @@ from noisyvoter.stein import (
     zeta_support,
 )
 from noisyvoter.transport import w1_sorted
-from oracles import three_pass_stein_cells
+from oracles import gl8_stein_solve, stein_cell_orders, three_pass_stein_cells
+
+# (nu, half width in nu, points) of validate's stein-bounds and stein-identity grids
+VALIDATE_GRIDS = [(0.1, 8, 4001), (0.25, 8, 4001), (1.0, 8, 4001), (0.25, 9, 3001), (1.0, 9, 3001)]
 
 
 def default_grid(nu, points=2001):
@@ -62,18 +64,76 @@ class TestRefinedEdges:
 
 
 class TestCellIntegrals:
-    def test_column_sums_match_numpy_pairwise_reduction(self):
-        # _cell_integrals spells out the order numpy's sum(axis=1) adds eight
-        # terms in; a numpy release that changes that order fails here
+    @staticmethod
+    def check_against_numpy_sum(order):
         rng = np.random.default_rng(43)
+        weights = stein._GAUSS_LEGENDRE[order][1]
         for trial in range(40):
-            vals = rng.normal(size=(4194, 8)) * 10.0 ** rng.uniform(-30, 5, size=(4194, 8))
+            vals = rng.normal(size=(4194, order)) * 10.0 ** rng.uniform(-30, 5, size=(4194, order))
             special = rng.random(vals.shape) < 0.1
             vals[special] = rng.choice([5e-324, -3e-310, 2.5e-308, 1e300, -1e300],
                                        size=special.sum())
             half = rng.uniform(0.0, 1.0, size=4194)
-            want = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
-            assert np.array_equal(stein._cell_integrals(vals, half), want)
+            want = (vals * weights[None, :]).sum(axis=1) * half
+            assert np.array_equal(stein._cell_integrals(np.ascontiguousarray(vals.T), half), want)
+
+    def test_column_sums_match_numpy_pairwise_reduction(self):
+        # _cell_integrals spells out the order numpy's sum(axis=1) adds eight
+        # terms in; a numpy release that changes that order fails here
+        self.check_against_numpy_sum(8)
+
+    def test_four_column_sums_match_numpy_reduction(self):
+        # four terms are added left to right
+        self.check_against_numpy_sum(4)
+
+
+class TestNodeOrders:
+    def test_validate_grids_take_four_nodes_inside_the_grid(self):
+        for nu, half_width, points in VALIDATE_GRIDS:
+            grid = np.linspace(-half_width * nu, half_width * nu, points)
+            lattice = stein._stein_lattice(grid.tobytes(), nu)
+            orders = stein._gl_orders(lattice.edges, nu)
+            assert np.array_equal(orders, stein_cell_orders(lattice.edges, nu))
+            inside = (lattice.mid > grid[0]) & (lattice.mid < grid[-1])
+            assert np.all(orders[inside] == 4) and np.all(orders[~inside] == 8)
+            four, eight = lattice.blocks
+            assert np.array_equal(four.cells, np.flatnonzero(inside))
+            assert lattice.nodes.size == 4 * four.cells.size + 8 * eight.cells.size
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_nu=st.floats(-1.3, 0.0), kind=st.sampled_from(["linspace", "random", "geom"]),
+           half_width=st.floats(8.0, 20.0), points=st.integers(2, 4001),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(log_nu=-0.6, kind="linspace", half_width=20.0, points=4001, seed=0)
+    def test_random_grids_match_gl8(self, log_nu, kind, half_width, points, seed):
+        # grids shaped like those of TestRefinedEdges, out to 20 nu, where
+        # the Gaussian's log-slope makes the rule go back to 8 nodes
+        nu = 10.0 ** log_nu
+        rng = np.random.default_rng(seed)
+        if kind == "linspace":
+            grid = np.linspace(-half_width * nu, half_width * nu, points)
+        elif kind == "random":
+            grid = np.unique(np.concatenate([[-8 * nu, 8 * nu],
+                                             rng.uniform(-20 * nu, 20 * nu, 50)]))
+        else:
+            grid = np.concatenate([[-8 * nu], np.geomspace(1e-3, 10.0, 7) * nu])
+        lattice = stein._stein_lattice(grid.tobytes(), nu)
+        edges, orders = lattice.edges, stein._gl_orders(lattice.edges, nu)
+        assert np.array_equal(orders, stein_cell_orders(edges, nu))
+        outer = np.maximum(np.abs(edges[:-1]), np.abs(edges[1:]))
+        # the 4-node remainder reaches 2^-53 at lambda w = 0.1447
+        assert np.all(orders[np.diff(edges) >= nu / 16.0 * (1 - 1e-12)] == 8)
+        assert np.all(orders[outer * np.diff(edges) / nu ** 2 >= 0.145] == 8)
+        family = stein_test_family()
+        for h, dh in (family[9], family[12]):
+            prob = SteinProblem(h, dh, nu)
+            got, ref = stein_solve(prob, grid), gl8_stein_solve(prob, grid)
+            assert np.max(np.abs(got.f - ref.f)) <= 1e-13 * np.max(np.abs(ref.f))
+            # the d2f bound grows as 1 / nu^2, and its margin's rounding with it
+            got_margins, ref_margins = (stein_bound_margins(sol, nu) for sol in (got, ref))
+            for key, value in got_margins.items():
+                bound = ref_margins[key] + np.max(np.abs(getattr(ref, key)))
+                assert abs(value - ref_margins[key]) <= 1e-13 * bound
 
 
 class TestSteinSolve:
@@ -150,6 +210,50 @@ class TestSteinSolve:
             for field in ("f", "df", "d2f"):
                 assert np.array_equal(getattr(sol, field), getattr(ref, field))
 
+    @pytest.mark.parametrize("nu,half_width,points", VALIDATE_GRIDS)
+    def test_matches_gl8_on_validate_grids(self, nu, half_width, points):
+        grid = np.linspace(-half_width * nu, half_width * nu, points)
+        for h, dh in stein_test_family():
+            prob = SteinProblem(h, dh, nu)
+            got, ref = stein_solve(prob, grid), gl8_stein_solve(prob, grid)
+            assert np.max(np.abs(got.f - ref.f)) <= 1e-13 * np.max(np.abs(ref.f))
+            got_margins, ref_margins = (stein_bound_margins(sol, nu) for sol in (got, ref))
+            for key, value in got_margins.items():
+                assert abs(value - ref_margins[key]) <= 1e-11
+
+    @pytest.mark.parametrize("nu,half_width,points", [(0.1, 8, 4001), (0.25, 9, 3001)])
+    def test_f_against_mpmath(self, nu, half_width, points):
+        # f from its tail integrals at 30 digits: no further from it than the
+        # 8-node solve plus 4 ulps, and within 1e-14 max|f| out to the right
+        # end, where the prefactor exp(x^2 / 2 nu^2) is largest
+        mp = pytest.importorskip("mpmath")
+        grid = np.linspace(-half_width * nu, half_width * nu, points)
+        pick = [0, 500, points // 2 + 3, points - 300, points - 50, points - 2, points - 1]
+        cases = [(stein_test_family()[0], lambda t: mp.tanh(0.5 * (t + 0.5))),
+                 (stein_test_family()[15], lambda t: mp.ncdf((t - 0.3) / 0.5))]
+        with mp.workdps(30):
+            nu_mp = mp.mpf(nu)
+
+            def kern(t):
+                return mp.exp(-t ** 2 / (2 * nu_mp ** 2))
+
+            for (h, dh), h_mp in cases:
+                prob = SteinProblem(h, dh, nu)
+                got, ref = stein_solve(prob, grid), gl8_stein_solve(prob, grid)
+                e_h = (mp.quad(lambda t: kern(t) * h_mp(t),
+                               [-mp.inf, -5 * nu_mp, 0, 5 * nu_mp, mp.inf])
+                       / (nu_mp * mp.sqrt(2 * mp.pi)))
+                for i in pick:
+                    x = mp.mpf(float(grid[i]))
+                    if x <= 0:
+                        tail = mp.quad(lambda t: kern(t) * (h_mp(t) - e_h), [-mp.inf, x - nu_mp, x])
+                    else:
+                        tail = -mp.quad(lambda t: kern(t) * (h_mp(t) - e_h), [x, x + nu_mp, mp.inf])
+                    exact = float(mp.exp(x ** 2 / (2 * nu_mp ** 2)) / nu_mp ** 2 * tail)
+                    error = abs(got.f[i] - exact)
+                    assert error <= abs(ref.f[i] - exact) + 4 * np.spacing(abs(exact))
+                    assert error <= 1e-14 * np.max(np.abs(got.f))
+
     def test_grid_span_validation(self):
         prob = SteinProblem(lambda x: x, lambda x: np.ones_like(x), 1.0)
         with pytest.raises(ValueError):
@@ -170,11 +274,13 @@ class TestSteinLatticeCache:
         got = stein_solve(prob, grid)
         assert stein._stein_lattice.cache_info().currsize <= 1
         lattice = stein._stein_lattice(np.asarray(grid, float).tobytes(), prob.nu)
-        for value in vars(lattice).values():
-            if isinstance(value, np.ndarray):
-                assert not value.flags.writeable
-                with pytest.raises(ValueError):
-                    value[...] = 0
+        arrays = [value for part in (lattice, *lattice.blocks) for value in vars(part).values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) == 11
+        for value in arrays:
+            assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[...] = 0
         stein._stein_lattice.cache_clear()
         fresh = stein_solve(prob, grid)
         for field in ("grid", "f", "df", "d2f", "e_h", "h_deriv_sup"):
