@@ -45,6 +45,7 @@ from .transport import (
 )
 from .stein import (
     ExclusionResidual,
+    SteinLattice,
     SteinProblem,
     SteinSolution,
     exclusion_apply,
@@ -52,6 +53,7 @@ from .stein import (
     hypergeom_gaussian_w1,
     hypergeom_zeta_pmf,
     stein_bound_margins,
+    stein_lattice,
     stein_solve,
     stein_test_family,
     zeta_support,

@@ -21,6 +21,7 @@ import csv
 import json
 import numbers
 import time
+from collections import Counter
 from dataclasses import dataclass, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -149,6 +150,9 @@ class ExperimentConfig:
                 raise ConfigError("qclt-rate sweep must be dyadic (each size double the last)")
             if len(grid) != 1:
                 raise ConfigError("qclt-rate uses a single observation time")
+            if grid[0] == 0:
+                # both laws are the point mass at the start: every distance is 0
+                raise ConfigError("qclt-rate needs a positive observation time")
         if self.scenario == "mixing-curve" and len(ns) < 2:
             raise ConfigError("mixing-curve needs at least two sizes to measure drift")
 
@@ -378,9 +382,9 @@ def run_qclt_rate(cfg: ExperimentConfig):
     the distances carry no Monte Carlo or time-step error and their stderr
     is 0.  ``halving_gap`` and ``reference_noise_floor`` stay in the manifest
     at their exact value 0; ``crossing_passes`` and ``crossing_bound``
-    account for the distances' crossing searches (``_w1_to_wf``).  At t = 0
-    both laws are the point mass at the start, every distance is 0 and the
-    run fails.
+    account for the distances' crossing searches (``_w1_to_wf``).  The
+    config holds t > 0, where the marginal has a density on (0, 1) and so a
+    positive distance to every lattice law.
     """
     t = cfg.grid[0]
     refs, summary = _wf_references(cfg)
@@ -388,16 +392,12 @@ def run_qclt_rate(cfg: ExperimentConfig):
     for n in cfg.n:
         laws = _density_laws(cfg, n, law_info)
         dists += laws.to_references(refs[laws.start], summary)
-    zero = [n for n, d in zip(cfg.n, dists) if d == 0]
-    if zero:
-        raise DiagnosticError(f"qclt-rate distance is 0 at n = {', '.join(map(str, zero))} "
-                              f"(t = {t:g}); the log-log slope is undefined")
     records = [ResultRecord("qclt-rate", n, cfg.m0, t, d) for n, d in zip(cfg.n, dists)]
     coeffs, cov = np.polyfit(np.log(np.asarray(cfg.n, dtype=float)), np.log(dists), 1, cov=True)
     slope = float(coeffs[0])
     slope_err = float(np.sqrt(cov[0, 0]))
     records.append(ResultRecord("qclt-rate:slope", cfg.n[-1], cfg.m0, t, slope, slope_err, -0.5))
-    # t > 0 here (see above), so every reference is a Jacobi series
+    # t > 0, so every reference is a Jacobi series
     extra = {"qclt": {"slope": slope, "slope_stderr": slope_err, "reference": "jacobi-series",
                       "series_terms": summary["series_terms"][0],
                       "rounding_bound": summary["rounding_bound"], "starts": summary["starts"],
@@ -653,30 +653,44 @@ def _pushforward(cfg):
     return worst
 
 
+def _stein_family(nu, grid, family, work: Counter) -> list:
+    """Solutions of the Stein equations of ``family``'s (h, dh) pairs on one
+    lattice of (grid, nu).  The solves, the lattice and the h evaluations at
+    quadrature nodes, one per node and solve, are added to ``work``."""
+    lattice = stein.stein_lattice(grid, nu)
+    work.update(stein_solves=len(family), stein_lattices=1,
+                stein_nodes=len(family) * lattice.nodes.size)
+    return [lattice.solve(stein.SteinProblem(h, dh, nu)) for h, dh in family]
+
+
 def _stein_bounds(cfg):
-    worst, nodes = np.inf, 0
+    worst, work = np.inf, Counter()
     for nu in (0.1, 0.25, 1.0):
         grid = np.linspace(-8 * nu, 8 * nu, 4001)
-        for h, dh in stein.stein_test_family():
-            sol = stein.stein_solve(stein.SteinProblem(h, dh, nu), grid)
+        for sol in _stein_family(nu, grid, stein.stein_test_family(), work):
             worst = min(worst, min(stein.stein_bound_margins(sol, nu).values()))
-            nodes += sol.nodes
     return (0.0 - worst, "minus the min margin over the 20-function family, nu in {0.1,0.25,1}",
-            nodes)
+            work)
 
 
 def _stein_identity(cfg):
-    worst, nodes = 0.0, 0
+    """Largest residual of the Stein ODE nu^2 f' - x f = h - E h at the
+    interior grid points, f' the fourth-order centred difference of the
+    solved f, relative to max |h - E h| there.  (The solution's own f' comes
+    from the ODE, so it would satisfy the ODE for any f.)"""
+    worst, work = 0.0, Counter()
+    family = stein.stein_test_family()[:6]
     for nu in (0.25, 1.0):
-        grid = np.linspace(-9 * nu, 9 * nu, 3001)
-        w = np.exp(-0.5 * (grid / nu) ** 2)
-        w /= np.trapezoid(w, grid)
-        for h, dh in stein.stein_test_family()[:6]:
-            sol = stein.stein_solve(stein.SteinProblem(h, dh, nu), grid)
-            val = np.trapezoid((nu ** 2 * sol.df - grid * sol.f) * w, grid)
-            worst = max(worst, abs(val))
-            nodes += sol.nodes
-    return worst, "", nodes
+        grid, step = np.linspace(-9 * nu, 9 * nu, 3001, retstep=True)
+        x = grid[2:-2]
+        for sol, (h, _) in zip(_stein_family(nu, grid, family, work), family):
+            f = sol.f
+            df = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * step)
+            centred = np.asarray(h(x), float) - sol.e_h
+            residual = np.max(np.abs(nu ** 2 * df - x * f[2:-2] - centred))
+            worst = max(worst, float(residual / np.max(np.abs(centred))))
+    return (worst, "max ODE residual of f over max |h - E h|, 6 functions, nu in {0.25,1}",
+            work)
 
 
 def _exclusion_stationarity(cfg):
@@ -823,8 +837,8 @@ def _density_apriori(cfg):
 
 
 # (name, tolerance, measure): measure(cfg) returns the measured value, or
-# (value, note), or (value, note, h evaluations at quadrature nodes) for a
-# check that solves Stein equations, and the check passes when
+# (value, note), or (value, note, Stein work counts) for a check that solves
+# Stein equations, and the check passes when
 # value <= tolerance.  A check of a bound measures its violation,
 # 0.0 - margin, so a zero margin reads 0.0.
 _VALIDATE_CHECKS = (
@@ -853,28 +867,22 @@ def run_validate(cfg: ExperimentConfig):
     """Measure every check of ``_VALIDATE_CHECKS`` under one rule, passed =
     measured <= tolerance; the tolerance is also the row's theory column."""
     records, report = [], {}
-    lattices_before = stein._stein_lattice.cache_info()
-    stein_nodes = 0
+    stein_work = Counter(stein_solves=0, stein_lattices=0, stein_nodes=0)
     for name, tol, measure in _VALIDATE_CHECKS:
         start = time.perf_counter()
         value = measure(cfg)
         secs = time.perf_counter() - start
-        measured, note, *nodes = value if isinstance(value, tuple) else (value, "")
-        stein_nodes += sum(nodes)
+        measured, note, *work = value if isinstance(value, tuple) else (value, "")
+        for counts in work:
+            stein_work.update(counts)
         measured = float(measured)
         records.append(ResultRecord(f"validate:{name}", cfg.n[0], cfg.m0, 0.0, measured,
                                     theory=tol))
         # wall seconds go to the manifest and the report only, never to results.csv
         report[name] = {"passed": measured <= tol, "measured": measured,
                         "tolerance": tol, "note": note, "runtime_s": secs}
-    lattices_after = stein._stein_lattice.cache_info()
     ok = all(info["passed"] for info in report.values())
-    # every Stein solve looks its lattice up once; only a miss builds one
-    misses = lattices_after.misses - lattices_before.misses
-    solves = lattices_after.hits - lattices_before.hits + misses
-    extra = {"validate": {"ok": ok, "stein_solves": solves, "stein_lattices": misses,
-                          "stein_nodes": stein_nodes,
-                          "checks": report}}
+    extra = {"validate": {"ok": ok, **stein_work, "checks": report}}
     return records, extra
 
 

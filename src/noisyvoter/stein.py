@@ -11,11 +11,9 @@ factor, (lambda w)^8 (4!)^4 / (9 (8!)^3) for a cell of width w, with lambda
 = max(|x| / nu^2, 16 / nu) at its outer end |x|, is below 2^-53, and 8
 elsewhere.  On ``validate``'s grids every cell between the grid's ends gets
 4 (the bound is at most 4e-18 there) and the nu / 16 cells of the tail
-extension get 8.  That lattice is built once and shared by every solve on
-the same (grid, nu).  The cache holds a single lattice, because callers
-such as ``validate`` solve a whole function family on one grid before
-moving to the next, so a second slot would keep a lattice no later solve
-asks for.
+extension get 8.  ``stein_lattice`` builds the (grid, nu) part once, as a
+``SteinLattice`` the caller keeps; its ``solve`` evaluates only h, so a
+whole function family on one grid pays for one lattice.
 
 The complete-graph symmetric exclusion generator acting on the centered,
 sqrt(n)-scaled block count supplies the discrete side: its action is an
@@ -27,7 +25,6 @@ quantitative CLT for the hypergeometric start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -62,8 +59,7 @@ class SteinProblem:
 
 @dataclass(frozen=True)
 class SteinSolution:
-    """Solution values on the grid plus derivatives recovered from the ODE,
-    and ``nodes``, the evaluations of h at quadrature nodes it took."""
+    """Solution values on the grid plus derivatives recovered from the ODE."""
 
     grid: np.ndarray
     f: np.ndarray
@@ -71,7 +67,6 @@ class SteinSolution:
     d2f: np.ndarray
     e_h: float
     h_deriv_sup: float
-    nodes: int
 
 
 def _refined_edges(grid: np.ndarray, nu: float) -> np.ndarray:
@@ -152,15 +147,18 @@ class _NodeBlock:
 
 
 @dataclass(frozen=True)
-class _SteinLattice:
-    """The part of a Stein solve that depends on (grid, nu) only: the
-    refined edges and cell midpoints, the Gauss-Legendre nodes of all cells
-    in one flat array (4-node cells first, then 8-node cells, as ``blocks``
-    says) with the Gaussian kernel K on them and its total integral, and,
-    for the grid points, their lattice indices and tail prefactors
-    exp(x^2 / 2 nu^2) / nu^2.  ``far`` marks the points past the exponent
-    cap, where the far-tail asymptotic applies and the prefactor is 0."""
+class SteinLattice:
+    """The part of a Stein solve that depends on (grid, nu) only, built by
+    ``stein_lattice``: the refined edges and cell midpoints, the
+    Gauss-Legendre nodes of all cells in one flat array (4-node cells first,
+    then 8-node cells, as ``blocks`` says) with the Gaussian kernel K on them
+    and its total integral, and, for the grid points, their lattice indices
+    and tail prefactors exp(x^2 / 2 nu^2) / nu^2.  ``far`` marks the points
+    past the exponent cap, where the far-tail asymptotic applies and the
+    prefactor is 0.  Each solve evaluates h once per entry of ``nodes``."""
 
+    grid: np.ndarray
+    nu: float
     edges: np.ndarray
     mid: np.ndarray
     blocks: tuple[_NodeBlock, ...]
@@ -170,6 +168,39 @@ class _SteinLattice:
     idx: np.ndarray
     pref: np.ndarray
     far: np.ndarray
+
+    def solve(self, prob: SteinProblem) -> SteinSolution:
+        """Bounded solution of the Stein equation of ``prob`` on the lattice's grid.
+
+        The left-tail integral form is used for x <= 0 and the right-tail
+        form for x > 0 (the two agree because the weighted integral of
+        h - E[h] over the whole line vanishes), so the exp(x^2 / 2 nu^2)
+        prefactor only ever multiplies a same-scale tail mass.  Each tail
+        mass is summed from its own end: taken as the total minus the left
+        sums, the right tail would keep the rounding of a running sum far
+        larger than itself, which the prefactor (e^40 at 9 nu) turns into
+        errors of up to 1e-13 in f.  Derivatives come from the ODE itself:
+        f' = (h - E h + x f) / nu^2 and f'' = (h' + f + x f') / nu^2.
+        """
+        nu, g = self.nu, self.grid
+        if prob.nu != nu:
+            raise ValueError(f"problem has nu = {prob.nu!r}, the lattice nu = {nu!r}")
+        cells, e_h = _stein_cells(prob, self)
+        cum_left = np.concatenate([[0.0], np.cumsum(cells)])
+        cum_right = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
+
+        idx = self.idx
+        f = self.pref * np.where(g <= 0, cum_left[idx], -cum_right[idx])
+        if np.any(self.far):
+            # Far tail: the ODE balances -x f ~ h - E h.
+            gx = g[self.far]
+            f[self.far] = -(np.asarray(prob.h(gx), float) - e_h) / gx
+        hvals = np.asarray(prob.h(g), dtype=float)
+        dhvals = np.asarray(prob.dh(g), dtype=float)
+        df = (hvals - e_h + g * f) / nu ** 2
+        d2f = (dhvals + f + g * df) / nu ** 2
+        h_deriv_sup = float(np.max(np.abs(np.asarray(prob.dh(self.mid), dtype=float))))
+        return SteinSolution(grid=g, f=f, df=df, d2f=d2f, e_h=e_h, h_deriv_sup=h_deriv_sup)
 
 
 def _lattice_cells(blocks: tuple[_NodeBlock, ...], vals: np.ndarray) -> np.ndarray:
@@ -181,14 +212,20 @@ def _lattice_cells(blocks: tuple[_NodeBlock, ...], vals: np.ndarray) -> np.ndarr
     return out
 
 
-@lru_cache(maxsize=1)
-def _stein_lattice(grid_bytes: bytes, nu: float) -> _SteinLattice:
-    """Build the lattice of the validated grid whose float64 bytes are
-    ``grid_bytes``.  The key is the bytes, not the array, so a grid changed
-    in place after a solve gets a new lattice; the cached arrays are
-    read-only, because every solve on this (grid, nu) shares them.  Each
-    cell's node count comes from ``_gl_orders``."""
-    g = np.frombuffer(grid_bytes, dtype=float)
+def stein_lattice(grid, nu: float) -> SteinLattice:
+    """The quadrature lattice of Stein solves on ``grid`` at scale ``nu``,
+    built on a copy of the grid.  The grid must be finite, strictly
+    increasing and span at least [-8 nu, 8 nu]; each lattice cell's node
+    count comes from ``_gl_orders``."""
+    if not (np.isfinite(nu) and nu > 0):
+        raise ValueError("nu must be positive and finite")
+    g = np.array(grid, dtype=float)
+    if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
+        raise ValueError("grid must be 1-D and strictly increasing")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("grid points must be finite")
+    if g[0] > -8.0 * nu or g[-1] < 8.0 * nu:
+        raise ValueError("grid must span at least [-8 nu, 8 nu]")
     edges = _refined_edges(g, nu)
     idx = np.searchsorted(edges, g)
     if not np.allclose(edges[idx], g, rtol=0, atol=1e-12 * max(1.0, nu)):
@@ -210,17 +247,12 @@ def _stein_lattice(grid_bytes: bytes, nu: float) -> _SteinLattice:
     pref = np.zeros_like(g)
     pref[safe] = np.exp(expo[safe]) / nu ** 2
     blocks = tuple(blocks)
-    lattice = _SteinLattice(edges=edges, mid=mid, blocks=blocks, nodes=nodes, kern=kern,
-                            kern_mass=_lattice_cells(blocks, kern).sum(), idx=idx,
-                            pref=pref, far=~safe)
-    for part in (lattice, *lattice.blocks):
-        for value in vars(part).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-    return lattice
+    return SteinLattice(grid=g, nu=nu, edges=edges, mid=mid, blocks=blocks, nodes=nodes,
+                        kern=kern, kern_mass=_lattice_cells(blocks, kern).sum(), idx=idx,
+                        pref=pref, far=~safe)
 
 
-def _stein_cells(prob: SteinProblem, lattice: _SteinLattice) -> tuple[np.ndarray, float]:
+def _stein_cells(prob: SteinProblem, lattice: SteinLattice) -> tuple[np.ndarray, float]:
     """Per-cell Gauss-Legendre integrals of K (h - E h), K the Gaussian
     kernel exp(-x^2 / 2 nu^2), and E h = int K h / int K.
 
@@ -233,44 +265,9 @@ def _stein_cells(prob: SteinProblem, lattice: _SteinLattice) -> tuple[np.ndarray
 
 
 def stein_solve(prob: SteinProblem, grid) -> SteinSolution:
-    """Bounded solution of the Stein equation on ``grid``.
-
-    The left-tail integral form is used for x <= 0 and the right-tail form
-    for x > 0 (the two agree because the weighted integral of h - E[h] over
-    the whole line vanishes), so the exp(x^2 / 2 nu^2) prefactor only ever
-    multiplies a same-scale tail mass.  Each tail mass is summed from its own
-    end: taken as the total minus the left sums, the right tail would keep
-    the rounding of a running sum far larger than itself, which the
-    prefactor (e^40 at 9 nu) turns into errors of up to 1e-13 in f.
-    Derivatives come from the ODE itself: f' = (h - E h + x f) / nu^2 and
-    f'' = (h' + f + x f') / nu^2.
-    """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
-        raise ValueError("grid must be 1-D and strictly increasing")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("grid points must be finite")
-    nu = prob.nu
-    if g[0] > -8.0 * nu or g[-1] < 8.0 * nu:
-        raise ValueError("grid must span at least [-8 nu, 8 nu]")
-    lattice = _stein_lattice(g.tobytes(), nu)
-    cells, e_h = _stein_cells(prob, lattice)
-    cum_left = np.concatenate([[0.0], np.cumsum(cells)])
-    cum_right = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-
-    idx = lattice.idx
-    f = lattice.pref * np.where(g <= 0, cum_left[idx], -cum_right[idx])
-    if np.any(lattice.far):
-        # Far tail: the ODE balances -x f ~ h - E h.
-        gx = g[lattice.far]
-        f[lattice.far] = -(np.asarray(prob.h(gx), float) - e_h) / gx
-    hvals = np.asarray(prob.h(g), dtype=float)
-    dhvals = np.asarray(prob.dh(g), dtype=float)
-    df = (hvals - e_h + g * f) / nu ** 2
-    d2f = (dhvals + f + g * df) / nu ** 2
-    h_deriv_sup = float(np.max(np.abs(np.asarray(prob.dh(lattice.mid), dtype=float))))
-    return SteinSolution(grid=g, f=f, df=df, d2f=d2f, e_h=e_h, h_deriv_sup=h_deriv_sup,
-                         nodes=lattice.nodes.size)
+    """Bounded solution of the Stein equation on ``grid``: one
+    ``SteinLattice.solve`` on a lattice built for this call alone."""
+    return stein_lattice(grid, prob.nu).solve(prob)
 
 
 def stein_test_family() -> list[tuple]:

@@ -25,8 +25,8 @@ from scipy.optimize import brentq, linprog
 from scipy.stats import hypergeom
 
 import noisyvoter
-from noisyvoter import cli, experiments, model
-from noisyvoter.errors import ConfigError, DiagnosticError
+from noisyvoter import cli, experiments, model, stein
+from noisyvoter.errors import ConfigError
 from noisyvoter.diffusion import WFParams, wf_marginal
 from noisyvoter.experiments import (
     ExperimentConfig,
@@ -278,6 +278,8 @@ class TestExitCodes:
         # n*t overflows to inf
         ["profile", "--n", "64", "--grid", "1e308"],
         ["mixing-curve", "--n", "32,64", "--grid", "0.01,1e307"],
+        # at t = 0 every qclt-rate distance is 0, so no slope can be fitted
+        ["qclt-rate", "--n", "32,64,128", "--grid", "0"],
     ])
     def test_bad_field_values_exit_2(self, args, tmp_path, capsys):
         # rejected by the config, not by a traceback from the run
@@ -383,15 +385,6 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == 1
 
-    def test_qclt_zero_distance_is_1(self, tmp_path, capsys):
-        # at t = 0 each count law equals the diffusion's point mass at the
-        # chain's start: log 0 would make the fitted slope NaN
-        code = cli.main(["qclt-rate", "--n", "32,64,128", "--grid", "0", "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "distance is 0 at n = 32, 64, 128" in err
-        assert "log-log slope is undefined" in err
-
     def test_validate_failure_is_4(self, tmp_path, monkeypatch):
         def corrupted(params, k):
             # flipped sign on a: breaks reversibility against the exact pmf
@@ -404,6 +397,22 @@ class TestExitCodes:
         assert code == 4
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert not report["checks"]["detailed-balance"]["passed"]
+
+    def test_wrong_stein_solution_is_4(self, tmp_path, monkeypatch, capsys):
+        # every Stein solution 0.1% off: the bounds keep their margins, and
+        # only the ODE residual of stein-identity sees it
+        cells = stein._stein_cells
+
+        def scaled(prob, lattice):
+            values, e_h = cells(prob, lattice)
+            return 1.001 * values, e_h
+
+        monkeypatch.setattr(stein, "_stein_cells", scaled)
+        assert cli.main(["validate", "--out", str(tmp_path)]) == 4
+        assert "FAIL stein-identity" in capsys.readouterr().out
+        report = json.loads((tmp_path / "validate_report.json").read_text())
+        assert [name for name, info in report["checks"].items()
+                if not info["passed"]] == ["stein-identity"]
 
     def test_contraction_failure_is_4(self, tmp_path, monkeypatch, capsys):
         # a matching that reads half its value breaks d1 <= d2: the
@@ -538,7 +547,7 @@ class TestDeterminism:
 
 class TestScenarioOutputs:
     # t = 0 at a non-dyadic n: the lattice point at the start must be the
-    # references' start exactly, not an ulp off
+    # references' start exactly, not an ulp off (qclt-rate rejects t = 0)
     @example(["qclt-rate", "--n", "10,20,40", "--m0", "0.3", "--grid", "0"])
     @example(["profile", "--n", "10", "--m0", "0.3", "--grid", "0,0.5"])
     @given(_extreme_start_args())
@@ -551,10 +560,12 @@ class TestScenarioOutputs:
             code = cli.main(args + ["--out", out])
             rows = (list(csv.DictReader((Path(out) / "results.csv").read_text().splitlines()))
                     if code == 0 else [])
-        zero_time_qclt = args[0] == "qclt-rate" and float(args[-1]) == 0
-        if code == 1 or zero_time_qclt:
+        if args[0] == "qclt-rate" and float(args[-1]) == 0:
             # at t = 0 both qclt-rate laws are the point mass at the start
-            assert code == 1 and err.getvalue().startswith("diagnostic error: ")
+            assert code == 2 and err.getvalue().startswith("config error: ")
+            return
+        if code == 1:
+            assert err.getvalue().startswith("diagnostic error: ")
             return
         assert code == 0
         for r in rows:
@@ -653,10 +664,10 @@ class TestScenarioOutputs:
         assert 0.0 <= qclt["crossing_bound"] <= 1e-15
         # at t = 0 the reference is the point mass at the chain's start, even
         # where m0 n is not an integer, so every distance is 0
-        cfg0 = ExperimentConfig(scenario="qclt-rate", n=(30, 60, 120), m0=0.31, grid=(0.0,),
+        cfg0 = ExperimentConfig(scenario="profile", n=(30, 60, 120), m0=0.31, grid=(0.0,),
                                 out=str(tmp_path))
-        with pytest.raises(DiagnosticError, match="distance is 0 at n = 30, 60, 120"):
-            run_qclt_rate(cfg0)
+        records, _ = run_profile(cfg0)
+        assert [r.estimate for r in records if r.scenario == "profile:wf"] == [0.0] * 3
 
     @pytest.mark.parametrize("a,b,m0", [(0.5, 2.0, 0.75), (3.0, 1.5, 0.25)])
     def test_mixing_curve_closed_form(self, tmp_path, a, b, m0):
@@ -986,6 +997,23 @@ def test_demo_imports_resolve():
                     if not hasattr(module, alias.name):
                         unresolved.append(f"{path.name}: {node.module}.{alias.name}")
     assert imported and unresolved == []
+
+
+def test_no_module_level_caches():
+    # a functools cache on a package function is state every caller in the
+    # process shares; reuse such as the Stein lattice is an object the caller
+    # builds and keeps
+    cached = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "noisyvoter").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for deco in node.decorator_list:
+                    if isinstance(deco, ast.Call):
+                        deco = deco.func
+                    name = deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", "")
+                    if name in ("lru_cache", "cache"):
+                        cached.append(f"{path.name}:{node.lineno} {node.name}")
+    assert cached == []
 
 
 def loaded_by_import(*prefixes: str) -> list[str]:

@@ -8,9 +8,10 @@ blocks (250, 250), start (0, 250), the horizons of tau = -1, 0, 1), the one
 call that ``run_thermalize`` makes.  ``test_layer_bench_spectral_laws`` times
 ``transient_laws`` at the ``profile --n 16384`` shape (a = b = 1, start
 n/2, the default 24-point grid), where the eigenvectors come from inverse
-iteration.  ``test_layer_bench_stein_solve`` times ``stein_solve`` over the
-20-function family on ``validate``'s nu = 0.1, 4001-point grid, with its
-quadrature lattice already cached, as in ``validate``'s later solves.
+iteration.  ``test_layer_bench_stein_solve`` times ``SteinLattice.solve``
+over the 20-function family on ``validate``'s nu = 0.1, 4001-point grid,
+with the quadrature lattice built outside the timed call, as ``validate``
+builds one per grid.
 ``test_layer_bench_matching`` times the two Euclidean ``w1_matching`` calls
 of ``validate``'s ``translation-2d`` check (160 points), and
 ``test_layer_bench_cityblock_matching`` the 9 cityblock calls of
@@ -79,11 +80,11 @@ def test_layer_bench_spectral_laws(benchmark):
 
 
 def test_layer_bench_stein_solve(benchmark, monkeypatch):
-    grid = np.linspace(-8 * STEIN_NU, 8 * STEIN_NU, 4001)
+    lattice = stein.stein_lattice(np.linspace(-8 * STEIN_NU, 8 * STEIN_NU, 4001), STEIN_NU)
     probs = [stein.SteinProblem(h, dh, STEIN_NU) for h, dh in stein.stein_test_family()]
 
     def solve_family():
-        return [stein.stein_solve(prob, grid) for prob in probs]
+        return [lattice.solve(prob) for prob in probs]
 
     got = benchmark.pedantic(solve_family, rounds=5, warmup_rounds=1)
     monkeypatch.setattr(stein, "_stein_cells", three_pass_stein_cells)

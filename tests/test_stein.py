@@ -18,6 +18,7 @@ from noisyvoter.stein import (
     hypergeom_gaussian_w1,
     hypergeom_zeta_pmf,
     stein_bound_margins,
+    stein_lattice,
     stein_solve,
     stein_test_family,
     zeta_support,
@@ -91,7 +92,7 @@ class TestNodeOrders:
     def test_validate_grids_take_four_nodes_inside_the_grid(self):
         for nu, half_width, points in VALIDATE_GRIDS:
             grid = np.linspace(-half_width * nu, half_width * nu, points)
-            lattice = stein._stein_lattice(grid.tobytes(), nu)
+            lattice = stein_lattice(grid, nu)
             orders = stein._gl_orders(lattice.edges, nu)
             assert np.array_equal(orders, stein_cell_orders(lattice.edges, nu))
             inside = (lattice.mid > grid[0]) & (lattice.mid < grid[-1])
@@ -117,7 +118,7 @@ class TestNodeOrders:
                                              rng.uniform(-20 * nu, 20 * nu, 50)]))
         else:
             grid = np.concatenate([[-8 * nu], np.geomspace(1e-3, 10.0, 7) * nu])
-        lattice = stein._stein_lattice(grid.tobytes(), nu)
+        lattice = stein_lattice(grid, nu)
         edges, orders = lattice.edges, stein._gl_orders(lattice.edges, nu)
         assert np.array_equal(orders, stein_cell_orders(edges, nu))
         outer = np.maximum(np.abs(edges[:-1]), np.abs(edges[1:]))
@@ -258,52 +259,52 @@ class TestSteinSolve:
         prob = SteinProblem(lambda x: x, lambda x: np.ones_like(x), 1.0)
         with pytest.raises(ValueError):
             stein_solve(prob, np.linspace(-4, 4, 101))
-        # non-finite points are rejected before any lattice is built
-        before = stein._stein_lattice.cache_info()
         for grid in ([-np.inf, 0.0, 8.0], [-8.0, 0.0, np.inf], [-np.inf, np.inf]):
             with pytest.raises(ValueError, match="grid points must be finite"):
                 stein_solve(prob, grid)
-        assert stein._stein_lattice.cache_info() == before
 
 
-class TestSteinLatticeCache:
-    @staticmethod
-    def solve_and_compare(prob, grid):
-        """Solve through the cache, then again right after clearing it; the
-        two solutions must agree bit for bit."""
-        got = stein_solve(prob, grid)
-        assert stein._stein_lattice.cache_info().currsize <= 1
-        lattice = stein._stein_lattice(np.asarray(grid, float).tobytes(), prob.nu)
-        arrays = [value for part in (lattice, *lattice.blocks) for value in vars(part).values()
-                  if isinstance(value, np.ndarray)]
-        assert len(arrays) == 11
-        for value in arrays:
-            assert not value.flags.writeable
-            with pytest.raises(ValueError):
-                value[...] = 0
-        stein._stein_lattice.cache_clear()
-        fresh = stein_solve(prob, grid)
-        for field in ("grid", "f", "df", "d2f", "e_h", "h_deriv_sup"):
-            assert (np.asarray(getattr(got, field)).tobytes()
-                    == np.asarray(getattr(fresh, field)).tobytes())
-
-    def test_cached_solves_match_fresh_solves(self):
-        h, dh = stein_test_family()[4]
-        wide, narrow = SteinProblem(h, dh, 1.0), SteinProblem(h, dh, 0.5)
+class TestSteinLattice:
+    def test_solves_match_stein_solve(self):
+        # a family solved on one caller-owned lattice equals a fresh solve of
+        # each problem bit for bit
+        family = stein_test_family()[3:6]
         grid = np.linspace(-8.0, 8.0, 801)
         nudged = grid.copy()
         nudged[300] += 1e-3
+        # one grid at two nu, then a grid that differs from it in one point
+        for nu, g in ((1.0, grid), (0.5, grid), (0.5, nudged)):
+            lattice = stein_lattice(g, nu)
+            for h, dh in family:
+                prob = SteinProblem(h, dh, nu)
+                got, fresh = lattice.solve(prob), stein_solve(prob, g)
+                for field in ("grid", "f", "df", "d2f", "e_h", "h_deriv_sup"):
+                    assert (np.asarray(getattr(got, field)).tobytes()
+                            == np.asarray(getattr(fresh, field)).tobytes())
+        # the lattice keeps its own copy of the grid
         changing = grid.copy()
-        # one grid at two nu, then two grids of one size that differ in one point
-        for prob, g in ((wide, grid), (narrow, grid), (narrow, grid), (narrow, nudged),
-                        (narrow, grid)):
-            self.solve_and_compare(prob, g)
-        # a grid changed in place after a solve
-        self.solve_and_compare(wide, changing)
+        lattice = stein_lattice(changing, 1.0)
         changing[-1] = 9.0
-        self.solve_and_compare(wide, changing)
-        # back to the first pair
-        self.solve_and_compare(wide, grid)
+        prob = SteinProblem(*family[0], 1.0)
+        assert np.array_equal(lattice.solve(prob).f, stein_solve(prob, grid).f)
+
+    def test_input_errors(self):
+        for grid in ([-np.inf, 0.0, 8.0], [-8.0, 0.0, np.inf], [-np.inf, np.inf]):
+            with pytest.raises(ValueError, match="grid points must be finite"):
+                stein_lattice(grid, 1.0)
+        for grid in ([-8.0, 1.0, 0.0, 8.0], [-8.0, 0.0, 0.0, 8.0], [[-8.0, 8.0]], [-8.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                stein_lattice(grid, 1.0)
+        for grid, nu in (([-8.0, 7.9], 1.0), ([-7.9, 8.0], 1.0), ([-8.0, 8.0], 1.01)):
+            with pytest.raises(ValueError, match=r"span at least \[-8 nu, 8 nu\]"):
+                stein_lattice(grid, nu)
+        for nu in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nu must be positive and finite"):
+                stein_lattice([-8.0, 8.0], nu)
+        lattice = stein_lattice(np.linspace(-8.0, 8.0, 101), 1.0)
+        h, dh = stein_test_family()[0]
+        with pytest.raises(ValueError, match="nu"):
+            lattice.solve(SteinProblem(h, dh, 0.5))
 
 
 class TestExclusionGenerator:
