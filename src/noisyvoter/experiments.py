@@ -256,12 +256,13 @@ def _declared_tolerance(r: ResultRecord) -> float:
 class _DensityLaws(NamedTuple):
     """Exact density laws at one size n on the lattice {0, 1/n, ..., 1}:
     column j of ``probs`` is the law at time n * cfg.grid[j] from the
-    density ``start`` = particle_count(n)/n."""
+    density ``start`` = particle_count(n)/n, and ``stationary`` is the
+    stationary law."""
 
-    params: model.ModelParams
     start: float
     lattice: np.ndarray
     probs: np.ndarray
+    stationary: np.ndarray
 
     def to_references(self, refs, summary: dict) -> list[float]:
         """Exact W1 from each column to the ``_wf_references`` entry of its
@@ -275,8 +276,7 @@ class _DensityLaws(NamedTuple):
 
     def to_stationary(self) -> np.ndarray:
         """Exact W1 from every column to the stationary density law, at once."""
-        stationary = model.stationary_pmf(self.params).probs
-        return transport.w1_lattice(self.probs, Pmf(self.lattice, stationary))
+        return transport.w1_lattice(self.probs, Pmf(self.lattice, self.stationary))
 
 
 def _density_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> _DensityLaws:
@@ -288,8 +288,10 @@ def _density_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> _DensityLaws
 
     Records under ``law_info[str(n)]`` the manifest's account of the grid:
     how many columns are the start law (t = 0), came from the spectral
-    product or were refilled by uniformization, the eigenmodes used and the
-    largest a-priori error bound of the spectral columns.
+    product or were refilled by uniformization, the eigenmodes used, their
+    eigenvector route (``"full"``, ``"dstein"``, or ``"none"`` when no column
+    is spectral) and the largest a-priori error bound of the spectral
+    columns.  The stationary law comes with the laws, from the same call.
     """
     params = model.ModelParams(n, cfg.a, cfg.b)
     ts = n * np.asarray(cfg.grid)
@@ -299,9 +301,10 @@ def _density_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> _DensityLaws
     uniformized = int(laws.refilled.sum())
     law_info[str(n)] = {"columns": ts.size, "start": start,
                         "spectral": ts.size - start - uniformized, "uniformized": uniformized,
-                        "modes": laws.modes, "apriori_bound": laws.bound}
+                        "modes": laws.modes, "eigen_route": laws.route,
+                        "apriori_bound": laws.bound}
     lattice = np.arange(n + 1) / n
-    return _DensityLaws(params, float(lattice[k0]), lattice, laws.probs)
+    return _DensityLaws(float(lattice[k0]), lattice, laws.probs, laws.stationary.probs)
 
 
 def _wf_references(cfg: ExperimentConfig):

@@ -21,14 +21,18 @@ Exact transient laws come from the spectral decomposition of the count
 chain: reversibility makes its generator, symmetrized by sqrt(pi), a
 symmetric tridiagonal matrix with the Hahn spectrum -j(j-1+a+b)/n (Karlin
 and McGregor 1962).  The eigenvalues are that closed form; only the
-eigenvectors are computed.  Every time shares the start's coefficients in
-that eigenbasis, so at every n the J slowest eigenpairs, the fewest that the
-first time needs, turn a whole grid of times into one matrix product.  An
-accuracy guard (an a-priori bound on rounding and on the dropped modes,
-checked before any eigenvector is computed, then per time nonnegativity,
-unit mass and the closed-form mean) sends the laws it cannot trust, from
-starts deep in the stationary tails, to uniformization up to
-``DENSE_LAW_CAP`` and to a ``CapacityError`` above it.
+eigenvectors are computed, by the full decomposition or by LAPACK inverse
+iteration, whichever a cost model fitted to a measured sweep of both
+predicts to be faster (``_eigen_route``).  The rates, the stationary law
+and sqrt(pi) are computed once per law grid (``_CountChain``), and the grid
+hands the stationary law on with its laws.  Every time shares the start's
+coefficients in that eigenbasis, so at every n the J slowest eigenpairs,
+the fewest that the first time needs, turn a whole grid of times into one
+matrix product.  An accuracy guard (an a-priori bound on rounding and on
+the dropped modes, checked before any eigenvector is computed, then per
+time nonnegativity, unit mass and the closed-form mean) sends the laws it
+cannot trust, from starts deep in the stationary tails, to uniformization
+up to ``DENSE_LAW_CAP`` and to a ``CapacityError`` above it.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
-from .errors import CapacityError
+from .errors import CapacityError, DiagnosticError
 from .pmf import Pmf
 
 logger = logging.getLogger(__name__)
@@ -299,7 +303,61 @@ def simulate_blocks_batch(
     return _lockstep(params, (part.n0, part.n1), x0, horizons, rng)
 
 
-def _spectrum(params: ModelParams, modes: int):
+class _CountChain(NamedTuple):
+    """The per-size quantities of the count chain that exact laws use,
+    computed once per ``transient_laws`` call: the birth and death rates at
+    every count, the symmetrized generator's diagonal and off-diagonal, the
+    stationary law pi (as ``stationary_pmf`` gives it) and s = sqrt(pi)."""
+
+    params: ModelParams
+    up: np.ndarray
+    down: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+    stationary: Pmf
+    s: np.ndarray
+
+
+def _count_chain(params: ModelParams) -> _CountChain:
+    up, down = count_rates(params, np.arange(params.n + 1))
+    logp = stationary_log_pmf(params, (up, down))
+    return _CountChain(params, up, down, -(up + down), np.sqrt(up[:-1] * down[1:]),
+                       _stationary_pmf(logp), np.exp(0.5 * logp))
+
+
+# Eigenvector cost model in microseconds, fitted to a sweep of both routes (a = b = 1,
+# n = 32 ... 4096, best of 3 to 7, one BLAS thread, 2-core x86-64 box): the full solve
+# takes _FULL_COST[0] + _FULL_COST[1] (n+1)^_FULL_COST[2], and dstein at m eigenvalues
+# _STEIN_COST[0] + (n+1) (_STEIN_COST[1] m + _STEIN_COST[2] g^2), with g the slow modes
+# it reorthogonalizes against each other
+_FULL_COST = (95.2, 8.07e-3, 2.326)
+_STEIN_COST = (13.8, 7.09e-2, 6.67e-4)
+
+
+def _eigen_route(chain: _CountChain, modes: int) -> str:
+    """The eigenvector route that ``_spectrum`` takes for the ``modes``
+    slowest eigenpairs: ``"full"`` when the cost model predicts the full
+    decomposition to be the faster and its (n+1)^2 doubles fit the
+    ``DENSE_LAW_CAP`` budget, else ``"dstein"``.
+
+    LAPACK's ``dstein`` orthogonalizes each vector against the earlier ones
+    of its cluster, a run of eigenvalues at most 1e-3 |T|_1 apart.  The Hahn
+    gaps (2j + a + b)/n grow with j, so the one cluster is the slowest g
+    modes, and g^2 is dstein's quadratic cost term.
+    """
+    n, ab = chain.params.n, chain.params.a + chain.params.b
+    if n > DENSE_LAW_CAP:
+        return "dstein"
+    edge = np.concatenate([[0.0], chain.off, [0.0]])
+    ortol = 1e-3 * np.max(edge[:-1] + edge[1:] - chain.diag)
+    # gaps j -> j+1 at most ortol for j = 0 .. floor((ortol n - a - b)/2)
+    g = min(modes, 1 + max(0, int((ortol * n - ab) // 2) + 1))
+    full = _FULL_COST[0] + _FULL_COST[1] * (n + 1) ** _FULL_COST[2]
+    stein = _STEIN_COST[0] + (n + 1) * (_STEIN_COST[1] * modes + _STEIN_COST[2] * g * g)
+    return "full" if full < stein else "dstein"
+
+
+def _spectrum(chain: _CountChain, modes: int):
     """The ``modes`` slowest eigenpairs of the count generator symmetrized
     by s = sqrt(pi).
 
@@ -307,51 +365,75 @@ def _spectrum(params: ModelParams, modes: int):
     matrix with diagonal -(up+down) and off-diagonal sqrt(up[k] down[k+1]).
     Its spectrum is the Hahn one, -j(j-1+a+b)/n for j = 0..n (Karlin and
     McGregor 1962), so the eigenvalues are that closed form, ascending, with
-    the stationary one exactly 0; only the eigenvectors are computed.  On 2
-    cores the full decomposition takes about 0.09 n^2 us and LAPACK inverse
-    iteration (``dstein``) at the known eigenvalues about 0.1 n modes us; it
-    reorthogonalizes within clusters at a cost near n modes^2, so the full
-    one, sliced, runs when n+1 <= 7 modes and its (n+1)^2 doubles fit the
-    budget.  Returns the eigenvalues and orthonormal eigenvectors (columns).
+    the stationary one exactly 0; only the eigenvectors are computed, by
+    the route ``_eigen_route`` picks: the full decomposition, sliced, or
+    LAPACK inverse iteration (``dstein``) at the known eigenvalues.  The
+    sweep behind its cost model, best-of-k ms at a = b = 1, one BLAS thread
+    (full solve; dstein at 10 / 20 / 30 / 50 / 70% of the n+1 modes):
+
+    ====  =======  =====================================
+       n     full  dstein
+    ====  =======  =====================================
+     128    0.721  0.132 / 0.244 / 0.361 / 0.654 / 1.014
+     512   13.9    2.38 / 5.93 / 9.07 / 12.9 / 17.1
+    1024   73.4    12.1 / 34.5 / 82.6 / 198 / --
+    4096   2410    826 / 3029 / 6500 / -- / --
+    ====  =======  =====================================
+
+    Returns the eigenvalues and orthonormal eigenvectors (columns).  A
+    ``dstein`` failure to converge raises ``DiagnosticError``.
     """
-    n = params.n
+    n = chain.params.n
     j = np.arange(modes - 1, -1, -1, dtype=float)
-    lam = -j * (j - 1 + params.a + params.b) / n
-    up, down = count_rates(params, np.arange(n + 1))
-    diag, off = -(up + down), np.sqrt(up[:-1] * down[1:])
-    if n + 1 <= min(7 * modes, DENSE_LAW_CAP + 1):
-        vecs = eigh_tridiagonal(diag, off)[1]
+    lam = -j * (j - 1 + chain.params.a + chain.params.b) / n
+    if _eigen_route(chain, modes) == "full":
+        vecs = eigh_tridiagonal(chain.diag, chain.off)[1]
         return lam, vecs if modes > n else vecs[:, n + 1 - modes:].copy()
     # one unsplit block: iblock all 1, isplit[0] its last row
     block = np.ones(n + 1, dtype=np.int32)
     split = np.zeros(n + 1, dtype=np.int32)
     split[0] = n + 1
-    vecs, info = dstein(diag, off, lam, block, split)
+    vecs, info = dstein(chain.diag, chain.off, lam, block, split)
     if info:
-        raise LinAlgError(f"dstein returned info={info} for n={n}, {modes} modes")
+        raise DiagnosticError(f"inverse iteration (dstein) failed for n={n}, {modes} modes: "
+                              f"info={info}")
     return lam, vecs
 
 
-def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: float):
+class _SpectralLaws(NamedTuple):
+    """Laws from one spectral product: ``laws`` holds the (n+1, T) columns,
+    ``ok`` marks those that pass the accuracy guard and ``reason`` says why
+    the first failing one fails.  ``modes``, ``bound`` and ``route`` are the
+    eigenmodes kept, the a-priori error bound and the eigenvector route
+    (``"none"`` when no eigenpair was computed)."""
+
+    laws: np.ndarray
+    ok: np.ndarray
+    reason: str
+    modes: int
+    bound: float
+    route: str
+
+
+def _spectral_laws(chain: _CountChain, p0: np.ndarray, times: np.ndarray,
+                   tol: float) -> _SpectralLaws:
     """Laws at ``times`` (ascending, >= 0) from the law ``p0`` at time 0, all
     from one product with the slowest eigenpairs.
 
-    Returns the (n+1, T) laws, the mask of columns that pass the accuracy
-    guard, the reason the first failing column fails, the number of modes
-    and the a-priori error bound.  Columns at time 0 are ``p0`` itself and
-    always pass; when the a-priori bound fails, no other column does, and
-    no eigenpair is computed.  Eigenvectors over their budget of
-    (DENSE_LAW_CAP + 1)^2 doubles raise ``CapacityError`` before the solve.
+    Columns at time 0 are ``p0`` itself and always pass; when the a-priori
+    bound fails, no other column does, and no eigenpair is computed.
+    Eigenvectors over their budget of (DENSE_LAW_CAP + 1)^2 doubles raise
+    ``CapacityError`` before the solve.
     """
-    n, a, b = params.n, params.a, params.b
+    n, a, b = chain.params.n, chain.params.a, chain.params.b
     zero = times == 0
     laws = np.empty((n + 1, times.size))
     laws[:, zero] = p0[:, None]
     ok = zero.copy()
     live = ~zero
     if not live.any():
-        return laws, ok, "", 0, 0.0
-    s = np.exp(0.5 * stationary_log_pmf(params))
+        return _SpectralLaws(laws, ok, "", 0, 0.0, "none")
+    s = chain.s
     with np.errstate(divide="ignore", invalid="ignore"):
         q0 = np.where(p0 > 0, p0 / s, 0.0)
     # sum(s^2) = 1, so an error e before the factor s costs at most |e|_2 in l1
@@ -369,13 +451,15 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
     bound = rounding + tails[modes]
     if not bound <= tol:
         # more modes shrink the tail term, never the rounding term
-        return laws, ok, (f"a-priori error bound {bound:.3g} exceeds tol; its rounding "
-                          f"term alone needs tol >= {rounding:.3g}"), modes, bound
+        return _SpectralLaws(laws, ok, (f"a-priori error bound {bound:.3g} exceeds tol; its "
+                                        f"rounding term alone needs tol >= {rounding:.3g}"),
+                             modes, bound, "none")
     if (n + 1) * modes > (DENSE_LAW_CAP + 1) ** 2:
         raise CapacityError(f"n={n} a={a:g} b={b:g} needs {modes} eigenmodes at t={ts[0]:g}: "
                             f"{(n + 1) * modes / 2**17:.0f} MB of eigenvectors, over the "
                             f"{(DENSE_LAW_CAP + 1) ** 2 / 2**17:.0f} MB budget")
-    lam, vecs = _spectrum(params, modes)
+    route = _eigen_route(chain, modes)
+    lam, vecs = _spectrum(chain, modes)
     p = s[:, None] * (vecs @ (np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]))
     fix = n * a / (a + b)
     # mean_ode's closed-form path, in counts and at every time at once
@@ -385,16 +469,16 @@ def _spectral_laws(params: ModelParams, p0: np.ndarray, times: np.ndarray, tol: 
     p = np.clip(p, 0.0, None)
     laws[:, live] = p / p.sum(axis=0)
     ok[live] = passed
-    if passed.all():
-        return laws, ok, "", modes, bound
-    i = int(np.argmin(passed))
-    if not low[i] >= -tol:
-        reason = f"min probability {low[i]:.3g} below -tol"
-    elif not abs(mass[i] - 1.0) <= tol:
-        reason = f"mass {mass[i]!r} deviates from 1 by more than tol"
-    else:
-        reason = f"mean {got[i]!r} misses the closed form {mean[i]!r} by more than n*tol"
-    return laws, ok, reason, modes, bound
+    reason = ""
+    if not passed.all():
+        i = int(np.argmin(passed))
+        if not low[i] >= -tol:
+            reason = f"min probability {low[i]:.3g} below -tol"
+        elif not abs(mass[i] - 1.0) <= tol:
+            reason = f"mass {mass[i]!r} deviates from 1 by more than tol"
+        else:
+            reason = f"mean {got[i]!r} misses the closed form {mean[i]!r} by more than n*tol"
+    return _SpectralLaws(laws, ok, reason, modes, bound, route)
 
 
 def _poisson_isf(q: float, mu: float) -> int:
@@ -413,14 +497,14 @@ def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
     return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
-def _uniformized_law(params: ModelParams, p0: np.ndarray, t: float, tol: float) -> np.ndarray:
+def _uniformized_law(chain: _CountChain, p0: np.ndarray, t: float, tol: float) -> np.ndarray:
     """Law at time ``t > 0`` by uniformization, total-variation accurate to ``tol``.
 
     The chain is subordinated to a Poisson clock of rate 1.05 * max total
     jump rate; the Poisson series is truncated once its tail is below
     ``tol/4`` and renormalized.
     """
-    up, down = count_rates(params, np.arange(params.n + 1))
+    up, down = chain.up, chain.down
     lam = 1.05 * float((up + down).max())
     mu = lam * t
     nsteps = _poisson_isf(tol / 4, mu) + 2
@@ -443,13 +527,18 @@ class LawGrid(NamedTuple):
     """Exact count laws on a time grid: column j of ``probs`` is the law at
     the j-th time, and ``refilled[j]`` marks a column that the accuracy guard
     rejected and uniformization supplied.  ``modes`` is the most slow
-    eigenmodes behind a spectral column and ``bound`` the largest a-priori
-    error bound among them (both 0 when no column is spectral)."""
+    eigenmodes behind a spectral column, ``route`` the eigenvector route of
+    that solve (``_eigen_route``) and ``bound`` the largest a-priori error
+    bound among them (0, ``"none"`` and 0.0 when no column is spectral).
+    ``stationary`` is the stationary law, the grid's limit at t = inf,
+    as ``stationary_pmf`` gives it."""
 
     probs: np.ndarray
     refilled: np.ndarray
     modes: int
     bound: float
+    route: str
+    stationary: Pmf
 
 
 def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawGrid:
@@ -472,6 +561,7 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
     ``noisyvoter.model``, and the later columns are computed again from it.
     Above the cap a rejected column raises ``CapacityError``, as do, at any
     n, eigenvectors over their budget of (DENSE_LAW_CAP + 1)^2 doubles.
+    The rates, pi and s are computed once per call (``_CountChain``).
     """
     n = params.n
     ts = np.asarray(times, dtype=float)
@@ -486,28 +576,32 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
     law[_check_count(params, start)] = 1.0
     probs = np.empty((n + 1, ts.size))
     refilled = np.zeros(ts.size, dtype=bool)
-    modes, bound = 0, 0.0
+    chain = _count_chain(params)
+    modes, bound, route = 0, 0.0, "none"
     origin, j = 0.0, 0
     while j < ts.size:
-        laws, ok, reason, used, apriori = _spectral_laws(params, law, ts[j:] - origin, tol)
-        good = ok.size if ok.all() else int(np.argmin(ok))
+        part = _spectral_laws(chain, law, ts[j:] - origin, tol)
+        good = part.ok.size if part.ok.all() else int(np.argmin(part.ok))
         if np.any(ts[j:j + good] > origin):
-            modes, bound = max(modes, used), max(bound, apriori)
-        probs[:, j:j + good] = laws[:, :good]
+            if part.modes > modes:
+                modes, route = part.modes, part.route
+            bound = max(bound, part.bound)
+        probs[:, j:j + good] = part.laws[:, :good]
         j += good
         if j == ts.size:
             break
         if n > DENSE_LAW_CAP:
             raise CapacityError(f"spectral law rejected for n={n} a={params.a:g} b={params.b:g} "
-                                f"at t={ts[j]:g}, tol={tol:g} ({reason}); "
+                                f"at t={ts[j]:g}, tol={tol:g} ({part.reason}); "
                                 f"above n = {DENSE_LAW_CAP} nothing is uniformized")
         logger.info("spectral law rejected for n=%d a=%g b=%g at t=%g (%s, tol=%g); "
-                    "falling back to uniformization", n, params.a, params.b, ts[j], reason, tol)
+                    "falling back to uniformization", n, params.a, params.b, ts[j], part.reason,
+                    tol)
         prev, t_prev = (probs[:, j - 1], ts[j - 1]) if j else (law, origin)
-        law = probs[:, j] = _uniformized_law(params, prev, ts[j] - t_prev, tol)
+        law = probs[:, j] = _uniformized_law(chain, prev, ts[j] - t_prev, tol)
         refilled[j], origin = True, ts[j]
         j += 1
-    return LawGrid(probs, refilled, modes, bound)
+    return LawGrid(probs, refilled, modes, bound, route, chain.stationary)
 
 
 def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9) -> Pmf:
@@ -521,35 +615,39 @@ def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9) -> Pm
     return Pmf(np.arange(params.n + 1, dtype=float), law)
 
 
-def stationary_log_pmf(params: ModelParams) -> np.ndarray:
+def stationary_log_pmf(params: ModelParams, rates: tuple | None = None) -> np.ndarray:
     """Log of the Beta-Binomial(n, a, b) stationary count pmf.
 
     Computed in log space from the cumulative consecutive odds
     log up(k) - log down(k+1) of ``count_rates`` (detailed balance) and
-    normalized by log-sum-exp.
+    normalized by log-sum-exp.  ``rates`` is the (up, down) pair of
+    ``count_rates`` at every count, for a caller that already has it.
     This is the same Beta function algebra as the direct log-Gamma formula
     (the test suite's cross-check oracle) but keeps the consecutive ratios
     accurate to a few ulps, which the reversibility identity needs; it stays
     finite for n up to 1e6.
     """
-    up, down = count_rates(params, np.arange(params.n + 1))
+    up, down = count_rates(params, np.arange(params.n + 1)) if rates is None else rates
     logp = np.concatenate([[0.0], np.cumsum(np.log(up[:-1]) - np.log(down[1:]))])
     peak = logp.max()
     return logp - (peak + np.log(np.exp(logp - peak).sum()))
 
 
+def _stationary_pmf(logp: np.ndarray) -> Pmf:
+    p = np.exp(logp - logp.max())
+    return Pmf(np.arange(logp.size, dtype=float), p / p.sum())
+
+
 def stationary_pmf(params: ModelParams) -> Pmf:
     """Stationary count distribution, Beta-Binomial(n, a, b)."""
-    logp = stationary_log_pmf(params)
-    p = np.exp(logp - logp.max())
-    return Pmf(np.arange(params.n + 1, dtype=float), p / p.sum())
+    return _stationary_pmf(stationary_log_pmf(params))
 
 
 def detailed_balance_gap(params: ModelParams) -> float:
     """Max log-scale violation of rate_up(k) pi(k) = rate_down(k+1) pi(k+1)."""
     up, down = count_rates(params, np.arange(params.n + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = stationary_log_pmf(params)
+        logp = stationary_log_pmf(params, (up, down))
         gap = np.abs(np.log(up[:-1]) + logp[:-1] - np.log(down[1:]) - logp[1:])
     return float(np.max(gap)) if np.all(np.isfinite(gap)) else np.inf
 

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import tomllib
 import warnings
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -426,6 +427,19 @@ class TestExitCodes:
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert not report["checks"]["pushforward-contraction"]["passed"]
 
+    def test_eigensolver_failure_is_1(self, tmp_path, monkeypatch, capsys):
+        # 5 slow modes take the dstein route at every n of the sweep; an
+        # eigensolver failure names n, modes and LAPACK's info, no traceback
+        def failed(d, e, w, iblock, isplit):
+            return np.zeros((d.size, w.size), order="F"), 1
+
+        monkeypatch.setattr(model, "dstein", failed)
+        args = ["qclt-rate", "--n", "32,64,128", "--grid", "1", "--out", str(tmp_path)]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("diagnostic error: ")
+        assert "n=32, 5 modes" in err and "info=1" in err
+
     def test_block_mean_rate_failure_is_4(self, tmp_path, monkeypatch):
         # block offsets relaxing at rate 1, without the (a+b)/n of the noise,
         # keep the weighted mean exact: only the per-block comparison sees it
@@ -460,6 +474,33 @@ class TestExitCodes:
         with open(tmp_path / "over" / "results.csv", newline="") as fh:
             rows = {r["scenario"]: r for r in csv.DictReader(fh)}
         assert float(rows[f"validate:{name}"]["theory"]) == tol
+
+
+class TestExactLawWork:
+    """The per-size work of the exact-law engine at the ``mixing-exact``
+    benchmark shape, ``mixing-curve --n 32,64,128`` at the defaults."""
+
+    ARGS = ["mixing-curve", "--n", "32,64,128"]
+
+    def test_eigen_routes(self, tmp_path):
+        assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0
+        block = json.loads((tmp_path / "manifest.json").read_text())["exact_laws"]
+        assert {n: (info["modes"], info["eigen_route"]) for n, info in block.items()} == {
+            "32": (33, "dstein"), "64": (50, "full"), "128": (50, "dstein")}
+
+    def test_per_size_quantities_computed_once(self, tmp_path, monkeypatch):
+        # the rates, log pi and the eigenpairs once per size, the stationary
+        # law of the distances included
+        calls = Counter()
+        for name in ("stationary_log_pmf", "count_rates", "_spectrum"):
+            def counted(first, *args, _name=name, _real=getattr(model, name)):
+                calls[_name, getattr(first, "params", first).n] += 1
+                return _real(first, *args)
+
+            monkeypatch.setattr(model, name, counted)
+        assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0
+        assert calls == {(name, n): 1 for name in ("stationary_log_pmf", "count_rates", "_spectrum")
+                         for n in (32, 64, 128)}
 
 
 class TestDeterminism:
@@ -604,10 +645,10 @@ class TestScenarioOutputs:
                         else wf_marginal(wf, 0.5, r.t_or_tau).stationary_distance())
                 assert r.theory == want
             else:
-                params = model.ModelParams(r.n, 1.0, 1.0)
+                chain = model._count_chain(model.ModelParams(r.n, 1.0, 1.0))
                 p0 = (np.arange(r.n + 1) == r.n // 2).astype(float)
                 probs = (p0 if r.t_or_tau == 0
-                         else model._uniformized_law(params, p0, r.n * r.t_or_tau, 1e-12))
+                         else model._uniformized_law(chain, p0, r.n * r.t_or_tau, 1e-12))
                 law = Pmf(np.arange(r.n + 1) / r.n, probs)
                 ref = (point_mass(0.5) if r.t_or_tau == 0
                        else wf_marginal(wf, 0.5, r.t_or_tau))

@@ -8,7 +8,10 @@ blocks (250, 250), start (0, 250), the horizons of tau = -1, 0, 1), the one
 call that ``run_thermalize`` makes.  ``test_layer_bench_spectral_laws`` times
 ``transient_laws`` at the ``profile --n 16384`` shape (a = b = 1, start
 n/2, the default 24-point grid), where the eigenvectors come from inverse
-iteration.  ``test_layer_bench_stein_solve`` times ``SteinLattice.solve``
+iteration, and ``test_layer_bench_spectral_laws_mixing`` at the
+``mixing-exact`` shape, n = 128 on the default 60-point ``mixing-curve``
+grid, where the rule picks inverse iteration for the 50 slow modes.
+``test_layer_bench_stein_solve`` times ``SteinLattice.solve``
 over the 20-function family on ``validate``'s nu = 0.1, 4001-point grid,
 with the quadrature lattice built outside the timed call, as ``validate``
 builds one per grid.
@@ -21,7 +24,8 @@ of 600 pairs.  ``test_layer_bench_w1_vs_wf`` times the 24
 ``w1_discrete_vs_wf`` calls of ``profile --n 1024`` (a = b = 1, start n/2,
 the default grid), each density law against the exact Wright-Fisher
 marginal.  There is no time gate: the tests only check that the lockstep
-call equals one call per stream, that no law column is refilled, that the
+call equals one call per stream, that no law column is refilled and the
+eigenvector route is the one the rule picks, that the
 Stein solutions equal the three-pass reference bit for bit, that the
 matchings equal the plain assignment solve (the cityblock ones bit for bit)
 and that the distances to the marginal match the brentq oracle, so they
@@ -36,6 +40,8 @@ from noisyvoter.experiments import SCENARIOS, _translation_draws, replica_stream
 from noisyvoter.model import (
     BlockPartition,
     ModelParams,
+    _count_chain,
+    _eigen_route,
     sample_uniform_given_count,
     simulate_blocks_batch,
     transient_laws,
@@ -54,6 +60,7 @@ PARAMS, PART = ModelParams(N, 1.0, 1.0), BlockPartition(N - ELL, ELL)
 HORIZONS = 0.5 * np.log(N) + np.log(0.25) + np.array([-1.0, 0.0, 1.0])
 FIXED = np.tile([[0, ELL]], (PAIRS, 1))
 LAW_N = 16384
+MIXING_N = 128
 PROFILE_N = 1024
 STEIN_NU = 0.1
 SHIFTS = np.array([[1.5, -0.25], [0.0, 3.0]])
@@ -76,7 +83,15 @@ def test_layer_bench_spectral_laws(benchmark):
     times = LAW_N * np.asarray(SCENARIOS["profile"][1])
     args = (ModelParams(LAW_N, 1.0, 1.0), LAW_N // 2, times)
     grid = benchmark.pedantic(transient_laws, args=args, rounds=3)
+    assert not grid.refilled.any() and grid.route == "dstein"
+
+
+def test_layer_bench_spectral_laws_mixing(benchmark):
+    params = ModelParams(MIXING_N, 1.0, 1.0)
+    args = (params, MIXING_N // 2, MIXING_N * np.asarray(SCENARIOS["mixing-curve"][1]))
+    grid = benchmark.pedantic(transient_laws, args=args, rounds=20, warmup_rounds=2)
     assert not grid.refilled.any()
+    assert grid.route == _eigen_route(_count_chain(params), grid.modes) == "dstein"
 
 
 def test_layer_bench_stein_solve(benchmark, monkeypatch):

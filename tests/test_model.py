@@ -12,6 +12,7 @@ from scipy.stats import binom, poisson
 
 from noisyvoter import model
 from noisyvoter.errors import CapacityError
+from noisyvoter.experiments import SCENARIOS
 from noisyvoter.model import (
     BlockPartition,
     ModelParams,
@@ -27,6 +28,7 @@ from noisyvoter.model import (
     stationary_pmf,
     transient_law,
     transient_laws,
+    _count_chain,
     _poisson_isf,
     _poisson_pmf,
     _spectral_laws,
@@ -198,7 +200,7 @@ class TestTransientLaw:
         params = ModelParams(12, 0.8, 1.7)
         direct = transient_law(params, 3, 2.0, 1e-9)
         half = transient_law(params, 3, 0.75, 1e-9)
-        laws, ok = _spectral_laws(params, half.probs, np.array([1.25]), 1e-9)[:2]
+        laws, ok = _spectral_laws(_count_chain(params), half.probs, np.array([1.25]), 1e-9)[:2]
         assert ok.all()
         composed = Pmf(half.support, laws[:, 0])
         assert w1_discrete(direct, composed) <= 1e-8
@@ -230,7 +232,7 @@ class TestTransientLaw:
 
 def uniformization_oracle(params: ModelParams, p0: np.ndarray, t: float) -> np.ndarray:
     """Uniformization at a tolerance well below the 1e-9 and 1e-12 under test."""
-    return _uniformized_law(params, p0, t, 1e-13)
+    return _uniformized_law(_count_chain(params), p0, t, 1e-13)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -258,8 +260,9 @@ class TestSpectralLaw:
         ks = np.arange(n + 1)
         if start == "binomial":
             p0 = binom.pmf(ks, n, 0.3)
-            laws, ok = _spectral_laws(params, p0, np.array([t]), tol)[:2]
-            law = laws[:, 0] if ok[0] else _uniformized_law(params, p0, t, tol)
+            chain = _count_chain(params)
+            laws, ok = _spectral_laws(chain, p0, np.array([t]), tol)[:2]
+            law = laws[:, 0] if ok[0] else _uniformized_law(chain, p0, t, tol)
         else:
             k0 = {"zero": 0, "half": n // 2, "full": n}[start]
             p0 = (ks == k0).astype(float)
@@ -269,22 +272,42 @@ class TestSpectralLaw:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300, 1024])
     @pytest.mark.parametrize("a,b", [(0.01, 0.01), (1.0, 1.0), (20.0, 50.0), (50.0, 1.0)])
     def test_hahn_spectrum(self, n, a, b):
-        # all n+1 modes from the full decomposition, then the slowest eighth,
-        # whose eigenvectors from n = 7 on come from inverse iteration; the
-        # eigenvalues are the closed form, bit for bit, with 0 exactly 0
+        # all n+1 modes, then the slowest eighth; at n = 64, 300 and 1024 also
+        # one mode count on each side of the rule's crossover, so that both
+        # eigenvector routes are checked there.  The eigenvalues are the
+        # closed form, bit for bit, with 0 exactly 0
         params = ModelParams(n, a, b)
+        chain = _count_chain(params)
+        counts = [n + 1, (n + 1) // 8 or 1]
+        if n in (64, 300, 1024):
+            cross = next(m for m in range(1, n + 2) if model._eigen_route(chain, m) == "full")
+            assert model._eigen_route(chain, cross - 1) == "dstein"
+            counts += [cross - 1, cross]
         j = np.arange(n + 1, dtype=float)
         hahn = np.sort(-j * (j - 1 + a + b) / n)
         # eigen-residual of the symmetrized generator, built here from the rates
         up, down = count_rates(params, np.arange(n + 1))
         off = np.sqrt(up[:-1] * down[1:])
         sym = np.diag(-(up + down)) + np.diag(off, 1) + np.diag(off, -1)
-        for modes in (n + 1, (n + 1) // 8 or 1):
-            lam, vecs = _spectrum(params, modes)
+        for modes in counts:
+            lam, vecs = _spectrum(chain, modes)
             assert vecs.shape == (n + 1, modes)
             assert np.array_equal(lam, hahn[-modes:]) and lam[-1] == 0.0
             assert np.max(np.abs(sym @ vecs - vecs * lam)) <= 1e-10 * n
             assert np.max(np.abs(vecs.T @ vecs - np.eye(modes))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("scenario", ["mixing-curve", "profile"])
+    def test_eigen_routes_agree(self, n, scenario, monkeypatch):
+        # each route forced through the rule, on a scenario's default grid
+        # from n/2: the same laws to 1e-12 in l1, and the route reported
+        times = n * np.asarray(SCENARIOS[scenario][1])
+        grids = {}
+        for route in ("full", "dstein"):
+            monkeypatch.setattr(model, "_eigen_route", lambda chain, modes, route=route: route)
+            grids[route] = transient_laws(ModelParams(n, 1.0, 1.0), n // 2, times)
+            assert grids[route].route == route and not grids[route].refilled.any()
+        assert np.abs(grids["full"].probs - grids["dstein"].probs).sum(axis=0).max() <= 1e-12
 
     @pytest.mark.parametrize("a,b,k0", [(1.0, 1.0, 8192), (0.5, 2.0, 8192), (1.0, 1.0, 1638)])
     def test_laws_within_bound_of_longdouble_hahn_series(self, a, b, k0):
@@ -344,7 +367,7 @@ class TestSpectralLaw:
         # it uniformization refills the law, above it the call fails loudly
         # (the lowered cap still leaves room for this law's eigenvectors)
         params = ModelParams(64, 1.0, 1.0)
-        lam, vecs = _spectrum(params, 65)
+        lam, vecs = _spectrum(_count_chain(params), 65)
         monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs))
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
             law = transient_law(params, 10, 20.0)
@@ -369,19 +392,21 @@ class TestSpectralLaw:
         k0, tol = n // fraction, 1e-10
         p0 = (np.arange(n + 1) == k0).astype(float)
         times = n * np.array([0.0, 0.01, 0.05, 0.2, 1.0])
-        laws, ok, _, modes, bound = model._spectral_laws(params, p0, times, tol)
+        chain = _count_chain(params)
+        laws, ok, _, modes, bound, route = _spectral_laws(chain, p0, times, tol)
         # only the a-priori bound rejects here (the tail start at n = 300,
         # a = b = 20); the a-posteriori checks pass every column it accepts
         assert modes < n + 1 and ok.all() == (bound <= tol)
         law, t_prev = p0, 0.0
         for t, col, good in zip(times[1:], laws.T[1:], ok[1:]):
-            law, t_prev = _uniformized_law(params, law, t - t_prev, 1e-13), t
+            law, t_prev = _uniformized_law(chain, law, t - t_prev, 1e-13), t
             if good:
                 assert total_variation(col, law) <= tol
         grid = transient_laws(params, k0, times, tol)
         if ok.all():
             np.testing.assert_array_equal(grid.probs, laws)
             assert grid.modes == modes and grid.bound == bound <= tol
+            assert grid.route == route == model._eigen_route(chain, modes)
         else:
             assert grid.refilled[1]
 
@@ -433,7 +458,7 @@ class TestLawGrid:
         assert all("a-priori" in m for m in messages)
         law, t_prev = (np.arange(129) == 0).astype(float), 0.0
         for t, col in zip(times, grid.probs.T):
-            law = _uniformized_law(params, law, t - t_prev, 1e-9)
+            law = _uniformized_law(_count_chain(params), law, t - t_prev, 1e-9)
             t_prev = t
             assert total_variation(col, law) <= 1e-15
 
@@ -467,7 +492,7 @@ class TestLawGrid:
         # columns that pass the a-priori bound but fail the a-posteriori
         # checks are refilled too
         params = ModelParams(64, 1.0, 1.0)
-        lam, vecs = _spectrum(params, 65)
+        lam, vecs = _spectrum(_count_chain(params), 65)
         monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs))
         times = np.array([0.0, 5.0, 20.0, 60.0])
         grid = transient_laws(params, 10, times)
