@@ -330,7 +330,11 @@ def wf_marginal(params: WFParams, m0: float, t: float, tol: float = 1e-9) -> WFM
     for j in range(1, _MAX_SERIES_TERMS + 1):
         h *= (a * b / (a + b + 1) if j == 1 else (j - 1 + a) * (j - 1 + b) * (2 * j + a + b - 3)
               / ((2 * j + a + b - 1) * (j + a + b - 2) * j))
-        p, lam = next(values), j * (j - 1 + a + b)
+        try:
+            p = next(values)
+        except OverflowError:  # the recurrence squares a - 1 and b - 1 as Python floats
+            p = np.inf
+        lam = j * (j - 1 + a + b)
         if not (0.0 < h < np.inf and np.isfinite(p)):
             raise DiagnosticError(f"Wright-Fisher series term {j} overflows at {where}")
         decay = np.exp(-lam * t)

@@ -8,7 +8,8 @@ class ConfigError(ValueError):
 class CapacityError(RuntimeError):
     """An exact computation is out of reach at this size: a spectral law
     that fails its accuracy guard above the uniformization cap or outgrows
-    its eigenvector budget, or a matching above its size cap."""
+    its eigenvector budget, a matching above its size cap, or a block-count
+    law whose support is above its cap."""
 
 
 class DiagnosticError(RuntimeError):

@@ -468,7 +468,10 @@ def run_thermalize(cfg: ExperimentConfig):
     matching would otherwise pay) and matching them, summed over
     repetitions, the number of ``replicas`` the loop ran (repetitions x
     samples), the number of matchings (repetitions x taus), how many of them
-    were ``certified``, and the pairs matched in all of them.
+    were ``certified``, the assignment rows solved in the others
+    (``solved_rows``; 0 for a certified matching) and the pairs matched in
+    all of them.  ``samples`` above ``transport.MATCHING_CAP`` raise
+    ``CapacityError`` before anything is simulated.
 
     Each uniform replica holds its fixed partner's total, so the two clouds
     of a matching share their multiset of totals.  Sorting both by (total,
@@ -477,8 +480,12 @@ def run_thermalize(cfg: ExperimentConfig):
     the assignment solve (a ``CertifiedCost``) whenever its cost equals the
     sum of the two per-coordinate 1-D distances, a lower bound on every
     matching.  ``certified`` counts those; the values are the solve's either
-    way.
+    way.  The other matchings solve only the points the two clouds do not
+    share: a shared point matched to its twin costs 0, and by uncrossing
+    (the triangle inequality) some optimal matching pairs every shared point
+    so, so the value is again the full solve's.
     """
+    transport.check_matching_size(cfg.samples)
     n = cfg.n[0]
     params = model.ModelParams(n, cfg.a, cfg.b)
     ell = cfg.particle_count(n)
@@ -504,18 +511,19 @@ def run_thermalize(cfg: ExperimentConfig):
     transport.matching_solvers()
     imported = time.perf_counter()
     values = np.empty((reps, len(taus)))
-    certified = 0
+    certified = solved_rows = 0
     for rep in range(reps):
         cols = slice(pairs * rep, pairs * (rep + 1))
         for i in range(len(taus)):
             dist = transport.w1_matching(states[i, cols].astype(float),
                                          uniform[i, cols].astype(float), metric="cityblock")
             certified += isinstance(dist, transport.CertifiedCost)
+            solved_rows += dist.rows
             values[rep, i] = dist / sqrt_n
     work = {"simulate_s": simulated - start, "import_s": imported - simulated,
             "matching_s": time.perf_counter() - imported,
             "replicas": reps * pairs, "matchings": reps * len(taus), "certified": certified,
-            "pairs": reps * len(taus) * pairs}
+            "solved_rows": solved_rows, "pairs": reps * len(taus) * pairs}
     records, checks = [], []
     for i, tau in enumerate(taus):
         theory = 2.0 * np.exp(-tau)

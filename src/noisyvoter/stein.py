@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
+from .errors import CapacityError
 from .pmf import Pmf
 from .transport import w1_discrete_vs_gaussian
 
@@ -42,6 +43,11 @@ _TAIL_EXPONENT = 200.0
 # the tails stay normal doubles, and far enough below the overflow threshold
 # that the sum of up to 2^100 points stays finite.
 _MODE_SEED = 2.0 ** 900
+
+# Largest support of the block-count laws below, min(ell, n - ell) + 1
+# points.  ``hypergeom_gaussian_w1`` peaks at 10 doubles a point, so the
+# budget is 320 MiB; ``stein-rate`` at m0 = 1/2 reaches n = 2^23 - 1.
+ZETA_SUPPORT_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -306,10 +312,17 @@ def stein_bound_margins(sol: SteinSolution, nu: float) -> dict[str, float]:
 
 def zeta_support(n: int, ell: int):
     """Reachable block-1 counts Y and their centered scaled values
-    Z = (Y - ell^2/n) / sqrt(n), for ell particles and block size ell."""
+    Z = (Y - ell^2/n) / sqrt(n), for ell particles and block size ell.
+
+    More than ``ZETA_SUPPORT_CAP`` points raise ``CapacityError`` before
+    anything is allocated."""
     n, ell = int(n), int(ell)
     if not 1 <= ell <= n - 1:
         raise ValueError("need 1 <= ell <= n - 1")
+    size = min(ell, n - ell) + 1
+    if size > ZETA_SUPPORT_CAP:
+        raise CapacityError(f"n={n} ell={ell} has {size} support points, above the cap of "
+                            f"{ZETA_SUPPORT_CAP} ({ZETA_SUPPORT_CAP * 80 / 2**20:.0f} MiB budget)")
     y = np.arange(max(0, 2 * ell - n), ell + 1)
     z = (y - ell * ell / n) / np.sqrt(n)
     return y, z

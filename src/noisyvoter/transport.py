@@ -14,7 +14,8 @@ of each coordinate, under the Euclidean metric the projection onto the
 direction between the two clouds' means, which is already optimal for a
 translation.
 Integer l1 matchings whose sorted coupling attains the bound of the l1
-start are certified optimal and skip the solve.  The pushforward check
+start are certified optimal and skip the solve; the others solve only the
+points the two clouds do not share.  The pushforward check
 measures the 1-D distances of several maps against one 2-D matching.
 """
 
@@ -235,6 +236,13 @@ def _w1_vs_wf_search(p: Pmf, law) -> tuple[float, float, int]:
     return value, float(bounds.sum()), passes
 
 
+def check_matching_size(size: int) -> None:
+    """Raise ``CapacityError`` when a matching of ``size`` pairs exceeds
+    ``MATCHING_CAP``."""
+    if size > MATCHING_CAP:
+        raise CapacityError(f"matching size {size} exceeds cap {MATCHING_CAP}")
+
+
 def _as_cloud(xs) -> np.ndarray:
     arr = np.asarray(xs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
@@ -293,6 +301,19 @@ class CertifiedCost(float):
     certificate proved optimal, returned without the assignment solve.  It is
     the float the solve would return; only its type records the path."""
 
+    rows = 0  # assignment rows solved for it
+
+
+class SolvedCost(float):
+    """A cityblock ``w1_matching`` value on integer clouds that took the
+    assignment solve; ``rows`` is the size of that solve, the points left once
+    the two clouds' shared points are cancelled."""
+
+    def __new__(cls, value: float, rows: int):
+        cost = super().__new__(cls, value)
+        cost.rows = rows
+        return cost
+
 
 def _integer_cloud(arr) -> bool:
     """Whether every coordinate is an integer below 2**31 in magnitude.
@@ -322,6 +343,29 @@ def _sorted_certificate(xa, ya):
     if costs.sum() != bound:
         return None
     return CertifiedCost(costs.mean())
+
+
+def _unshared(xa, ya):
+    """Index arrays of the points of the integer clouds ``xa`` and ``ya``
+    left once their common multiset is removed: a point that occurs i times
+    in one cloud and j times in the other keeps |i - j| copies, in the cloud
+    that holds more of it.
+
+    Each point is keyed by one int64, x0 * 2**32 + x1, injective for
+    coordinates below 2**31 in magnitude (``_integer_cloud``).  In each
+    cloud's sorted keys, a copy is shared when its rank among the equal keys
+    is below the other cloud's count of that key.
+    """
+    kx, ky = (a.astype(np.int64) @ np.array([2**32, 1], dtype=np.int64) for a in (xa, ya))
+    ox, oy = np.argsort(kx, kind="stable"), np.argsort(ky, kind="stable")
+    sx, sy = kx[ox], ky[oy]
+
+    def kept(order, own, other):
+        rank = np.arange(own.size) - np.searchsorted(own, own, side="left")
+        count = np.searchsorted(other, own, side="right") - np.searchsorted(other, own, side="left")
+        return order[rank >= count]
+
+    return kept(ox, sx, sy), kept(oy, sy, sx)
 
 
 def matching_solvers():
@@ -371,27 +415,46 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     When the two clouds hold the same multiset of totals, as ``thermalize``'s
     do, this matching is the sorted coupling within each total.  Otherwise,
     and for real-valued clouds, the dual-started solve runs.
+
+    On integer clouds that solve first cancels the multiset of points the two
+    clouds share (``_unshared``): each shared point is matched to its twin at
+    cost 0.  Some optimal matching does so, by uncrossing: if x = y are
+    matched to y' and x' instead, the pairs (x, y) and (x', y') cost
+    d(x', y') <= d(x', y) + d(x, y'), no more.  So the optimal total is that
+    of the remaining points alone, and the solve runs on them only; the
+    returned total / N is the full solve's, bit for bit, since every cost is
+    an integer.  Every point is shared only when the multisets are equal,
+    which the certificate has already answered (0.0, no solve).  The value
+    is a ``SolvedCost`` whose ``rows`` is the size of that solve.
     """
     if metric not in ("euclidean", "cityblock"):
         raise ValueError(f"metric must be 'euclidean' or 'cityblock', got {metric!r}")
     linear_sum_assignment, cdist = matching_solvers()
     xa = _as_cloud(xs)
     ya = _as_cloud(ys)
-    if xa.shape[0] != ya.shape[0]:
-        raise ValueError(f"point sets differ in size: {xa.shape[0]} vs {ya.shape[0]}")
-    if xa.shape[0] > MATCHING_CAP:
-        raise CapacityError(f"matching size {xa.shape[0]} exceeds cap {MATCHING_CAP}")
+    size = xa.shape[0]
+    if ya.shape[0] != size:
+        raise ValueError(f"point sets differ in size: {size} vs {ya.shape[0]}")
+    check_matching_size(size)
     if metric == "cityblock":
-        if _integer_cloud(xa) and _integer_cloud(ya):
+        integer = _integer_cloud(xa) and _integer_cloud(ya)
+        if integer:
             certified = _sorted_certificate(xa, ya)
             if certified is not None:
                 return certified
+            # the certificate answers equal multisets, so both remainders are
+            # nonempty
+            keep_x, keep_y = _unshared(xa, ya)
+            xa, ya = xa[keep_x], ya[keep_y]
         u, v = _cityblock_potentials(xa, ya)
         cost = cdist(xa, ya, metric)
         cost += u[:, None]
         cost -= v
         rows, cols = linear_sum_assignment(cost)
-        return float(np.abs(xa[rows] - ya[cols]).sum(axis=1).mean())
+        matched = np.abs(xa[rows] - ya[cols]).sum(axis=1)
+        if integer:
+            return SolvedCost(matched.sum() / size, xa.shape[0])
+        return float(matched.mean())
     cost = cdist(xa, ya, metric)
     reduced = cost
     potentials = _euclidean_potentials(xa, ya)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tomllib
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -42,7 +43,7 @@ from noisyvoter.experiments import (
     thermalize_distance,
 )
 from noisyvoter.pmf import Pmf, point_mass
-from noisyvoter.transport import w1_discrete, w1_discrete_vs_wf, w1_matching
+from noisyvoter.transport import MATCHING_CAP, w1_discrete, w1_discrete_vs_wf, w1_matching
 from oracles import block_rates
 
 
@@ -379,6 +380,44 @@ class TestExitCodes:
         assert {a.dest for a in parser._actions if "--tau" in a.option_strings} == {"grid"}
         choices = next(a.choices for a in parser._actions if a.dest == "scenario")
         assert list(choices) == list(experiments.SCENARIOS)
+
+    def test_thermalize_matching_cap_before_simulating(self, tmp_path, monkeypatch, capsys):
+        # the cap on the matching size is checked before the event loop runs
+        def spy(*args, **kwargs):
+            raise AssertionError("simulated before the matching cap was checked")
+
+        monkeypatch.setattr(model, "simulate_blocks_batch", spy)
+        code = cli.main(["thermalize", "--n", "2000", "--samples", str(MATCHING_CAP + 1),
+                         "--repetitions", "2", "--grid", "0", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (f"capacity error: matching size {MATCHING_CAP + 1} "
+                                           f"exceeds cap {MATCHING_CAP}\n")
+
+    @pytest.mark.parametrize("args", [
+        ["profile", "--n", "10", "--a", "1e100"],
+        ["profile", "--n", "10", "--a", "1e308"],
+        ["profile", "--n", "10", "--b", "1e200"],
+        ["qclt-rate", "--n", "8,16,32", "--a", "1e200"],
+    ])
+    def test_huge_a_or_b_is_1(self, args, tmp_path, capsys):
+        # the Wright-Fisher series overflows: a diagnostic, not a traceback
+        assert cli.main(args + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "diagnostic error: Wright-Fisher series term 2 overflows at (a, b, m0, t) = ")
+
+    def test_stein_rate_above_the_cap_is_3(self, tmp_path, capsys):
+        # one support point above the cap: the check fires before the law's
+        # arrays are allocated
+        n = 2 * stein.ZETA_SUPPORT_CAP
+        tracemalloc.start()
+        try:
+            code = cli.main(["stein-rate", "--n", str(n), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 2**20
+        assert capsys.readouterr().err.startswith(
+            f"capacity error: n={n} ell={n // 2} has {n // 2 + 1} support points")
 
     def test_diagnostic_error_is_1(self, tmp_path, capsys):
         # grid too short to reach the smallest eps
@@ -836,11 +875,15 @@ class TestScenarioOutputs:
         assert len(manifest["thermalize"]) == 3
         work = manifest["thermalize_work"]
         assert set(work) == {"simulate_s", "import_s", "matching_s", "replicas", "matchings",
-                             "certified", "pairs"}
+                             "certified", "solved_rows", "pairs"}
         # the event loop runs only the fixed-start replicas
         assert work["replicas"] == 2 * 120
         assert work["matchings"] == 2 * 3 and work["pairs"] == 2 * 3 * 120
         assert 0 < work["certified"] <= work["matchings"]
+        # certified matchings solve no rows, the others at most their pairs
+        # and at least one row each
+        assert (work["matchings"] - work["certified"] <= work["solved_rows"]
+                <= (work["matchings"] - work["certified"]) * 120)
         assert 0 < work["simulate_s"] and 0 <= work["import_s"] and 0 < work["matching_s"]
         assert (work["simulate_s"] + work["import_s"] + work["matching_s"]
                 <= manifest["wall_time_s"])

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import hypergeom
 
 from noisyvoter import stein
+from noisyvoter.errors import CapacityError
 from noisyvoter.stein import (
     SteinProblem,
     _refined_edges,
@@ -329,6 +330,17 @@ class TestExclusionGenerator:
 
 
 class TestZetaPmf:
+    @pytest.mark.parametrize("n,ell", [(14, 7), (14, 6), (40, 7), (40, 33), (40, 34)])
+    def test_support_cap(self, n, ell, monkeypatch):
+        # min(ell, n - ell) + 1 points: 8 at (14, 7), (40, 7) and (40, 33),
+        # one above a cap of 7; 7 at (14, 6) and (40, 34), at it
+        monkeypatch.setattr(stein, "ZETA_SUPPORT_CAP", 7)
+        if min(ell, n - ell) + 1 > 7:
+            with pytest.raises(CapacityError, match="support points, above the cap of 7"):
+                zeta_support(n, ell)
+        else:
+            assert zeta_support(n, ell)[0].size == 7
+
     def test_small_case_variance(self):
         pmf = hypergeom_zeta_pmf(4, 2)
         assert pmf.var() == pytest.approx(1.0 / 12.0, abs=1e-12)

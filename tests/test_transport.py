@@ -1,6 +1,8 @@
 """Transport tests: exact W1 engines against brute-force oracles."""
 
+import contextlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance
 
+from noisyvoter import transport
 from noisyvoter.diffusion import WFParams, wf_marginal
 from noisyvoter.model import ModelParams, stationary_pmf, transient_law
 
@@ -17,10 +20,12 @@ from noisyvoter.stein import hypergeom_zeta_pmf
 from noisyvoter.transport import (
     MATCHING_CAP,
     CertifiedCost,
+    SolvedCost,
     _CROSSING_PASSES,
     _cityblock_potentials,
     _euclidean_potentials,
     _sorted_certificate,
+    _unshared,
     _w1_vs_wf_search,
     pushforward_check,
     w1_discrete,
@@ -337,6 +342,27 @@ class TestW1DiscreteVsWF:
             w1_discrete_vs_wf(Pmf([-0.1, 0.5], [0.5, 0.5]), law)
 
 
+@contextlib.contextmanager
+def solve_shapes():
+    """The shapes of the cost matrices that ``w1_matching`` hands to the
+    assignment solver while the block runs."""
+    shapes = []
+    linear_sum_assignment, cdist_ = transport.matching_solvers()
+
+    def recording(cost):
+        shapes.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "matching_solvers", lambda: (recording, cdist_))
+        yield shapes
+
+
+def shared_count(xs, ys):
+    """Size of the common multiset of two point clouds."""
+    return sum((Counter(map(tuple, xs)) & Counter(map(tuple, ys))).values())
+
+
 class TestW1Matching:
     def test_single_pair(self):
         assert w1_matching([[0.0, 0.0]], [[3.0, 4.0]]) == pytest.approx(5.0, abs=1e-12)
@@ -397,6 +423,72 @@ class TestW1Matching:
                               label="shift")
             ys = np.array(data.draw(cloud, label="ys"), dtype=float) + shift
         assert w1_matching(xs, ys, metric="cityblock") == plain_cityblock_matching(xs, ys)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cityblock_shared_points_cancel(self, data):
+        # a common multiset, with repeated points, plus each cloud's own
+        # points, which may repeat or coincide with the common ones: the
+        # solve receives only the points left once the common multiset is
+        # removed, and the value is the plain solve's, bit for bit
+        coord = st.integers(0, data.draw(st.integers(0, 5), label="width"))
+        point = st.tuples(coord, coord)
+        common = data.draw(st.lists(point, max_size=40), label="common")
+        own = data.draw(st.integers(0 if common else 1, 40), label="own")
+        part = st.lists(point, min_size=own, max_size=own)
+        xs = np.array(common + data.draw(part, label="xs own"), dtype=float).reshape(-1, 2)
+        ys = np.array(common + data.draw(part, label="ys own"), dtype=float).reshape(-1, 2)
+        ys = ys[data.draw(st.permutations(range(len(ys))), label="perm")]
+        with solve_shapes() as shapes:
+            got = w1_matching(xs, ys, metric="cityblock")
+        assert got == plain_cityblock_matching(xs, ys)
+        rows = len(xs) - shared_count(xs, ys)
+        if isinstance(got, CertifiedCost):
+            assert shapes == [] and got.rows == 0
+        else:
+            assert isinstance(got, SolvedCost)
+            assert shapes == [(rows, rows)] and got.rows == rows
+        keep_x, keep_y = _unshared(xs, ys)
+        assert keep_x.size == keep_y.size == rows
+        assert shared_count(xs[keep_x], ys[keep_y]) == 0
+
+    def test_cityblock_shared_repeats_cancel(self):
+        # (0, 0) three times against twice, (1, 1) twice against once and
+        # (2, 2) twice in both: 5 shared, and one (0, 0) of xs stays to be
+        # solved with the 3 points the clouds do not share; both marginals
+        # agree, so the certificate's bound is 0 and cannot answer
+        common = [(0, 0), (0, 0), (1, 1), (2, 2), (2, 2)]
+        xs = np.array([(0, 0), (1, 1)] + common, dtype=float)
+        ys = np.array([(1, 0), (0, 1)] + common, dtype=float)[::-1]
+        assert shared_count(xs, ys) == 5
+        with solve_shapes() as shapes:
+            got = w1_matching(xs, ys, metric="cityblock")
+        assert shapes == [(2, 2)] and got.rows == 2
+        assert got == plain_cityblock_matching(xs, ys) == 2 / 7
+
+    def test_cityblock_shared_everything_takes_no_solve(self):
+        rng = np.random.default_rng(401)
+        xs = rng.integers(0, 3, size=(50, 2)).astype(float)
+        ys = xs[rng.permutation(50)]
+        with solve_shapes() as shapes:
+            got = w1_matching(xs, ys, metric="cityblock")
+        assert shapes == [] and got == 0.0 == plain_cityblock_matching(xs, ys)
+        assert [k.size for k in _unshared(xs, ys)] == [0, 0]
+
+    @pytest.mark.parametrize("size", [2, 10, 60])
+    def test_cityblock_shared_nothing_solves_every_row(self, size):
+        # xs holds (2k, 0) and (2k + 1, 1), ys (2k + 1, 0) and (2k, 1): no
+        # point is shared, both marginals agree and every pair costs at
+        # least 1, so the certificate's bound of 0 cannot answer
+        k = np.repeat(2.0 * np.arange(size // 2), 2)
+        flip = np.tile([0.0, 1.0], size // 2)
+        xs = np.stack([k + flip, flip], axis=1)
+        ys = np.stack([k + 1 - flip, flip], axis=1)[np.random.default_rng(402).permutation(size)]
+        assert shared_count(xs, ys) == 0
+        with solve_shapes() as shapes:
+            got = w1_matching(xs, ys, metric="cityblock")
+        assert shapes == [(size, size)] and got.rows == size
+        assert got == plain_cityblock_matching(xs, ys)
 
     @staticmethod
     def thermalize_like_pair():
