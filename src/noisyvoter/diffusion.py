@@ -327,25 +327,33 @@ def wf_marginal(params: WFParams, m0: float, t: float, tol: float = 1e-9) -> WFM
     values = _jacobi_values(b - 1.0, a - 1.0, 2.0 * float(m0) - 1.0)
     next(values)  # P_0 = 1
     coef, conditioning, run, h = [], [], 0, 1.0
-    for j in range(1, _MAX_SERIES_TERMS + 1):
-        h *= (a * b / (a + b + 1) if j == 1 else (j - 1 + a) * (j - 1 + b) * (2 * j + a + b - 3)
-              / ((2 * j + a + b - 1) * (j + a + b - 2) * j))
-        try:
-            p = next(values)
-        except OverflowError:  # the recurrence squares a - 1 and b - 1 as Python floats
-            p = np.inf
-        lam = j * (j - 1 + a + b)
-        if not (0.0 < h < np.inf and np.isfinite(p)):
-            raise DiagnosticError(f"Wright-Fisher series term {j} overflows at {where}")
-        decay = np.exp(-lam * t)
-        coef.append(p * decay / (h * lam))
-        conditioning.append(1.0 + 3 * j + lam * t)
-        run = run + 1 if abs(p) * decay / np.sqrt(h) < _SERIES_CUTOFF else 0
-        if run == _SERIES_RUN:
-            break
-    else:
-        raise DiagnosticError(f"Wright-Fisher series needs more than {_MAX_SERIES_TERMS} "
-                              f"terms at {where}")
+    # a term that is not finite fails the check below; an overflow in the cutoff
+    # test fails the cutoff
+    with np.errstate(all="ignore"):
+        for j in range(1, _MAX_SERIES_TERMS + 1):
+            try:
+                h *= (a * b / (a + b + 1) if j == 1 else (j - 1 + a) * (j - 1 + b)
+                      * (2 * j + a + b - 3) / ((2 * j + a + b - 1) * (j + a + b - 2) * j))
+            except ZeroDivisionError:  # a + b below the rounding of j + a + b - 2
+                h = np.inf
+            try:
+                p = next(values)
+            # the recurrence squares a - 1 and b - 1, and divides by 2k + a + b - 2 and
+            # k + a + b - 1, as Python floats
+            except (OverflowError, ZeroDivisionError):
+                p = np.inf
+            lam = j * (j - 1 + a + b)
+            decay = np.exp(-lam * t)
+            coef.append(p * decay / (h * lam))
+            if not (0.0 < h < np.inf and np.isfinite(coef[-1])):
+                raise DiagnosticError(f"Wright-Fisher series term {j} overflows at {where}")
+            conditioning.append(1.0 + 3 * j + lam * t)
+            run = run + 1 if abs(p) * decay / np.sqrt(h) < _SERIES_CUTOFF else 0
+            if run == _SERIES_RUN:
+                break
+        else:
+            raise DiagnosticError(f"Wright-Fisher series needs more than {_MAX_SERIES_TERMS} "
+                                  f"terms at {where}")
     coef = np.array(coef[:len(coef) - run])
     conditioning = np.array(conditioning[:coef.size])
     j = np.arange(1, coef.size + 1, dtype=float)

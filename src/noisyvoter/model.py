@@ -14,8 +14,9 @@ Beta-Binomial(n, a, b).
 
 The count chain's closed forms live here too: its density k/n has linear
 drift and quadratic noise, so the mean path (``mean_ode``, and per block
-``block_mean_ode``) and the variance (``density_variance``) from a point
-start are exact at every n.
+``block_mean_ode``, whose offsets decay by ``block_decay``) and the variance
+(``density_variance``) from a point start are exact at every n.  Rates
+whose numerators overflow float64 raise ``DiagnosticError`` (``count_rates``).
 
 Exact transient laws come from the spectral decomposition of the count
 chain: reversibility makes its generator, symmetrized by sqrt(pi), a
@@ -54,6 +55,12 @@ logger = logging.getLogger(__name__)
 
 # Largest n that may uniformize; eigensolves hold at most (cap + 1)^2 doubles (128 MB).
 DENSE_LAW_CAP = 4096
+# Most steps one uniformization refill may take: about 20 s at n = 300
+UNIFORMIZATION_STEPS = 2**21
+# Most events a batch of replicas may expect, each and in all (check_event_budget);
+# thermalize's criterion 5 expects about 2.1e4 and 4.2e8, and runs in 13 s
+EVENT_BUDGET_PER_REPLICA = 10**6
+EVENT_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -119,10 +126,15 @@ def count_rates(params: ModelParams, k):
     """Birth and death rates of the lumped particle-count chain at count k,
     or elementwise at an integer array of counts.
 
-    rate_up = (n-k)(a+k)/n, rate_down = k(b+n-k)/n.
+    rate_up = (n-k)(a+k)/n, rate_down = k(b+n-k)/n.  Their numerators sum to
+    at most n(a+b+2n); when that overflows float64, a total rate would not be
+    finite, and ``DiagnosticError`` is raised before any rate is computed.
+    While it is finite, so is every rate.
     """
     k = _check_count(params, k)
     n, a, b = params.n, params.a, params.b
+    if not np.isfinite(n * (a + b + 2 * n)):
+        raise DiagnosticError(f"count rates overflow float64 at n={n} a={a:g} b={b:g}")
     up = (n - k) * (a + k) / n
     down = k * (b + n - k) / n
     return up, down
@@ -139,14 +151,19 @@ def density_noise(params: ModelParams, m) -> np.ndarray | float:
     return 2.0 * m * (1.0 - m) + (params.a * (1.0 - m) + params.b * m) / params.n
 
 
+def _mean_path(params: ModelParams, m0, t):
+    """``mean_ode`` unchecked: the spectral guard's m0 may exceed 1 by an ulp."""
+    fix = params.a / (params.a + params.b)
+    return fix + (m0 - fix) * np.exp(-(params.a + params.b) * t / params.n)
+
+
 def mean_ode(params: ModelParams, m0: float, t: float) -> float:
     """Closed-form mean density path dm/dt = (a - (a+b) m)/n started at m0."""
     if not 0.0 <= m0 <= 1.0:
         raise ValueError("m0 must lie in [0, 1]")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    fix = params.a / (params.a + params.b)
-    return fix + (m0 - fix) * np.exp(-(params.a + params.b) * t / params.n)
+    return _mean_path(params, m0, t)
 
 
 def density_variance(params: ModelParams, m0: float, t: float) -> float:
@@ -161,6 +178,9 @@ def density_variance(params: ModelParams, m0: float, t: float) -> float:
     and Var(0) = 0 integrates each term separately; the rates never
     coincide because r2 - 2 r1 = 2/n.  At large t this is the
     Beta-Binomial variance n a b (a+b+n)/((a+b)^2 (a+b+1)), over n^2.
+    The coefficients take a and b only through a/(a+b) and b/(a+b), and
+    the rates r2 - j r1 are formed as ((2-j)(a+b) + 2)/n, so neither
+    (a+b)^2 nor the difference r2 - 2 r1 is rounded away at extreme a+b.
     """
     if not 0.0 <= m0 <= 1.0:
         raise ValueError("m0 must lie in [0, 1]")
@@ -168,33 +188,40 @@ def density_variance(params: ModelParams, m0: float, t: float) -> float:
         raise ValueError("t must be nonnegative")
     n, a, b = params.n, params.a, params.b
     s = a + b
+    pa, pb = a / s, b / s
     r1 = s / n
-    d = n * m0 - n * a / s
-    coef = (2.0 * a * b * (s + n) / s ** 2,
-            d * (b - a) * (s + 2 * n) / (n * s),
-            -2.0 * d * d / n)
+    d = n * m0 - n * pa
+    coef = (2.0 * pa * pb * (s + n), d * (pb - pa) * (s + 2 * n) / n, -2.0 * d * d / n)
     var = 0.0
     for j, c in enumerate(coef):
-        gap = 2.0 * (s + 1) / n - j * r1
+        gap = ((2 - j) * s + 2) / n
         var += c / gap * np.exp(-j * r1 * t) * -np.expm1(-gap * t)
     return float(max(var, 0.0) / n ** 2)
+
+
+def block_decay(params: ModelParams, t):
+    """Factor e^{-(1 + (a+b)/n) t} by which the gap between two blocks' mean
+    densities shrinks over time t: rate 1 from copying, (a+b)/n from flips."""
+    return np.exp(-(1.0 + (params.a + params.b) / params.n) * t)
 
 
 def block_mean_ode(params: ModelParams, part: BlockPartition, t: float) -> tuple[float, float]:
     """Mean local densities at time t, started from (0, 1).
 
     The weighted mean follows ``mean_ode`` from m0 = n1/n while the block
-    offsets relax at rate 1 + (a+b)/n, so a0*m0_t + a1*m1_t equals the global
+    offsets relax by ``block_decay``, so a0*m0_t + a1*m1_t equals the global
     mean path exactly.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     _, a1 = part.weights
     m = mean_ode(params, a1, t)
-    decay = np.exp(-(1.0 + (params.a + params.b) / params.n) * t)
+    decay = block_decay(params, t)
     return m - a1 * decay, m + (1.0 - a1) * decay
 
 
+# all sites occupied at a b that b + n rounds away: total rate 0, an infinite wait
+@np.errstate(divide="ignore")
 def _lockstep(params: ModelParams, sizes: tuple[int, ...], x0, horizons, rng) -> np.ndarray:
     """Event loop shared by R independent replicas of the B-block chain.
 
@@ -303,11 +330,34 @@ def simulate_blocks_batch(
     return _lockstep(params, (part.n0, part.n1), x0, horizons, rng)
 
 
+def check_event_budget(params: ModelParams, horizon: float, replicas: int) -> None:
+    """Raise ``CapacityError`` when ``replicas`` chains run to ``horizon``
+    are expected to take more events than the budget: more than
+    ``EVENT_BUDGET_PER_REPLICA`` each (the iterations of the lockstep loop)
+    or ``EVENT_BUDGET`` over all of them.
+
+    Every partition into blocks has the count chain's total rate, at most
+    its largest over the counts, so each replica expects at most that rate
+    times ``horizon`` events.  The total rate (n a + X(2n - a + b) - 2X^2)/n
+    is concave in the count X, so its largest value is at an integer next to
+    X = (2n - a + b)/4, clipped to [0, n].
+    """
+    n, a, b = params.n, params.a, params.b
+    peak = np.clip(np.floor((2 * n - a + b) / 4) + np.array([0.0, 1.0]), 0, n)
+    up, down = count_rates(params, peak)
+    each = float((up + down).max()) * horizon
+    if not (each <= EVENT_BUDGET_PER_REPLICA and each * replicas <= EVENT_BUDGET):
+        raise CapacityError(f"{replicas} replicas at n={n} a={a:g} b={b:g} to t={horizon:g} "
+                            f"expect up to {each:.3g} events each, {each * replicas:.3g} in "
+                            f"all: over the budget of {EVENT_BUDGET_PER_REPLICA:.0e} and "
+                            f"{EVENT_BUDGET:.0e}")
+
+
 class _CountChain(NamedTuple):
     """The per-size quantities of the count chain that exact laws use,
     computed once per ``transient_laws`` call: the birth and death rates at
     every count, the symmetrized generator's diagonal and off-diagonal, the
-    stationary law pi (as ``stationary_pmf`` gives it) and s = sqrt(pi)."""
+    stationary law pi (which ``stationary_pmf`` returns) and s = sqrt(pi)."""
 
     params: ModelParams
     up: np.ndarray
@@ -319,10 +369,21 @@ class _CountChain(NamedTuple):
 
 
 def _count_chain(params: ModelParams) -> _CountChain:
+    """The chain's per-size quantities; ``DiagnosticError`` when pi or the
+    symmetrized generator is not finite: a death rate down(n) = n(b + n - n)/n
+    of 0, where b is below the rounding of b + n, or a product up(k) down(k+1)
+    that overflows float64."""
     up, down = count_rates(params, np.arange(params.n + 1))
+    with np.errstate(over="ignore"):
+        off = up[:-1] * down[1:]
+    if not (down[-1] > 0 and np.isfinite(off).all()):
+        what = ("rate products up(k) down(k+1) overflow float64" if down[-1] > 0 else
+                "death rate at k = n rounds to 0 (b below the rounding of b + n)")
+        raise DiagnosticError(f"{what} at n={params.n} a={params.a:g} b={params.b:g}")
     logp = stationary_log_pmf(params, (up, down))
-    return _CountChain(params, up, down, -(up + down), np.sqrt(up[:-1] * down[1:]),
-                       _stationary_pmf(logp), np.exp(0.5 * logp))
+    p = np.exp(logp - logp.max())
+    return _CountChain(params, up, down, -(up + down), np.sqrt(off),
+                       Pmf(np.arange(logp.size, dtype=float), p / p.sum()), np.exp(0.5 * logp))
 
 
 # Eigenvector cost model in microseconds, fitted to a sweep of both routes (a = b = 1,
@@ -380,15 +441,16 @@ def _spectrum(chain: _CountChain, modes: int):
     4096   2410    826 / 3029 / 6500 / -- / --
     ====  =======  =====================================
 
-    Returns the eigenvalues and orthonormal eigenvectors (columns).  A
-    ``dstein`` failure to converge raises ``DiagnosticError``.
+    Returns the eigenvalues, the orthonormal eigenvectors (columns) and the
+    route taken.  A ``dstein`` failure to converge raises ``DiagnosticError``.
     """
     n = chain.params.n
     j = np.arange(modes - 1, -1, -1, dtype=float)
     lam = -j * (j - 1 + chain.params.a + chain.params.b) / n
-    if _eigen_route(chain, modes) == "full":
+    route = _eigen_route(chain, modes)
+    if route == "full":
         vecs = eigh_tridiagonal(chain.diag, chain.off)[1]
-        return lam, vecs if modes > n else vecs[:, n + 1 - modes:].copy()
+        return lam, vecs if modes > n else vecs[:, n + 1 - modes:].copy(), route
     # one unsplit block: iblock all 1, isplit[0] its last row
     block = np.ones(n + 1, dtype=np.int32)
     split = np.zeros(n + 1, dtype=np.int32)
@@ -397,7 +459,7 @@ def _spectrum(chain: _CountChain, modes: int):
     if info:
         raise DiagnosticError(f"inverse iteration (dstein) failed for n={n}, {modes} modes: "
                               f"info={info}")
-    return lam, vecs
+    return lam, vecs, route
 
 
 class _SpectralLaws(NamedTuple):
@@ -434,18 +496,21 @@ def _spectral_laws(chain: _CountChain, p0: np.ndarray, times: np.ndarray,
     if not live.any():
         return _SpectralLaws(laws, ok, "", 0, 0.0, "none")
     s = chain.s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q0 = np.where(p0 > 0, p0 / s, 0.0)
+    ts = times[live]
+    j = ks = np.arange(n + 1, dtype=float)
     # sum(s^2) = 1, so an error e before the factor s costs at most |e|_2 in l1
     # (Cauchy-Schwarz): (n+1) eps |q0|_2 for rounding, |q0|_2 exp(lam_j t) for mode
     # j from the first time on; keep the fewest slow modes whose dropped tail <= tol/4
-    # scaled by its largest entry, so that tail starts (q0 near 1/sqrt(pi_min)) do not overflow
-    top = q0.max()
-    scale = top * np.linalg.norm(q0 / top)
-    ts = times[live]
-    j = ks = np.arange(n + 1, dtype=float)
-    decay = np.exp(-j * (j - 1 + a + b) * ts[0] / n)
-    tails = scale * np.append(np.cumsum(decay[::-1])[::-1], 0.0)
+    # scaled by its largest entry, so that tail starts (q0 near 1/sqrt(pi_min)) do not overflow;
+    # a start where s underflows to 0, or a norm that overflows, has no finite bound
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q0 = np.where(p0 > 0, p0 / s, 0.0)
+        top = q0.max()
+        scale = top * np.linalg.norm(q0 / top)
+        decay = np.exp(-j * (j - 1 + a + b) * ts[0] / n)
+        tails = scale * np.append(np.cumsum(decay[::-1])[::-1], 0.0)
+    if not scale < np.inf:
+        return _SpectralLaws(laws, ok, "start law |p0/sqrt(pi)|_2 overflows", 0, np.inf, "none")
     modes = int(np.argmax(tails <= tol / 4))
     rounding = (n + 1) * np.finfo(float).eps * scale
     bound = rounding + tails[modes]
@@ -458,12 +523,12 @@ def _spectral_laws(chain: _CountChain, p0: np.ndarray, times: np.ndarray,
         raise CapacityError(f"n={n} a={a:g} b={b:g} needs {modes} eigenmodes at t={ts[0]:g}: "
                             f"{(n + 1) * modes / 2**17:.0f} MB of eigenvectors, over the "
                             f"{(DENSE_LAW_CAP + 1) ** 2 / 2**17:.0f} MB budget")
-    route = _eigen_route(chain, modes)
-    lam, vecs = _spectrum(chain, modes)
-    p = s[:, None] * (vecs @ (np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]))
-    fix = n * a / (a + b)
-    # mean_ode's closed-form path, in counts and at every time at once
-    mean = fix + (p0 @ ks - fix) * np.exp(-(a + b) * ts / n)
+    lam, vecs, route = _spectrum(chain, modes)
+    # a decay rate times a time that overflows is a factor exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        p = s[:, None] * (vecs @ (np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]))
+        # mean_ode's closed-form path at every time at once, in counts
+        mean = n * _mean_path(chain.params, (p0 @ ks) / n, ts)
     low, mass, got = p.min(axis=0), p.sum(axis=0), ks @ p
     passed = (low >= -tol) & (np.abs(mass - 1.0) <= tol) & (np.abs(got - mean) <= n * tol)
     p = np.clip(p, 0.0, None)
@@ -502,12 +567,23 @@ def _uniformized_law(chain: _CountChain, p0: np.ndarray, t: float, tol: float) -
 
     The chain is subordinated to a Poisson clock of rate 1.05 * max total
     jump rate; the Poisson series is truncated once its tail is below
-    ``tol/4`` and renormalized.
+    ``tol/4`` and renormalized.  A tol whose 1 - tol/4 rounds to 1 leaves
+    no tail to resolve and raises ``DiagnosticError``; a series of more than
+    ``UNIFORMIZATION_STEPS`` steps raises ``CapacityError`` before the first.
     """
+    if 1.0 - tol / 4 == 1.0:
+        raise DiagnosticError(f"tol={tol:g} is below what uniformization resolves: "
+                              f"1 - tol/4 rounds to 1")
     up, down = chain.up, chain.down
     lam = 1.05 * float((up + down).max())
     mu = lam * t
-    nsteps = _poisson_isf(tol / 4, mu) + 2
+    # the step count is at least its Poisson mean, so a mean over the budget
+    # (or one that overflowed) is not passed to the quantile
+    nsteps = _poisson_isf(tol / 4, mu) + 2 if mu <= UNIFORMIZATION_STEPS else mu
+    if not nsteps <= UNIFORMIZATION_STEPS:
+        n, a, b = chain.params.n, chain.params.a, chain.params.b
+        raise CapacityError(f"uniformization for n={n} a={a:g} b={b:g} over t={t:g} needs "
+                            f"{nsteps:.3g} steps, over the budget of {UNIFORMIZATION_STEPS}")
     weights = _poisson_pmf(np.arange(nsteps + 1), mu)
     pu = up / lam
     pd = down / lam
@@ -633,14 +709,10 @@ def stationary_log_pmf(params: ModelParams, rates: tuple | None = None) -> np.nd
     return logp - (peak + np.log(np.exp(logp - peak).sum()))
 
 
-def _stationary_pmf(logp: np.ndarray) -> Pmf:
-    p = np.exp(logp - logp.max())
-    return Pmf(np.arange(logp.size, dtype=float), p / p.sum())
-
-
 def stationary_pmf(params: ModelParams) -> Pmf:
-    """Stationary count distribution, Beta-Binomial(n, a, b)."""
-    return _stationary_pmf(stationary_log_pmf(params))
+    """Stationary count distribution, Beta-Binomial(n, a, b): the law that
+    exact law grids carry (``_CountChain.stationary``)."""
+    return _count_chain(params).stationary
 
 
 def detailed_balance_gap(params: ModelParams) -> float:

@@ -296,18 +296,11 @@ def _euclidean_potentials(xa, ya):
     return (xa - center) @ e, (ya - center) @ e
 
 
-class CertifiedCost(float):
-    """A cityblock ``w1_matching`` value that the sorted coupling's
-    certificate proved optimal, returned without the assignment solve.  It is
-    the float the solve would return; only its type records the path."""
-
-    rows = 0  # assignment rows solved for it
-
-
-class SolvedCost(float):
-    """A cityblock ``w1_matching`` value on integer clouds that took the
-    assignment solve; ``rows`` is the size of that solve, the points left once
-    the two clouds' shared points are cancelled."""
+class MatchingCost(float):
+    """A cityblock ``w1_matching`` value on integer clouds, the plain solve's
+    float, with ``rows``: the points left to solve once the clouds' shared
+    points are cancelled, or 0 when the sorted coupling's certificate proved
+    it optimal without a solve."""
 
     def __new__(cls, value: float, rows: int):
         cost = super().__new__(cls, value)
@@ -342,7 +335,7 @@ def _sorted_certificate(xa, ya):
     costs = np.abs(xa[ox] - ya[oy]).sum(axis=1)
     if costs.sum() != bound:
         return None
-    return CertifiedCost(costs.mean())
+    return MatchingCost(costs.mean(), 0)
 
 
 def _unshared(xa, ya):
@@ -409,8 +402,8 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     x0) and paired by rank; when that matching's total cost equals the dual
     bound v.sum() - u.sum() of the l1 start, the sum of the per-coordinate
     1-D distances, weak duality proves it optimal, and its mean is returned
-    as a ``CertifiedCost`` without the potentials, the cost matrix or the
-    solve.  On integers every cost and coordinate gap is exact in float64,
+    as a ``MatchingCost`` of 0 rows without the potentials, the cost matrix
+    or the solve.  On integers every cost and coordinate gap is exact in float64,
     so the equality test is exact and the value is the solve's, bit for bit.
     When the two clouds hold the same multiset of totals, as ``thermalize``'s
     do, this matching is the sorted coupling within each total.  Otherwise,
@@ -425,7 +418,7 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
     returned total / N is the full solve's, bit for bit, since every cost is
     an integer.  Every point is shared only when the multisets are equal,
     which the certificate has already answered (0.0, no solve).  The value
-    is a ``SolvedCost`` whose ``rows`` is the size of that solve.
+    is a ``MatchingCost`` whose ``rows`` is the size of that solve.
     """
     if metric not in ("euclidean", "cityblock"):
         raise ValueError(f"metric must be 'euclidean' or 'cityblock', got {metric!r}")
@@ -453,7 +446,7 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
         rows, cols = linear_sum_assignment(cost)
         matched = np.abs(xa[rows] - ya[cols]).sum(axis=1)
         if integer:
-            return SolvedCost(matched.sum() / size, xa.shape[0])
+            return MatchingCost(matched.sum() / size, xa.shape[0])
         return float(matched.mean())
     cost = cdist(xa, ya, metric)
     reduced = cost

@@ -76,6 +76,50 @@ def _extreme_start_args(draw):
             "--grid", _joined(grid)]
 
 
+@st.composite
+def _any_config_args(draw):
+    """CLI arguments that set every config field of a random scenario, mostly
+    valid: sizes up to 64 (one for thermalize, at least two for
+    mixing-curve, a dyadic sweep for most qclt-rate draws), a and b
+    log-uniform on [1e-300, 1e308], tol log-uniform on [1e-16, 1e-6], m0
+    near 0 or 1 or inside, sorted time grids, and the fewest samples and
+    repetitions that thermalize accepts.  About one draw in ten breaks one
+    rule on purpose: an exact m0 of 0 or 1, an unsorted grid, a start count
+    where no scenario reads it, too few samples or repetitions, a size that
+    thermalize or qclt-rate refuses."""
+    scenario = draw(st.sampled_from(list(experiments.SCENARIOS)))
+    sizes = st.integers(1, 64)
+    broken = draw(st.integers(0, 9)) == 0
+    if scenario == "qclt-rate" and not broken:
+        n0 = draw(st.integers(1, 16))
+        ns = [n0, 2 * n0, 4 * n0]
+    elif scenario == "thermalize" and not broken:
+        # m0(1 - m0) >= n^(-1/3) holds at n <= 64 only for n = 64 and m0 = 1/2
+        ns = [64]
+    else:
+        ns = draw(st.lists(sizes, min_size=1 + (scenario == "mixing-curve"),
+                           max_size=1 if scenario == "thermalize" else 3))
+    a, b = (10.0 ** draw(st.floats(-300.0, 308.0)) for _ in range(2))
+    m0 = (0.5 if scenario == "thermalize" else
+          draw(st.floats(1e-6, 1e-2) | st.floats(0.99, 1.0 - 1e-6) | st.floats(0.0, 1.0)))
+    args = [scenario, "--n", _joined(ns), "--a", repr(a), "--b", repr(b),
+            "--m0", repr(draw(st.sampled_from([0.0, 1.0])) if broken else m0),
+            "--tol", repr(10.0 ** draw(st.floats(-16.0, -6.0))),
+            "--samples", str(draw(st.integers(99 if broken else 100, 110))),
+            "--repetitions", str(draw(st.integers(1 if broken else 2, 3))),
+            "--seed", str(draw(st.integers(0, 3)))]
+    if draw(st.booleans()) and (broken or scenario == "stein-rate"):
+        args += ["--ell", str(draw(st.integers(0, 64)))]
+    if draw(st.booleans()):
+        low = -0.6 if scenario == "thermalize" else 0.0
+        grid = draw(st.lists(st.floats(low, 3.0), min_size=1, max_size=4, unique=True))
+        args.append("--grid=" + _joined(grid if broken else sorted(grid)))
+    if draw(st.booleans()):
+        eps = draw(st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=3, unique=True))
+        args.append("--eps=" + _joined(eps))
+    return args
+
+
 _MOVES = ((1, 0), (0, 1), (-1, 0), (0, -1))  # the order of block_rates
 
 
@@ -419,6 +463,101 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             f"capacity error: n={n} ell={n // 2} has {n // 2 + 1} support points")
 
+    @pytest.mark.parametrize("args,code,err", [
+        # the rates overflow float64
+        (["mixing-curve", "--n", "32,64", "--a", "1e308"], 1,
+         "diagnostic error: count rates overflow float64 at n=32 a=1e+308 b=1"),
+        # sqrt(pi) underflows at the start, and the refill is over its step budget
+        (["mixing-curve", "--n", "32,64", "--b", "1e200"], 3,
+         "capacity error: uniformization for n=32 a=1 b=1e+200 over t=0.32 needs 3.36e+199 "
+         "steps, over the budget of 2097152"),
+        (["profile", "--n", "32", "--a", "1e15"], 3,
+         "capacity error: uniformization for n=32 a=1e+15 b=1 over t=1.6 needs 1.68e+15 "),
+        # 1 - tol/4 rounds to 1
+        (["mixing-curve", "--n", "32,64", "--tol", "1e-16"], 1,
+         "diagnostic error: tol=1e-16 is below what uniformization resolves"),
+        # at n = 2 the decay rates times the time overflow to exp(-inf) = 0,
+        # without a warning; n = 3 starts in the tail and is over the budget
+        (["mixing-curve", "--n", "2,3", "--a", "1e306", "--m0", "0.99", "--grid", "0.5,300"], 3,
+         "capacity error: uniformization for n=3 a=1e+306 b=1 over t=1.5 needs 1.58e+306 "),
+        # b is below the rounding of b + n: the death rate at k = n is 0
+        (["profile", "--n", "10", "--b", "1e-300"], 1,
+         "diagnostic error: death rate at k = n rounds to 0 (b below the rounding of b + n) "
+         "at n=10 a=1 b=1e-300"),
+        # the products up(k) down(k+1) of the symmetrized generator overflow
+        (["mixing-curve", "--n", "60,25", "--a", "2.8e199", "--b", "2.8e199", "--grid", "0"], 1,
+         "diagnostic error: rate products up(k) down(k+1) overflow float64 at n=60"),
+        # stein-rate reads neither a nor tol
+        (["stein-rate", "--n", "64", "--a", "1e308"], 0, ""),
+        (["stein-rate", "--n", "64", "--tol", "1e-16"], 0, ""),
+    ])
+    def test_extreme_exact_law_configs(self, args, code, err, tmp_path, capsys):
+        assert cli.main(args + ["--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err.startswith(err)
+
+    @pytest.mark.parametrize("args,failed", [
+        # log pi reaches about 1e5 at n = 1000, so its rounding exceeds 1e-12,
+        # and the expm reference of the block means is NaN
+        (["--a", "1e300"], ["detailed-balance", "block-mean-identity"]),
+        # b + n - n rounds to 0, and so does the death rate at k = n, so the
+        # balance gap is inf; 1 - exp(-2(a+b)t/n) rounds to 0, and so does
+        # the Gronwall bound
+        (["--a", "1e-300", "--b", "1e-300"], ["detailed-balance", "density-apriori"]),
+    ])
+    def test_validate_at_extreme_a_and_b(self, args, failed, tmp_path, capsys):
+        # every check measures; the ones that cannot resolve these rates fail
+        assert cli.main(["validate", *args, "--out", str(tmp_path)]) == 4
+        checks = json.loads((tmp_path / "validate_report.json").read_text())["checks"]
+        assert [name for name, info in checks.items() if not info["passed"]] == failed
+        assert math.isfinite(checks["density-apriori"]["measured"])
+
+    def test_thermalize_event_budget_before_simulating(self, tmp_path, monkeypatch, capsys):
+        def spy(*args, **kwargs):
+            raise AssertionError("simulated before the event budget was checked")
+
+        monkeypatch.setattr(model, "simulate_blocks_batch", spy)
+        code = cli.main(["thermalize", "--n", "64", "--a", "1e300", "--b", "1e300",
+                         "--grid", "0,1", "--samples", "100", "--repetitions", "2",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "capacity error: 200 replicas at n=64 a=1e+300 b=1e+300 to t=1.69315 expect up to "
+            "1.69e+300 events each")
+
+    @pytest.mark.parametrize("n,a,samples,reps,taus", [
+        (10_000, 1.0, 2000, 10, (-1.0, 0.0, 1.0)),  # criterion 5
+        (64, 1e5, 100, 2, (0.0, 1.0)),
+        (500, 1.0, 600, 3, (-1.0, 0.0, 1.0)),  # the thermalize-cloud benchmark
+        (400, 1.0, 2000, 10, (-1.0, 0.0, 1.0)),  # the defaults at n = 400
+    ])
+    def test_thermalize_event_budget_admits(self, n, a, samples, reps, taus):
+        params = model.ModelParams(n, a, a)
+        horizon = experiments.thermalization_times(n, n // 2, taus)[-1]
+        model.check_event_budget(params, horizon, samples * reps)
+
+    @given(_any_config_args())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_no_traceback_from_any_config(self, args):
+        # every run ends with a documented exit code: no exception escapes
+        # cli.main, and no numeric warning is raised in the package
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(args + ["--out", out]) in (0, 1, 2, 3, 4)
+
+    def test_crossings_before_the_first_grid_time(self, tmp_path):
+        # every eps is crossed before t = 0.01, the first grid time: each
+        # crossing is bracketed from t = 0, the start's point mass, and at
+        # b >> a the curve is the mean's decay |m0 - a/(a+b)| e^{-(a+b) t}
+        a, b = 1e-3, 1e3
+        args = ["mixing-curve", "--n", "8,16", "--a", repr(a), "--b", repr(b)]
+        assert cli.main(args + ["--out", str(tmp_path)]) == 0
+        rows = [r for r in csv.DictReader((tmp_path / "results.csv").read_text().splitlines())
+                if r["scenario"] == "mixing-curve"]
+        assert len(rows) == 6
+        for r in rows:
+            want = math.log(abs(0.5 - a / (a + b)) / float(r["t_or_tau"])) / (a + b)
+            assert float(r["estimate"]) == pytest.approx(want, rel=1e-9)
+
     def test_diagnostic_error_is_1(self, tmp_path, capsys):
         # grid too short to reach the smallest eps
         code = cli.main(["mixing-curve", "--n", "32,64", "--grid", "0.01,0.02",
@@ -529,17 +668,18 @@ class TestExactLawWork:
 
     def test_per_size_quantities_computed_once(self, tmp_path, monkeypatch):
         # the rates, log pi and the eigenpairs once per size, the stationary
-        # law of the distances included
+        # law of the distances included, and the eigenvector route once per
+        # eigensolve
         calls = Counter()
-        for name in ("stationary_log_pmf", "count_rates", "_spectrum"):
+        names = ("stationary_log_pmf", "count_rates", "_spectrum", "_eigen_route")
+        for name in names:
             def counted(first, *args, _name=name, _real=getattr(model, name)):
                 calls[_name, getattr(first, "params", first).n] += 1
                 return _real(first, *args)
 
             monkeypatch.setattr(model, name, counted)
         assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0
-        assert calls == {(name, n): 1 for name in ("stationary_log_pmf", "count_rates", "_spectrum")
-                         for n in (32, 64, 128)}
+        assert calls == {(name, n): 1 for name in names for n in (32, 64, 128)}
 
 
 class TestDeterminism:
@@ -819,7 +959,7 @@ class TestScenarioOutputs:
         n, pairs = 1600, 300
         params = model.ModelParams(n, 1.0, 1.0)
         part = model.BlockPartition(n // 2, n // 2)
-        horizon = np.array([0.5 * np.log(n) + np.log(0.25) + 1.0])
+        horizon = experiments.thermalization_times(n, n // 2, [1.0])
         starts = np.tile([[0, n // 2]], (pairs, 1))
         s1 = model.simulate_blocks_batch(params, part, starts, horizon,
                                          replica_stream(1, "thermalize", 0))
@@ -896,55 +1036,44 @@ class TestScenarioOutputs:
                                samples=120, repetitions=3, seed=4, out=str(tmp_path))
         n, pairs, ell = 400, cfg.samples, cfg.particle_count(400)
         params, part = model.ModelParams(n, cfg.a, cfg.b), model.BlockPartition(n - ell, ell)
-        horizons = 0.5 * np.log(n) + np.log(ell / n * (1 - ell / n)) + np.asarray(cfg.grid)
+        horizons = experiments.thermalization_times(n, ell, cfg.grid)
         original, calls = model.simulate_blocks_batch, []
-
-        def spy(*args):
-            calls.append((args, original(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(model, "simulate_blocks_batch", spy)
-        records, _ = run_thermalize(cfg)
+        monkeypatch.setattr(model, "simulate_blocks_batch",
+                            lambda *args: calls.append(args) or original(*args))
+        fixed, uniform = experiments.thermalize_clouds(params, part, horizons, pairs,
+                                                       cfg.repetitions, cfg.seed)
         monkeypatch.undo()
-        assert len(calls) == 1 and len(calls[0][0][4]) == cfg.repetitions
-        states = calls[0][1]
-        assert states.shape == (len(cfg.grid), cfg.repetitions * pairs, 2)
+        assert len(calls) == 1 and len(calls[0][4]) == cfg.repetitions
+        assert fixed.shape == uniform.shape == (len(cfg.grid), cfg.repetitions * pairs, 2)
         values = []
         for rep in range(cfg.repetitions):
+            cols = slice(pairs * rep, pairs * (rep + 1))
             rng = replica_stream(cfg.seed, "thermalize", rep)
             alone = model.simulate_blocks_batch(params, part, np.tile([[0, ell]], (pairs, 1)),
                                                 horizons, rng)
-            np.testing.assert_array_equal(states[:, pairs * rep:pairs * (rep + 1)], alone)
+            np.testing.assert_array_equal(fixed[:, cols], alone)
             u0, u1 = model.sample_uniform_given_count(params, part, alone.sum(axis=2), rng)
-            values.append([w1_matching(alone[i].astype(float),
-                                       np.stack([u0[i], u1[i]], axis=1).astype(float),
+            np.testing.assert_array_equal(uniform[:, cols], np.stack([u0, u1], axis=2))
+            values.append([w1_matching(alone[i].astype(float), uniform[i, cols].astype(float),
                                        metric="cityblock") / np.sqrt(n)
                            for i in range(len(cfg.grid))])
-        est = [r.estimate for r in records if r.scenario == "thermalize"]
+        est = [r.estimate for r in run_thermalize(cfg)[0] if r.scenario == "thermalize"]
         assert est == [float(col.mean()) for col in np.asarray(values).T]
 
-    def test_thermalize_uniform_clouds_keep_partner_totals(self, monkeypatch):
+    def test_thermalize_uniform_clouds_keep_partner_totals(self):
         # each uniform-start replica holds its fixed partner's total X, split
         # within the block sizes (250, 150) with block-1 mean X n1/n; a swap
         # of the blocks would move that mean by X (n0 - n1)/n, about 37 here,
         # against a standard error near 0.4
-        cfg = ExperimentConfig(scenario="thermalize", n=(400,), ell=150, grid=(-1.0, 0.0, 1.0),
-                               samples=120, repetitions=2, seed=4)
-        original, clouds = experiments.transport.w1_matching, []
-
-        def spy(x, y, metric):
-            clouds.append((x, y))
-            return original(x, y, metric=metric)
-
-        monkeypatch.setattr(experiments.transport, "w1_matching", spy)
-        run_thermalize(cfg)
-        assert len(clouds) == 2 * 3
-        for fixed, uniform in clouds:
-            assert fixed.shape == uniform.shape == (120, 2)
-            np.testing.assert_array_equal(fixed.sum(axis=1), uniform.sum(axis=1))
-            assert np.all(uniform >= 0) and np.all(uniform <= [250, 150])
-            assert abs(np.mean(uniform[:, 1] - uniform.sum(axis=1) * 150 / 400)) < 2.0
-            assert not np.array_equal(fixed, uniform)
+        params, part = model.ModelParams(400, 1.0, 1.0), model.BlockPartition(250, 150)
+        horizons = experiments.thermalization_times(400, 150, (-1.0, 0.0, 1.0))
+        fixed, uniform = experiments.thermalize_clouds(params, part, horizons, 120, 2, 4)
+        np.testing.assert_array_equal(fixed.sum(axis=2), uniform.sum(axis=2))
+        assert np.all(uniform >= 0) and np.all(uniform <= [250, 150])
+        # per cloud: 3 horizons x 2 repetitions of 120 pairs
+        gap = (uniform[..., 1] - uniform.sum(axis=2) * 150 / 400).reshape(3, 2, 120)
+        assert np.all(np.abs(gap.mean(axis=2)) < 2.0)
+        assert np.all((fixed != uniform).reshape(3, 2, -1).any(axis=2))
 
     @pytest.mark.parametrize("n,n1,ell,a,b,t", [(12, 5, 6, 1.0, 1.0, 0.7),
                                                 (15, 7, 3, 0.3, 4.0, 2.0),

@@ -18,9 +18,9 @@ builds one per grid.
 ``test_layer_bench_matching`` times the two Euclidean ``w1_matching`` calls
 of ``validate``'s ``translation-2d`` check (160 points), and
 ``test_layer_bench_cityblock_matching`` the 9 cityblock calls of
-``thermalize-cloud``: the lockstep bench's clouds, each stream's uniform
-clouds drawn from its totals as ``run_thermalize`` does, 3 taus x 3 streams
-of 600 pairs.  ``test_layer_bench_w1_vs_wf`` times the 24
+``thermalize-cloud``: the clouds of ``thermalize_clouds`` at the lockstep
+bench's shape and seed 0, 3 taus x 3 streams of 600 pairs.
+``test_layer_bench_w1_vs_wf`` times the 24
 ``w1_discrete_vs_wf`` calls of ``profile --n 1024`` (a = b = 1, start n/2,
 the default grid), each density law against the exact Wright-Fisher
 marginal.  There is no time gate: the tests only check that the lockstep
@@ -36,13 +36,13 @@ import numpy as np
 
 from noisyvoter import stein
 from noisyvoter.diffusion import WFParams, wf_marginal
-from noisyvoter.experiments import SCENARIOS, _translation_draws, replica_stream
+from noisyvoter.experiments import (SCENARIOS, _translation_draws, replica_stream,
+                                    thermalization_times, thermalize_clouds)
 from noisyvoter.model import (
     BlockPartition,
     ModelParams,
     _count_chain,
     _eigen_route,
-    sample_uniform_given_count,
     simulate_blocks_batch,
     transient_laws,
 )
@@ -57,7 +57,7 @@ from oracles import (
 
 N, ELL, PAIRS, STREAMS = 500, 250, 600, 3
 PARAMS, PART = ModelParams(N, 1.0, 1.0), BlockPartition(N - ELL, ELL)
-HORIZONS = 0.5 * np.log(N) + np.log(0.25) + np.array([-1.0, 0.0, 1.0])
+HORIZONS = thermalization_times(N, ELL, SCENARIOS["thermalize"][1])
 FIXED = np.tile([[0, ELL]], (PAIRS, 1))
 LAW_N = 16384
 MIXING_N = 128
@@ -121,14 +121,9 @@ def test_layer_bench_matching(benchmark):
 
 
 def test_layer_bench_cityblock_matching(benchmark):
-    rngs = streams()
-    states = simulate_blocks_batch(PARAMS, PART, np.tile(FIXED, (STREAMS, 1)), HORIZONS, rngs)
-    pairs = []
-    for rep, rng in enumerate(rngs):
-        fixed = states[:, PAIRS * rep:PAIRS * (rep + 1)]
-        u0, u1 = sample_uniform_given_count(PARAMS, PART, fixed.sum(axis=2), rng)
-        uniform = np.stack([u0, u1], axis=2)
-        pairs += [(fixed[i].astype(float), uniform[i].astype(float)) for i in range(len(HORIZONS))]
+    # one (PAIRS, 2) cloud per horizon and stream
+    pairs = list(zip(*(c.reshape(-1, PAIRS, 2).astype(float)
+                       for c in thermalize_clouds(PARAMS, PART, HORIZONS, PAIRS, STREAMS, 0))))
 
     def match_all():
         return [w1_matching(xs, ys, metric="cityblock") for xs, ys in pairs]

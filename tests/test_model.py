@@ -11,7 +11,7 @@ from scipy.special import betaln, gammaln
 from scipy.stats import binom, poisson
 
 from noisyvoter import model
-from noisyvoter.errors import CapacityError
+from noisyvoter.errors import CapacityError, DiagnosticError
 from noisyvoter.experiments import SCENARIOS
 from noisyvoter.model import (
     BlockPartition,
@@ -290,8 +290,8 @@ class TestSpectralLaw:
         off = np.sqrt(up[:-1] * down[1:])
         sym = np.diag(-(up + down)) + np.diag(off, 1) + np.diag(off, -1)
         for modes in counts:
-            lam, vecs = _spectrum(chain, modes)
-            assert vecs.shape == (n + 1, modes)
+            lam, vecs, route = _spectrum(chain, modes)
+            assert vecs.shape == (n + 1, modes) and route == model._eigen_route(chain, modes)
             assert np.array_equal(lam, hahn[-modes:]) and lam[-1] == 0.0
             assert np.max(np.abs(sym @ vecs - vecs * lam)) <= 1e-10 * n
             assert np.max(np.abs(vecs.T @ vecs - np.eye(modes))) <= 1e-10
@@ -367,8 +367,8 @@ class TestSpectralLaw:
         # it uniformization refills the law, above it the call fails loudly
         # (the lowered cap still leaves room for this law's eigenvectors)
         params = ModelParams(64, 1.0, 1.0)
-        lam, vecs = _spectrum(_count_chain(params), 65)
-        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs))
+        lam, vecs, route = _spectrum(_count_chain(params), 65)
+        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs, route))
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
             law = transient_law(params, 10, 20.0)
         messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
@@ -492,8 +492,8 @@ class TestLawGrid:
         # columns that pass the a-priori bound but fail the a-posteriori
         # checks are refilled too
         params = ModelParams(64, 1.0, 1.0)
-        lam, vecs = _spectrum(_count_chain(params), 65)
-        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs))
+        lam, vecs, route = _spectrum(_count_chain(params), 65)
+        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs, route))
         times = np.array([0.0, 5.0, 20.0, 60.0])
         grid = transient_laws(params, 10, times)
         assert grid.refilled.tolist() == [False, True, True, True]
@@ -541,6 +541,47 @@ class TestPoissonTruncation:
         assert nsteps == int(poisson.isf(tol / 4, mu))
         ks = np.arange(nsteps + 3)
         assert np.array_equal(_poisson_pmf(ks, mu), poisson.pmf(ks, mu))
+
+
+class TestUniformizationBudget:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_admits_the_tail_row(self, tol):
+        # (n, a, b, k0, t) = (300, 1e3, 1e-3, 0, 1500), a tail start that
+        # every spectral column rejects: about 1.58e6 steps, 16 s
+        chain = _count_chain(ModelParams(300, 1e3, 1e-3))
+        mu = 1.05 * float((chain.up + chain.down).max()) * 1500.0
+        assert 1.5e6 < _poisson_isf(tol / 4, mu) + 2 <= model.UNIFORMIZATION_STEPS
+
+    def test_checked_before_the_series(self, monkeypatch):
+        chain = _count_chain(ModelParams(64, 1.0, 1.0))
+        p0 = (np.arange(65) == 10).astype(float)
+        mu = 1.05 * float((chain.up + chain.down).max()) * 20.0
+        steps = _poisson_isf(1e-9 / 4, mu) + 2
+        monkeypatch.setattr(model, "UNIFORMIZATION_STEPS", steps)
+        law = _uniformized_law(chain, p0, 20.0, 1e-9)
+        monkeypatch.setattr(model, "UNIFORMIZATION_STEPS", steps - 1)
+
+        def spy(*args):
+            raise AssertionError("Poisson weights computed over the step budget")
+
+        monkeypatch.setattr(model, "_poisson_pmf", spy)
+        with pytest.raises(CapacityError, match=f"needs {steps} steps, over the budget"):
+            _uniformized_law(chain, p0, 20.0, 1e-9)
+        # a Poisson mean over the budget never reaches the quantile
+        monkeypatch.setattr(model, "_poisson_isf", spy)
+        with pytest.raises(CapacityError, match="over the budget"):
+            _uniformized_law(chain, p0, 1e300, 1e-9)
+        assert law.sum() == pytest.approx(1.0)
+
+    def test_tol_below_the_tail_resolution(self):
+        # 1 - tol/4 rounds to 1 up to tol = 2^-52: no tail to truncate at
+        chain = _count_chain(ModelParams(16, 1.0, 1.0))
+        p0 = (np.arange(17) == 3).astype(float)
+        with pytest.raises(DiagnosticError, match="tol=1e-16 is below"):
+            _uniformized_law(chain, p0, 1.0, 1e-16)
+        with pytest.raises(DiagnosticError, match="1 - tol/4 rounds to 1"):
+            _uniformized_law(chain, p0, 1.0, 2.0**-52)
+        assert _uniformized_law(chain, p0, 1.0, 2.0**-51).sum() == pytest.approx(1.0)
 
 
 def scalar_chain(params: ModelParams, sizes, x0, horizons, rng) -> list:
