@@ -22,7 +22,7 @@ import json
 import numbers
 import time
 from collections import Counter
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -230,7 +230,7 @@ def write_manifest(cfg: ExperimentConfig, records, extra=None) -> Path:
                 "rel_error": rel, "flagged": bool(rel > _declared_tolerance(r)),
             })
     payload = {
-        "config": asdict(cfg),
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "artifact_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "theory_check": theory_check,
@@ -238,9 +238,7 @@ def write_manifest(cfg: ExperimentConfig, records, extra=None) -> Path:
     if extra:
         payload.update(extra)
     path = outdir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=float)
-        fh.write("\n")
+    path.write_text(json.dumps(payload, indent=2, default=float) + "\n", encoding="utf-8")
     return path
 
 
@@ -294,9 +292,13 @@ def _density_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> _DensityLaws
     Records under ``law_info[str(n)]`` the manifest's account of the grid:
     how many columns are the start law (t = 0), came from the spectral
     product or were refilled by uniformization, the eigenmodes used, their
-    eigenvector route (``"full"``, ``"dstein"``, or ``"none"`` when no column
-    is spectral) and the largest a-priori error bound of the spectral
-    columns.  The stationary law comes with the laws, from the same call.
+    eigenvector route (``"hahn"``, ``"full"``, ``"dstein"``, or ``"none"``
+    when no column is spectral) and the largest a-priori error bound of the
+    spectral columns.  When the Hahn recurrence was tried and its
+    certificate rejected it, the route is the LAPACK one that ran and
+    ``hahn_certificate`` gives the two readings (``residual`` in units of
+    (n+1) eps |T|_inf, ``orthonormality`` in units of (n+1) eps).  The
+    stationary law comes with the laws, from the same call.
     """
     params = model.ModelParams(n, cfg.a, cfg.b)
     ts = n * np.asarray(cfg.grid)
@@ -304,10 +306,13 @@ def _density_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> _DensityLaws
     laws = model.transient_laws(params, k0, ts, cfg.tol)
     start = int(np.count_nonzero(ts == 0))
     uniformized = int(laws.refilled.sum())
-    law_info[str(n)] = {"columns": ts.size, "start": start,
-                        "spectral": ts.size - start - uniformized, "uniformized": uniformized,
-                        "modes": laws.modes, "eigen_route": laws.route,
-                        "apriori_bound": laws.bound}
+    law_info[str(n)] = info = {"columns": ts.size, "start": start,
+                               "spectral": ts.size - start - uniformized,
+                               "uniformized": uniformized, "modes": laws.modes,
+                               "eigen_route": str(laws.route), "apriori_bound": laws.bound}
+    certificate = getattr(laws.route, "certificate", None)
+    if certificate:
+        info["hahn_certificate"] = certificate
     lattice = np.arange(n + 1) / n
     return _DensityLaws(float(lattice[k0]), lattice, laws.probs, laws.stationary.probs)
 
@@ -876,7 +881,7 @@ def _density_apriori(cfg):
         gsup = float(np.max(model.density_noise(params, np.linspace(0, 1, 201))))
         for t in (1.0, 10.0, float(n) / 10.0, float(n)):
             msd = model.density_variance(params, m0, t)
-            bound = gsup / (2 * (cfg.a + cfg.b)) * (1 - np.exp(-2 * (cfg.a + cfg.b) * t / n))
+            bound = gsup / (2 * (cfg.a + cfg.b)) * -np.expm1(-2 * (cfg.a + cfg.b) * t / n)
             worst = np.maximum(worst, msd - bound)  # a NaN fails the check
     return worst, "exact mean-square density deviation vs Gronwall bound"
 

@@ -22,9 +22,11 @@ Exact transient laws come from the spectral decomposition of the count
 chain: reversibility makes its generator, symmetrized by sqrt(pi), a
 symmetric tridiagonal matrix with the Hahn spectrum -j(j-1+a+b)/n (Karlin
 and McGregor 1962).  The eigenvalues are that closed form; only the
-eigenvectors are computed, by the full decomposition or by LAPACK inverse
-iteration, whichever a cost model fitted to a measured sweep of both
-predicts to be faster (``_eigen_route``).  The rates, the stationary law
+eigenvectors are computed, by the Hahn three-term recurrence, the full
+decomposition or LAPACK inverse iteration, whichever a cost model fitted to
+measured sweeps predicts to be fastest (``_eigen_route``); the recurrence's
+vectors are used only when an a-posteriori certificate holds them to
+LAPACK's standard (``_certificate``).  The rates, the stationary law
 and sqrt(pi) are computed once per law grid (``_CountChain``), and the grid
 hands the stationary law on with its laws.  Every time shares the start's
 coefficients in that eigenbasis, so at every n the J slowest eigenpairs,
@@ -356,14 +358,16 @@ def check_event_budget(params: ModelParams, horizon: float, replicas: int) -> No
 class _CountChain(NamedTuple):
     """The per-size quantities of the count chain that exact laws use,
     computed once per ``transient_laws`` call: the birth and death rates at
-    every count, the symmetrized generator's diagonal and off-diagonal, the
-    stationary law pi (which ``stationary_pmf`` returns) and s = sqrt(pi)."""
+    every count, the symmetrized generator's diagonal and off-diagonal, its
+    norm |T|_inf (= |T|_1, the largest absolute row sum), the stationary law
+    pi (which ``stationary_pmf`` returns) and s = sqrt(pi)."""
 
     params: ModelParams
     up: np.ndarray
     down: np.ndarray
     diag: np.ndarray
     off: np.ndarray
+    norm: float
     stationary: Pmf
     s: np.ndarray
 
@@ -382,7 +386,9 @@ def _count_chain(params: ModelParams) -> _CountChain:
         raise DiagnosticError(f"{what} at n={params.n} a={params.a:g} b={params.b:g}")
     logp = stationary_log_pmf(params, (up, down))
     p = np.exp(logp - logp.max())
-    return _CountChain(params, up, down, -(up + down), np.sqrt(off),
+    off, diag = np.sqrt(off), -(up + down)
+    edge = np.concatenate([[0.0], off, [0.0]])
+    return _CountChain(params, up, down, diag, off, float(np.max(edge[:-1] + edge[1:] - diag)),
                        Pmf(np.arange(logp.size, dtype=float), p / p.sum()), np.exp(0.5 * logp))
 
 
@@ -390,15 +396,35 @@ def _count_chain(params: ModelParams) -> _CountChain:
 # n = 32 ... 4096, best of 3 to 7, one BLAS thread, 2-core x86-64 box): the full solve
 # takes _FULL_COST[0] + _FULL_COST[1] (n+1)^_FULL_COST[2], and dstein at m eigenvalues
 # _STEIN_COST[0] + (n+1) (_STEIN_COST[1] m + _STEIN_COST[2] g^2), with g the slow modes
-# it reorthogonalizes against each other
+# it reorthogonalizes against each other.  The Hahn recurrence with its certificate
+# takes _HAHN_COST[0] + _HAHN_COST[1] m + (n+1) m (_HAHN_COST[2] + _HAHN_COST[3] m),
+# fitted the same way to _spectrum on that route (n = 16 ... 16384, m = 1 up to
+# _HAHN_REACH sqrt(n+1), best of 3 to 40; median error 9%, worst 43%), except that its
+# fixed cost is the 50 us it takes inside transient_laws, not the 30 us of the fit: its
+# ~60 small NumPy calls cost more there than when timed alone.  With it the rule turns
+# to the recurrence at 7 modes at n = 128 and 3 at 256, where the two routes tie (within
+# 2 us) when each is forced inside transient_laws (medians, alternating)
 _FULL_COST = (95.2, 8.07e-3, 2.326)
 _STEIN_COST = (13.8, 7.09e-2, 6.67e-4)
+_HAHN_COST = (50.0, 3.48, 7.06e-3, 4.71e-5)
+# The recurrence is tried for at most _HAHN_REACH sqrt(n+1) slow modes.  At a = b = 1
+# the certificate passes up to 3.6 - 5.2 sqrt(n+1) modes over n = 16 ... 4096 (4.5 - 5.2
+# from n = 128), at other (a, b) up to 2 - 9 sqrt(n+1), so the rule only spares
+# attempts that would fail; the certificate decides
+_HAHN_REACH = 4.6
+# The certificate's C: residual max|T V - V Lambda| <= C (n+1) eps |T|_inf and
+# orthonormality defect max|V^T V - I| <= C (n+1) eps.  Over a sweep (n = 16 ... 1024,
+# 11 (a, b) from 0.01 to 100, every mode count up to 10 sqrt(n+1)), LAPACK's own
+# vectors read at most 0.09 and 0.56; recurrence vectors that C = 16 accepts are within
+# 75 (n+1) eps of the 80-bit recurrence, and 50 modes at n = 128, a = b = 1 read 1.9
+# and 7.6, while vectors off by 2.9e-12 or more there read 20 and 100 or more
+_CERTIFIED = 16.0
 
 
-def _eigen_route(chain: _CountChain, modes: int) -> str:
-    """The eigenvector route that ``_spectrum`` takes for the ``modes``
-    slowest eigenpairs: ``"full"`` when the cost model predicts the full
-    decomposition to be the faster and its (n+1)^2 doubles fit the
+def _lapack_route(chain: _CountChain, modes: int) -> tuple[str, float]:
+    """The LAPACK route for the ``modes`` slowest eigenvectors, with its
+    predicted cost in microseconds: ``"full"`` when the cost model predicts
+    the full decomposition to be the faster and its (n+1)^2 doubles fit the
     ``DENSE_LAW_CAP`` budget, else ``"dstein"``.
 
     LAPACK's ``dstein`` orthogonalizes each vector against the earlier ones
@@ -407,15 +433,97 @@ def _eigen_route(chain: _CountChain, modes: int) -> str:
     modes, and g^2 is dstein's quadratic cost term.
     """
     n, ab = chain.params.n, chain.params.a + chain.params.b
-    if n > DENSE_LAW_CAP:
-        return "dstein"
-    edge = np.concatenate([[0.0], chain.off, [0.0]])
-    ortol = 1e-3 * np.max(edge[:-1] + edge[1:] - chain.diag)
-    # gaps j -> j+1 at most ortol for j = 0 .. floor((ortol n - a - b)/2)
-    g = min(modes, 1 + max(0, int((ortol * n - ab) // 2) + 1))
-    full = _FULL_COST[0] + _FULL_COST[1] * (n + 1) ** _FULL_COST[2]
+    # gaps j -> j+1 at most 1e-3 |T|_1 for j = 0 .. floor((1e-3 |T|_1 n - a - b)/2)
+    g = min(modes, 1 + max(0, int((1e-3 * chain.norm * n - ab) // 2) + 1))
     stein = _STEIN_COST[0] + (n + 1) * (_STEIN_COST[1] * modes + _STEIN_COST[2] * g * g)
-    return "full" if full < stein else "dstein"
+    if n > DENSE_LAW_CAP:
+        return "dstein", stein
+    full = _FULL_COST[0] + _FULL_COST[1] * (n + 1) ** _FULL_COST[2]
+    return ("full", full) if full < stein else ("dstein", stein)
+
+
+def _eigen_route(chain: _CountChain, modes: int) -> str:
+    """The eigenvector route that ``_spectrum`` takes for the ``modes``
+    slowest eigenpairs: ``"hahn"``, the three-term recurrence, when there
+    are at most ``_HAHN_REACH`` sqrt(n+1) of them and the cost model
+    predicts it to be the fastest, else the route of ``_lapack_route``,
+    which is also where ``_spectrum`` falls back when the recurrence's
+    vectors fail their certificate.
+    """
+    lapack, cost = _lapack_route(chain, modes)
+    n = chain.params.n
+    hahn = (_HAHN_COST[0] + _HAHN_COST[1] * modes
+            + (n + 1) * modes * (_HAHN_COST[2] + _HAHN_COST[3] * modes))
+    return "hahn" if modes <= _HAHN_REACH * (n + 1) ** 0.5 and hahn < cost else lapack
+
+
+def _hahn_rows(chain: _CountChain, modes: int) -> np.ndarray:
+    """The eigenvectors of the ``modes`` slowest Hahn eigenvalues by the
+    orthonormal Hahn recurrence, one per row, the slowest last (so the rows
+    follow the ascending eigenvalues of ``_spectrum``).
+
+    The eigenvector of degree j is v_j = s Q_j / |Q_j|, with Q_j(k) the Hahn
+    polynomial at alpha = a - 1, beta = b - 1, N = n (Karlin and McGregor
+    1962), so v_0 = s and
+    v_{j+1} = ((A_j + C_j - k) v_j - b_j v_{j-1}) / b_{j+1}, b_{j+1} = sqrt(A_j C_{j+1}),
+    A_j = (j+a+b-1)(j+a)(n-j) / ((2j+a+b-1)(2j+a+b)), A_0 = a n / (a+b) (its
+    limit, so that a + b = 1 works), and
+    C_j = j(j+a+b+n-1)(j+b-1) / ((2j+a+b-2)(2j+a+b-1)), C_0 = 0: the
+    recurrence of ``tests/oracles.hahn_laws_longdouble``, in float64.  Run
+    forward in the degree, it loses accuracy from a degree of about 4 to 8
+    sqrt(n), depending on a and b, and can overflow past it, so its rows
+    are used only as ``_certificate`` allows.
+    """
+    n, a, b = chain.params.n, chain.params.a, chain.params.b
+    ab = a + b
+    j = np.arange(float(modes))
+    rows = np.empty((modes, n + 1))
+    rows[-1] = chain.s
+    tmp = np.empty(n + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # A_0 and C_0 are set apart: their formulas read 0/0 at a + b = 1 and 2
+        u = 2.0 * j + ab
+        rise = (j + (ab - 1.0)) * (j + a) * (n - j) / ((u - 1.0) * u)
+        fall = j * (j + (ab + n - 1.0)) * (j + (b - 1.0)) / ((u - 2.0) * (u - 1.0))
+        rise[0], fall[0] = a * n / ab, 0.0
+        link = np.sqrt(rise[:-1] * fall[1:])  # b_1 .. b_{J-1}
+        centred = (rise + fall)[:-1, None] - np.arange(n + 1.0)
+        for i in range(modes - 1):
+            out = rows[modes - 2 - i]
+            np.multiply(centred[i], rows[modes - 1 - i], out=out)
+            if i:
+                np.multiply(rows[modes - i], link[i - 1], out=tmp)
+                out -= tmp
+            out /= link[i]
+    return rows
+
+
+def _certificate(chain: _CountChain, lam: np.ndarray, rows: np.ndarray) -> tuple[float, float]:
+    """The two readings that measure eigenvectors (one per row) for the
+    eigenvalues ``lam`` against the standard LAPACK's own vectors meet: the
+    residual max|T V - V Lambda| in units of (n+1) eps |T|_inf and the
+    orthonormality defect max|V^T V - I| in units of (n+1) eps, NaN or inf
+    for vectors that are not finite.  ``_CERTIFIED`` is the most either may
+    read."""
+    unit = (chain.params.n + 1) * np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = rows * (chain.diag - lam[:, None])
+        resid[:, :-1] += rows[:, 1:] * chain.off
+        resid[:, 1:] += rows[:, :-1] * chain.off
+        gram = rows @ rows.T
+        gram.ravel()[::lam.size + 1] -= 1.0
+        return (float(np.abs(resid).max() / (unit * chain.norm)),
+                float(np.abs(gram).max() / unit))
+
+
+class _Fallback(str):
+    """The name of the LAPACK route that ran after the recurrence's vectors
+    failed their certificate, with its two readings in ``certificate``."""
+
+    def __new__(cls, route: str, residual: float, orthonormality: float):
+        self = super().__new__(cls, route)
+        self.certificate = {"residual": residual, "orthonormality": orthonormality}
+        return self
 
 
 def _spectrum(chain: _CountChain, modes: int):
@@ -423,14 +531,21 @@ def _spectrum(chain: _CountChain, modes: int):
     by s = sqrt(pi).
 
     Detailed balance makes diag(s) Q diag(1/s) the symmetric tridiagonal
-    matrix with diagonal -(up+down) and off-diagonal sqrt(up[k] down[k+1]).
+    matrix T with diagonal -(up+down) and off-diagonal sqrt(up[k] down[k+1]).
     Its spectrum is the Hahn one, -j(j-1+a+b)/n for j = 0..n (Karlin and
     McGregor 1962), so the eigenvalues are that closed form, ascending, with
     the stationary one exactly 0; only the eigenvectors are computed, by
-    the route ``_eigen_route`` picks: the full decomposition, sliced, or
-    LAPACK inverse iteration (``dstein``) at the known eigenvalues.  The
-    sweep behind its cost model, best-of-k ms at a = b = 1, one BLAS thread
-    (full solve; dstein at 10 / 20 / 30 / 50 / 70% of the n+1 modes):
+    the route ``_eigen_route`` picks: the Hahn recurrence, the full
+    decomposition, sliced, or LAPACK inverse iteration (``dstein``) at the
+    known eigenvalues.  The recurrence's vectors are used only when their
+    certificate holds them to the standard LAPACK's own vectors meet,
+    residual max|T V - V Lambda| <= C (n+1) eps |T|_inf and orthonormality
+    defect max|V^T V - I| <= C (n+1) eps, C = ``_CERTIFIED``; otherwise
+    the rejection is logged at INFO and the solve takes the LAPACK route
+    (``_lapack_route``), returned as a ``_Fallback`` that carries the two
+    readings.  The sweep behind the cost model, best-of-k ms at a = b = 1,
+    one BLAS thread (full solve; dstein at 10 / 20 / 30 / 50 / 70% of the
+    n+1 modes):
 
     ====  =======  =====================================
        n     full  dstein
@@ -442,12 +557,23 @@ def _spectrum(chain: _CountChain, modes: int):
     ====  =======  =====================================
 
     Returns the eigenvalues, the orthonormal eigenvectors (columns) and the
-    route taken.  A ``dstein`` failure to converge raises ``DiagnosticError``.
+    route taken.  A ``dstein`` failure to converge raises ``DiagnosticError``
+    unless its vectors pass the same certificate (dstein reports one at
+    n = 1, a = 0.01, b = 0.0154 for vectors that meet it).
     """
     n = chain.params.n
     j = np.arange(modes - 1, -1, -1, dtype=float)
     lam = -j * (j - 1 + chain.params.a + chain.params.b) / n
     route = _eigen_route(chain, modes)
+    if route == "hahn":
+        rows = _hahn_rows(chain, modes)
+        readings = _certificate(chain, lam, rows)
+        if all(r <= _CERTIFIED for r in readings):
+            return lam, rows.T, route
+        route = _Fallback(_lapack_route(chain, modes)[0], *readings)
+        logger.info("Hahn recurrence rejected for n=%d a=%g b=%g, %d modes: residual %.3g, "
+                    "orthonormality %.3g, over %g; falling back to %s", n, chain.params.a,
+                    chain.params.b, modes, *readings, _CERTIFIED, route)
     if route == "full":
         vecs = eigh_tridiagonal(chain.diag, chain.off)[1]
         return lam, vecs if modes > n else vecs[:, n + 1 - modes:].copy(), route
@@ -456,7 +582,7 @@ def _spectrum(chain: _CountChain, modes: int):
     split = np.zeros(n + 1, dtype=np.int32)
     split[0] = n + 1
     vecs, info = dstein(chain.diag, chain.off, lam, block, split)
-    if info:
+    if info and not all(r <= _CERTIFIED for r in _certificate(chain, lam, vecs.T)):
         raise DiagnosticError(f"inverse iteration (dstein) failed for n={n}, {modes} modes: "
                               f"info={info}")
     return lam, vecs, route
@@ -480,12 +606,16 @@ class _SpectralLaws(NamedTuple):
 def _spectral_laws(chain: _CountChain, p0: np.ndarray, times: np.ndarray,
                    tol: float) -> _SpectralLaws:
     """Laws at ``times`` (ascending, >= 0) from the law ``p0`` at time 0, all
-    from one product with the slowest eigenpairs.
+    from one product with the slowest eigenpairs (``_spectrum``): the
+    columns of s * V (weights), weights = exp(outer(lam, times)) * V^T (p0/s),
+    where weights below the smallest normal double are set to 0 first, as
+    subnormal operands slow the product several-fold and change no law.
 
     Columns at time 0 are ``p0`` itself and always pass; when the a-priori
     bound fails, no other column does, and no eigenpair is computed.
     Eigenvectors over their budget of (DENSE_LAW_CAP + 1)^2 doubles raise
-    ``CapacityError`` before the solve.
+    ``CapacityError`` before the solve.  ``route`` is the one ``_spectrum``
+    took, a ``_Fallback`` when the recurrence's certificate failed.
     """
     n, a, b = chain.params.n, chain.params.a, chain.params.b
     zero = times == 0
@@ -526,7 +656,10 @@ def _spectral_laws(chain: _CountChain, p0: np.ndarray, times: np.ndarray,
     lam, vecs, route = _spectrum(chain, modes)
     # a decay rate times a time that overflows is a factor exp(-inf) = 0
     with np.errstate(over="ignore"):
-        p = s[:, None] * (vecs @ (np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]))
+        weights = np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]
+        # subnormal weights slow the product several-fold and change no law
+        weights[np.abs(weights) < np.finfo(float).tiny] = 0.0
+        p = s[:, None] * (vecs @ weights)
         # mean_ode's closed-form path at every time at once, in counts
         mean = n * _mean_path(chain.params, (p0 @ ks) / n, ts)
     low, mass, got = p.min(axis=0), p.sum(axis=0), ks @ p
@@ -603,9 +736,11 @@ class LawGrid(NamedTuple):
     """Exact count laws on a time grid: column j of ``probs`` is the law at
     the j-th time, and ``refilled[j]`` marks a column that the accuracy guard
     rejected and uniformization supplied.  ``modes`` is the most slow
-    eigenmodes behind a spectral column, ``route`` the eigenvector route of
-    that solve (``_eigen_route``) and ``bound`` the largest a-priori error
-    bound among them (0, ``"none"`` and 0.0 when no column is spectral).
+    eigenmodes behind a spectral column, ``route`` the eigenvector route
+    that solve took (``_spectrum``: a ``_Fallback``, with the certificate's
+    readings, when the recurrence was rejected) and ``bound`` the largest
+    a-priori error bound among them (0, ``"none"`` and 0.0 when no column
+    is spectral).
     ``stationary`` is the stationary law, the grid's limit at t = inf,
     as ``stationary_pmf`` gives it."""
 
@@ -626,7 +761,10 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
     are the columns of s * V (exp(outer(lam, times)) * V^T (p0/s)), one
     matrix product from the J slowest eigenpairs, the fewest whose dropped
     tail |p0/s|_2 sum_{j >= J} exp(-j(j-1+a+b) t1/n) at the first positive
-    time t1 is at most tol/4.  Columns at time 0 are the start law exactly.  A column is
+    time t1 is at most tol/4; their eigenvectors come from the route of
+    ``_eigen_route``, the Hahn recurrence only where its certificate holds
+    (``_spectrum``), and ``route`` in the result names the route that ran.
+    Columns at time 0 are the start law exactly.  A column is
     trusted only when the a-priori bound (n+1) eps |p0/s|_2 plus that tail
     is at most ``tol`` (checked before any eigenpair is computed) and it
     passes a-posteriori checks: no probability below -tol, mass within tol

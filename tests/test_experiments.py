@@ -15,7 +15,7 @@ import tomllib
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -500,9 +500,9 @@ class TestExitCodes:
         # and the expm reference of the block means is NaN
         (["--a", "1e300"], ["detailed-balance", "block-mean-identity"]),
         # b + n - n rounds to 0, and so does the death rate at k = n, so the
-        # balance gap is inf; 1 - exp(-2(a+b)t/n) rounds to 0, and so does
-        # the Gronwall bound
-        (["--a", "1e-300", "--b", "1e-300"], ["detailed-balance", "density-apriori"]),
+        # balance gap is inf; the Gronwall bound's factor 1 - exp(-2(a+b)t/n)
+        # is taken by expm1, so it does not round to 0
+        (["--a", "1e-300", "--b", "1e-300"], ["detailed-balance"]),
     ])
     def test_validate_at_extreme_a_and_b(self, args, failed, tmp_path, capsys):
         # every check measures; the ones that cannot resolve these rates fail
@@ -510,6 +510,16 @@ class TestExitCodes:
         checks = json.loads((tmp_path / "validate_report.json").read_text())["checks"]
         assert [name for name, info in checks.items() if not info["passed"]] == failed
         assert math.isfinite(checks["density-apriori"]["measured"])
+
+    @pytest.mark.parametrize("ab,want", [(1.0, -4.993331686627394e-07),
+                                         (1e-20, -4.996668332667153e-07),
+                                         (1e-300, -4.996668332667153e-07)])
+    def test_density_apriori_at_small_a_and_b(self, ab, want):
+        # 1 - exp(-2(a+b)t/n) rounds to 0 at a + b = 2e-20 and below, which
+        # read 0.216 against a bound of 0; -expm1 keeps the bound, so the
+        # row reads the variance's margin below it, as at a = b = 1
+        cfg = ExperimentConfig(scenario="validate", a=ab, b=ab)
+        assert experiments._density_apriori(cfg)[0] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_thermalize_event_budget_before_simulating(self, tmp_path, monkeypatch, capsys):
         def spy(*args, **kwargs):
@@ -606,8 +616,9 @@ class TestExitCodes:
         assert not report["checks"]["pushforward-contraction"]["passed"]
 
     def test_eigensolver_failure_is_1(self, tmp_path, monkeypatch, capsys):
-        # 5 slow modes take the dstein route at every n of the sweep; an
-        # eigensolver failure names n, modes and LAPACK's info, no traceback
+        # 5 slow modes take the dstein route at n = 32 and 64 (the recurrence
+        # at 128); an eigensolver failure names n, modes and LAPACK's info,
+        # no traceback
         def failed(d, e, w, iblock, isplit):
             return np.zeros((d.size, w.size), order="F"), 1
 
@@ -664,7 +675,19 @@ class TestExactLawWork:
         assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0
         block = json.loads((tmp_path / "manifest.json").read_text())["exact_laws"]
         assert {n: (info["modes"], info["eigen_route"]) for n, info in block.items()} == {
-            "32": (33, "dstein"), "64": (50, "full"), "128": (50, "dstein")}
+            "32": (33, "dstein"), "64": (50, "full"), "128": (50, "hahn")}
+        assert not any("hahn_certificate" in info for info in block.values())
+
+    def test_rejected_recurrence_in_the_manifest(self, tmp_path):
+        # at a = 0.2, b = 5 the recurrence's 50 vectors at n = 128 fail the
+        # certificate: the manifest gives the route that ran and both readings
+        args = ["mixing-curve", "--n", "64,128", "--a", "0.2", "--b", "5", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        info = json.loads((tmp_path / "manifest.json").read_text())["exact_laws"]["128"]
+        assert (info["modes"], info["eigen_route"]) == (50, "dstein")
+        readings = info["hahn_certificate"]
+        assert set(readings) == {"residual", "orthonormality"}
+        assert min(readings.values()) > model._CERTIFIED
 
     def test_per_size_quantities_computed_once(self, tmp_path, monkeypatch):
         # the rates, log pi and the eigenpairs once per size, the stationary
@@ -1108,6 +1131,17 @@ class TestScenarioOutputs:
         (lp,) = _thermalize_lp_distances(n, ell, a, b, (t,))
         assert thermalize_distance(model.ModelParams(n, a, b), ell, t) == pytest.approx(
             lp, rel=1e-7, abs=2e-9)
+
+    def test_manifest_text(self, tmp_path):
+        # the config block is the dataclass's fields, written as asdict and
+        # json.dump wrote it before
+        cfg = ExperimentConfig(scenario="mixing-curve", n=(32, 64), out=str(tmp_path))
+        extra = {"exact_laws": {"32": {"modes": 33, "apriori_bound": np.float64(1e-10)}}}
+        path = experiments.write_manifest(cfg, [], extra)
+        text = path.read_text()
+        payload = {"config": asdict(cfg), "artifact_version": experiments.__version__,
+                   "timestamp": json.loads(text)["timestamp"], "theory_check": [], **extra}
+        assert text == json.dumps(payload, indent=2, default=float) + "\n"
 
     def test_manifest_and_csv_schema(self, tmp_path):
         cfg = ExperimentConfig(scenario="stein-rate", n=(64, 128), seed=2,

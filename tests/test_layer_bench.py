@@ -7,10 +7,11 @@
 blocks (250, 250), start (0, 250), the horizons of tau = -1, 0, 1), the one
 call that ``run_thermalize`` makes.  ``test_layer_bench_spectral_laws`` times
 ``transient_laws`` at the ``profile --n 16384`` shape (a = b = 1, start
-n/2, the default 24-point grid), where the eigenvectors come from inverse
-iteration, and ``test_layer_bench_spectral_laws_mixing`` at the
+n/2, the default 24-point grid), where the eigenvectors of the 23 slow
+modes come from the Hahn recurrence, over 20 rounds (a few ms each, so the
+median is stable), and ``test_layer_bench_spectral_laws_mixing`` at the
 ``mixing-exact`` shape, n = 128 on the default 60-point ``mixing-curve``
-grid, where the rule picks inverse iteration for the 50 slow modes.
+grid, where the rule picks the recurrence for the 50 slow modes too.
 ``test_layer_bench_stein_solve`` times ``SteinLattice.solve``
 over the 20-function family on ``validate``'s nu = 0.1, 4001-point grid,
 with the quadrature lattice built outside the timed call, as ``validate``
@@ -82,8 +83,8 @@ def test_layer_bench_lockstep(benchmark):
 def test_layer_bench_spectral_laws(benchmark):
     times = LAW_N * np.asarray(SCENARIOS["profile"][1])
     args = (ModelParams(LAW_N, 1.0, 1.0), LAW_N // 2, times)
-    grid = benchmark.pedantic(transient_laws, args=args, rounds=3)
-    assert not grid.refilled.any() and grid.route == "dstein"
+    grid = benchmark.pedantic(transient_laws, args=args, rounds=20, warmup_rounds=1)
+    assert not grid.refilled.any() and grid.route == "hahn"
 
 
 def test_layer_bench_spectral_laws_mixing(benchmark):
@@ -91,7 +92,7 @@ def test_layer_bench_spectral_laws_mixing(benchmark):
     args = (params, MIXING_N // 2, MIXING_N * np.asarray(SCENARIOS["mixing-curve"][1]))
     grid = benchmark.pedantic(transient_laws, args=args, rounds=20, warmup_rounds=2)
     assert not grid.refilled.any()
-    assert grid.route == _eigen_route(_count_chain(params), grid.modes) == "dstein"
+    assert grid.route == _eigen_route(_count_chain(params), grid.modes) == "hahn"
 
 
 def test_layer_bench_stein_solve(benchmark, monkeypatch):

@@ -7,6 +7,8 @@ from itertools import accumulate
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 from scipy.special import betaln, gammaln
 from scipy.stats import binom, poisson
 
@@ -273,28 +275,138 @@ class TestSpectralLaw:
     @pytest.mark.parametrize("a,b", [(0.01, 0.01), (1.0, 1.0), (20.0, 50.0), (50.0, 1.0)])
     def test_hahn_spectrum(self, n, a, b):
         # all n+1 modes, then the slowest eighth; at n = 64, 300 and 1024 also
-        # one mode count on each side of the rule's crossover, so that both
-        # eigenvector routes are checked there.  The eigenvalues are the
-        # closed form, bit for bit, with 0 exactly 0
+        # one mode count on each side of each crossover, full against dstein
+        # and, at 300 and 1024, the recurrence against both, so that every
+        # eigenvector route is checked.  A count the rule gives the recurrence
+        # may fall back to the LAPACK route when the certificate rejects its
+        # vectors.  The eigenvalues are the closed form, bit for bit, with 0
+        # exactly 0
         params = ModelParams(n, a, b)
         chain = _count_chain(params)
         counts = [n + 1, (n + 1) // 8 or 1]
         if n in (64, 300, 1024):
-            cross = next(m for m in range(1, n + 2) if model._eigen_route(chain, m) == "full")
-            assert model._eigen_route(chain, cross - 1) == "dstein"
+            lapack = [model._lapack_route(chain, m)[0] for m in range(1, n + 2)]
+            cross = lapack.index("full") + 1
+            assert lapack[cross - 2] == "dstein"
             counts += [cross - 1, cross]
+            # at n = 64 the recurrence is never the cheapest
+            hahn = [m for m in range(1, n + 2) if model._eigen_route(chain, m) == "hahn"]
+            if hahn:
+                assert hahn == list(range(hahn[0], hahn[-1] + 1))
+                counts += [hahn[0] - 1, hahn[0], hahn[-1], hahn[-1] + 1]
         j = np.arange(n + 1, dtype=float)
-        hahn = np.sort(-j * (j - 1 + a + b) / n)
+        hahn_lam = np.sort(-j * (j - 1 + a + b) / n)
         # eigen-residual of the symmetrized generator, built here from the rates
         up, down = count_rates(params, np.arange(n + 1))
         off = np.sqrt(up[:-1] * down[1:])
         sym = np.diag(-(up + down)) + np.diag(off, 1) + np.diag(off, -1)
-        for modes in counts:
+        for modes in filter(None, counts):
+            pick = model._eigen_route(chain, modes)
             lam, vecs, route = _spectrum(chain, modes)
-            assert vecs.shape == (n + 1, modes) and route == model._eigen_route(chain, modes)
-            assert np.array_equal(lam, hahn[-modes:]) and lam[-1] == 0.0
+            assert vecs.shape == (n + 1, modes)
+            if route != pick:
+                assert pick == "hahn" and route == model._lapack_route(chain, modes)[0]
+                assert max(route.certificate.values()) > model._CERTIFIED
+            assert np.array_equal(lam, hahn_lam[-modes:]) and lam[-1] == 0.0
             assert np.max(np.abs(sym @ vecs - vecs * lam)) <= 1e-10 * n
             assert np.max(np.abs(vecs.T @ vecs - np.eye(modes))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [32, 128, 1024])
+    @pytest.mark.parametrize("a,b", [(0.2, 5.0), (1.0, 1.0), (20.0, 20.0), (50.0, 1.0)])
+    def test_hahn_recurrence(self, n, a, b):
+        # a third of the rule's largest count for the recurrence, and that
+        # count, at the (n, a, b) of the sweep behind the certificate: a third
+        # always passes, and vectors that pass are eigh_tridiagonal's to 100
+        # units of (n+1) eps, up to sign (the sweep's worst was 75), and give
+        # laws within the a-priori rounding term (n+1) eps |p0/s|_2 of the
+        # 80-bit Hahn series over the same modes.  (a + b = 0.02 is left out:
+        # its gap (a+b)/n leaves eigh_tridiagonal's own vectors off by 1e-9)
+        params = ModelParams(n, a, b)
+        chain = _count_chain(params)
+        unit = (n + 1) * np.finfo(float).eps
+        reach = min(n + 1, int(model._HAHN_REACH * np.sqrt(n + 1)))
+        full = eigh_tridiagonal(chain.diag, chain.off)[1]
+        k0, times = n // 2, n * np.array([0.01, 0.1])
+        for modes in (reach // 3, reach):
+            j = np.arange(modes - 1, -1, -1, dtype=float)
+            lam = -j * (j - 1 + a + b) / n
+            rows = model._hahn_rows(chain, modes)
+            readings = model._certificate(chain, lam, rows)
+            passed = all(r <= model._CERTIFIED for r in readings)
+            assert passed or modes == reach
+            if not passed:
+                continue
+            ref = full[:, n + 1 - modes:]
+            sign = np.sign(np.sum(ref * rows.T, axis=0))
+            assert np.max(np.abs(rows.T - ref * sign)) <= 100 * unit
+            q0 = rows[:, k0] / chain.s[k0]
+            laws = chain.s[:, None] * (rows.T @ (np.exp(np.outer(lam, times)) * q0[:, None]))
+            want = hahn_laws_longdouble(params, k0, times, modes)
+            assert np.abs(laws - want).sum(axis=0).max() <= unit / chain.s[k0]
+
+    @pytest.mark.parametrize("n,a,b,fallback", [(64, 1.0, 1.0, "full"), (128, 0.2, 5.0, "dstein")])
+    def test_certificate_rejects(self, n, a, b, fallback, monkeypatch, caplog):
+        # 50 modes on the mixing-curve grid, past the recurrence's reach at
+        # both: with the rule made to pick the recurrence, the certificate
+        # rejects it, the rejection is logged, the LAPACK route runs and the
+        # laws are that route's to 1e-12 in l1
+        params = ModelParams(n, a, b)
+        times = n * np.asarray(SCENARIOS["mixing-curve"][1])
+        assert model._lapack_route(_count_chain(params), 50)[0] == fallback
+        grids = {}
+        for route in ("hahn", fallback):
+            monkeypatch.setattr(model, "_eigen_route", lambda chain, modes, route=route: route)
+            with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
+                grids[route] = transient_laws(params, n // 2, times)
+            assert grids[route].modes == 50 and not grids[route].refilled.any()
+        rejected = grids["hahn"].route
+        assert rejected == fallback and min(rejected.certificate.values()) > model._CERTIFIED
+        messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
+        assert len(messages) == 1 and f"n={n} a={a:g} b={b:g}, 50 modes" in messages[0]
+        assert f"falling back to {fallback}" in messages[0]
+        assert np.abs(grids["hahn"].probs - grids[fallback].probs).sum(axis=0).max() <= 1e-12
+
+    def test_no_subnormal_weight_reaches_the_product(self, monkeypatch):
+        # at the mixing-exact shape (n = 128, 50 modes, 60 times) some weights
+        # e^{lam_j t} (V^T q0)_j are subnormal; they are set to 0 before the
+        # product V @ weights, which the spy records
+        class Spy(np.ndarray):
+            def __matmul__(self, other):
+                if np.ndim(other) == 2:
+                    seen.append(np.array(other))
+                return np.asarray(self) @ other
+
+        seen = []
+        spectrum = model._spectrum
+        monkeypatch.setattr(model, "_spectrum", lambda chain, modes: (
+            lambda lam, vecs, route: (lam, vecs.view(Spy), route))(*spectrum(chain, modes)))
+        params = ModelParams(128, 1.0, 1.0)
+        times = 128 * np.asarray(SCENARIOS["mixing-curve"][1])
+        grid = transient_laws(params, 64, times)
+        assert grid.route == "hahn" and len(seen) == 1
+        tiny = np.finfo(float).tiny
+        assert not np.any((seen[0] != 0) & (np.abs(seen[0]) < tiny))
+        # without the rule they would be there
+        lam, vecs, _ = spectrum(_count_chain(params), grid.modes)
+        live = times[times > 0]
+        q0 = (np.arange(129) == 64) / _count_chain(params).s
+        raw = np.exp(np.outer(lam, live)) * (vecs.T @ q0)[:, None]
+        assert np.any((raw != 0) & (np.abs(raw) < tiny))
+
+    def test_unconverged_dstein_vectors_that_pass_the_certificate(self):
+        # LAPACK's dstein reports this 2-state chain's slow vector as not
+        # converged (info = 1), yet it meets the certificate: the law is used
+        params = ModelParams(1, 0.01, 10.0 ** -1.8125)
+        chain = _count_chain(params)
+        lam, vecs, route = _spectrum(chain, 2)
+        assert route == "dstein"
+        info = dstein(chain.diag, chain.off, lam, np.ones(2, dtype=np.int32),
+                      np.array([2, 0], dtype=np.int32))[1]
+        assert info == 1
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(2))) <= 1e-15
+        law = transient_law(params, 0, 0.01)
+        want = uniformization_oracle(params, np.array([1.0, 0.0]), 0.01)
+        assert total_variation(law.probs, want) <= 1e-9
 
     @pytest.mark.parametrize("n", [128, 256])
     @pytest.mark.parametrize("scenario", ["mixing-curve", "profile"])
@@ -303,11 +415,12 @@ class TestSpectralLaw:
         # from n/2: the same laws to 1e-12 in l1, and the route reported
         times = n * np.asarray(SCENARIOS[scenario][1])
         grids = {}
-        for route in ("full", "dstein"):
+        for route in ("hahn", "full", "dstein"):
             monkeypatch.setattr(model, "_eigen_route", lambda chain, modes, route=route: route)
             grids[route] = transient_laws(ModelParams(n, 1.0, 1.0), n // 2, times)
             assert grids[route].route == route and not grids[route].refilled.any()
-        assert np.abs(grids["full"].probs - grids["dstein"].probs).sum(axis=0).max() <= 1e-12
+        for route in ("hahn", "dstein"):
+            assert np.abs(grids["full"].probs - grids[route].probs).sum(axis=0).max() <= 1e-12
 
     @pytest.mark.parametrize("a,b,k0", [(1.0, 1.0, 8192), (0.5, 2.0, 8192), (1.0, 1.0, 1638)])
     def test_laws_within_bound_of_longdouble_hahn_series(self, a, b, k0):
@@ -318,7 +431,7 @@ class TestSpectralLaw:
         params = ModelParams(n, a, b)
         times = n * np.geomspace(0.05, 3.0, 24)
         grid = transient_laws(params, k0, times)
-        assert not grid.refilled.any()
+        assert not grid.refilled.any() and grid.route == "hahn"
         want = hahn_laws_longdouble(params, k0, times, 2 * grid.modes)
         assert np.abs(grid.probs - want).sum(axis=0).max() <= grid.bound
 
