@@ -4,10 +4,12 @@ Each scenario composes the model, diffusion, transport and Stein modules to
 measure one headline quantity: the distance-to-stationarity profile, the
 thermalization cut-off profile, the density QCLT rate, the hypergeometric CLT
 rate, the no-cutoff mixing curve, or the full invariant validation sweep.
-The three exact scenarios (profile, qclt-rate, mixing-curve) are loops over
-two shared steps: per n, ``_density_laws`` makes the one exact-law call and
+The three exact scenarios (profile, qclt-rate, mixing-curve) are built from
+shared steps: per n, ``_density_laws`` makes the one exact-law call and
 puts the whole time grid on the density lattice {0, 1/n, ..., 1}; per
-distinct start, ``_wf_references`` builds the exact Wright-Fisher marginals.
+distinct start, ``_wf_references`` builds the exact Wright-Fisher marginals;
+and ``_w1_to_references`` measures the laws of every size against them, one
+crossing search per marginal.
 ``SCENARIOS`` names every scenario once, with its runner and default grid.
 A ``ResultRecord`` holds what varies per row; ``write_results`` takes the
 run constants a, b and seed from the config.  Runs are seed-exact: a config
@@ -261,15 +263,9 @@ class _DensityLaws(NamedTuple):
     probs: np.ndarray
     stationary: np.ndarray
 
-    def to_references(self, refs, summary: dict) -> list[float]:
-        """Exact W1 from each column to the ``_wf_references`` entry of its
-        time; the crossing searches are counted in ``summary``."""
-        out = []
-        for col, ref in zip(self.probs.T, refs):
-            law = Pmf(self.lattice, col)
-            out.append(transport.w1_discrete(law, ref) if isinstance(ref, Pmf)
-                       else _w1_to_wf(law, ref, summary))
-        return out
+    def columns(self) -> list[Pmf]:
+        """The law at each grid time, as a pmf on the lattice."""
+        return [Pmf(self.lattice, col) for col in self.probs.T]
 
     def to_stationary(self) -> np.ndarray:
         """Exact W1 from every column to the stationary density law, at once."""
@@ -324,7 +320,8 @@ def _wf_references(cfg: ExperimentConfig):
     ``diffusion.wf_marginal``).  Exact, so no time step and no sampling
     noise: the manifest summary gives the starts, the longest series per
     grid time and the largest rounding bound.  It also opens the account of
-    the crossing searches that ``_w1_to_wf`` adds to.
+    the crossing searches that ``_w1_to_references`` adds to: one search per
+    marginal, however many laws are measured against it.
     """
     wf = diffusion.WFParams(cfg.a, cfg.b)
     refs = {m0: [point_mass(m0) if t == 0 else diffusion.wf_marginal(wf, m0, t, cfg.tol)
@@ -339,15 +336,33 @@ def _wf_references(cfg: ExperimentConfig):
     return refs, summary
 
 
-def _w1_to_wf(p: Pmf, law, summary: dict) -> float:
-    """``transport.w1_discrete_vs_wf``, adding its crossing search to
-    ``summary``: the CDF passes to ``crossing_passes`` (summed over the run)
-    and the sum of the cells' a-posteriori crossing bounds to
-    ``crossing_bound`` (the largest over the run's calls)."""
-    value, bound, passes = transport._w1_vs_wf_search(p, law)
-    summary["crossing_passes"] += passes
-    summary["crossing_bound"] = max(summary["crossing_bound"], bound)
-    return value
+def _w1_to_references(pairs, summary: dict) -> list[float]:
+    """Exact W1 of each (pmf, reference) pair, in order.  A point-mass
+    reference (t = 0) is measured by ``transport.w1_discrete``.  The pmfs
+    paired with one Wright-Fisher marginal object (``_wf_references`` builds
+    one per start and grid time) are measured against it by one crossing
+    search over all of them (``transport._w1_vs_wf_search``), which gives
+    each distance bit for bit as a search of its own would.  Each
+    search is added to ``summary``: its CDF passes to ``crossing_passes``
+    (summed over the run's searches) and its distances' sums of the cells'
+    a-posteriori crossing bounds to ``crossing_bound`` (the largest over the
+    run's distances)."""
+    out = [0.0] * len(pairs)
+    by_ref = {}
+    for i, (_, ref) in enumerate(pairs):
+        by_ref.setdefault(id(ref), []).append(i)
+    for members in by_ref.values():
+        ref = pairs[members[0]][1]
+        pmfs = [pairs[i][0] for i in members]
+        if isinstance(ref, Pmf):
+            values = [transport.w1_discrete(p, ref) for p in pmfs]
+        else:
+            values, bounds, passes = transport._w1_vs_wf_search(pmfs, ref)
+            summary["crossing_passes"] += passes
+            summary["crossing_bound"] = max(summary["crossing_bound"], *bounds)
+        for i, value in zip(members, values):
+            out[i] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +378,28 @@ def run_profile(cfg: ExperimentConfig):
     grid from the slow modes in one ``_density_laws`` step, so every stderr
     is 0.  The ``profile:stationary`` theory is the paper's limit profile
     D(t) = W1(Wright-Fisher marginal at t, Beta(a, b)) from the same start.
-    The manifest's ``profile`` block is the ``_wf_references`` summary with
-    the crossing searches of every distance to a marginal (``_w1_to_wf``).
+    The laws of every size come first; then each marginal, one per
+    (start, grid time), takes one crossing search over the laws of all the
+    sizes that share it, and Beta(a, b) one over the t = 0 limits of every
+    start (``_w1_to_references``).  The manifest's ``profile`` block is the
+    ``_wf_references`` summary with the account of those searches.
     """
     refs, summary = _wf_references(cfg)
     beta = diffusion.wf_marginal(diffusion.WFParams(cfg.a, cfg.b), 0.0, np.inf)
-    limits = {m0: [_w1_to_wf(ref, beta, summary) if isinstance(ref, Pmf)
-                   else ref.stationary_distance() for ref in per_start]
+    at_zero = iter(_w1_to_references([(ref, beta) for per_start in refs.values()
+                                      for ref in per_start if isinstance(ref, Pmf)], summary))
+    limits = {m0: [next(at_zero) if isinstance(ref, Pmf) else ref.stationary_distance()
+                   for ref in per_start]
               for m0, per_start in refs.items()}
-    records, law_info = [], {}
-    for n in cfg.n:
-        laws = _density_laws(cfg, n, law_info)
+    law_info = {}
+    sizes = [_density_laws(cfg, n, law_info) for n in cfg.n]
+    to_wf = iter(_w1_to_references([pair for laws in sizes
+                                    for pair in zip(laws.columns(), refs[laws.start])], summary))
+    records = []
+    for n, laws in zip(cfg.n, sizes):
         m0 = laws.start
-        for t, d_wf, d_stat, limit in zip(cfg.grid, laws.to_references(refs[m0], summary),
-                                          laws.to_stationary(), limits[m0]):
-            records.append(ResultRecord("profile:wf", n, m0, t, d_wf))
+        for t, d_stat, limit in zip(cfg.grid, laws.to_stationary(), limits[m0]):
+            records.append(ResultRecord("profile:wf", n, m0, t, next(to_wf)))
             records.append(ResultRecord("profile:stationary", n, m0, t, float(d_stat),
                                         theory=limit))
     return records, {"profile": summary, "exact_laws": law_info}
@@ -393,18 +415,21 @@ def run_qclt_rate(cfg: ExperimentConfig):
 
     Both laws are exact, from ``_density_laws`` and ``_wf_references``, so
     the distances carry no Monte Carlo or time-step error and their stderr
-    is 0.  ``halving_gap`` and ``reference_noise_floor`` stay in the manifest
-    at their exact value 0; ``crossing_passes`` and ``crossing_bound``
-    account for the distances' crossing searches (``_w1_to_wf``).  The
+    is 0.  The laws of every size come first; then each start's marginal
+    takes one crossing search over the laws of all the sizes that share it
+    (``_w1_to_references``), one search in all for a dyadic sweep at
+    m0 = 1/2.  ``halving_gap`` and ``reference_noise_floor`` stay in the
+    manifest at their exact value 0; ``crossing_passes`` is the passes of
+    those searches and ``crossing_bound`` the largest distance's bound.  The
     config holds t > 0, where the marginal has a density on (0, 1) and so a
     positive distance to every lattice law.
     """
     t = cfg.grid[0]
     refs, summary = _wf_references(cfg)
-    dists, law_info = [], {}
-    for n in cfg.n:
-        laws = _density_laws(cfg, n, law_info)
-        dists += laws.to_references(refs[laws.start], summary)
+    law_info = {}
+    sizes = [_density_laws(cfg, n, law_info) for n in cfg.n]
+    dists = _w1_to_references([(laws.columns()[0], refs[laws.start][0]) for laws in sizes],
+                              summary)
     records = [ResultRecord("qclt-rate", n, cfg.m0, t, d) for n, d in zip(cfg.n, dists)]
     if not min(dists) > 0:
         raise DiagnosticError(f"qclt-rate distance {min(dists)!r} at t={t:g} has no log")

@@ -5,7 +5,9 @@ rearrangement, equivalently the integral of the CDF gap.  Against a
 continuous law the gap is integrated in closed form from the antiderivative
 of its CDF, cell by cell of the pmf's support; the cell crossings of the
 Wright-Fisher CDF are found by the Illinois method, and each stops once an
-a-posteriori bound puts its effect on the distance far below rounding.
+a-posteriori bound puts its effect on the distance far below rounding.  The
+pmfs measured against one marginal share one search over all their cells,
+each distance bit for bit what a search of its own gives.
 Two-dimensional empirical distances are solved exactly as minimum-cost
 perfect matchings under the Euclidean or the l1 (cityblock) ground metric.
 The assignment solver starts from a dual that leaves its optimum unchanged
@@ -20,6 +22,8 @@ measures the 1-D distances of several maps against one 2-D matching.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -158,18 +162,29 @@ def w1_discrete_vs_wf(p: Pmf, law) -> float:
     and [last, 1]); the nondecreasing F crosses that level at most once per
     cell.  The crossings are found together by the Illinois variant of
     regula falsi, and each cell stops on an a-posteriori bound, not a fixed
-    width (``_w1_vs_wf_search``): a crossing off by at most the bracket width
-    w changes the cell's term by at most 2 |F(c) - level| w, and every cell
-    stops once that is below ``_CROSSING_STOP``.
+    width: a crossing off by at most the bracket width w changes the cell's
+    term by at most 2 |F(c) - level| w, and every cell stops once that is
+    below ``_CROSSING_STOP``.  This is ``_w1_vs_wf_search`` on a batch of
+    one pmf.
     """
-    return _w1_vs_wf_search(p, law)[0]
+    return _w1_vs_wf_search([p], law)[0][0]
 
 
-def _w1_vs_wf_search(p: Pmf, law) -> tuple[float, float, int]:
-    """``w1_discrete_vs_wf`` with its crossing search's account: (value,
-    bound, passes), with ``bound`` the sum of the cells' a-posteriori bounds
-    on the distance's change from the crossings' error and ``passes`` the
-    ``law.cdf`` calls made after the one at the cell edges.
+def _w1_vs_wf_search(pmfs, law) -> tuple[list[float], list[float], int]:
+    """``w1_discrete_vs_wf`` from each pmf of ``pmfs`` to the one ``law``,
+    by one crossing search over the cells of all of them, with the search's
+    account: (values, bounds, passes).  ``bounds[i]`` sums, over the cells
+    of ``pmfs[i]``, the a-posteriori bounds on what the crossings' error
+    changes in its distance; ``passes`` is the number of ``law.cdf`` calls
+    made after the one at the cell edges.
+
+    The cells of every pmf are laid end to end: ``law.cdf`` is called once
+    at every pmf's edges, once per pass over the cells still open, whichever
+    pmf they belong to, and ``law.cdf_integral`` once at every edge and
+    crossing.  Every step below acts on each cell alone, and each pmf's
+    value and bound are summed over its own cells, so they are bit for bit
+    those of a search over that pmf alone; ``passes`` is the largest of
+    those searches' pass counts.
 
     Each open cell keeps a bracket [lo, hi] with F(lo) < level < F(hi) and
     evaluates F at the regula falsi point of the bracket ends' weighted
@@ -189,19 +204,31 @@ def _w1_vs_wf_search(p: Pmf, law) -> tuple[float, float, int]:
     so a CDF that is flat to rounding still ends; the bound is reported as
     it is.
     """
-    xs = p.support
-    if xs[0] < 0.0 or xs[-1] > 1.0:
+    edges = [np.concatenate(([0.0], p.support, [1.0])) for p in pmfs]
+    if any(e[1] < 0.0 or e[-2] > 1.0 for e in edges):
         raise ValueError("pmf support must lie in [0, 1]")
-    edges = np.concatenate(([0.0], xs, [1.0]))
-    level = np.concatenate(([0.0], np.cumsum(p.probs)))
-    f_edges = law.cdf(edges)
-    r_left, r_right = f_edges[:-1] - level, f_edges[1:] - level
+    # pmf i's edges are spans[i] of the joined edges, and its cells, one
+    # fewer, are cell_spans[i] of the joined cells
+    offsets = list(itertools.accumulate((e.size for e in edges), initial=0))
+    spans = list(zip(offsets, offsets[1:]))
+    cell_spans = [slice(start - i, end - i - 1) for i, (start, end) in enumerate(spans)]
+
+    def cell_ends(at_edges):
+        """Values at the joined edges, at every cell's left and right edge."""
+        return (np.concatenate([at_edges[start:end - 1] for start, end in spans]),
+                np.concatenate([at_edges[start + 1:end] for start, end in spans]))
+
+    all_edges = np.concatenate(edges)
+    left, right = cell_ends(all_edges)
+    level = np.concatenate([np.concatenate(([0.0], np.cumsum(p.probs))) for p in pmfs])
+    f_left, f_right = cell_ends(law.cdf(all_edges))
+    r_left, r_right = f_left - level, f_right - level
     # F already at or above the level: cross at the left edge; still at or
     # below it: at the right edge; otherwise the cell is searched
-    cross = np.where(r_left >= 0, edges[:-1], edges[1:])
+    cross = np.where(r_left >= 0, left, right)
     bounds = np.zeros(level.size)
     cells = np.nonzero((r_left < 0) & (r_right > 0))[0]
-    lo, hi = edges[cells], edges[cells + 1]
+    lo, hi = left[cells], right[cells]
     r_lo, r_hi = r_left[cells], r_right[cells]
     w_lo, w_hi = r_lo, r_hi
     moved = np.zeros(cells.size, dtype=np.int8)  # +1: lo moved last, -1: hi, 0: neither
@@ -229,11 +256,11 @@ def _w1_vs_wf_search(p: Pmf, law) -> tuple[float, float, int]:
         keep = ~done
         cells, lo, hi, r_lo, r_hi, w_lo, w_hi, moved, flat = (
             v[keep] for v in (cells, lo, hi, r_lo, r_hi, w_lo, w_hi, moved, flat))
-    g = law.cdf_integral(np.concatenate((edges, cross)))
-    g_edges, g_cross = g[:edges.size], g[edges.size:]
-    value = _add_cell_gaps(0.0, level, edges[:-1], cross, edges[1:], g_edges[:-1], g_cross,
-                           g_edges[1:])
-    return value, float(bounds.sum()), passes
+    g = law.cdf_integral(np.concatenate((all_edges, cross)))
+    (g_left, g_right), g_cross = cell_ends(g[:all_edges.size]), g[all_edges.size:]
+    values = [_add_cell_gaps(0.0, level[s], left[s], cross[s], right[s], g_left[s], g_cross[s],
+                             g_right[s]) for s in cell_spans]
+    return values, [float(bounds[s].sum()) for s in cell_spans], passes
 
 
 def check_matching_size(size: int) -> None:

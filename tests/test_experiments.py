@@ -43,7 +43,13 @@ from noisyvoter.experiments import (
     thermalize_distance,
 )
 from noisyvoter.pmf import Pmf, point_mass
-from noisyvoter.transport import MATCHING_CAP, w1_discrete, w1_discrete_vs_wf, w1_matching
+from noisyvoter.transport import (
+    MATCHING_CAP,
+    _w1_vs_wf_search,
+    w1_discrete,
+    w1_discrete_vs_wf,
+    w1_matching,
+)
 from oracles import block_rates
 
 
@@ -861,9 +867,43 @@ class TestScenarioOutputs:
         assert extra["profile"]["series_terms"][0] == 0
         assert all(k > 0 for k in extra["profile"]["series_terms"][1:])
         assert 0.0 < extra["profile"]["rounding_bound"] <= cfg.tol
-        # 2 positive times x 2 sizes: four searches of 1 to 5 passes each
-        assert 4 <= extra["profile"]["crossing_passes"] <= 20
+        # one search per positive time, each over both sizes, of 1 to 5
+        # passes; at t = 0 the point mass is measured without a search
+        assert 2 <= extra["profile"]["crossing_passes"] <= 2 * 5
         assert 0.0 <= extra["profile"]["crossing_bound"] <= 1e-15
+
+    @pytest.mark.parametrize("sizes,m0,grid", [((128, 256, 512), 0.5, None),
+                                               ((30, 60, 120), 0.31, (0.0, 0.05, 1.0))])
+    def test_profile_rows_equal_per_distance_searches(self, tmp_path, sizes, m0, grid):
+        # one search per marginal, over every size that shares it, gives each
+        # row bit for bit as the distance's own search; crossing_passes sums
+        # over the marginals the longest of their distances' searches, and the
+        # t = 0 limits of the three starts of 0.31 share Beta(1, 1)
+        kwargs = {} if grid is None else {"grid": grid}
+        cfg = ExperimentConfig(scenario="profile", n=sizes, m0=m0, out=str(tmp_path), **kwargs)
+        records, extra = run_profile(cfg)
+        wf = WFParams(1.0, 1.0)
+        beta = wf_marginal(wf, 0.5, np.inf)
+        passes = Counter()
+        rows = iter(records)
+        for n in cfg.n:
+            laws = experiments._density_laws(cfg, n, {})
+            for t, col in zip(cfg.grid, laws.probs.T):
+                p = Pmf(laws.lattice, col)
+                if t == 0:
+                    want_wf = w1_discrete(p, point_mass(laws.start))
+                    (want_limit,), _, one = _w1_vs_wf_search([point_mass(laws.start)], beta)
+                    passes["limits"] = max(passes["limits"], one)
+                else:
+                    ref = wf_marginal(wf, laws.start, t, cfg.tol)
+                    (want_wf,), _, one = _w1_vs_wf_search([p], ref)
+                    passes[laws.start, t] = max(passes[laws.start, t], one)
+                    want_limit = ref.stationary_distance()
+                wf_row, stat_row = next(rows), next(rows)
+                assert (wf_row.n, wf_row.t_or_tau) == (stat_row.n, stat_row.t_or_tau) == (n, t)
+                assert wf_row.estimate == want_wf and stat_row.theory == want_limit
+        assert len(extra["profile"]["starts"]) == (1 if m0 == 0.5 else 3)
+        assert extra["profile"]["crossing_passes"] == sum(passes.values())
 
     def test_references_start_where_the_chain_starts(self, tmp_path):
         # at m0 = 0.3 the chain at n = 128 starts from 38/128, and so must the
@@ -902,8 +942,8 @@ class TestScenarioOutputs:
         assert qclt["reference"] == "jacobi-series" and qclt["series_terms"] > 0
         assert 0.0 < qclt["rounding_bound"] <= cfg.tol
         assert qclt["halving_gap"] == 0.0 and qclt["reference_noise_floor"] == 0.0
-        # three distances at about 3 CDF passes each, every crossing proven
-        assert 3 <= qclt["crossing_passes"] <= 15
+        # one search over the three sizes' laws, every crossing proven
+        assert qclt["crossing_passes"] == 3
         assert 0.0 <= qclt["crossing_bound"] <= 1e-15
         # at t = 0 the reference is the point mass at the chain's start, even
         # where m0 n is not an integer, so every distance is 0

@@ -24,13 +24,18 @@ bench's shape and seed 0, 3 taus x 3 streams of 600 pairs.
 ``test_layer_bench_w1_vs_wf`` times the 24
 ``w1_discrete_vs_wf`` calls of ``profile --n 1024`` (a = b = 1, start n/2,
 the default grid), each density law against the exact Wright-Fisher
-marginal.  There is no time gate: the tests only check that the lockstep
+marginal, and ``test_layer_bench_w1_vs_wf_sweep`` the one crossing search
+of ``qclt-rate`` at the ``qclt-reference`` shape: the n = 32, 64 and 128
+laws at t = 1 (a = b = 1, start n/2) against their one marginal, in one
+batched ``_w1_vs_wf_search`` call over 50 rounds (under a millisecond
+each).  There is no time gate: the tests only check that the lockstep
 call equals one call per stream, that no law column is refilled and the
 eigenvector route is the one the rule picks, that the
 Stein solutions equal the three-pass reference bit for bit, that the
-matchings equal the plain assignment solve (the cityblock ones bit for bit)
-and that the distances to the marginal match the brentq oracle, so they
-give before/after numbers.
+matchings equal the plain assignment solve (the cityblock ones bit for bit),
+that the distances to the marginal match the brentq oracle and that the
+batched search equals one search per law bit for bit, so they give
+before/after numbers.
 """
 
 import numpy as np
@@ -48,7 +53,7 @@ from noisyvoter.model import (
     transient_laws,
 )
 from noisyvoter.pmf import Pmf
-from noisyvoter.transport import w1_discrete_vs_wf, w1_matching
+from noisyvoter.transport import _w1_vs_wf_search, w1_discrete_vs_wf, w1_matching
 from oracles import (
     plain_cityblock_matching,
     plain_euclidean_matching,
@@ -63,6 +68,7 @@ FIXED = np.tile([[0, ELL]], (PAIRS, 1))
 LAW_N = 16384
 MIXING_N = 128
 PROFILE_N = 1024
+QCLT_N = (32, 64, 128)
 STEIN_NU = 0.1
 SHIFTS = np.array([[1.5, -0.25], [0.0, 3.0]])
 
@@ -147,3 +153,16 @@ def test_layer_bench_w1_vs_wf(benchmark):
     got = benchmark.pedantic(distances, rounds=5)
     for i in (0, len(pairs) // 2, len(pairs) - 1):
         assert abs(got[i] - scalar_w1_oracle(*pairs[i])) <= 1e-14
+
+
+def test_layer_bench_w1_vs_wf_sweep(benchmark):
+    law = wf_marginal(WFParams(1.0, 1.0), 0.5, 1.0)
+    pmfs = [Pmf(np.arange(n + 1) / n,
+                transient_laws(ModelParams(n, 1.0, 1.0), n // 2, [float(n)]).probs[:, 0])
+            for n in QCLT_N]
+    values, bounds, passes = benchmark.pedantic(_w1_vs_wf_search, args=(pmfs, law), rounds=50,
+                                                warmup_rounds=1)
+    alone = [_w1_vs_wf_search([p], law) for p in pmfs]
+    assert values == [value for (value,), _, _ in alone]
+    assert bounds == [bound for _, (bound,), _ in alone]
+    assert passes == max(one for _, _, one in alone)

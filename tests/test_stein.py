@@ -107,6 +107,8 @@ class TestNodeOrders:
            half_width=st.floats(8.0, 20.0), points=st.integers(2, 4001),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(log_nu=-0.6, kind="linspace", half_width=20.0, points=4001, seed=0)
+    # cells at lambda w = 0.14502 to 0.14518, just below the 8-node threshold
+    @example(log_nu=0.0, kind="linspace", half_width=16.5, points=3638, seed=0)
     def test_random_grids_match_gl8(self, log_nu, kind, half_width, points, seed):
         # grids shaped like those of TestRefinedEdges, out to 20 nu, where
         # the Gaussian's log-slope makes the rule go back to 8 nodes
@@ -123,9 +125,12 @@ class TestNodeOrders:
         edges, orders = lattice.edges, stein._gl_orders(lattice.edges, nu)
         assert np.array_equal(orders, stein_cell_orders(edges, nu))
         outer = np.maximum(np.abs(edges[:-1]), np.abs(edges[1:]))
-        # the 4-node remainder reaches 2^-53 at lambda w = 0.1447
+        lam_w = np.maximum(outer / nu ** 2, 16.0 / nu) * np.diff(edges)
+        # the 4-node remainder reaches 2^-53 at lambda w = 0.14518480574635462
+        reach = (2.0 ** -53 / stein._GL4_REMAINDER) ** 0.125
         assert np.all(orders[np.diff(edges) >= nu / 16.0 * (1 - 1e-12)] == 8)
-        assert np.all(orders[outer * np.diff(edges) / nu ** 2 >= 0.145] == 8)
+        assert np.all(orders[lam_w >= reach * (1 + 1e-12)] == 8)
+        assert np.all(orders[lam_w < reach * (1 - 1e-12)] == 4)
         family = stein_test_family()
         for h, dh in (family[9], family[12]):
             prob = SteinProblem(h, dh, nu)

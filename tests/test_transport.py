@@ -229,6 +229,24 @@ def log_uniform(lo, hi):
     return st.floats(np.log(lo), np.log(hi)).map(np.exp)
 
 
+@st.composite
+def euclidean_clouds(draw):
+    """Two equal-size 2-D clouds.  Integer coordinates give ties, duplicate
+    points and, for a permuted copy, exactly equal means (no dual start);
+    real coordinates give generic clouds, and a permuted copy means that
+    agree to rounding."""
+    size = draw(st.integers(1, 60), label="size")
+    if draw(st.booleans(), label="integer"):
+        coord = st.integers(0, draw(st.integers(0, 6), label="width")).map(float)
+    else:
+        coord = st.floats(-10, 10, allow_nan=False)
+    cloud = st.lists(st.tuples(coord, coord), min_size=size, max_size=size).map(np.array)
+    xs = draw(cloud, label="xs")
+    if draw(st.booleans(), label="permuted copy"):
+        return xs, xs[draw(st.permutations(range(size)), label="perm")]
+    return xs, draw(cloud, label="ys")
+
+
 class CountingLaw:
     """``law`` with its ``cdf`` calls counted and its CDF times ``scale``."""
 
@@ -291,7 +309,7 @@ class TestW1DiscreteVsWF:
         for n in (32, 64, 128):
             p = transient_law(ModelParams(n, 1.0, 1.0), n // 2, float(n)).scaled(1 / n)
             law.cdf_calls = 0
-            value, bound, passes = _w1_vs_wf_search(p, law)
+            (value,), (bound,), passes = _w1_vs_wf_search([p], law)
             assert law.cdf_calls == 1 + passes  # one more pass, at the cell edges
             assert passes <= 5
             assert value == w1_discrete_vs_wf(p, law.law)
@@ -307,7 +325,7 @@ class TestW1DiscreteVsWF:
         for p in (point_mass(0.3), point_mass(0.9), point_mass(1.0),
                   Pmf(np.linspace(0.05, 0.95, 10), np.full(10, 0.1))):
             law.cdf_calls = 0
-            value, bound, passes = _w1_vs_wf_search(p, law)
+            (value,), (bound,), passes = _w1_vs_wf_search([p], law)
             assert law.cdf_calls == 1 + passes < 1 + _CROSSING_PASSES
             assert bound <= 1e-15
             assert value == pytest.approx(scalar_w1_oracle(p, beta), rel=0, abs=1e-15)
@@ -317,9 +335,57 @@ class TestW1DiscreteVsWF:
         tenths = Pmf(np.linspace(0.05, 0.95, 10), np.full(10, 0.1))
         for a, b in ((1.0, 4.0), (2.0, 8.0)):
             law = wf_marginal(WFParams(a, b), 0.5, np.inf)
-            value, bound, passes = _w1_vs_wf_search(tenths, law)
+            (value,), (bound,), passes = _w1_vs_wf_search([tenths], law)
             assert passes <= 8 and bound <= 1e-15
             assert value == pytest.approx(scalar_w1_oracle(tenths, law), rel=0, abs=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=log_uniform(0.1, 10.0), b=log_uniform(0.1, 10.0),
+           m0=st.floats(0.02, 0.98, exclude_min=True, exclude_max=True),
+           t=st.one_of(log_uniform(0.02, 3.0), st.just(np.inf)),
+           kinds=st.lists(st.sampled_from([16, 40, 128, 300, "support", "mass"]),
+                          min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_one_pmf_searches(self, a, b, m0, t, kinds, seed):
+        # lattice laws of different n, non-lattice supports and point masses
+        # inside (0, 1), all against one marginal: each distance and bound
+        # is the one-pmf search's, and the batch runs as long as the longest
+        law = wf_marginal(WFParams(a, b), m0, t)
+        rng = np.random.default_rng(seed)
+        pmfs = []
+        for kind in kinds:
+            if kind == "support":
+                pmfs.append(Pmf(np.sort(rng.uniform(size=7)), rng.dirichlet(np.ones(7))))
+            elif kind == "mass":
+                pmfs.append(point_mass(rng.uniform(0.01, 0.99)))
+            else:
+                params = ModelParams(kind, a, b)
+                count_law = (stationary_pmf(params) if t == np.inf
+                             else transient_law(params, round(m0 * kind), kind * t))
+                pmfs.append(count_law.scaled(1 / kind))
+        values, bounds, passes = _w1_vs_wf_search(pmfs, law)
+        alone = [_w1_vs_wf_search([p], law) for p in pmfs]
+        assert values == [value for (value,), _, _ in alone]
+        assert bounds == [bound for _, (bound,), _ in alone]
+        assert passes == max(one for _, _, one in alone)
+
+    def test_batch_with_a_creeping_cell(self):
+        # the ten masses of 0.1 against the scaled Beta(1, 4), whose last
+        # cell searches for about 30 passes, among pmfs that end in a few:
+        # their distances do not change while it runs on
+        beta = wf_marginal(WFParams(1.0, 4.0), 0.5, np.inf)
+        law = CountingLaw(beta, 1.0 + 4.0 * np.finfo(float).eps)
+        tenths = Pmf(np.linspace(0.05, 0.95, 10), np.full(10, 0.1))
+        rng = np.random.default_rng(5)
+        batch = [stationary_pmf(ModelParams(64, 1.0, 4.0)).scaled(1 / 64), tenths,
+                 point_mass(0.3), Pmf(np.sort(rng.uniform(size=7)), np.full(7, 1 / 7))]
+        law.cdf_calls = 0
+        values, bounds, passes = _w1_vs_wf_search(batch, law)
+        assert law.cdf_calls == 1 + passes
+        alone = [_w1_vs_wf_search([p], law) for p in batch]
+        assert values == [value for (value,), _, _ in alone]
+        assert bounds == [bound for _, (bound,), _ in alone]
+        assert passes == alone[1][2] > 2 * max(alone[i][2] for i in (0, 2, 3))
 
     def test_qclt_reference_values(self):
         # exact count law at n t = n against the exact marginal, a = b = 1, t = 1
@@ -573,33 +639,25 @@ class TestW1Matching:
         assert w1_matching(xs, ys, metric="cityblock") == pytest.approx(
             sum(w1_sorted(xs[:, k], ys[:, k]) for k in range(2)), rel=1e-12)
 
-    @given(st.data())
+    @given(euclidean_clouds())
     @settings(max_examples=150, deadline=None)
-    def test_euclidean_matches_cold_solve(self, data):
-        # integer coordinates give ties, duplicate points and, for a permuted
-        # copy, exactly equal means (no dual start); real coordinates give
-        # generic clouds, and a permuted copy means that agree to rounding
-        size = data.draw(st.integers(1, 60), label="size")
-        if data.draw(st.booleans(), label="integer"):
-            coord = st.integers(0, data.draw(st.integers(0, 6), label="width")).map(float)
-        else:
-            coord = st.floats(-10, 10, allow_nan=False)
-        cloud = st.lists(st.tuples(coord, coord), min_size=size, max_size=size).map(np.array)
-        xs = data.draw(cloud, label="xs")
-        if data.draw(st.booleans(), label="permuted copy"):
-            ys = xs[data.draw(st.permutations(range(size)), label="perm")]
-        else:
-            ys = data.draw(cloud, label="ys")
+    # cdist's squared differences underflow: the distance reads 0, not 6.3e-285
+    @example(clouds=(np.array([[0.0, 0.0]]), np.array([[0.0, 6.324356581019469e-285]])))
+    def test_euclidean_matches_cold_solve(self, clouds):
+        xs, ys = clouds
         assert w1_matching(xs, ys) == pytest.approx(plain_euclidean_matching(xs, ys),
                                                     rel=1e-12, abs=1e-12)
         potentials = _euclidean_potentials(xs, ys)
         if potentials is None:
             assert np.array_equal(xs.mean(axis=0), ys.mean(axis=0))
         else:
-            # the dual start is feasible: no reduced cost below rounding
+            # the dual start is feasible: no reduced cost below rounding, or
+            # below the distance cdist loses when a squared difference
+            # underflows, sqrt(tiny)
             u, v = potentials
             cost = cdist(xs, ys)
-            assert (cost + u[:, None] - v).min() >= -1e-12 * cost.max()
+            underflow = np.sqrt(np.finfo(float).tiny)
+            assert (cost + u[:, None] - v).min() >= -1e-12 * cost.max() - underflow
 
     @pytest.mark.parametrize("shift", [(1.5, -0.25), (0.0, 3.0), (-7.25, 0.5), (1e-3, 2e-3)])
     def test_euclidean_translation_attains_the_bound(self, shift):
