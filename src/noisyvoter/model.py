@@ -557,9 +557,11 @@ def _spectrum(chain: _CountChain, modes: int):
     ====  =======  =====================================
 
     Returns the eigenvalues, the orthonormal eigenvectors (columns) and the
-    route taken.  A ``dstein`` failure to converge raises ``DiagnosticError``
-    unless its vectors pass the same certificate (dstein reports one at
-    n = 1, a = 0.01, b = 0.0154 for vectors that meet it).
+    route taken.  ``dstein`` runs on T scaled to |T|_inf >= 1, since below
+    that its convergence test fails converged vectors (at n = 1, a = b =
+    0.001 they also miss the certificate, by the rounding of b + n - k in
+    the rates).  A ``dstein`` failure to converge raises ``DiagnosticError``
+    unless its vectors pass the same certificate.
     """
     n = chain.params.n
     j = np.arange(modes - 1, -1, -1, dtype=float)
@@ -581,7 +583,13 @@ def _spectrum(chain: _CountChain, modes: int):
     block = np.ones(n + 1, dtype=np.int32)
     split = np.zeros(n + 1, dtype=np.int32)
     split[0] = n + 1
-    vecs, info = dstein(chain.diag, chain.off, lam, block, split)
+    # dstein's convergence test asks its iterates to reach an absolute size,
+    # which a T with |T|_inf well below 1 never lets them reach (n = 1 at small
+    # a + b), so such a T is scaled up by the power of two that puts |T|_inf in
+    # [1, 2): exact, and the eigenvectors are those of T
+    scale = 1 - np.frexp(chain.norm)[1] if chain.norm < 1.0 else 0
+    vecs, info = dstein(np.ldexp(chain.diag, scale), np.ldexp(chain.off, scale),
+                        np.ldexp(lam, scale), block, split)
     if info and not all(r <= _CERTIFIED for r in _certificate(chain, lam, vecs.T)):
         raise DiagnosticError(f"inverse iteration (dstein) failed for n={n}, {modes} modes: "
                               f"info={info}")

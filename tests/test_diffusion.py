@@ -70,6 +70,7 @@ class TestDensityVariance:
     @example(300, 3.0, -3.0, "zero", 1.0)
     @example(300, -3.0, -3.0, "half", 1.0)
     @example(64, 0.0, 0.0, "full", 0.0)
+    @example(1, -3.0, -3.0, "zero", 0.0)
     @settings(max_examples=40, deadline=None)
     def test_matches_transient_law(self, n, log_a, log_b, start, u):
         # a, b log-uniform on [1e-3, 1e3]; t log-uniform on [1e-3, 10] in

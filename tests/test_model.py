@@ -394,8 +394,9 @@ class TestSpectralLaw:
         assert np.any((raw != 0) & (np.abs(raw) < tiny))
 
     def test_unconverged_dstein_vectors_that_pass_the_certificate(self):
-        # LAPACK's dstein reports this 2-state chain's slow vector as not
-        # converged (info = 1), yet it meets the certificate: the law is used
+        # LAPACK's dstein, on this 2-state chain's T as it stands, reports the
+        # slow vector as not converged (info = 1); _spectrum scales T to
+        # |T|_inf >= 1 first, and its vectors meet the certificate
         params = ModelParams(1, 0.01, 10.0 ** -1.8125)
         chain = _count_chain(params)
         lam, vecs, route = _spectrum(chain, 2)
@@ -407,6 +408,25 @@ class TestSpectralLaw:
         law = transient_law(params, 0, 0.01)
         want = uniformization_oracle(params, np.array([1.0, 0.0]), 0.01)
         assert total_variation(law.probs, want) <= 1e-9
+
+    def test_dstein_below_unit_norm(self):
+        # at n = 1, a = b = 0.001, |T|_inf = 0.002: dstein on T as it stands
+        # flags the slow vector (info = 1), and the rounding of b + n - k in
+        # the rates puts it outside the certificate too; on T scaled by a
+        # power of two both vectors converge, to T's own eigenvectors
+        params = ModelParams(1, 1e-3, 1e-3)
+        chain = _count_chain(params)
+        lam, vecs, route = _spectrum(chain, 2)
+        assert route == "dstein"
+        raw, info = dstein(chain.diag, chain.off, lam, np.ones(2, dtype=np.int32),
+                           np.array([2, 0], dtype=np.int32))
+        assert info == 1 and model._certificate(chain, lam, raw.T)[0] > model._CERTIFIED
+        full = eigh_tridiagonal(chain.diag, chain.off)[1]
+        assert np.max(np.abs(np.abs(full.T @ vecs) - np.eye(2))) <= 1e-15
+        for t in (0.01, 1.0, 100.0):
+            law = transient_law(params, 0, t)
+            want = uniformization_oracle(params, np.array([1.0, 0.0]), t)
+            assert total_variation(law.probs, want) <= 1e-12
 
     @pytest.mark.parametrize("n", [128, 256])
     @pytest.mark.parametrize("scenario", ["mixing-curve", "profile"])
