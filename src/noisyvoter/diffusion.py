@@ -139,6 +139,19 @@ def gaussian_coupling_bound(var_x, var_y, cov_yz, var_z):
 # exact Wright-Fisher semigroup on polynomials
 # ---------------------------------------------------------------------------
 
+def poly_derivative(coef, order: int = 1) -> np.ndarray:
+    """The ``order``-th derivative of a polynomial, coefficients lowest
+    degree first: ``numpy.polynomial.polynomial.polyder(coef, order)`` bit
+    for bit (each pass multiplies coefficient j by j; past the degree it is
+    the single coefficient coef[0] * 0), without its generic axis handling."""
+    c = np.array(coef, dtype=float, ndmin=1)
+    if order >= c.size:
+        return c[:1] * 0
+    for _ in range(order):
+        c = c[1:] * np.arange(1, c.size)
+    return c
+
+
 def wf_semigroup(params: WFParams, coef, t: float, order: int = 0) -> np.ndarray:
     """Exact e^{lambda_k t} d^k/dm^k (P_t f)(m) for a polynomial f, k = ``order``.
 
@@ -172,7 +185,7 @@ def wf_semigroup(params: WFParams, coef, t: float, order: int = 0) -> np.ndarray
                            / (lam[i] - lam[i + 1:]))
     modes = solve_triangular(vecs, coef, unit_diagonal=True)
     weights = np.exp(-(lam[order:] - lam[order]) * t) * modes[order:]
-    return npoly.polyder(vecs[:, order:] @ weights, order)
+    return poly_derivative(vecs[:, order:] @ weights, order)
 
 
 # ---------------------------------------------------------------------------

@@ -715,14 +715,22 @@ def _translation_2d(cfg):
                for shift in np.array([[1.5, -0.25], [0.0, 3.0]]))
 
 
-def _pushforward(cfg):
+# the 1-Lipschitz maps of the pushforward check: two projections and a constant
+_PUSHFORWARD_MAPS = (lambda p: p[0], lambda p: 0.6 * p[0] - 0.8 * p[1], lambda p: 0.0)
+
+
+def _pushforward_draws():
+    """The fixed clouds of the pushforward check: five pairs of 120-point
+    clouds in the plane, the second shifted by 0.3, from one
+    seed-independent generator."""
     rng = np.random.default_rng(20240602)
-    maps = (lambda p: p[0], lambda p: 0.6 * p[0] - 0.8 * p[1], lambda p: 0.0)
+    return [(rng.normal(size=(120, 2)), rng.normal(loc=0.3, size=(120, 2))) for _ in range(5)]
+
+
+def _pushforward(cfg):
     worst = -np.inf
-    for _ in range(5):
-        xs = rng.normal(size=(120, 2))
-        ys = rng.normal(loc=0.3, size=(120, 2))
-        d2, d1 = transport.pushforward_check(xs, ys, maps)
+    for xs, ys in _pushforward_draws():
+        d2, d1 = transport.pushforward_check(xs, ys, _PUSHFORWARD_MAPS)
         worst = max(worst, d1 - d2)
     return worst
 
@@ -869,7 +877,7 @@ _DECAY_FAMILY = ((0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0),
 
 def _sup_abs_unit(coef) -> float:
     """sup |p| on [0, 1], attained at 0, at 1 or at a critical point of p."""
-    crit = np.clip(np.real(npoly.polyroots(npoly.polyder(coef))), 0.0, 1.0)
+    crit = np.clip(np.real(npoly.polyroots(diffusion.poly_derivative(coef))), 0.0, 1.0)
     return float(np.max(np.abs(npoly.polyval(np.r_[0.0, 1.0, crit], coef))))
 
 
@@ -884,7 +892,7 @@ def _derivative_decay(cfg):
     strict = -np.inf
     for coef in _DECAY_FAMILY:
         for k in (1, 2):
-            deriv_sup = _sup_abs_unit(npoly.polyder(coef, k))
+            deriv_sup = _sup_abs_unit(diffusion.poly_derivative(coef, k))
             if deriv_sup == 0.0:
                 continue
             for t in (0.05, 0.5, 2.0):

@@ -11,8 +11,12 @@ factor, (lambda w)^8 (4!)^4 / (9 (8!)^3) for a cell of width w, with lambda
 = max(|x| / nu^2, 16 / nu) at its outer end |x|, is below 2^-53, and 8
 elsewhere.  On ``validate``'s grids every cell between the grid's ends gets
 4 (the bound is at most 4e-18 there) and the nu / 16 cells of the tail
-extension get 8.  ``stein_lattice`` builds the (grid, nu) part once, as a
-``SteinLattice`` the caller keeps; its ``solve`` evaluates only h, so a
+extension get 8.  The cells of one node count form a node block, and the
+block's cell integrals are one matrix-vector product of the Gauss-Legendre
+weights with its node values (BLAS rounds a cell's few terms in an order of
+its own, so a cell can differ by an ulp from numpy's row sum; the sums over
+cells stay numpy's).  ``stein_lattice`` builds the (grid, nu) part once, as
+a ``SteinLattice`` the caller keeps; its ``solve`` evaluates only h, so a
 whole function family on one grid pays for one lattice.
 
 The complete-graph symmetric exclusion generator acting on the centered,
@@ -121,24 +125,6 @@ def _gl_orders(edges: np.ndarray, nu: float) -> np.ndarray:
     return np.where(scale ** 8 * _GL4_REMAINDER < 2.0 ** -53, 4, 8)
 
 
-def _cell_integrals(vals: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integral over each cell of values given at its 4 or 8
-    nodes, one node per row and one cell per column.
-
-    The weighted node values of a cell are added row by row, in the order
-    numpy's ``sum(axis=1)`` uses on the cell-per-row layout: left to right
-    for four terms, and pairwise for eight,
-    ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)).  That is
-    ``(vals.T * weights).sum(axis=1)`` bit for bit at a fraction of its
-    cost, so every Stein solve keeps its values; another order, or a
-    matrix-vector product, rounds differently.
-    """
-    p = [row * weight for row, weight in zip(vals, _GAUSS_LEGENDRE[vals.shape[0]][1])]
-    if len(p) == 4:
-        return (((p[0] + p[1]) + p[2]) + p[3]) * half
-    return (((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))) * half
-
-
 @dataclass(frozen=True)
 class _NodeBlock:
     """The lattice cells of one Gauss-Legendre order: their indices, half
@@ -158,10 +144,15 @@ class SteinLattice:
     ``stein_lattice``: the refined edges and cell midpoints, the
     Gauss-Legendre nodes of all cells in one flat array (4-node cells first,
     then 8-node cells, as ``blocks`` says) with the Gaussian kernel K on them
-    and its total integral, and, for the grid points, their lattice indices
-    and tail prefactors exp(x^2 / 2 nu^2) / nu^2.  ``far`` marks the points
-    past the exponent cap, where the far-tail asymptotic applies and the
-    prefactor is 0.  Each solve evaluates h once per entry of ``nodes``."""
+    and its total integral, and, for the grid points, their tail prefactors
+    exp(x^2 / 2 nu^2) / nu^2 and where their tail sums sit.  The grid points
+    at or below 0 take the left-tail form: ``left`` gives each one's entry
+    in the running sum over the first ``head`` cells.  The points above 0
+    take the right-tail form: ``right`` gives each one's entry in the
+    running sum from the last cell down to cell ``tail``.  ``far`` indexes
+    the points past the exponent cap, where the far-tail asymptotic applies
+    and the prefactor is 0.  Each solve evaluates h once per entry of
+    ``nodes``, and computes nothing else that depends on (grid, nu) alone."""
 
     grid: np.ndarray
     nu: float
@@ -171,8 +162,11 @@ class SteinLattice:
     nodes: np.ndarray
     kern: np.ndarray
     kern_mass: float
-    idx: np.ndarray
     pref: np.ndarray
+    head: int
+    left: np.ndarray
+    tail: int
+    right: np.ndarray
     far: np.ndarray
 
     def solve(self, prob: SteinProblem) -> SteinSolution:
@@ -192,12 +186,12 @@ class SteinLattice:
         if prob.nu != nu:
             raise ValueError(f"problem has nu = {prob.nu!r}, the lattice nu = {nu!r}")
         cells, e_h = _stein_cells(prob, self)
-        cum_left = np.concatenate([[0.0], np.cumsum(cells)])
-        cum_right = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-
-        idx = self.idx
-        f = self.pref * np.where(g <= 0, cum_left[idx], -cum_right[idx])
-        if np.any(self.far):
+        # each running sum goes only as far as some grid point reads it
+        head = np.cumsum(cells[:self.head])
+        tail = np.cumsum(cells[self.tail:][::-1])[::-1]
+        f = np.concatenate([head[self.left], -tail[self.right]])
+        f *= self.pref
+        if self.far.size:
             # Far tail: the ODE balances -x f ~ h - E h.
             gx = g[self.far]
             f[self.far] = -(np.asarray(prob.h(gx), float) - e_h) / gx
@@ -211,10 +205,25 @@ class SteinLattice:
 
 def _lattice_cells(blocks: tuple[_NodeBlock, ...], vals: np.ndarray) -> np.ndarray:
     """Per-cell integrals, in lattice order, of values given at the flat
-    node array of ``blocks``."""
+    node array of ``blocks``.
+
+    A block's values form a contiguous (order, cells) array, node by node,
+    so its weighted sums are one matrix-vector product, the Gauss-Legendre
+    weights times that array: one pass over the values in place of one per
+    node.  BLAS adds a cell's 4 or 8 terms in an order of its own, with
+    fused multiply-adds, and the last few cells of a block can take another
+    code path than the rest; so a cell may differ by an ulp from numpy's
+    row sum of the same terms, or from the same cell in a block of another
+    size.  A lattice's blocks are fixed, so its solves repeat bit for bit,
+    and the product splits cells, not terms, over BLAS threads.  Sums across
+    cells (E h, the tails) stay numpy reductions over the returned array,
+    never a BLAS dot, whose threaded reduction could tie them to the thread
+    count.
+    """
     out = np.empty(sum(block.cells.size for block in blocks))
     for block in blocks:
-        out[block.cells] = _cell_integrals(vals[block.nodes].reshape(block.order, -1), block.half)
+        weights = _GAUSS_LEGENDRE[block.order][1]
+        out[block.cells] = (weights @ vals[block.nodes].reshape(block.order, -1)) * block.half
     return out
 
 
@@ -252,10 +261,17 @@ def stein_lattice(grid, nu: float) -> SteinLattice:
     safe = expo <= _TAIL_EXPONENT
     pref = np.zeros_like(g)
     pref[safe] = np.exp(expo[safe]) / nu ** 2
+    # the lattice reaches 6 nu past both grid ends, so 1 <= idx <= cells - 1:
+    # a point's left tail is the sum of its first idx cells, its right tail
+    # that of the cells from idx on
+    split = int(np.searchsorted(g, 0.0, side="right"))
+    head = int(idx[split - 1]) if split else 0
+    tail = int(idx[split]) if split < g.size else mid.size
     blocks = tuple(blocks)
     return SteinLattice(grid=g, nu=nu, edges=edges, mid=mid, blocks=blocks, nodes=nodes,
-                        kern=kern, kern_mass=_lattice_cells(blocks, kern).sum(), idx=idx,
-                        pref=pref, far=~safe)
+                        kern=kern, kern_mass=_lattice_cells(blocks, kern).sum(), pref=pref,
+                        head=head, left=idx[:split] - 1, tail=tail, right=idx[split:] - tail,
+                        far=np.flatnonzero(~safe))
 
 
 def _stein_cells(prob: SteinProblem, lattice: SteinLattice) -> tuple[np.ndarray, float]:

@@ -133,10 +133,12 @@ def stein_cell_orders(edges, nu):
     return np.array(orders)
 
 
-def _three_pass_cells(prob, edges, orders):
+def _three_pass_cells(prob, edges, orders, blas_sums):
     """Cell integrals of K, K h and K (h - E h) for the given node counts,
-    each with its nodes, kernel and h rebuilt from ``edges`` per order and
-    its cells summed by numpy, then scattered into lattice order."""
+    each with its nodes, kernel and h rebuilt from ``edges`` per order, then
+    scattered into lattice order.  With ``blas_sums`` each order's cells are
+    summed as the Gauss-Legendre weights times a contiguous (order, cells)
+    array, the product ``stein`` forms; otherwise by numpy's row sums."""
     nu = prob.nu
 
     def cell_integrals(func):
@@ -147,7 +149,10 @@ def _three_pass_cells(prob, edges, orders):
             mid, half = 0.5 * (right + left), 0.5 * (right - left)
             x, w = np.polynomial.legendre.leggauss(order)
             nodes = mid[:, None] + half[:, None] * x[None, :]
-            out[cells] = (func(nodes) * w[None, :]).sum(axis=1) * half
+            if blas_sums:
+                out[cells] = (w @ np.ascontiguousarray(func(nodes).T)) * half
+            else:
+                out[cells] = (func(nodes) * w[None, :]).sum(axis=1) * half
         return out
 
     def kernel(x):
@@ -163,15 +168,19 @@ def _three_pass_cells(prob, edges, orders):
 def three_pass_stein_cells(prob, lattice):
     """The Stein cell integrals with the node counts, the nodes, the kernel
     and h rebuilt from the lattice's edges for each of the three integrals:
-    the reference for the single-pass ``stein._stein_cells``."""
-    return _three_pass_cells(prob, lattice.edges, stein_cell_orders(lattice.edges, prob.nu))
+    the reference for the single-pass ``stein._stein_cells``, each cell
+    summed by the same product."""
+    orders = stein_cell_orders(lattice.edges, prob.nu)
+    return _three_pass_cells(prob, lattice.edges, orders, blas_sums=True)
 
 
 def gl8_stein_solve(prob, grid):
     """``stein.stein_solve`` with 8 Gauss-Legendre nodes in every lattice
-    cell: the accuracy reference for the per-cell node counts."""
+    cell, each cell summed by numpy's row sum: the accuracy reference for
+    the per-cell node counts and the cell sums."""
     def gl8_cells(prob, lattice):
-        return _three_pass_cells(prob, lattice.edges, np.full(lattice.edges.size - 1, 8))
+        orders = np.full(lattice.edges.size - 1, 8)
+        return _three_pass_cells(prob, lattice.edges, orders, blas_sums=False)
 
     with mock.patch.object(stein, "_stein_cells", gl8_cells):
         return stein.stein_solve(prob, grid)

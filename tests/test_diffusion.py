@@ -16,6 +16,7 @@ from noisyvoter.diffusion import (
     derivative_decay_probe,
     gaussian_coupling,
     gaussian_coupling_bound,
+    poly_derivative,
     simulate_wf,
     wf_marginal,
     wf_semigroup,
@@ -373,6 +374,21 @@ class TestWFSemigroup:
             wf_semigroup(WFParams(1, 1), [0.0, 1.0], 0.5, order=-1)
         with pytest.raises(ValueError):
             wf_semigroup(WFParams(1, 1), [[0.0, 1.0]], 0.5)
+
+    def test_poly_derivative_is_polyder(self):
+        # bit for bit, signed zeros included: order 0 copies, an order at or
+        # past the length gives the single coefficient c[0] * 0
+        rng = np.random.default_rng(17)
+        for length in range(1, 10):
+            draws = [rng.normal(size=length) * 10.0 ** rng.uniform(-300, 300, size=length)
+                     for _ in range(20)]
+            draws += [-np.ones(length), np.full(length, -0.0), np.arange(length, 0, -1.0)]
+            for coef, order in itertools.product(draws, range(10)):
+                got = poly_derivative(coef, order)
+                want = npoly.polyder(coef, order)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                if order >= length:
+                    assert got.size == 1 and got[0] == 0.0
 
 
 class TestWFMarginal:

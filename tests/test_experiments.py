@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -784,6 +785,23 @@ class TestDeterminism:
         for samples in (100, 5000):
             out = tmp_path / f"s{samples}"
             assert cli.main(["validate", "--samples", str(samples), "--out", str(out)]) == 0
+            outs.append(read_bytes(out / "results.csv"))
+        assert outs[0] == outs[1]
+
+    def test_validate_same_under_two_blas_threads(self, tmp_path):
+        # the Stein cell sums are BLAS matrix-vector products; a second BLAS
+        # thread must not move a byte of results.csv.  Starts these two
+        # processes only.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"k{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            done = subprocess.run([sys.executable, "-m", "noisyvoter.cli", "validate",
+                                   "--samples", "100", "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
             outs.append(read_bytes(out / "results.csv"))
         assert outs[0] == outs[1]
 

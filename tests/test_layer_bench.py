@@ -17,7 +17,9 @@ over the 20-function family on ``validate``'s nu = 0.1, 4001-point grid,
 with the quadrature lattice built outside the timed call, as ``validate``
 builds one per grid.
 ``test_layer_bench_matching`` times the two Euclidean ``w1_matching`` calls
-of ``validate``'s ``translation-2d`` check (160 points), and
+of ``validate``'s ``translation-2d`` check (160 points),
+``test_layer_bench_pushforward`` the five ``pushforward_check`` calls of its
+``pushforward-contraction`` check (120 + 120 points, three maps each), and
 ``test_layer_bench_cityblock_matching`` the 9 cityblock calls of
 ``thermalize-cloud``: the clouds of ``thermalize_clouds`` at the lockstep
 bench's shape and seed 0, 3 taus x 3 streams of 600 pairs.
@@ -33,6 +35,7 @@ call equals one call per stream, that no law column is refilled and the
 eigenvector route is the one the rule picks, that the
 Stein solutions equal the three-pass reference bit for bit, that the
 matchings equal the plain assignment solve (the cityblock ones bit for bit),
+that the pushforward checks return the (d2, d1) pairs they always have,
 that the distances to the marginal match the brentq oracle and that the
 batched search equals one search per law bit for bit, so they give
 before/after numbers.
@@ -42,8 +45,9 @@ import numpy as np
 
 from noisyvoter import stein
 from noisyvoter.diffusion import WFParams, wf_marginal
-from noisyvoter.experiments import (SCENARIOS, _translation_draws, replica_stream,
-                                    thermalization_times, thermalize_clouds)
+from noisyvoter.experiments import (SCENARIOS, _PUSHFORWARD_MAPS, _pushforward_draws,
+                                    _translation_draws, replica_stream, thermalization_times,
+                                    thermalize_clouds)
 from noisyvoter.model import (
     BlockPartition,
     ModelParams,
@@ -53,7 +57,8 @@ from noisyvoter.model import (
     transient_laws,
 )
 from noisyvoter.pmf import Pmf
-from noisyvoter.transport import _w1_vs_wf_search, w1_discrete_vs_wf, w1_matching
+from noisyvoter.transport import (_w1_vs_wf_search, pushforward_check, w1_discrete_vs_wf,
+                                  w1_matching)
 from oracles import (
     plain_cityblock_matching,
     plain_euclidean_matching,
@@ -125,6 +130,21 @@ def test_layer_bench_matching(benchmark):
 
     got = benchmark.pedantic(match_all, rounds=5)
     assert got == [plain_euclidean_matching(xs, ys) for xs, ys in pairs]
+
+
+def test_layer_bench_pushforward(benchmark):
+    draws = _pushforward_draws()
+
+    def check_all():
+        return [pushforward_check(xs, ys, _PUSHFORWARD_MAPS) for xs, ys in draws]
+
+    got = benchmark.pedantic(check_all, rounds=10, warmup_rounds=1)
+    # (d2, d1) of each pair of clouds, as the pairwise Lipschitz test gave them
+    assert got == [(0.6156462190245467, 0.5514483403657995),
+                   (0.5008429277716474, 0.3865829927602366),
+                   (0.5735208822608233, 0.35540671693857545),
+                   (0.472172651929977, 0.21002692517150903),
+                   (0.46107415435255533, 0.21087664018368776)]
 
 
 def test_layer_bench_cityblock_matching(benchmark):

@@ -1,6 +1,7 @@
 """Stein machinery tests: ODE solution bounds, exclusion generator, QCLT."""
 
 import itertools
+import math
 from fractions import Fraction
 from math import comb
 
@@ -66,27 +67,40 @@ class TestRefinedEdges:
 
 
 class TestCellIntegrals:
-    @staticmethod
-    def check_against_numpy_sum(order):
+    @pytest.mark.parametrize("nu,half_width,points", VALIDATE_GRIDS)
+    def test_lattice_cells_match_fsum(self, nu, half_width, points):
+        # each cell against the exactly rounded sum of its weighted node
+        # values, on the lattice's kernel, on kernel times h, and on draws
+        # over 35 decades with one value in ten replaced by +-1e300 or a
+        # subnormal
+        grid = np.linspace(-half_width * nu, half_width * nu, points)
+        lattice = stein_lattice(grid, nu)
         rng = np.random.default_rng(43)
-        weights = stein._GAUSS_LEGENDRE[order][1]
-        for trial in range(40):
-            vals = rng.normal(size=(4194, order)) * 10.0 ** rng.uniform(-30, 5, size=(4194, order))
-            special = rng.random(vals.shape) < 0.1
+        draws = []
+        for _ in range(3):
+            vals = (rng.normal(size=lattice.nodes.size)
+                    * 10.0 ** rng.uniform(-30, 5, size=lattice.nodes.size))
+            special = rng.random(vals.size) < 0.1
             vals[special] = rng.choice([5e-324, -3e-310, 2.5e-308, 1e300, -1e300],
                                        size=special.sum())
-            half = rng.uniform(0.0, 1.0, size=4194)
-            want = (vals * weights[None, :]).sum(axis=1) * half
-            assert np.array_equal(stein._cell_integrals(np.ascontiguousarray(vals.T), half), want)
-
-    def test_column_sums_match_numpy_pairwise_reduction(self):
-        # _cell_integrals spells out the order numpy's sum(axis=1) adds eight
-        # terms in; a numpy release that changes that order fails here
-        self.check_against_numpy_sum(8)
-
-    def test_four_column_sums_match_numpy_reduction(self):
-        # four terms are added left to right
-        self.check_against_numpy_sum(4)
+            draws.append(vals)
+        h = stein_test_family()[0][0]
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        for vals in (lattice.kern, lattice.kern * h(lattice.nodes), *draws):
+            got = stein._lattice_cells(lattice.blocks, vals)
+            for block in lattice.blocks:
+                weights = stein._GAUSS_LEGENDRE[block.order][1]
+                terms = vals[block.nodes].reshape(block.order, -1) * weights[:, None]
+                want = np.array([math.fsum(cell) for cell in terms.T]) * block.half
+                # a sum of k products rounds by at most k units of 2^-53 of
+                # sum |w v| (fused or not), the reference's products, its
+                # sum and both sides' scaling by half by one more each:
+                # (k + 4) 2^-53 <= (k + 2) eps of sum |w v| half.  Roundings
+                # in the subnormal range add at most 2^-1075 each, a few
+                # dozen of them far below the smallest normal
+                scale = np.abs(terms).sum(axis=0) * block.half
+                bound = (block.order + 2) * eps * scale + tiny
+                assert np.all(np.abs(got[block.cells] - want) <= bound)
 
 
 class TestNodeOrders:

@@ -685,6 +685,27 @@ class TestW1Matching:
             w1_matching(big, big)
 
 
+@st.composite
+def pushforward_cases(draw):
+    """Two equal clouds on the lattice Z^2 / 8, with repeated and coincident
+    points, and a linear map of norm 1 - 1e-12, 1, 1 + 1e-10 (inside
+    LIP_TOL), 1 + 1e-6 or 2, or a constant map.  Distinct points are 1/8 apart, so a map's rounding moves
+    its gap to distance ratios far less than LIP_TOL and never onto it."""
+    size = draw(st.integers(1, 12))
+    base = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                         min_size=1, max_size=2 * size))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=2 * size, max_size=2 * size))
+    pts = np.array([base[i] for i in picks], dtype=float) / 8.0
+    norm = draw(st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-10, 1.0 + 1e-6, 2.0, None]))
+    if norm is None:
+        value = draw(st.floats(-10.0, 10.0))
+        return pts[:size], pts[size:], lambda p: value
+    angle = draw(st.one_of(st.sampled_from([0.0, np.pi / 4, np.arctan2(3.0, 4.0), np.pi / 2]),
+                           st.floats(0.0, 2.0 * np.pi)))
+    c0, c1 = norm * np.cos(angle), norm * np.sin(angle)
+    return pts[:size], pts[size:], lambda p: c0 * p[0] + c1 * p[1]
+
+
 class TestPushforward:
     def test_projection_contracts(self):
         rng = np.random.default_rng(9)
@@ -738,3 +759,31 @@ class TestPushforward:
             pushforward_check(xs, ys, maps)
         with pytest.raises(ValueError, match="no map"):
             pushforward_check(xs, ys, [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pushforward_cases())
+    @example(case=(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
+                   lambda p: (1.0 + 1e-6) * p[0]))
+    @example(case=(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
+                   lambda p: (1.0 + 1e-10) * p[0]))
+    @example(case=(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([[0.0, 0.0], [0.5, 0.5]]),
+                   lambda p: p[0]))
+    def test_guard_raises_as_the_pairwise_test(self, case):
+        # the row-max guard raises exactly when the pairwise test
+        # |v_i - v_j| > (1 + LIP_TOL) d_ij does, with the same ratio
+        xs, ys, fn = case
+        pts = np.vstack([xs, ys])
+        dists = cdist(pts, pts)
+        limit = (1.0 + transport.LIP_TOL) * dists
+        assert np.array_equal(limit, limit.T)
+        vals = np.array([float(fn(p)) for p in pts])
+        gaps = np.abs(vals[:, None] - vals[None, :])
+        if np.any(gaps > limit):
+            mask = dists > 0
+            ratio = float(np.max(gaps[mask] / dists[mask]))
+            with pytest.raises(ValueError) as info:
+                pushforward_check(xs, ys, fn)
+            assert str(info.value) == f"map is not 1-Lipschitz on the inputs (ratio {ratio:.6g})"
+        else:
+            d2, d1 = pushforward_check(xs, ys, fn)
+            assert d1 <= (1.0 + transport.LIP_TOL) * d2 + 1e-12
