@@ -53,7 +53,7 @@ print(f"point mass vs N(0, {sd}^2): {got:.12f} = sd sqrt(2/pi) = "
 
 cloud_a = rng.normal(size=(120, 2))
 cloud_b = rng.normal(loc=0.5, size=(120, 2))
-d2, d1 = pushforward_check(cloud_a, cloud_b, lambda pnt: pnt[0])
+d2, d1 = pushforward_check(cloud_a, cloud_b, [[1.0, 0.0]])
 print(f"projection contracts W1: 1-D {d1:.5f} <= 2-D {d2:.5f}")
 
 os.makedirs("demos/output", exist_ok=True)

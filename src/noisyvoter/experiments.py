@@ -305,10 +305,9 @@ def _density_laws(cfg: ExperimentConfig, n: int, law_info: dict) -> _DensityLaws
     law_info[str(n)] = info = {"columns": ts.size, "start": start,
                                "spectral": ts.size - start - uniformized,
                                "uniformized": uniformized, "modes": laws.modes,
-                               "eigen_route": str(laws.route), "apriori_bound": laws.bound}
-    certificate = getattr(laws.route, "certificate", None)
-    if certificate:
-        info["hahn_certificate"] = certificate
+                               "eigen_route": laws.route, "apriori_bound": laws.bound}
+    if laws.certificate:
+        info["hahn_certificate"] = laws.certificate
     lattice = np.arange(n + 1) / n
     return _DensityLaws(float(lattice[k0]), lattice, laws.probs, laws.stationary.probs)
 
@@ -715,8 +714,9 @@ def _translation_2d(cfg):
                for shift in np.array([[1.5, -0.25], [0.0, 3.0]]))
 
 
-# the 1-Lipschitz maps of the pushforward check: two projections and a constant
-_PUSHFORWARD_MAPS = (lambda p: p[0], lambda p: 0.6 * p[0] - 0.8 * p[1], lambda p: 0.0)
+# the directions u of the pushforward check's maps p -> u0 x + u1 y: two
+# projections of norm 1 and the constant 0
+_PUSHFORWARD_DIRECTIONS = ((1.0, 0.0), (0.6, -0.8), (0.0, 0.0))
 
 
 def _pushforward_draws():
@@ -730,7 +730,7 @@ def _pushforward_draws():
 def _pushforward(cfg):
     worst = -np.inf
     for xs, ys in _pushforward_draws():
-        d2, d1 = transport.pushforward_check(xs, ys, _PUSHFORWARD_MAPS)
+        d2, d1 = transport.pushforward_check(xs, ys, _PUSHFORWARD_DIRECTIONS)
         worst = max(worst, d1 - d2)
     return worst
 

@@ -516,16 +516,6 @@ def _certificate(chain: _CountChain, lam: np.ndarray, rows: np.ndarray) -> tuple
                 float(np.abs(gram).max() / unit))
 
 
-class _Fallback(str):
-    """The name of the LAPACK route that ran after the recurrence's vectors
-    failed their certificate, with its two readings in ``certificate``."""
-
-    def __new__(cls, route: str, residual: float, orthonormality: float):
-        self = super().__new__(cls, route)
-        self.certificate = {"residual": residual, "orthonormality": orthonormality}
-        return self
-
-
 def _spectrum(chain: _CountChain, modes: int):
     """The ``modes`` slowest eigenpairs of the count generator symmetrized
     by s = sqrt(pi).
@@ -542,10 +532,9 @@ def _spectrum(chain: _CountChain, modes: int):
     residual max|T V - V Lambda| <= C (n+1) eps |T|_inf and orthonormality
     defect max|V^T V - I| <= C (n+1) eps, C = ``_CERTIFIED``; otherwise
     the rejection is logged at INFO and the solve takes the LAPACK route
-    (``_lapack_route``), returned as a ``_Fallback`` that carries the two
-    readings.  The sweep behind the cost model, best-of-k ms at a = b = 1,
-    one BLAS thread (full solve; dstein at 10 / 20 / 30 / 50 / 70% of the
-    n+1 modes):
+    (``_lapack_route``).  The sweep behind the cost model, best-of-k ms at
+    a = b = 1, one BLAS thread (full solve; dstein at 10 / 20 / 30 / 50 /
+    70% of the n+1 modes):
 
     ====  =======  =====================================
        n     full  dstein
@@ -556,9 +545,11 @@ def _spectrum(chain: _CountChain, modes: int):
     4096   2410    826 / 3029 / 6500 / -- / --
     ====  =======  =====================================
 
-    Returns the eigenvalues, the orthonormal eigenvectors (columns) and the
-    route taken.  ``dstein`` runs on T scaled to |T|_inf >= 1, since below
-    that its convergence test fails converged vectors (at n = 1, a = b =
+    Returns the eigenvalues, the orthonormal eigenvectors (columns), the
+    route taken and the certificate: None, unless the recurrence was tried
+    and rejected, then its two readings as ``residual`` and
+    ``orthonormality``.  ``dstein`` runs on T scaled to |T|_inf >= 1, since
+    below that its convergence test fails converged vectors (at n = 1, a = b =
     0.001 they also miss the certificate, by the rounding of b + n - k in
     the rates).  A ``dstein`` failure to converge raises ``DiagnosticError``
     unless its vectors pass the same certificate.
@@ -566,19 +557,20 @@ def _spectrum(chain: _CountChain, modes: int):
     n = chain.params.n
     j = np.arange(modes - 1, -1, -1, dtype=float)
     lam = -j * (j - 1 + chain.params.a + chain.params.b) / n
-    route = _eigen_route(chain, modes)
+    route, certificate = _eigen_route(chain, modes), None
     if route == "hahn":
         rows = _hahn_rows(chain, modes)
         readings = _certificate(chain, lam, rows)
         if all(r <= _CERTIFIED for r in readings):
-            return lam, rows.T, route
-        route = _Fallback(_lapack_route(chain, modes)[0], *readings)
+            return lam, rows.T, route, certificate
+        certificate = dict(zip(("residual", "orthonormality"), readings))
+        route = _lapack_route(chain, modes)[0]
         logger.info("Hahn recurrence rejected for n=%d a=%g b=%g, %d modes: residual %.3g, "
                     "orthonormality %.3g, over %g; falling back to %s", n, chain.params.a,
                     chain.params.b, modes, *readings, _CERTIFIED, route)
     if route == "full":
         vecs = eigh_tridiagonal(chain.diag, chain.off)[1]
-        return lam, vecs if modes > n else vecs[:, n + 1 - modes:].copy(), route
+        return lam, vecs if modes > n else vecs[:, n + 1 - modes:].copy(), route, certificate
     # one unsplit block: iblock all 1, isplit[0] its last row
     block = np.ones(n + 1, dtype=np.int32)
     split = np.zeros(n + 1, dtype=np.int32)
@@ -593,15 +585,16 @@ def _spectrum(chain: _CountChain, modes: int):
     if info and not all(r <= _CERTIFIED for r in _certificate(chain, lam, vecs.T)):
         raise DiagnosticError(f"inverse iteration (dstein) failed for n={n}, {modes} modes: "
                               f"info={info}")
-    return lam, vecs, route
+    return lam, vecs, route, certificate
 
 
 class _SpectralLaws(NamedTuple):
     """Laws from one spectral product: ``laws`` holds the (n+1, T) columns,
     ``ok`` marks those that pass the accuracy guard and ``reason`` says why
-    the first failing one fails.  ``modes``, ``bound`` and ``route`` are the
-    eigenmodes kept, the a-priori error bound and the eigenvector route
-    (``"none"`` when no eigenpair was computed)."""
+    the first failing one fails.  ``modes``, ``bound``, ``route`` and
+    ``certificate`` are the eigenmodes kept, the a-priori error bound, the
+    eigenvector route (``"none"`` when no eigenpair was computed) and the
+    readings of a rejected recurrence (``_spectrum``; None otherwise)."""
 
     laws: np.ndarray
     ok: np.ndarray
@@ -609,6 +602,7 @@ class _SpectralLaws(NamedTuple):
     modes: int
     bound: float
     route: str
+    certificate: dict | None = None
 
 
 def _spectral_laws(chain: _CountChain, p0: np.ndarray, times: np.ndarray,
@@ -622,8 +616,8 @@ def _spectral_laws(chain: _CountChain, p0: np.ndarray, times: np.ndarray,
     Columns at time 0 are ``p0`` itself and always pass; when the a-priori
     bound fails, no other column does, and no eigenpair is computed.
     Eigenvectors over their budget of (DENSE_LAW_CAP + 1)^2 doubles raise
-    ``CapacityError`` before the solve.  ``route`` is the one ``_spectrum``
-    took, a ``_Fallback`` when the recurrence's certificate failed.
+    ``CapacityError`` before the solve.  ``route`` and ``certificate`` are
+    those of the ``_spectrum`` solve.
     """
     n, a, b = chain.params.n, chain.params.a, chain.params.b
     zero = times == 0
@@ -661,7 +655,7 @@ def _spectral_laws(chain: _CountChain, p0: np.ndarray, times: np.ndarray,
         raise CapacityError(f"n={n} a={a:g} b={b:g} needs {modes} eigenmodes at t={ts[0]:g}: "
                             f"{(n + 1) * modes / 2**17:.0f} MB of eigenvectors, over the "
                             f"{(DENSE_LAW_CAP + 1) ** 2 / 2**17:.0f} MB budget")
-    lam, vecs, route = _spectrum(chain, modes)
+    lam, vecs, route, certificate = _spectrum(chain, modes)
     # a decay rate times a time that overflows is a factor exp(-inf) = 0
     with np.errstate(over="ignore"):
         weights = np.exp(np.outer(lam, ts)) * (vecs.T @ q0)[:, None]
@@ -684,7 +678,7 @@ def _spectral_laws(chain: _CountChain, p0: np.ndarray, times: np.ndarray,
             reason = f"mass {mass[i]!r} deviates from 1 by more than tol"
         else:
             reason = f"mean {got[i]!r} misses the closed form {mean[i]!r} by more than n*tol"
-    return _SpectralLaws(laws, ok, reason, modes, bound, route)
+    return _SpectralLaws(laws, ok, reason, modes, bound, route, certificate)
 
 
 def _poisson_isf(q: float, mu: float) -> int:
@@ -745,10 +739,10 @@ class LawGrid(NamedTuple):
     the j-th time, and ``refilled[j]`` marks a column that the accuracy guard
     rejected and uniformization supplied.  ``modes`` is the most slow
     eigenmodes behind a spectral column, ``route`` the eigenvector route
-    that solve took (``_spectrum``: a ``_Fallback``, with the certificate's
-    readings, when the recurrence was rejected) and ``bound`` the largest
-    a-priori error bound among them (0, ``"none"`` and 0.0 when no column
-    is spectral).
+    that solve took and ``certificate`` its readings when the recurrence
+    was rejected (``_spectrum``; None otherwise), and ``bound`` the largest
+    a-priori error bound among them (0, ``"none"``, None and 0.0 when no
+    column is spectral).
     ``stationary`` is the stationary law, the grid's limit at t = inf,
     as ``stationary_pmf`` gives it."""
 
@@ -757,6 +751,7 @@ class LawGrid(NamedTuple):
     modes: int
     bound: float
     route: str
+    certificate: dict | None
     stationary: Pmf
 
 
@@ -799,14 +794,14 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
     probs = np.empty((n + 1, ts.size))
     refilled = np.zeros(ts.size, dtype=bool)
     chain = _count_chain(params)
-    modes, bound, route = 0, 0.0, "none"
+    modes, bound, route, certificate = 0, 0.0, "none", None
     origin, j = 0.0, 0
     while j < ts.size:
         part = _spectral_laws(chain, law, ts[j:] - origin, tol)
         good = part.ok.size if part.ok.all() else int(np.argmin(part.ok))
         if np.any(ts[j:j + good] > origin):
             if part.modes > modes:
-                modes, route = part.modes, part.route
+                modes, route, certificate = part.modes, part.route, part.certificate
             bound = max(bound, part.bound)
         probs[:, j:j + good] = part.laws[:, :good]
         j += good
@@ -823,7 +818,7 @@ def transient_laws(params: ModelParams, start, times, tol: float = 1e-9) -> LawG
         law = probs[:, j] = _uniformized_law(chain, prev, ts[j] - t_prev, tol)
         refilled[j], origin = True, ts[j]
         j += 1
-    return LawGrid(probs, refilled, modes, bound, route, chain.stationary)
+    return LawGrid(probs, refilled, modes, bound, route, certificate, chain.stationary)
 
 
 def transient_law(params: ModelParams, start, t: float, tol: float = 1e-9) -> Pmf:

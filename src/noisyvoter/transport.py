@@ -17,8 +17,10 @@ direction between the two clouds' means, which is already optimal for a
 translation.
 Integer l1 matchings whose sorted coupling attains the bound of the l1
 start are certified optimal and skip the solve; the others solve only the
-points the two clouds do not share.  The pushforward check
-measures the 1-D distances of several maps against one 2-D matching.
+points the two clouds do not share.  The pushforward check measures the
+1-D distances of several linear maps, given by their directions, against
+one 2-D matching; a direction's norm is its map's Lipschitz constant, so a
+norm above 1 raises, and the matching size is checked before any map runs.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .errors import CapacityError
 from .pmf import Pmf
 
 MATCHING_CAP = 5000
-# pushforward_check accepts a map whose pairwise ratios reach 1 + this
-LIP_TOL = 1e-9
 # w1_discrete_vs_wf stops a cell's crossing search once moving the crossing
 # anywhere in its bracket changes the distance by at most this, far below the
 # rounding of the sum
@@ -270,12 +270,12 @@ def check_matching_size(size: int) -> None:
         raise CapacityError(f"matching size {size} exceeds cap {MATCHING_CAP}")
 
 
-def _as_cloud(xs) -> np.ndarray:
+def _as_cloud(xs, name: str = "point set") -> np.ndarray:
     arr = np.asarray(xs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
-        raise ValueError("point set must have shape (N, 2)")
+        raise ValueError(f"{name} must have shape (N, 2)")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("points must be finite")
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -487,38 +487,34 @@ def w1_matching(xs, ys, metric: str = "euclidean") -> float:
 
 
 def pushforward_check(xs, ys, map_fn):
-    """Contraction of W1 under 1-Lipschitz scalar maps of the plane.
+    """Contraction of W1 under linear maps of the plane, given by their
+    directions.
 
-    ``map_fn`` is one map or a sequence of maps, each taking a point to a
-    float.  Verifies the Lipschitz property of every map pairwise on the
-    inputs, up to a relative ``LIP_TOL``, by one row maximum over the pairs
-    per map (the pairwise gaps and the worst ratio are formed only to report
-    a violation), then returns (d2, d1) with d2 the 2-D matching distance,
-    solved once for all maps, and d1 the largest 1-D distance of the mapped
-    samples.  d1 <= d2 holds for exact distances; the caller judges the
-    measured gap (``validate:pushforward-contraction``).
+    ``map_fn`` holds the directions, a finite (M, 2) array: row u is the map
+    p -> u_0 x + u_1 y, whose Lipschitz constant is exactly |u|_2.  A row
+    whose ``np.hypot`` norm exceeds 1 raises ``ValueError``; so does anything
+    that is not a finite (M, 2) array of numbers.  The float direction
+    (0.6, -0.8) has exact norm 1 + 2.2e-17 and reads 1.0, so it passes, and
+    its contraction holds to that relative 2.2e-17.  The matching size is
+    checked first (``check_matching_size``), before any map is applied.
+
+    Returns (d2, d1): d2 the 2-D matching distance, solved once for all
+    maps, and d1 the largest 1-D distance of the projected samples.
+    d1 <= d2 holds for exact distances; the caller judges the measured gap
+    (``validate:pushforward-contraction``).
     """
-    cdist = matching_solvers()[1]
     xa = _as_cloud(xs)
     ya = _as_cloud(ys)
-    maps = [map_fn] if callable(map_fn) else list(map_fn)
-    if not maps:
-        raise ValueError("no map given")
+    check_matching_size(max(len(xa), len(ya)))
+    dirs = _as_cloud(map_fn, "directions")
+    norms = np.hypot(dirs[:, 0], dirs[:, 1])
+    if np.any(norms > 1.0):
+        row = int(np.argmax(norms > 1.0))
+        raise ValueError(f"direction {row} has norm {float(norms[row])!r} > 1, so its map is not "
+                         "1-Lipschitz")
     pts = np.vstack([xa, ya])
-    dists = cdist(pts, pts)
-    limit = (1.0 + LIP_TOL) * dists
-    d1 = -np.inf
-    for fn in maps:
-        vals = np.asarray([float(fn(p)) for p in pts])
-        # limit is symmetric, so some pair has |v_i - v_j| > limit_ij iff
-        # some pair has v_j - limit_ij > v_i: one pass over limit and one row
-        # max (the two round apart only where a gap is within an ulp of its
-        # limit).  Coincident points have limit 0 and equal values, so the
-        # test can run on every pair.
-        if np.any(np.max(vals[None, :] - limit, axis=1) > vals):
-            gaps = np.abs(vals[:, None] - vals[None, :])
-            mask = dists > 0
-            worst = float(np.max(gaps[mask] / dists[mask]))
-            raise ValueError(f"map is not 1-Lipschitz on the inputs (ratio {worst:.6g})")
-        d1 = max(d1, w1_sorted(vals[: len(xa)], vals[len(xa):]))
+    # elementwise, not a BLAS product, which may fuse the multiply and the
+    # add: each value is u_0 x + u_1 y with both products rounded
+    vals = dirs[:, :1] * pts[:, 0] + dirs[:, 1:] * pts[:, 1]
+    d1 = max(w1_sorted(v[:len(xa)], v[len(xa):]) for v in vals)
     return w1_matching(xa, ya), d1

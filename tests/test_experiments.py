@@ -923,6 +923,34 @@ class TestScenarioOutputs:
         assert len(extra["profile"]["starts"]) == (1 if m0 == 0.5 else 3)
         assert extra["profile"]["crossing_passes"] == sum(passes.values())
 
+    def test_profile_equals_its_limit_when_ordered(self, tmp_path):
+        # from m0 = 1/16 at (a, b) = (5, 0.2) the law at every time lies
+        # below pi in stochastic order, so the monotone coupling attains
+        # D_n(t) = |m0 - a/(a+b)| e^{-(a+b)t} at every n (m0 n is a count at
+        # each size).  W1 on [0, 1] is at most half the l1 gap, and a spectral
+        # column's l1 error is at most the reported a-priori bound, doubled
+        # at most by clipping and renormalizing.  At n = 512 and 1024 the
+        # first column fails that bound and is refilled by uniformization,
+        # total-variation accurate to tol, an error the later columns carry
+        # too.  (n+1) eps covers the W1 sum.
+        args = ["profile", "--n", "128,256,512,1024", "--a", "5", "--b", "0.2",
+                "--m0", "0.0625", "--grid", "0.05,0.2,0.5,1,2", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        rounding = manifest["profile"]["rounding_bound"]
+        tol = manifest["config"]["tol"]
+        rows = [r for r in csv.DictReader((tmp_path / "results.csv").read_text().splitlines())
+                if r["scenario"] == "profile:stationary"]
+        assert len(rows) == 4 * 5
+        for r in rows:
+            n, t = int(r["n"]), float(r["t_or_tau"])
+            limit = abs(0.0625 - 5.0 / 5.2) * math.exp(-5.2 * t)
+            info = manifest["exact_laws"][str(n)]
+            within = (info["apriori_bound"] + (tol if info["uniformized"] else 0.0)
+                      + (n + 1) * np.finfo(float).eps)
+            assert abs(float(r["estimate"]) - limit) <= within
+            assert abs(float(r["theory"]) - limit) <= rounding
+
     def test_references_start_where_the_chain_starts(self, tmp_path):
         # at m0 = 0.3 the chain at n = 128 starts from 38/128, and so must the
         # diffusion marginal and the limit profile it is compared with
@@ -1302,6 +1330,21 @@ def test_demo_imports_resolve():
                     if not hasattr(module, alias.name):
                         unresolved.append(f"{path.name}: {node.module}.{alias.name}")
     assert imported and unresolved == []
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # a changed call signature passes the import check, so each demo runs,
+    # one process at a time, with its demos/output/ under tmp_path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_no_module_level_caches():

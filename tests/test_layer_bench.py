@@ -19,7 +19,8 @@ builds one per grid.
 ``test_layer_bench_matching`` times the two Euclidean ``w1_matching`` calls
 of ``validate``'s ``translation-2d`` check (160 points),
 ``test_layer_bench_pushforward`` the five ``pushforward_check`` calls of its
-``pushforward-contraction`` check (120 + 120 points, three maps each), and
+``pushforward-contraction`` check (120 + 120 points, three linear maps each,
+given by their directions), and
 ``test_layer_bench_cityblock_matching`` the 9 cityblock calls of
 ``thermalize-cloud``: the clouds of ``thermalize_clouds`` at the lockstep
 bench's shape and seed 0, 3 taus x 3 streams of 600 pairs.
@@ -45,7 +46,7 @@ import numpy as np
 
 from noisyvoter import stein
 from noisyvoter.diffusion import WFParams, wf_marginal
-from noisyvoter.experiments import (SCENARIOS, _PUSHFORWARD_MAPS, _pushforward_draws,
+from noisyvoter.experiments import (SCENARIOS, _PUSHFORWARD_DIRECTIONS, _pushforward_draws,
                                     _translation_draws, replica_stream, thermalization_times,
                                     thermalize_clouds)
 from noisyvoter.model import (
@@ -136,10 +137,11 @@ def test_layer_bench_pushforward(benchmark):
     draws = _pushforward_draws()
 
     def check_all():
-        return [pushforward_check(xs, ys, _PUSHFORWARD_MAPS) for xs, ys in draws]
+        return [pushforward_check(xs, ys, _PUSHFORWARD_DIRECTIONS) for xs, ys in draws]
 
     got = benchmark.pedantic(check_all, rounds=10, warmup_rounds=1)
-    # (d2, d1) of each pair of clouds, as the pairwise Lipschitz test gave them
+    # (d2, d1) of each pair of clouds, pinned bit for bit: the projections are
+    # formed elementwise, u0 x + u1 y with both products rounded
     assert got == [(0.6156462190245467, 0.5514483403657995),
                    (0.5008429277716474, 0.3865829927602366),
                    (0.5735208822608233, 0.35540671693857545),

@@ -302,11 +302,12 @@ class TestSpectralLaw:
         sym = np.diag(-(up + down)) + np.diag(off, 1) + np.diag(off, -1)
         for modes in filter(None, counts):
             pick = model._eigen_route(chain, modes)
-            lam, vecs, route = _spectrum(chain, modes)
+            lam, vecs, route, certificate = _spectrum(chain, modes)
             assert vecs.shape == (n + 1, modes)
+            assert (certificate is None) == (route == pick)
             if route != pick:
                 assert pick == "hahn" and route == model._lapack_route(chain, modes)[0]
-                assert max(route.certificate.values()) > model._CERTIFIED
+                assert max(certificate.values()) > model._CERTIFIED
             assert np.array_equal(lam, hahn_lam[-modes:]) and lam[-1] == 0.0
             assert np.max(np.abs(sym @ vecs - vecs * lam)) <= 1e-10 * n
             assert np.max(np.abs(vecs.T @ vecs - np.eye(modes))) <= 1e-10
@@ -359,8 +360,9 @@ class TestSpectralLaw:
             with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
                 grids[route] = transient_laws(params, n // 2, times)
             assert grids[route].modes == 50 and not grids[route].refilled.any()
-        rejected = grids["hahn"].route
-        assert rejected == fallback and min(rejected.certificate.values()) > model._CERTIFIED
+        rejected = grids["hahn"]
+        assert rejected.route == fallback and min(rejected.certificate.values()) > model._CERTIFIED
+        assert grids[fallback].certificate is None
         messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
         assert len(messages) == 1 and f"n={n} a={a:g} b={b:g}, 50 modes" in messages[0]
         assert f"falling back to {fallback}" in messages[0]
@@ -379,7 +381,7 @@ class TestSpectralLaw:
         seen = []
         spectrum = model._spectrum
         monkeypatch.setattr(model, "_spectrum", lambda chain, modes: (
-            lambda lam, vecs, route: (lam, vecs.view(Spy), route))(*spectrum(chain, modes)))
+            lambda lam, vecs, *rest: (lam, vecs.view(Spy), *rest))(*spectrum(chain, modes)))
         params = ModelParams(128, 1.0, 1.0)
         times = 128 * np.asarray(SCENARIOS["mixing-curve"][1])
         grid = transient_laws(params, 64, times)
@@ -387,7 +389,7 @@ class TestSpectralLaw:
         tiny = np.finfo(float).tiny
         assert not np.any((seen[0] != 0) & (np.abs(seen[0]) < tiny))
         # without the rule they would be there
-        lam, vecs, _ = spectrum(_count_chain(params), grid.modes)
+        lam, vecs = spectrum(_count_chain(params), grid.modes)[:2]
         live = times[times > 0]
         q0 = (np.arange(129) == 64) / _count_chain(params).s
         raw = np.exp(np.outer(lam, live)) * (vecs.T @ q0)[:, None]
@@ -399,7 +401,7 @@ class TestSpectralLaw:
         # |T|_inf >= 1 first, and its vectors meet the certificate
         params = ModelParams(1, 0.01, 10.0 ** -1.8125)
         chain = _count_chain(params)
-        lam, vecs, route = _spectrum(chain, 2)
+        lam, vecs, route, _ = _spectrum(chain, 2)
         assert route == "dstein"
         info = dstein(chain.diag, chain.off, lam, np.ones(2, dtype=np.int32),
                       np.array([2, 0], dtype=np.int32))[1]
@@ -416,7 +418,7 @@ class TestSpectralLaw:
         # power of two both vectors converge, to T's own eigenvectors
         params = ModelParams(1, 1e-3, 1e-3)
         chain = _count_chain(params)
-        lam, vecs, route = _spectrum(chain, 2)
+        lam, vecs, route, _ = _spectrum(chain, 2)
         assert route == "dstein"
         raw, info = dstein(chain.diag, chain.off, lam, np.ones(2, dtype=np.int32),
                            np.array([2, 0], dtype=np.int32))
@@ -500,8 +502,8 @@ class TestSpectralLaw:
         # it uniformization refills the law, above it the call fails loudly
         # (the lowered cap still leaves room for this law's eigenvectors)
         params = ModelParams(64, 1.0, 1.0)
-        lam, vecs, route = _spectrum(_count_chain(params), 65)
-        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs, route))
+        lam, *rest = _spectrum(_count_chain(params), 65)
+        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, *rest))
         with caplog.at_level(logging.INFO, logger="noisyvoter.model"):
             law = transient_law(params, 10, 20.0)
         messages = [r.getMessage() for r in caplog.records if r.name == "noisyvoter.model"]
@@ -526,7 +528,7 @@ class TestSpectralLaw:
         p0 = (np.arange(n + 1) == k0).astype(float)
         times = n * np.array([0.0, 0.01, 0.05, 0.2, 1.0])
         chain = _count_chain(params)
-        laws, ok, _, modes, bound, route = _spectral_laws(chain, p0, times, tol)
+        laws, ok, _, modes, bound, route, certificate = _spectral_laws(chain, p0, times, tol)
         # only the a-priori bound rejects here (the tail start at n = 300,
         # a = b = 20); the a-posteriori checks pass every column it accepts
         assert modes < n + 1 and ok.all() == (bound <= tol)
@@ -540,6 +542,7 @@ class TestSpectralLaw:
             np.testing.assert_array_equal(grid.probs, laws)
             assert grid.modes == modes and grid.bound == bound <= tol
             assert grid.route == route == model._eigen_route(chain, modes)
+            assert grid.certificate is certificate is None
         else:
             assert grid.refilled[1]
 
@@ -625,8 +628,8 @@ class TestLawGrid:
         # columns that pass the a-priori bound but fail the a-posteriori
         # checks are refilled too
         params = ModelParams(64, 1.0, 1.0)
-        lam, vecs, route = _spectrum(_count_chain(params), 65)
-        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, vecs, route))
+        lam, *rest = _spectrum(_count_chain(params), 65)
+        monkeypatch.setattr(model, "_spectrum", lambda p, modes: (0.5 * lam, *rest))
         times = np.array([0.0, 5.0, 20.0, 60.0])
         grid = transient_laws(params, 10, times)
         assert grid.refilled.tolist() == [False, True, True, True]

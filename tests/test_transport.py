@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -686,24 +687,21 @@ class TestW1Matching:
 
 
 @st.composite
-def pushforward_cases(draw):
-    """Two equal clouds on the lattice Z^2 / 8, with repeated and coincident
-    points, and a linear map of norm 1 - 1e-12, 1, 1 + 1e-10 (inside
-    LIP_TOL), 1 + 1e-6 or 2, or a constant map.  Distinct points are 1/8 apart, so a map's rounding moves
-    its gap to distance ratios far less than LIP_TOL and never onto it."""
+def pushforward_directions(draw):
+    """Two equal clouds with repeated points, and one to three directions of
+    norm 0, 1 - 1e-12, 1, 1 + 1e-15, 1 + 1e-6 or 2 at drawn angles."""
     size = draw(st.integers(1, 12))
-    base = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
-                         min_size=1, max_size=2 * size))
+    base = draw(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=2 * size))
     picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=2 * size, max_size=2 * size))
-    pts = np.array([base[i] for i in picks], dtype=float) / 8.0
-    norm = draw(st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-10, 1.0 + 1e-6, 2.0, None]))
-    if norm is None:
-        value = draw(st.floats(-10.0, 10.0))
-        return pts[:size], pts[size:], lambda p: value
-    angle = draw(st.one_of(st.sampled_from([0.0, np.pi / 4, np.arctan2(3.0, 4.0), np.pi / 2]),
-                           st.floats(0.0, 2.0 * np.pi)))
-    c0, c1 = norm * np.cos(angle), norm * np.sin(angle)
-    return pts[:size], pts[size:], lambda p: c0 * p[0] + c1 * p[1]
+    pts = np.array([base[i] for i in picks])
+    norms = draw(st.lists(st.sampled_from([0.0, 1.0 - 1e-12, 1.0, 1.0 + 1e-15, 1.0 + 1e-6, 2.0]),
+                          min_size=1, max_size=3))
+    angles = draw(st.lists(st.one_of(st.sampled_from([0.0, np.pi / 4, np.arctan2(3.0, 4.0),
+                                                      np.pi / 2]),
+                                     st.floats(0.0, 2.0 * np.pi)),
+                           min_size=len(norms), max_size=len(norms)))
+    dirs = np.array([[r * np.cos(t), r * np.sin(t)] for r, t in zip(norms, angles)])
+    return pts[:size], pts[size:], dirs
 
 
 class TestPushforward:
@@ -711,37 +709,38 @@ class TestPushforward:
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(80, 2))
         ys = rng.normal(loc=0.4, size=(80, 2))
-        d2, d1 = pushforward_check(xs, ys, lambda p: p[0])
+        d2, d1 = pushforward_check(xs, ys, [[1.0, 0.0]])
         assert d1 <= d2 + 1e-12
         assert d2 > 0
 
     def test_identical_inputs(self):
         rng = np.random.default_rng(10)
         xs = rng.normal(size=(25, 2))
-        d2, d1 = pushforward_check(xs, xs.copy(), lambda p: p[1])
+        d2, d1 = pushforward_check(xs, xs.copy(), [[0.0, 1.0]])
         assert d2 <= 1e-12 and d1 <= 1e-12
 
     def test_constant_map(self):
+        # the direction (0, 0) maps every point to 0
         rng = np.random.default_rng(11)
         xs = rng.normal(size=(20, 2))
         ys = rng.normal(loc=1.0, size=(20, 2))
-        d2, d1 = pushforward_check(xs, ys, lambda p: 7.0)
+        d2, d1 = pushforward_check(xs, ys, [[0.0, 0.0]])
         assert d1 == 0.0 and d2 >= 0.0
 
     def test_lipschitz_violation(self):
         rng = np.random.default_rng(12)
         xs = rng.normal(size=(10, 2))
         ys = rng.normal(size=(10, 2))
-        with pytest.raises(ValueError):
-            pushforward_check(xs, ys, lambda p: 2.0 * p[0])
+        with pytest.raises(ValueError, match="direction 0 has norm 2.0 > 1"):
+            pushforward_check(xs, ys, [[2.0, 0.0]])
 
     def test_several_maps_share_one_matching(self):
         rng = np.random.default_rng(13)
         xs = rng.normal(size=(60, 2))
         ys = rng.normal(loc=0.3, size=(60, 2))
-        maps = (lambda p: p[0], lambda p: 0.6 * p[0] - 0.8 * p[1], lambda p: 0.0)
-        singles = [pushforward_check(xs, ys, fn) for fn in maps]
-        d2, d1 = pushforward_check(xs, ys, maps)
+        dirs = [(1.0, 0.0), (0.6, -0.8), (0.0, 0.0)]
+        singles = [pushforward_check(xs, ys, [u]) for u in dirs]
+        d2, d1 = pushforward_check(xs, ys, dirs)
         assert all(d2 == single[0] for single in singles)
         assert d1 == max(single[1] for single in singles)
         assert d1 > 0.0
@@ -750,40 +749,60 @@ class TestPushforward:
         rng = np.random.default_rng(14)
         xs = rng.normal(size=(10, 2))
         ys = rng.normal(size=(10, 2))
-        pts = np.vstack([xs, ys])
-        dists = cdist(pts, pts)
-        mask = dists > 0
-        ratio = np.max(2.0 * np.abs(pts[:, None, 0] - pts[None, :, 0])[mask] / dists[mask])
-        maps = [lambda p: p[1], lambda p: 2.0 * p[0], lambda p: 0.0]
-        with pytest.raises(ValueError, match=f"ratio {ratio:.6g}"):
-            pushforward_check(xs, ys, maps)
-        with pytest.raises(ValueError, match="no map"):
-            pushforward_check(xs, ys, [])
+        with pytest.raises(ValueError, match="direction 1 has norm 2.0 > 1"):
+            pushforward_check(xs, ys, [(0.0, 1.0), (2.0, 0.0), (0.0, 0.0)])
+        for empty in ([], np.zeros((0, 2))):
+            with pytest.raises(ValueError, match="directions must have shape"):
+                pushforward_check(xs, ys, empty)
+
+    @pytest.mark.parametrize("map_fn", [lambda p: p[0], [lambda p: p[0]]], ids=["one", "list"])
+    def test_callable_map_raises(self, map_fn):
+        xs = np.zeros((3, 2))
+        with pytest.raises(TypeError):
+            pushforward_check(xs, xs + 1.0, map_fn)
+
+    @pytest.mark.parametrize("map_fn", [[1.0, 0.0], [[1.0, 0.0, 0.0]], [[np.nan, 0.0]],
+                                        [[0.5, np.inf]], [["x", 0.0]]])
+    def test_rejects_what_is_not_directions(self, map_fn):
+        xs = np.zeros((3, 2))
+        with pytest.raises(ValueError):
+            pushforward_check(xs, xs + 1.0, map_fn)
+
+    def test_size_cap_before_any_work(self, monkeypatch):
+        # the matching size is checked before any map is applied
+        monkeypatch.setattr(transport, "MATCHING_CAP", 8)
+        calls, w1_sorted_ = [], transport.w1_sorted
+
+        def spy(*args):
+            calls.append(args)
+            return w1_sorted_(*args)
+
+        monkeypatch.setattr(transport, "w1_sorted", spy)
+        xs = np.arange(18.0).reshape(9, 2)
+        with pytest.raises(CapacityError, match="matching size 9 exceeds cap 8"):
+            pushforward_check(xs, xs + 0.5, [[1.0, 0.0]])
+        assert calls == []
 
     @settings(max_examples=150, deadline=None)
-    @given(case=pushforward_cases())
-    @example(case=(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
-                   lambda p: (1.0 + 1e-6) * p[0]))
-    @example(case=(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
-                   lambda p: (1.0 + 1e-10) * p[0]))
+    @given(case=pushforward_directions())
+    @example(case=(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), np.array([[0.6, -0.8]])))
     @example(case=(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([[0.0, 0.0], [0.5, 0.5]]),
-                   lambda p: p[0]))
-    def test_guard_raises_as_the_pairwise_test(self, case):
-        # the row-max guard raises exactly when the pairwise test
-        # |v_i - v_j| > (1 + LIP_TOL) d_ij does, with the same ratio
-        xs, ys, fn = case
+                   np.array([[1.0, 0.0], [0.0, 1.0 + 1e-15]])))
+    def test_norm_rule(self, case):
+        # raises exactly when some direction's hypot exceeds 1, naming the
+        # first; otherwise d2 is the matching, d1 the largest sorted distance
+        # of the projected clouds, and d1 <= d2
+        xs, ys, dirs = case
+        norms = np.hypot(dirs[:, 0], dirs[:, 1])
+        if np.any(norms > 1.0):
+            row = int(np.flatnonzero(norms > 1.0)[0])
+            text = f"direction {row} has norm {float(norms[row])!r} > 1"
+            with pytest.raises(ValueError, match=re.escape(text)):
+                pushforward_check(xs, ys, dirs)
+            return
+        d2, d1 = pushforward_check(xs, ys, dirs)
+        assert d2 == w1_matching(xs, ys)
         pts = np.vstack([xs, ys])
-        dists = cdist(pts, pts)
-        limit = (1.0 + transport.LIP_TOL) * dists
-        assert np.array_equal(limit, limit.T)
-        vals = np.array([float(fn(p)) for p in pts])
-        gaps = np.abs(vals[:, None] - vals[None, :])
-        if np.any(gaps > limit):
-            mask = dists > 0
-            ratio = float(np.max(gaps[mask] / dists[mask]))
-            with pytest.raises(ValueError) as info:
-                pushforward_check(xs, ys, fn)
-            assert str(info.value) == f"map is not 1-Lipschitz on the inputs (ratio {ratio:.6g})"
-        else:
-            d2, d1 = pushforward_check(xs, ys, fn)
-            assert d1 <= (1.0 + transport.LIP_TOL) * d2 + 1e-12
+        projected = [u0 * pts[:, 0] + u1 * pts[:, 1] for u0, u1 in dirs]
+        assert d1 == max(w1_sorted(v[:len(xs)], v[len(xs):]) for v in projected)
+        assert d1 <= d2 + 1e-12
