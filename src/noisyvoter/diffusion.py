@@ -337,24 +337,19 @@ def wf_marginal(params: WFParams, m0: float, t: float, tol: float = 1e-9) -> WFM
         return WFMarginal(params, float(m0), t, np.empty(0), np.empty(0), 0.0, 0.0)
     a, b = params.a, params.b
     where = f"(a, b, m0, t) = ({a:g}, {b:g}, {m0:g}, {t:g})"
-    values = _jacobi_values(b - 1.0, a - 1.0, 2.0 * float(m0) - 1.0)
+    # the term recurrences run on float64 scalars, not Python floats, so an
+    # overflow or a zero denominator (a + b below the rounding of j + a + b - 2)
+    # gives a term that is not finite, which fails the check below
+    a64, b64 = np.float64(a), np.float64(b)
+    values = _jacobi_values(b64 - 1.0, a64 - 1.0, 2.0 * np.float64(m0) - 1.0)
     next(values)  # P_0 = 1
     coef, conditioning, run, h = [], [], 0, 1.0
-    # a term that is not finite fails the check below; an overflow in the cutoff
-    # test fails the cutoff
+    # an overflow in the cutoff test fails the cutoff
     with np.errstate(all="ignore"):
         for j in range(1, _MAX_SERIES_TERMS + 1):
-            try:
-                h *= (a * b / (a + b + 1) if j == 1 else (j - 1 + a) * (j - 1 + b)
-                      * (2 * j + a + b - 3) / ((2 * j + a + b - 1) * (j + a + b - 2) * j))
-            except ZeroDivisionError:  # a + b below the rounding of j + a + b - 2
-                h = np.inf
-            try:
-                p = next(values)
-            # the recurrence squares a - 1 and b - 1, and divides by 2k + a + b - 2 and
-            # k + a + b - 1, as Python floats
-            except (OverflowError, ZeroDivisionError):
-                p = np.inf
+            h *= (a64 * b64 / (a64 + b64 + 1) if j == 1 else (j - 1 + a64) * (j - 1 + b64)
+                  * (2 * j + a64 + b64 - 3) / ((2 * j + a64 + b64 - 1) * (j + a64 + b64 - 2) * j))
+            p = next(values)
             lam = j * (j - 1 + a + b)
             decay = np.exp(-lam * t)
             coef.append(p * decay / (h * lam))

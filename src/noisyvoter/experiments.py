@@ -20,6 +20,7 @@ timings live in manifest.json only.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import numbers
 import time
@@ -40,8 +41,9 @@ from .pmf import Pmf, empirical_pmf, point_mass
 
 # fixed stream ids so every random draw hangs off (seed, purpose, index...);
 # retired ids are not reused, so the remaining streams keep their draws
-# (id 2 was profile's Monte Carlo branch)
-_STREAM = {"thermalize": 5, "validate-mc": 6}
+# (id 2 was profile's Monte Carlo branch, id 6 validate's coupling-uniformity
+# draws)
+_STREAM = {"thermalize": 5}
 
 
 def replica_stream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
@@ -803,38 +805,52 @@ def _exclusion_residual(cfg):
     return 0.0 - worst, "minus the min margin over x^2, x^3, tanh at three (n, ell)"
 
 
+# blocks (3, 2) reach every branch of the threshold rule: a count of 0, a
+# partial count and a full count in each block
+_COUPLING_PART = model.BlockPartition(3, 2)
+
+
+def _coupled_cases():
+    """Every case of ``model.couple_by_block_counts`` at ``_COUPLING_PART``:
+    the 3!·2! = 12 pairs of within-block rank orders, as the rows of one
+    ranks array, under each of the 12 × 12 pairs of block counts.  Returns
+    the count pairs (x, y), shape (144, 2, 2), and the coupled pairs
+    (eta, etap), shape (144, 2, 12, 5), with one row per rank order."""
+    part = _COUPLING_PART
+    ranks = np.array([r0 + r1 for r0 in itertools.permutations(range(part.n0))
+                      for r1 in itertools.permutations(range(part.n1))])
+    counts = list(itertools.product(range(part.n0 + 1), range(part.n1 + 1)))
+    pairs = list(itertools.product(counts, repeat=2))
+    configs = [model.couple_by_block_counts(part, x, y, ranks) for x, y in pairs]
+    return np.array(pairs), np.array(configs)
+
+
 def _coupling(cfg):
-    fixed = np.random.default_rng(20240603)
-    worst = 0
-    for _ in range(50):
-        n0 = int(fixed.integers(1, 40))
-        n1 = int(fixed.integers(1, 40))
-        part = model.BlockPartition(n0, n1)
-        x = (int(fixed.integers(0, n0 + 1)), int(fixed.integers(0, n1 + 1)))
-        y = (int(fixed.integers(0, n0 + 1)), int(fixed.integers(0, n1 + 1)))
-        eta, etap = model.couple_by_block_counts(part, x, y, fixed)
-        got = int(np.sum(eta != etap))
-        want = abs(x[0] - y[0]) + abs(x[1] - y[1])
-        worst = max(worst, abs(got - want))
-        if (int(eta[:n0].sum()), int(eta[n0:].sum())) != x:
-            worst = max(worst, 1)
-        if (int(etap[:n0].sum()), int(etap[n0:].sum())) != y:
-            worst = max(worst, 1)
-    return worst
+    """Largest gap, over every case, of a pair's disagreements from
+    |x0-y0| + |x1-y1|, or of a configuration's block sums from its counts."""
+    pairs, configs = _coupled_cases()
+    n0 = _COUPLING_PART.n0
+    moved = np.sum(configs[:, 0] != configs[:, 1], axis=2)
+    gaps = (moved - np.abs(pairs[:, 0] - pairs[:, 1]).sum(axis=1)[:, None],
+            configs[..., :n0].sum(axis=3) - pairs[..., :1],
+            configs[..., n0:].sum(axis=3) - pairs[..., 1:])
+    return max(int(np.abs(gap).max()) for gap in gaps), "largest integer gap over every case"
 
 
 def _coupling_uniformity(cfg):
-    # the one Monte Carlo check: index 10 keeps its draws, and so its row,
-    # identical to outputs written since this stream was introduced
-    rng = replica_stream(cfg.seed, "validate-mc", 10)
-    part = model.BlockPartition(6, 5)
-    x, y = (2, 3), (4, 1)
-    draws = 20000
-    eta, _ = model.couple_by_block_counts(part, x, y, rng, size=draws)
-    freq = eta.mean(axis=0)
-    target = np.concatenate([np.full(6, x[0] / 6.0), np.full(5, x[1] / 5.0)])
-    se = np.sqrt(target * (1 - target) / draws)
-    return float(np.max(np.abs(freq - target) / se)), "max z-score across sites"
+    """Largest gap, over every case and both configurations, of how often the
+    12 rank orders hit a configuration from 12 / |fiber| on its block-count
+    fiber, all C(3, x0) C(2, x1) configurations of it, and from 0 off it; 12
+    is a multiple of every fiber's size."""
+    pairs, configs = _coupled_cases()
+    n0, n = _COUPLING_PART.n0, _COUPLING_PART.n
+    # row c of bits is the configuration whose code, config @ 2^arange(n), is c
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    fiber = ((bits[:, :n0].sum(axis=1) == pairs[..., :1])
+             & (bits[:, n0:].sum(axis=1) == pairs[..., 1:]))
+    hits = np.sum((configs @ (1 << np.arange(n)))[..., None] == np.arange(2 ** n), axis=2)
+    want = fiber * (configs.shape[2] // fiber.sum(axis=2, keepdims=True))
+    return int(np.abs(hits - want).max()), "largest gap of a configuration's hits over every case"
 
 
 def _gaussian_coupling(cfg):
@@ -938,7 +954,7 @@ _VALIDATE_CHECKS = (
     ("exclusion-stationarity", 1e-10, _exclusion_stationarity),
     ("exclusion-residual-bounds", 1e-12, _exclusion_residual),
     ("coupling-disagreements", 0.0, _coupling),
-    ("coupling-uniformity", 4.5, _coupling_uniformity),
+    ("coupling-uniformity", 0.0, _coupling_uniformity),
     ("gaussian-coupling-bound", 1e-12, _gaussian_coupling),
     ("block-mean-identity", 1e-12, _block_mean_identity),
     ("derivative-decay", 1e-10, _derivative_decay),

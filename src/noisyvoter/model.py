@@ -882,27 +882,28 @@ def sample_uniform_given_count(params: ModelParams, part: BlockPartition, k: int
     return k - x1, x1
 
 
-def couple_by_block_counts(part: BlockPartition, x, y, rng: np.random.Generator, size=None):
-    """Couple two uniform-given-block-counts configurations block by block.
+def couple_by_block_counts(part: BlockPartition, x, y, ranks):
+    """Couple two configurations with block counts ``x`` and ``y`` on given
+    within-block rank orders.
 
-    Within each block one uniform permutation places both particle sets, so
-    the smaller set is a uniform subset of the larger; marginally each output
-    is uniform on its block-count fiber and the configurations disagree on
-    exactly |x0-y0| + |x1-y1| sites.  Each site's rank in its block's
-    permutation decides it: a site is occupied when its rank is below the
-    block count.  Returns two 0/1 int8 arrays of length n, or two (size, n)
-    arrays of independent couplings when ``size`` is given.
+    ``ranks`` gives each site its rank in its block: along the last axis, the
+    first ``n0`` entries are a permutation of ``range(n0)`` and the last
+    ``n1`` one of ``range(n1)``.  A site is occupied when its rank is below
+    its block's count, so within each block the smaller particle set is a
+    subset of the larger, and the two configurations disagree on exactly
+    |x0-y0| + |x1-y1| sites.  Under uniformly random rank orders each output
+    is uniform on its block-count fiber.  ``ranks`` has shape (n,) or (R, n);
+    returns two 0/1 int8 arrays of that shape, one coupling per row.
     """
-    x0, x1 = int(x[0]), int(x[1])
-    y0, y1 = int(y[0]), int(y[1])
+    x, y = tuple(map(int, x)), tuple(map(int, y))
     sizes = (part.n0, part.n1)
-    for counts in ((x0, x1), (y0, y1)):
-        for c, ni in zip(counts, sizes):
-            if not 0 <= c <= ni:
-                raise ValueError(f"block count {c} outside [0, {ni}]")
-    rows = 1 if size is None else size
-    ranks = np.concatenate([rng.permuted(np.broadcast_to(np.arange(ni), (rows, ni)), axis=1)
-                            for ni in sizes], axis=1)
-    eta = (ranks < np.repeat((x0, x1), sizes)).astype(np.int8)
-    etap = (ranks < np.repeat((y0, y1), sizes)).astype(np.int8)
-    return (eta[0], etap[0]) if size is None else (eta, etap)
+    ranks = np.asarray(ranks)
+    if ranks.ndim not in (1, 2) or ranks.shape[-1] != part.n:
+        raise ValueError(f"ranks of shape {ranks.shape}, expected ({part.n},) or (R, {part.n})")
+    for block, ni, cx, cy in zip((ranks[..., :part.n0], ranks[..., part.n0:]), sizes, x, y):
+        if not (0 <= cx <= ni and 0 <= cy <= ni):
+            raise ValueError(f"block counts {cx} and {cy} outside [0, {ni}]")
+        if not (np.sort(block, axis=-1) == np.arange(ni)).all():
+            raise ValueError(f"ranks of a block of {ni} sites are not a permutation of range({ni})")
+    thresholds = np.repeat((x, y), sizes, axis=1)
+    return tuple((ranks < t).astype(np.int8) for t in thresholds)

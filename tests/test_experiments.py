@@ -28,7 +28,7 @@ from scipy.optimize import brentq, linprog
 from scipy.stats import hypergeom
 
 import noisyvoter
-from noisyvoter import cli, experiments, model, stein
+from noisyvoter import cli, diffusion, experiments, model, stein, transport
 from noisyvoter.errors import ConfigError
 from noisyvoter.diffusion import WFParams, wf_marginal
 from noisyvoter.experiments import (
@@ -307,6 +307,96 @@ class TestConfig:
         c = replica_stream(7, "thermalize", 1).standard_normal(4)
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, c)
+
+
+# One planted defect per validate row, each in the function the row guards.
+# Each original is bound as a default argument, so a defect calls the real
+# function while the attribute is patched.
+def _open_end(params, k, rates=model.count_rates):
+    # births at (n - k + 1)(a + k)/n: the end k = n is left open
+    up, down = rates(params, k)
+    return up + (params.a + np.asarray(k)) / params.n, down
+
+
+def _zeta_over_n_minus_1(n, ell, zeta=stein.hypergeom_zeta_pmf):
+    # Z = (Y - ell^2/n) / sqrt(n - 1), not / sqrt(n)
+    pmf = zeta(n, ell)
+    return Pmf(pmf.support * np.sqrt(n / (n - 1)), pmf.probs)
+
+
+def _mean_over_n_minus_1(xs, ys, w1=transport.w1_sorted):
+    return w1(xs, ys) * len(xs) / (len(xs) - 1)
+
+
+def _cityblock(xs, ys, metric="euclidean", w1=transport.w1_matching):
+    return w1(xs, ys, "cityblock")
+
+
+def _f_bound_times_nu(sol, nu, margins=stein.stein_bound_margins):
+    # ||f|| <= 2 nu ||h'||, a nu the bound does not have
+    return {**margins(sol, nu), "f": 2.0 * nu * sol.h_deriv_sup - float(np.max(np.abs(sol.f)))}
+
+
+def _births_one_too_many(n, ell, f):
+    # the up rate (ell - Y)(ell - Y + 1)/n, not (ell - Y)^2/n
+    y, z = stein.zeta_support(n, ell)
+    step, fz = 1.0 / np.sqrt(n), np.asarray(f(z), float)
+    return (y * (n - 2 * ell + y) / n * (np.asarray(f(z - step), float) - fz)
+            + (ell - y) * (ell - y + 1) / n * (np.asarray(f(z + step), float) - fz))
+
+
+def _half_residual_bound(n, ell, f, df, d2f, d3f, residual=stein.exclusion_stein_residual):
+    # the bound's constants 1/2 and 1/3 read as 1/4 and 1/6
+    res = residual(n, ell, f, df, d2f, d3f)
+    return stein.ExclusionResidual(res.y, res.z, res.residual, res.bound / 2)
+
+
+def _two_cov_terms(var_x, var_y, cov_yz, var_z, bound=diffusion.gaussian_coupling_bound):
+    # 2 cov_yz^2 / var_z in the bound, not 3
+    return bound(var_x, var_y, cov_yz, var_z) - cov_yz ** 2 / var_z
+
+
+def _unscaled_derivative(params, coef, t, order=0, semigroup=diffusion.wf_semigroup):
+    # d^k P_t f without its factor e^{lambda_k t}
+    lam = order * (order - 1 + params.a + params.b)
+    return semigroup(params, coef, t, order) * np.exp(-lam * t)
+
+
+def _variance_at_twice_the_time(params, m0, t, variance=model.density_variance):
+    return variance(params, m0, 2.0 * t)
+
+
+def _threshold_at_or_below(part, x, y, ranks):
+    # occupied where the rank is at most the count, not below it
+    return tuple((np.asarray(ranks) <= np.repeat(c, (part.n0, part.n1))).astype(np.int8)
+                 for c in (x, y))
+
+
+def _block_1_from_block_0(part, x, y, ranks, couple=model.couple_by_block_counts):
+    # block 1 ranked by the order of block 0's first n1 sites
+    ranks = np.array(ranks)
+    ranks[..., part.n0:] = np.argsort(np.argsort(ranks[..., :part.n1], axis=-1), axis=-1)
+    return couple(part, x, y, ranks)
+
+
+# (row, module, attribute, defect, the other rows it fails)
+PLANTED_DEFECTS = [
+    ("rates-boundary", model, "count_rates", _open_end, []),
+    ("uniform-start-variance", stein, "hypergeom_zeta_pmf", _zeta_over_n_minus_1, []),
+    ("translation-1d", transport, "w1_sorted", _mean_over_n_minus_1, []),
+    ("translation-2d", transport, "w1_matching", _cityblock, []),
+    ("stein-bounds", stein, "stein_bound_margins", _f_bound_times_nu, []),
+    # exclusion_stein_residual applies the same generator
+    ("exclusion-stationarity", stein, "exclusion_apply", _births_one_too_many,
+     ["exclusion-residual-bounds"]),
+    ("exclusion-residual-bounds", stein, "exclusion_stein_residual", _half_residual_bound, []),
+    ("coupling-disagreements", model, "couple_by_block_counts", _threshold_at_or_below,
+     ["coupling-uniformity"]),
+    ("coupling-uniformity", model, "couple_by_block_counts", _block_1_from_block_0, []),
+    ("gaussian-coupling-bound", diffusion, "gaussian_coupling_bound", _two_cov_terms, []),
+    ("derivative-decay", diffusion, "wf_semigroup", _unscaled_derivative, []),
+    ("density-apriori", model, "density_variance", _variance_at_twice_the_time, []),
+]
 
 
 class TestExitCodes:
@@ -650,6 +740,17 @@ class TestExitCodes:
         checks = json.loads((tmp_path / "validate_report.json").read_text())["checks"]
         assert [k for k, info in checks.items() if not info["passed"]] == ["block-mean-identity"]
 
+    @pytest.mark.parametrize("row,module,attr,defect,also", PLANTED_DEFECTS,
+                             ids=[case[0] for case in PLANTED_DEFECTS])
+    def test_planted_defect_fails_its_row(self, tmp_path, monkeypatch, row, module, attr,
+                                          defect, also):
+        monkeypatch.setattr(module, attr, defect)
+        cfg = ExperimentConfig(scenario="validate", samples=100, out=str(tmp_path))
+        assert run(cfg) == 4
+        checks = json.loads((tmp_path / "validate_report.json").read_text())["checks"]
+        failed = [k for k, info in checks.items() if not info["passed"]]
+        assert sorted(failed) == sorted([row, *also])
+
     @pytest.mark.parametrize("row", range(len(experiments._VALIDATE_CHECKS)),
                              ids=[name for name, _, _ in experiments._VALIDATE_CHECKS])
     def test_validate_passes_iff_measured_within_tolerance(self, tmp_path, monkeypatch, row):
@@ -756,11 +857,6 @@ class TestDeterminism:
             assert (info["uniformized"] > 0) == refills
 
     def test_validate_exact_checks_seed_invariant(self, tmp_path):
-        exact = ("rates-boundary", "detailed-balance", "uniform-start-variance",
-                 "translation-1d", "translation-2d", "pushforward-contraction", "stein-bounds",
-                 "stein-identity", "exclusion-stationarity", "exclusion-residual-bounds",
-                 "coupling-disagreements", "gaussian-coupling-bound", "block-mean-identity",
-                 "derivative-decay", "density-apriori")
         reports = []
         for seed in (1, 2):
             cfg = ExperimentConfig(scenario="validate", samples=100, seed=seed,
@@ -772,8 +868,8 @@ class TestDeterminism:
             assert extra["validate"]["stein_lattices"] == 5
             # h evaluations: 4 nodes in each of the 276,000 grid cells, 8 in each tail cell
             assert extra["validate"]["stein_nodes"] == 1_214_912
-        for name in exact:
-            assert reports[0][name]["measured"] == reports[1][name]["measured"]
+        assert [(k, v["measured"]) for k, v in reports[0].items()] == \
+            [(k, v["measured"]) for k, v in reports[1].items()]
         assert reports[0]["density-apriori"]["passed"]
         assert reports[0]["density-apriori"]["tolerance"] == 0.0
         assert reports[0]["derivative-decay"]["passed"]
@@ -786,6 +882,18 @@ class TestDeterminism:
             out = tmp_path / f"s{samples}"
             assert cli.main(["validate", "--samples", str(samples), "--out", str(out)]) == 0
             outs.append(read_bytes(out / "results.csv"))
+        assert outs[0] == outs[1]
+
+    def test_validate_ignores_seed(self, tmp_path):
+        # no validate row draws random numbers, so results.csv at two seeds
+        # differs in the seed column alone
+        outs = []
+        for seed in (0, 7):
+            out = tmp_path / f"s{seed}"
+            assert cli.main(["validate", "--seed", str(seed), "--out", str(out)]) == 0
+            lines = read_bytes(out / "results.csv").splitlines()
+            assert lines[0].endswith(b",seed")
+            outs.append([line.rsplit(b",", 1)[0] for line in lines])
         assert outs[0] == outs[1]
 
     def test_validate_same_under_two_blas_threads(self, tmp_path):
@@ -1312,6 +1420,22 @@ def test_benchmark_work_counters_take_the_wrapped_arguments():
             if missing:
                 mismatched.append(f"{module.__name__}.{attr}: {sorted(missing)}")
     assert mismatched == []
+
+
+def test_benchmark_traced_run_restores_every_target(tmp_path):
+    # `perfbench/run.py --trace 1` runs scenarios under this tracer, but the
+    # pipeline runs only --trace 0: one traced run here, as run.py makes it
+    spans = perfbench_spans()
+    originals = [(module, attr, getattr(module, attr)) for module, attr, *_ in spans.TARGETS]
+    tracer = spans.Tracer()
+    with tracer:
+        tracer.new_sample()
+        assert experiments.run(ExperimentConfig(scenario="mixing-curve", n=(8, 16),
+                                                out=str(tmp_path))) == 0
+    assert tracer.counts[0]["experiments.runner.calls"] == 1
+    assert tracer.self_times()[0]["experiments.runner"] > 0.0
+    assert [f"{module.__name__}.{attr}" for module, attr, fn in originals
+            if getattr(module, attr) is not fn] == []
 
 
 def test_demo_imports_resolve():

@@ -1,8 +1,10 @@
 """Model-core tests: rates, exact laws, simulation, coupling."""
 
 import logging
+import math
 import re
-from itertools import accumulate
+from collections import Counter
+from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
@@ -977,48 +979,78 @@ class TestUniformGivenCount:
                                        5, np.random.default_rng(0))
 
 
+def rank_orders(n0, n1):
+    """Every pair of within-block rank orders at blocks (n0, n1), one per row."""
+    return np.array([r0 + r1 for r0 in permutations(range(n0)) for r1 in permutations(range(n1))])
+
+
 class TestCoupling:
     def test_equal_counts_identical(self):
         part = BlockPartition(5, 7)
-        eta, etap = couple_by_block_counts(part, (2, 4), (2, 4), np.random.default_rng(41))
-        assert np.array_equal(eta, etap)
-        eta, etap = couple_by_block_counts(part, (2, 4), (2, 4), np.random.default_rng(41), size=50)
-        assert np.array_equal(eta, etap)
+        rng = np.random.default_rng(41)
+        ranks = np.concatenate([rng.permuted(np.tile(np.arange(ni), (50, 1)), axis=1)
+                                for ni in (5, 7)], axis=1)
+        for r in (ranks[0], ranks):
+            eta, etap = couple_by_block_counts(part, (2, 4), (2, 4), r)
+            assert eta.shape == r.shape and np.array_equal(eta, etap)
 
     def test_full_flip(self):
         part = BlockPartition(3, 4)
-        eta, etap = couple_by_block_counts(part, (0, 0), (3, 4), np.random.default_rng(42))
+        eta, etap = couple_by_block_counts(part, (0, 0), (3, 4), [2, 0, 1, 3, 1, 0, 2])
         assert int(np.sum(eta != etap)) == 7
-        eta, etap = couple_by_block_counts(part, (0, 0), (3, 4), np.random.default_rng(42), size=0)
+        eta, etap = couple_by_block_counts(part, (0, 0), (3, 4), np.zeros((0, 7), int))
         assert eta.shape == etap.shape == (0, 7)
 
     @given(st.integers(1, 25), st.integers(1, 25), st.one_of(st.none(), st.integers(1, 20)),
            st.data())
     @settings(max_examples=80, deadline=None)
-    def test_disagreements_exact(self, n0, n1, size, data):
+    def test_disagreements_exact(self, n0, n1, rows, data):
         part = BlockPartition(n0, n1)
         x = (data.draw(st.integers(0, n0)), data.draw(st.integers(0, n1)))
         y = (data.draw(st.integers(0, n0)), data.draw(st.integers(0, n1)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        eta, etap = couple_by_block_counts(part, x, y, rng, size=size)
-        shape = (n0 + n1,) if size is None else (size, n0 + n1)
-        assert eta.shape == etap.shape == shape
+        orders = [data.draw(st.permutations(range(n0))) + data.draw(st.permutations(range(n1)))
+                  for _ in range(1 if rows is None else rows)]
+        ranks = np.array(orders[0] if rows is None else orders)
+        eta, etap = couple_by_block_counts(part, x, y, ranks)
+        assert eta.shape == etap.shape == ranks.shape
         assert eta.dtype == etap.dtype == np.int8
-        eta, etap = np.atleast_2d(eta), np.atleast_2d(etap)
+        eta, etap, ranks = np.atleast_2d(eta), np.atleast_2d(etap), np.atleast_2d(ranks)
         assert np.all(np.sum(eta != etap, axis=1) == abs(x[0] - y[0]) + abs(x[1] - y[1]))
         for config, counts in ((eta, x), (etap, y)):
             assert np.all(config[:, :n0].sum(axis=1) == counts[0])
             assert np.all(config[:, n0:].sum(axis=1) == counts[1])
+            # the threshold rule: the occupied sites are those ranked below the count
+            assert np.array_equal(config[:, :n0] == 1, ranks[:, :n0] < counts[0])
+            assert np.array_equal(config[:, n0:] == 1, ranks[:, n0:] < counts[1])
 
     def test_marginal_uniformity(self):
-        part = BlockPartition(6, 5)
-        x, y = (2, 3), (4, 1)
-        draws = 60_000
-        eta, etap = couple_by_block_counts(part, x, y, np.random.default_rng(43), size=draws)
-        for config, counts in ((eta, x), (etap, y)):
-            target = np.concatenate([np.full(6, counts[0] / 6), np.full(5, counts[1] / 5)])
-            se = np.sqrt(target * (1 - target) / draws)
-            assert np.max(np.abs(config.mean(axis=0) - target) / se) <= 4.5
+        # over all 4!·3! = 144 rank orders, each configuration of the fiber of
+        # its block counts occurs equally often, whatever the partner's counts
+        n0, n1 = 4, 3
+        part, ranks = BlockPartition(n0, n1), rank_orders(n0, n1)
+        counts = [(c0, c1) for c0 in range(n0 + 1) for c1 in range(n1 + 1)]
+        for x in counts:
+            for y in counts:
+                for config, (c0, c1) in zip(couple_by_block_counts(part, x, y, ranks), (x, y)):
+                    hits = Counter(map(tuple, config.tolist()))
+                    fiber = math.comb(n0, c0) * math.comb(n1, c1)
+                    assert len(hits) == fiber
+                    assert set(hits.values()) == {len(ranks) // fiber}
+                    assert all(sum(c[:n0]) == c0 and sum(c[n0:]) == c1 for c in hits)
+
+    @pytest.mark.parametrize("x,ranks", [
+        ((4, 0), [0, 1, 2, 0, 1]),  # a count above its block
+        ((0, -1), [0, 1, 2, 0, 1]),
+        ((1, 1), [0, 0, 1, 0, 1]),  # a repeated rank
+        ((1, 1), [0, 1, 3, 0, 1]),  # a rank beyond its block
+        ((1, 1), [0, 1, 2, 1, 2]),  # block 1 ranked from 1
+        ((1, 1), [[0, 1, 2, 0, 1], [0, 2, 1, 1, 1]]),  # a bad second row
+        ((1, 1), [0, 1, 2, 0]),  # one site short
+        ((1, 1), [[[0, 1, 2, 0, 1]]]),
+    ])
+    def test_rejects_what_is_not_a_coupling(self, x, ranks):
+        with pytest.raises(ValueError):
+            couple_by_block_counts(BlockPartition(3, 2), x, (0, 0), ranks)
 
 
 class TestGeneratorResidual:
